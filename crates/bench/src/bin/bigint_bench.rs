@@ -26,17 +26,25 @@
 //!   legacy path (the dispatch must be free where it changes nothing);
 //! * at the largest corpus the end-to-end [`ProductTreeBackend`] batch
 //!   scan is measurably (>= 1.05x) faster under the new ladder, and its
-//!   findings are bitwise-identical to the scalar pairwise scan's.
+//!   findings are bitwise-identical to the scalar pairwise scan's;
+//! * the wrapped product `a·b mod (β^N − 1)` of the scaled remainder
+//!   tree's step shape (`N − N/128` by `N/2` limbs at [`WRAP_LIMBS`])
+//!   runs at least 1.3x the full product, whose transform is twice as
+//!   large, and equals the full product reduced mod `β^N − 1`.
 
 use bulkgcd_bench::gate::{best_of, median_speedup, round_times};
 use bulkgcd_bench::Options;
 use bulkgcd_bigint::random::random_odd_bits;
-use bulkgcd_bigint::{thresholds, Nat, LIMB_BITS};
+use bulkgcd_bigint::{ntt, thresholds, Nat, LIMB_BITS};
 use bulkgcd_bulk::{ModuliArena, ProductTreeBackend, ScanPipeline};
 use bulkgcd_rsa::build_corpus;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
+
+/// Transform size `N` of the wrapped-product row: the width where the
+/// wrap halves a step's transform (8192 vs the full product's 16384).
+const WRAP_LIMBS: usize = 8192;
 
 /// A `Nat` of exactly `limbs` limbs (top bit set), odd.
 fn nat_of_limbs(rng: &mut StdRng, limbs: usize) -> Nat {
@@ -181,6 +189,31 @@ fn main() {
         });
     }
 
+    // Wrapped product at the scaled descent's step shape: a fraction just
+    // under N limbs times a square of N/2 limbs, mod β^N − 1 on an N-point
+    // transform, against the full product on a 2N-point one.
+    let a = nat_of_limbs(&mut rng, WRAP_LIMBS - WRAP_LIMBS / 128);
+    let b = nat_of_limbs(&mut rng, WRAP_LIMBS / 2);
+    let wrapped = || Nat::from_vec(ntt::mul_wrap(a.limbs(), b.limbs(), WRAP_LIMBS));
+    let (times, _) = round_times(
+        reps,
+        &mut [&mut || digest(&wrapped()), &mut || digest(&a.mul(&b))],
+    );
+    let (wrap_s, full_s) = (best_of(&times[0]), best_of(&times[1]));
+    let wrap_speedup = median_speedup(&times[1], &times[0]);
+    let wrap_modulus = Nat::one()
+        .shl(WRAP_LIMBS as u64 * LIMB_BITS as u64)
+        .sub(&Nat::one());
+    let wrap_matches = wrapped() == a.mul(&b).rem(&wrap_modulus);
+    eprintln!(
+        "wrapped mul N={WRAP_LIMBS}: wrap {wrap_s:.3e}s full {full_s:.3e}s x{wrap_speedup:.2} \
+         (matches full mod β^N − 1: {wrap_matches})"
+    );
+    if !wrap_matches {
+        eprintln!("GATE FAIL: wrapped product differs from the full product mod β^N − 1");
+        fail = true;
+    }
+
     // End-to-end batch scan: the ProductTreeBackend over a planted corpus,
     // new ladder vs legacy, plus findings identity against the scalar
     // pairwise scan (the gate's correctness leg).
@@ -237,6 +270,8 @@ fn main() {
             "  \"mul\": [\n{mul}\n  ],\n",
             "  \"div\": [\n{div}\n  ],\n",
             "  \"gcd\": [\n{gcd}\n  ],\n",
+            "  \"wrap_mul\": {{\"limbs\": {wn}, \"wrap_seconds\": {ws:.9}, \"full_seconds\": {fs:.9},\n",
+            "    \"speedup\": {wsp:.4}, \"matches_full\": {wm}}},\n",
             "  \"batch_scan\": {{\"m\": {bm}, \"bits\": {bb}, \"findings\": {bf},\n",
             "    \"ladder_seconds\": {bls:.9}, \"legacy_seconds\": {bgs:.9},\n",
             "    \"speedup\": {bsp:.4}, \"findings_match_scalar\": {fm}}}\n",
@@ -247,6 +282,11 @@ fn main() {
         mul = json_rows(&mul_rows),
         div = json_rows(&div_rows),
         gcd = json_rows(&gcd_rows),
+        wn = WRAP_LIMBS,
+        ws = wrap_s,
+        fs = full_s,
+        wsp = wrap_speedup,
+        wm = wrap_matches,
         bm = batch_m,
         bb = batch_bits,
         bf = tree_findings.len(),
@@ -307,6 +347,12 @@ fn main() {
         &format!("m={batch_m}, bits={batch_bits}"),
         batch_speedup,
         1.05,
+    );
+    check(
+        "wrapped vs full product",
+        &format!("N={WRAP_LIMBS}"),
+        wrap_speedup,
+        1.3,
     );
     if fail {
         std::process::exit(1);

@@ -264,9 +264,11 @@ fn residues_mod_prime(k: usize, a: &[Limb], b: Option<&[Limb]>, n: usize) -> Vec
 }
 
 /// CRT-recombine the residues and propagate carries, writing the low
-/// `out.len()` limbs of the product into `out` (which must be exactly the
-/// product length; the final carry must be zero and is debug-asserted).
-fn recombine(res: &Residues, out: &mut [Limb]) {
+/// `out.len()` limbs of the product into `out`. An acyclic product must
+/// fit `out` exactly (the final carry is debug-asserted zero); a `wrap`
+/// (cyclic) product has `out.len() == res.n` and folds its final carry
+/// back in at limb 0, since `β^n ≡ 1 (mod β^n − 1)`.
+fn recombine(res: &Residues, out: &mut [Limb], wrap: bool) {
     let [p1, p2, p3] = [PRIMES[0].0, PRIMES[1].0, PRIMES[2].0];
     let inv_p1_mod_p2 = powmod(p1, p2 - 2, p2);
     let p1p2 = p1 * p2; // < 2⁶², exact in u64
@@ -301,7 +303,37 @@ fn recombine(res: &Residues, out: &mut [Limb]) {
         }
         carry = acc >> LIMB_BITS;
     }
-    debug_assert_eq!(carry, 0, "NTT carry must be consumed by the result");
+    if !wrap {
+        debug_assert_eq!(carry, 0, "NTT carry must be consumed by the result");
+        return;
+    }
+    // End-around carry. The loop's carry is under 2⁶²; adding it back at
+    // limb 0 carries out of the top at most once more, and only when what
+    // remains is below 2⁶², so the second pass stops early.
+    while carry != 0 {
+        for w in out.iter_mut() {
+            let acc = carry + *w as u128;
+            *w = lo(acc as u64);
+            carry = acc >> LIMB_BITS;
+            if carry == 0 {
+                break;
+            }
+        }
+    }
+    // β^n − 1 (all ones) is the non-canonical zero.
+    if out.iter().all(|&w| w == Limb::MAX) {
+        out.fill(0);
+    }
+}
+
+/// Residues of `a · b` (or `a²`) modulo `x^n − 1` for all three primes.
+fn residues(a: &[Limb], b: &[Limb], n: usize) -> Residues {
+    let square = core::ptr::eq(a, b) || a == b;
+    let bb = if square { None } else { Some(b) };
+    Residues {
+        per_prime: core::array::from_fn(|k| residues_mod_prime(k, a, bb, n)),
+        n,
+    }
 }
 
 /// NTT product `a · b` into `out` (zeroed, `out.len() >= la + lb` where
@@ -321,13 +353,43 @@ pub fn mul_ntt_into(out: &mut [Limb], a: &[Limb], b: &[Limb]) {
     );
     debug_assert!(out.len() >= rl);
     let n = rl.next_power_of_two().max(2);
-    let square = core::ptr::eq(a, b) || (la == lb && a[..la] == b[..lb]);
-    let bb = if square { None } else { Some(&b[..lb]) };
-    let res = Residues {
-        per_prime: core::array::from_fn(|k| residues_mod_prime(k, &a[..la], bb, n)),
-        n,
-    };
-    recombine(&res, &mut out[..rl]);
+    recombine(&residues(&a[..la], &b[..lb], n), &mut out[..rl], false);
+}
+
+/// Wrapped NTT product: `a · b mod (β^N − 1)` into `out`, where
+/// `N = out.len() ≥ 2` is a power of two and both operands fit `N` limbs.
+///
+/// This is the cyclic convolution the transform computes anyway, so it
+/// needs an `N`-point transform where the full product needs
+/// `next_power_of_two(la + lb)` points — up to half the size. The CRT
+/// bound of the module docs holds unchanged: a cyclic coefficient sums at
+/// most `min(la, lb)` limb products, like an acyclic one. The result is
+/// canonical (in `[0, β^N − 1)`). A caller that wants the window
+/// `[lo, hi)` of the full product reads it off exactly when the product's
+/// limbs past `N` fold below `lo` (`la + lb ≤ N + lo`), up to the carry
+/// that the fold adds at limb `lo` (at most 2).
+pub fn mul_wrap_into(out: &mut [Limb], a: &[Limb], b: &[Limb]) {
+    let n = out.len();
+    assert!(
+        n >= 2 && n.is_power_of_two() && n <= MAX_NTT_TOTAL_LIMBS,
+        "wrapped NTT of {n} limbs is not a supported transform size"
+    );
+    let la = ops::normalized_len(a);
+    let lb = ops::normalized_len(b);
+    assert!(la <= n && lb <= n, "wrapped NTT operand exceeds {n} limbs");
+    out.fill(0);
+    if la == 0 || lb == 0 {
+        return;
+    }
+    recombine(&residues(&a[..la], &b[..lb], n), out, true);
+}
+
+/// Allocating wrapper around [`mul_wrap_into`]: `a · b mod (β^n − 1)` as
+/// exactly `n` limbs (not normalized).
+pub fn mul_wrap(a: &[Limb], b: &[Limb], n: usize) -> Vec<Limb> {
+    let mut out = vec![0; n];
+    mul_wrap_into(&mut out, a, b);
+    out
 }
 
 /// Allocating wrapper around [`mul_ntt_into`], normalized result.
@@ -470,17 +532,86 @@ mod tests {
         }
         eprintln!("mul_ntt 8192x8191: {:?}/iter", t0.elapsed() / 20);
 
-        let res = Residues {
-            per_prime: core::array::from_fn(|k| residues_mod_prime(k, &a, None, n)),
-            n,
-        };
+        let res = residues(&a, &a, n);
         let mut out = vec![0u32; 16384];
         let t0 = Instant::now();
         for _ in 0..100 {
-            recombine(&res, &mut out);
+            recombine(&res, &mut out, false);
             std::hint::black_box(&out);
         }
         eprintln!("recombine n={n}: {:?}/iter", t0.elapsed() / 100);
+    }
+
+    /// `x mod (β^n − 1)` by folding `n`-limb chunks, canonical, `n` limbs.
+    fn fold_mod(x: &[Limb], n: usize) -> Vec<Limb> {
+        let mut acc = vec![0; n + 1];
+        for chunk in x.chunks(n) {
+            ops::add_assign(&mut acc, chunk);
+        }
+        // Fold the overflow limb until the value fits n limbs.
+        while acc[n] != 0 {
+            let top = core::mem::take(&mut acc[n]);
+            ops::add_assign(&mut acc, &[top]);
+        }
+        acc.truncate(n);
+        if acc.iter().all(|&w| w == Limb::MAX) {
+            acc.fill(0);
+        }
+        acc
+    }
+
+    #[test]
+    fn wrapped_product_matches_folded_full_product() {
+        let mut state = 0x2468_ace0_1357_9bdf_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for (la, lb, n) in [
+            (1, 1, 2),
+            (2, 2, 2),
+            (5, 3, 8),
+            (8, 8, 8),
+            (60, 33, 64),
+            (64, 64, 64),
+            (200, 100, 256),
+            (1000, 24, 1024),
+        ] {
+            let a: Vec<Limb> = (0..la).map(|_| lo(next())).collect();
+            let b: Vec<Limb> = (0..lb).map(|_| lo(next())).collect();
+            let full = schoolbook(&a, &b);
+            assert_eq!(
+                mul_wrap(&a, &b, n),
+                fold_mod(&full, n),
+                "la={la} lb={lb} n={n}"
+            );
+        }
+    }
+
+    #[test]
+    fn wrapped_product_carry_wrap_edges() {
+        // All-ones operands: (β^n − 1)·x ≡ 0, reached through the
+        // end-around carry and the all-ones canonicalization.
+        for n in [2usize, 4, 16, 128] {
+            let ones = vec![Limb::MAX; n];
+            assert_eq!(mul_wrap(&ones, &ones, n), vec![0; n], "n={n}");
+            assert_eq!(mul_wrap(&ones, &[1], n), vec![0; n], "n={n}");
+            assert_eq!(mul_wrap(&ones, &[7, 9], n), vec![0; n], "n={n}");
+            // One short of all-ones: (β^n − 2)² ≡ 1.
+            let mut m2 = ones.clone();
+            m2[0] -= 1;
+            let mut one = vec![0; n];
+            one[0] = 1;
+            assert_eq!(mul_wrap(&m2, &m2, n), one, "n={n}");
+            // Half-width all-ones operands carry into the top limb without
+            // wrapping; the folded full product agrees.
+            let half = vec![Limb::MAX; n / 2 + 1];
+            let full = schoolbook(&half, &ones[..n / 2]);
+            assert_eq!(mul_wrap(&half, &ones[..n / 2], n), fold_mod(&full, n));
+        }
+        assert_eq!(mul_wrap(&[], &[5], 4), vec![0; 4]);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The batch-GCD baseline (product tree + remainder tree).
+//! The batch-GCD baseline (product tree + scaled remainder tree).
 //!
 //! This is the attack the literature already had when the paper was written
 //! (Heninger et al. / Lenstra et al., implemented by tools like `fastgcd`):
@@ -8,15 +8,50 @@
 //! comparison baseline the repository's benchmarks pit the paper's
 //! pairwise GPU approach against.
 //!
+//! The descent is Bernstein's *scaled* remainder tree ("Scaled remainder
+//! trees", 2004). Instead of `P mod v²` every node `v` carries the
+//! fixed-point fraction `y_v ≈ frac(P / v²)`, and a child `c` with sibling
+//! `s` follows from its parent by one multiplication, because
+//! `P / c² = (P / v²) · s²`:
+//!
+//! ```text
+//! y_c = frac(y_v · s²)
+//! ```
+//!
+//! At a leaf, `y_n · n = (P mod n²) / n = (P/n) mod n` is an integer, so
+//! rounding recovers the old descent's quotient modulo `n` and the final
+//! `gcd(q, n)` — and every output — is bitwise unchanged. The
+//! per-node divisions (Newton at the wide nodes, 7–8× the cost of a
+//! multiply of the same width) become one multiply each:
+//!
+//! * **Seed at the root's children.** `frac(P / c²) = (s mod c) / c`, so
+//!   each root child costs one division by `c`. Seeding at `1/P` instead
+//!   would need a reciprocal twice the root's width and the largest
+//!   transforms of the whole run.
+//! * **Wrapped products.** A step only needs the product modulo
+//!   `β^{p_v}` with its low limbs dropped, so wide steps use
+//!   [`ntt::mul_wrap_into`] modulo `β^N − 1`, `N = p_v.next_power_of_two()`:
+//!   half the transform of the full product. The largest transform of the
+//!   descent is thus `next_pow2(p)` at the root's children, no larger than
+//!   the product tree's own root multiply.
+//! * **Squares on the fly.** `s²` is computed when the step needs it and
+//!   dropped; no squared tree is kept.
+//!
+//! The precision recurrence and the error bound that make the leaf
+//! rounding exact are stated at `node_precision`. A leaf whose rounding
+//! margin is nevertheless under ¼ is recomputed exactly from the root, so
+//! no bound slip can return a silently wrong answer.
+//!
 //! The tree arithmetic rides the `bulkgcd-bigint` dispatch ladder
-//! (Toom-3/NTT multiply, Newton division, half-GCD), and the hot descent
-//! is scratch-reusing: [`batch_gcd_into`] threads a [`BatchScratch`]
-//! through every node so the steady state performs no allocations below
-//! the subquadratic cutoffs (pinned by `tests/alloc_steady_state.rs`).
+//! (Toom-3/NTT multiply, half-GCD), and [`batch_gcd_into`] threads a
+//! [`BatchScratch`] through every node so the steady state performs no
+//! allocations below the subquadratic cutoffs (pinned by
+//! `tests/alloc_steady_state.rs`).
 
 use bulkgcd_bigint::div::DivScratch;
 use bulkgcd_bigint::hgcd::gcd_into;
-use bulkgcd_bigint::{Limb, Nat};
+use bulkgcd_bigint::mul::mul_dispatch;
+use bulkgcd_bigint::{ntt, ops, thresholds, Limb, Nat, LIMB_BITS};
 use core::mem;
 use rayon::prelude::*;
 
@@ -72,33 +107,44 @@ impl ProductTree {
     }
 }
 
-/// Working memory for [`batch_gcd_into`]: the product-tree levels, the two
-/// remainder-level ping-pong buffers, and all per-node temporaries. A warm
-/// scratch makes repeated batches over same-shaped corpora allocation-free
-/// in the steady state (below the subquadratic cutoffs, whose algorithms
-/// allocate internally by design).
+/// Working memory of one node step ([`seed`], [`descend`], [`leaf_gcd`]):
+/// one per serial descent, one per rayon worker in the parallel one.
+#[derive(Default)]
+struct StepScratch {
+    /// The sibling's square `s²`, or the seed's shifted dividend.
+    sq: Nat,
+    /// Raw product limbs (full or wrapped).
+    prod: Vec<Limb>,
+    /// Seed quotient, then the leaf quotient `q`.
+    q: Nat,
+    /// Seed remainder (discarded).
+    r: Nat,
+    /// Knuth division working memory for the seed.
+    div: DivScratch,
+    /// Binary-GCD scratch for the leaf step.
+    gx: Vec<Limb>,
+    /// Second binary-GCD scratch buffer.
+    gy: Vec<Limb>,
+}
+
+/// Working memory for [`batch_gcd_into`]: the product-tree levels, their
+/// precisions, the two fraction-level ping-pong buffers and the per-node
+/// step scratch. A warm scratch makes repeated batches over same-shaped
+/// corpora allocation-free in the steady state (below the subquadratic
+/// cutoffs, whose algorithms allocate internally by design).
 #[derive(Default)]
 pub struct BatchScratch {
     /// Computed product-tree levels, pairwise-up from the moduli
     /// (`levels[0]` pairs the inputs; the last built level is the root).
     levels: Vec<Vec<Nat>>,
-    /// Current remainder level of the descent.
-    rems: Vec<Nat>,
-    /// Next remainder level (ping-pong partner of `rems`).
+    /// Fraction precisions in limbs; `prec[k]` belongs to `tree_level` `k`.
+    prec: Vec<Vec<usize>>,
+    /// Current fraction level of the descent.
+    ys: Vec<Nat>,
+    /// Next fraction level (ping-pong partner of `ys`).
     next: Vec<Nat>,
-    /// Squared node `n²` of the current descent step.
-    sq: Nat,
-    /// Quotient sink for divisions whose quotient is needed (final step)
-    /// or discarded (descent).
-    q: Nat,
-    /// Remainder sink for the final exact division.
-    r: Nat,
-    /// Knuth division working memory.
-    div: DivScratch,
-    /// Binary-GCD scratch for the final per-modulus step.
-    gx: Vec<Limb>,
-    /// Second binary-GCD scratch buffer.
-    gy: Vec<Limb>,
+    /// Per-node temporaries.
+    step: StepScratch,
 }
 
 impl BatchScratch {
@@ -126,9 +172,154 @@ fn level_width(m: usize, ci: usize) -> usize {
     w
 }
 
-/// For every modulus, compute `gcd(n_i, (P mod n_i²) / n_i)` by descending
-/// a remainder tree. The result is > 1 exactly for moduli sharing a prime
-/// with some other modulus (or appearing twice).
+/// Tree level `k` counted from the leaves: `0` is the moduli themselves,
+/// `k ≥ 1` is `levels[k − 1]` (only its live prefix: scratch levels may
+/// hold spare slots from an earlier, larger batch).
+fn tree_level<'a>(moduli: &'a [Nat], levels: &'a [Vec<Nat>], k: usize) -> &'a [Nat] {
+    if k == 0 {
+        moduli
+    } else {
+        &levels[k - 1][..level_width(moduli.len(), k - 1)]
+    }
+}
+
+/// Precision in limbs of the fraction at node `i` of a level whose
+/// children are `kids` with precisions `kid_prec`.
+///
+/// A leaf `n` carries `|n| + 1` limbs; a parent `v` with children `a`, `b`
+/// carries `max(p_a + 2|b|, p_b + 2|a|) + 1`; a node carried up unpaired
+/// shares its only child's fraction and precision. Write `ŷ_v` for the
+/// stored fraction, an integer below `β^{p_v}`, and measure its error
+/// against `frac(P / v²)` in units of `β^{−p_v}`, on the circle. Then:
+///
+/// * a root child's seed is an exact floor: error under 1;
+/// * a step multiplies the parent's error by `s² < β^{p_v − p_c − 1}`
+///   (that is the recurrence), which shrinks it below `1/β` of a child
+///   unit, then truncates to `p_c` limbs (−1 at most) and, for a wrapped
+///   product, adds the fold's carry into the window (+2 at most);
+///
+/// so every fraction is within 3 units. At a leaf the rounded value is
+/// `x = ŷ·n / β^{|n|+1}`, within `3n/β^{|n|+1} < 2⁻³⁰` of the integer
+/// `(P/n) mod n`: the one guard limb keeps its fractional part far from
+/// ½, and [`leaf_gcd`]'s ¼-margin check never fires on a correct bound.
+fn node_precision(kids: &[Nat], kid_prec: &[usize], i: usize) -> usize {
+    let (a, b) = (2 * i, 2 * i + 1);
+    match kids.get(b) {
+        Some(nb) => (kid_prec[a] + 2 * nb.len()).max(kid_prec[b] + 2 * kids[a].len()) + 1,
+        None => kid_prec[a],
+    }
+}
+
+/// Fill `prec` with the precision of every tree level below the root.
+/// Vectors only grow, so a warm `prec` is reused without allocating.
+fn precisions(moduli: &[Nat], levels: &[Vec<Nat>], nl: usize, prec: &mut Vec<Vec<usize>>) {
+    if prec.len() < nl {
+        prec.resize_with(nl, Vec::new);
+    }
+    prec[0].clear();
+    prec[0].extend(moduli.iter().map(|n| n.len() + 1));
+    for k in 1..nl {
+        let kids = tree_level(moduli, levels, k - 1);
+        let (below, above) = prec.split_at_mut(k);
+        above[0].clear();
+        above[0].extend(
+            (0..tree_level(moduli, levels, k).len())
+                .map(|i| node_precision(kids, &below[k - 1], i)),
+        );
+    }
+}
+
+/// Seed a child `c` of the root whose sibling is `s`: `P / c² = s / c`, so
+/// `y_c = frac(s / c)`, i.e. the low `p` limbs of `⌊s·β^p / c⌋` — one
+/// division, exact to under one unit.
+fn seed(c: &Nat, s: &Nat, p: usize, st: &mut StepScratch, y: &mut Nat) {
+    st.prod.clear();
+    st.prod.resize(p, 0);
+    st.prod.extend_from_slice(s.limbs());
+    st.sq.assign_limbs(&st.prod);
+    st.sq.div_rem_into(c, &mut st.q, &mut st.r, &mut st.div);
+    let q = st.q.limbs();
+    y.assign_limbs(&q[..q.len().min(p)]);
+}
+
+/// One descent step: from the parent's fraction `y_v` (`p_v` limbs) and
+/// the child's sibling `s`, the child's fraction `y_c = frac(y_v · s²)` to
+/// `p_c` limbs — limbs `[p_v − p_c, p_v)` of the product.
+fn descend(y_v: &Nat, p_v: usize, s: &Nat, p_c: usize, st: &mut StepScratch, y_c: &mut Nat) {
+    s.square_into(&mut st.sq);
+    let (a, b) = (y_v.limbs(), st.sq.limbs());
+    let wrap = p_v.next_power_of_two();
+    st.prod.clear();
+    if a.len().min(b.len()) >= thresholds::NTT.get() && wrap <= ntt::MAX_NTT_TOTAL_LIMBS {
+        // The recurrence gives `p_v ≥ p_c + |s²| + 1`, so the limbs past
+        // `wrap` fold back strictly below the kept window.
+        st.prod.resize(wrap, 0);
+        ntt::mul_wrap_into(&mut st.prod, a, b);
+    } else {
+        st.prod.resize(a.len() + b.len(), 0);
+        mul_dispatch(&mut st.prod, a, b);
+    }
+    let hi = p_v.min(st.prod.len());
+    y_c.assign_limbs(st.prod.get(p_v - p_c..hi).unwrap_or(&[]));
+}
+
+/// The fraction of node `idx` of tree level `nodes` (precisions `prec`),
+/// from its parent's fraction `y_v` of `p_v` limbs.
+fn child_fraction(
+    nodes: &[Nat],
+    prec: &[usize],
+    idx: usize,
+    y_v: &Nat,
+    p_v: usize,
+    st: &mut StepScratch,
+    y_c: &mut Nat,
+) {
+    match nodes.get(idx ^ 1) {
+        Some(s) => descend(y_v, p_v, s, prec[idx], st, y_c),
+        // Carried up unpaired: the parent is this node.
+        None => y_c.assign_limbs(y_v.limbs()),
+    }
+}
+
+/// `q = round(y · n)` into `st.q` for a leaf `n` whose fraction `y` has
+/// `p` limbs: `(P/n) mod n`, or `n` itself when a true 0 is approximated
+/// from just below 1 — the same `gcd(q, n)`. Returns `false`, leaving
+/// `st.q` unset, when the fractional part of `y·n / β^p` lies within ¼
+/// of ½.
+fn round_quotient(y: &Nat, p: usize, n: &Nat, st: &mut StepScratch) -> bool {
+    let (a, b) = (y.limbs(), n.limbs());
+    let z = &mut st.prod;
+    z.clear();
+    // One spare limb above the product takes the round-up carry.
+    z.resize((a.len() + b.len()).max(p) + 1, 0);
+    mul_dispatch(z, a, b);
+    let top = z[p - 1] >> (LIMB_BITS - 2);
+    if top == 1 || top == 2 {
+        return false;
+    }
+    if top == 3 {
+        ops::add_assign(&mut z[p..], &[1]);
+    }
+    st.q.assign_limbs(&z[p..]);
+    true
+}
+
+/// The leaf step for modulus `n` with fraction `y` of `p` limbs:
+/// `out = gcd((P/n) mod n, n)`. Returns `true` when the rounding margin was
+/// under ¼ and the quotient was recomputed exactly as
+/// `(root mod n²) / n` instead.
+fn leaf_gcd(y: &Nat, p: usize, n: &Nat, root: &Nat, st: &mut StepScratch, out: &mut Nat) -> bool {
+    let exact = !round_quotient(y, p, n, st);
+    if exact {
+        st.q = root.rem(&n.square()).div(n);
+    }
+    gcd_into(&st.q, n, &mut st.gx, &mut st.gy, out);
+    exact
+}
+
+/// For every modulus, compute `gcd(n_i, (P mod n_i²)/n_i)` by descending
+/// a scaled remainder tree. The result is > 1 exactly for moduli sharing
+/// a prime with some other modulus (or appearing twice).
 ///
 /// ```
 /// use bulkgcd_bigint::Nat;
@@ -152,8 +343,8 @@ pub fn batch_gcd(moduli: &[Nat]) -> Vec<Nat> {
 }
 
 /// [`batch_gcd`] with caller-owned scratch and output: repeated calls over
-/// same-shaped corpora reuse every buffer — tree levels, remainder
-/// ping-pong, division scratch, GCD scratch and the result `Nat`s.
+/// same-shaped corpora reuse every buffer — tree levels, precisions,
+/// fraction ping-pong, step scratch and the result `Nat`s.
 pub fn batch_gcd_into(moduli: &[Nat], scratch: &mut BatchScratch, out: &mut Vec<Nat>) {
     out.resize_with(moduli.len(), Nat::default);
     if moduli.len() < 2 {
@@ -164,14 +355,10 @@ pub fn batch_gcd_into(moduli: &[Nat], scratch: &mut BatchScratch, out: &mut Vec<
     }
     let BatchScratch {
         levels,
-        rems,
+        prec,
+        ys,
         next,
-        sq,
-        q,
-        r,
-        div,
-        gx,
-        gy,
+        step,
     } = scratch;
 
     // Product tree, bottom-up. `levels[0]` pairs the moduli themselves, so
@@ -192,66 +379,63 @@ pub fn batch_gcd_into(moduli: &[Nat], scratch: &mut BatchScratch, out: &mut Vec<
         let (below, above) = levels.split_at_mut(nl);
         let cur = &mut above[0];
         grow_to(cur, next_w);
+        let kids = tree_level(moduli, below, nl);
         for (i, slot) in cur.iter_mut().take(next_w).enumerate() {
-            let pair = |k: usize| -> &Nat {
-                if nl == 0 {
-                    &moduli[k]
-                } else {
-                    &below[nl - 1][k]
-                }
-            };
-            if 2 * i + 1 < width {
-                pair(2 * i).mul_into(pair(2 * i + 1), slot);
-            } else {
-                slot.assign_limbs(pair(2 * i).limbs());
+            match kids.get(2 * i + 1) {
+                Some(b) => kids[2 * i].mul_into(b, slot),
+                None => slot.assign_limbs(kids[2 * i].limbs()),
             }
         }
         nl += 1;
         width = next_w;
     }
+    precisions(moduli, levels, nl, prec);
 
-    // Remainder tree, top down: rem[v] = parent_rem mod node[v]².
-    grow_to(rems, 1);
-    rems[0].assign_limbs(levels[nl - 1][0].limbs());
-    for ci in (0..nl - 1).rev() {
-        let nodes = &levels[ci][..level_width(m, ci)];
+    // Scaled remainder tree, top down: seed the root's two children, then
+    // one multiplication per node.
+    let root = &levels[nl - 1][0];
+    let kids = tree_level(moduli, levels, nl - 1);
+    grow_to(ys, 2);
+    for (idx, y) in ys.iter_mut().take(2).enumerate() {
+        seed(&kids[idx], &kids[idx ^ 1], prec[nl - 1][idx], step, y);
+    }
+    for k in (0..nl - 1).rev() {
+        let nodes = tree_level(moduli, levels, k);
         grow_to(next, nodes.len());
-        for (idx, node) in nodes.iter().enumerate() {
-            node.square_into(sq);
-            rems[idx / 2].div_rem_into(&*sq, q, &mut next[idx], div);
+        for (idx, y) in next.iter_mut().take(nodes.len()).enumerate() {
+            let p_v = prec[k + 1][idx / 2];
+            child_fraction(nodes, &prec[k], idx, &ys[idx / 2], p_v, step, y);
         }
-        mem::swap(rems, next);
+        mem::swap(ys, next);
     }
-    // The leaf level: the moduli themselves.
-    grow_to(next, m);
-    for (idx, node) in moduli.iter().enumerate() {
-        node.square_into(sq);
-        rems[idx / 2].div_rem_into(&*sq, q, &mut next[idx], div);
-    }
-    mem::swap(rems, next);
-
-    // Final per-modulus step: z = P mod n², gcd(n, z/n).
     for (i, n) in moduli.iter().enumerate() {
-        rems[i].div_rem_into(n, q, r, div);
-        debug_assert!(r.is_zero(), "P mod n^2 is a multiple of n");
-        gcd_into(q, n, gx, gy, &mut out[i]);
+        leaf_gcd(&ys[i], prec[0][i], n, root, step, &mut out[i]);
+    }
+    // Hand the ping-pong buffers back in their starting roles, so a repeat
+    // call of the same shape refills every slot with a value of the size
+    // it held before: no slot has to grow in the steady state.
+    if nl.is_multiple_of(2) {
+        mem::swap(ys, next);
     }
 }
 
-/// Parallel [`batch_gcd`]: same computation with every tree level mapped
-/// across the rayon pool. The level-by-level data dependence is inherent
-/// (each remainder needs its parent), but levels are wide near the leaves
-/// — exactly where the squarings are numerous. Per-worker scratch
+/// Parallel [`batch_gcd`]: the same per-node steps with every tree level
+/// mapped across the rayon pool. The level-by-level data dependence is
+/// inherent (each fraction needs its parent's), but levels are wide near
+/// the leaves, where the nodes are numerous. Per-worker scratch
 /// (`map_init`) keeps the per-node temporaries off the allocator.
 pub fn batch_gcd_parallel(moduli: &[Nat]) -> Vec<Nat> {
     if moduli.len() < 2 {
         return moduli.iter().map(|_| Nat::one()).collect();
     }
     // Product tree, parallel within each level.
-    let mut prev = moduli.to_vec();
-    let mut levels = Vec::new();
-    while prev.len() > 1 {
-        let next: Vec<Nat> = prev
+    let mut levels: Vec<Vec<Nat>> = Vec::new();
+    loop {
+        let kids = tree_level(moduli, &levels, levels.len());
+        if kids.len() < 2 {
+            break;
+        }
+        let next = kids
             .par_chunks(2)
             .map(|chunk| match chunk {
                 [a, b] => a.mul(b),
@@ -259,49 +443,44 @@ pub fn batch_gcd_parallel(moduli: &[Nat]) -> Vec<Nat> {
                 _ => unreachable!(),
             })
             .collect();
-        levels.push(prev);
-        prev = next;
+        levels.push(next);
     }
-    // prev is now the single-entry root level.
-    let mut rems: Vec<Nat> = prev.clone();
-    levels.push(prev);
-    for level in (0..levels.len() - 1).rev() {
-        let nodes = &levels[level];
-        rems = nodes
+    let nl = levels.len();
+    let mut prec = Vec::new();
+    precisions(moduli, &levels, nl, &mut prec);
+
+    let root = &levels[nl - 1][0];
+    let kids = tree_level(moduli, &levels, nl - 1);
+    let mut ys: Vec<Nat> = kids
+        .par_iter()
+        .enumerate()
+        .map_init(StepScratch::default, |st, (idx, c)| {
+            let mut y = Nat::default();
+            seed(c, &kids[idx ^ 1], prec[nl - 1][idx], st, &mut y);
+            y
+        })
+        .collect();
+    for k in (0..nl - 1).rev() {
+        let nodes = tree_level(moduli, &levels, k);
+        ys = nodes
             .par_iter()
             .enumerate()
-            .map_init(
-                || (Nat::default(), Nat::default(), DivScratch::new()),
-                |(sq, q, div), (idx, node)| {
-                    node.square_into(sq);
-                    let mut rem = Nat::default();
-                    rems[idx / 2].div_rem_into(&*sq, q, &mut rem, div);
-                    rem
-                },
-            )
+            .map_init(StepScratch::default, |st, (idx, _)| {
+                let mut y = Nat::default();
+                let p_v = prec[k + 1][idx / 2];
+                child_fraction(nodes, &prec[k], idx, &ys[idx / 2], p_v, st, &mut y);
+                y
+            })
             .collect();
     }
     moduli
         .par_iter()
-        .zip(&rems)
-        .map_init(
-            || {
-                (
-                    Nat::default(),
-                    Nat::default(),
-                    DivScratch::new(),
-                    Vec::new(),
-                    Vec::new(),
-                )
-            },
-            |(q, r, div, gx, gy), (n, z)| {
-                z.div_rem_into(n, q, r, div);
-                debug_assert!(r.is_zero());
-                let mut g = Nat::default();
-                gcd_into(q, n, gx, gy, &mut g);
-                g
-            },
-        )
+        .zip(ys.iter().zip(&prec[0]))
+        .map_init(StepScratch::default, |st, (n, (y, &p))| {
+            let mut g = Nat::default();
+            leaf_gcd(y, p, n, root, st, &mut g);
+            g
+        })
         .collect()
 }
 
@@ -418,6 +597,126 @@ mod tests {
         assert_eq!(t.root(), &nat(3 * 5 * 7 * 11 * 13 * 17 * 19));
         let g = batch_gcd(&moduli);
         assert!(g.iter().all(|x| x.is_one()));
+    }
+
+    /// `⌊frac(P / n²)·β^p⌋`, the exact leaf fraction.
+    fn exact_leaf_fraction(root: &Nat, n: &Nat, p: usize) -> Nat {
+        let n2 = n.square();
+        root.rem(&n2).shl(32 * p as u64).div(&n2)
+    }
+
+    #[test]
+    fn leaf_rounding_falls_back_when_the_margin_is_under_a_quarter() {
+        let mut rng = StdRng::seed_from_u64(11);
+        let shared = random_rsa_prime(&mut rng, 64);
+        let mut moduli: Vec<Nat> = (0..4)
+            .map(|_| random_rsa_prime(&mut rng, 64).mul(&random_rsa_prime(&mut rng, 64)))
+            .collect();
+        moduli.push(shared.mul(&random_rsa_prime(&mut rng, 64)));
+        moduli.push(shared.mul(&random_rsa_prime(&mut rng, 64)));
+        let root = ProductTree::build(&moduli).root().clone();
+        let expect = batch_gcd(&moduli);
+        let mut st = StepScratch::default();
+        let mut g = Nat::default();
+        for (i, n) in moduli.iter().enumerate() {
+            let p = n.len() + 1;
+            let y = exact_leaf_fraction(&root, n, p);
+            assert!(!leaf_gcd(&y, p, n, &root, &mut st, &mut g));
+            assert_eq!(g, expect[i], "exact fraction, modulus {i}");
+
+            // Moving y by 1/(8n) moves y·n by 1/8: inside the margin, the
+            // rounding still lands on the right quotient.
+            let eighth = Nat::one().shl(32 * p as u64).div(&n.shl(3));
+            assert!(!leaf_gcd(&y.add(&eighth), p, n, &root, &mut st, &mut g));
+            assert_eq!(g, expect[i], "y + 1/(8n), modulus {i}");
+
+            // Moving it by 1/(2n) puts y·n halfway between integers: the
+            // margin check must refuse to round and recompute exactly.
+            let half = eighth.shl(2);
+            assert!(leaf_gcd(&y.add(&half), p, n, &root, &mut st, &mut g));
+            assert_eq!(g, expect[i], "y + 1/(2n), modulus {i}");
+        }
+        assert!(expect[4] == shared && expect[5] == shared);
+    }
+
+    /// Deterministic pseudo-random odd number of `limbs` limbs (top limb
+    /// non-zero): composite test moduli without the cost of prime search.
+    fn wide(state: &mut u64, limbs: usize) -> Nat {
+        let mut v: Vec<Limb> = (0..limbs)
+            .map(|_| {
+                *state ^= *state << 13;
+                *state ^= *state >> 7;
+                *state ^= *state << 17;
+                (*state >> 32) as Limb
+            })
+            .collect();
+        v[0] |= 1;
+        v[limbs - 1] |= 1;
+        Nat::from_vec(v)
+    }
+
+    /// `gcd(n_i, Π_{j≠i} n_j)`, with `gcd(n, 0) = n` for duplicates.
+    fn oracle(moduli: &[Nat]) -> Vec<Nat> {
+        moduli
+            .iter()
+            .enumerate()
+            .map(|(i, ni)| {
+                let mut r = Nat::one();
+                for (j, nj) in moduli.iter().enumerate() {
+                    if i != j {
+                        r = r.mul(&nj.rem(ni)).rem(ni);
+                    }
+                }
+                if r.is_zero() {
+                    ni.clone()
+                } else {
+                    ni.gcd_reference(&r)
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn wide_mixed_corpus_takes_the_wrapped_steps_and_matches_the_oracle() {
+        // 67 moduli (odd m): 32-limb numbers with small shared factors,
+        // 1-limb composites, a duplicate, and a modulus whose top limb is
+        // 1. The root's larger child holds 64 moduli (~2100 limbs), so the
+        // steps below it square ~1050-limb siblings: past the NTT cutoff,
+        // wrapped products.
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut moduli: Vec<Nat> = (0..60)
+            .map(|i| wide(&mut state, 32).mul(&nat([1, 3, 5, 7, 101, 103][i % 6])))
+            .collect();
+        moduli.extend([nat(101 * 211), nat(107 * 223), nat(109 * 227)]);
+        moduli.push(Nat::one().shl(32 * 31).add(&nat(113 * 229)));
+        moduli.push(moduli[5].clone());
+        moduli.push(wide(&mut state, 31));
+        moduli.push(nat(127 * 233));
+        assert!(moduli[63].len() == 32 && moduli[63].limbs()[31] == 1);
+        let expect = oracle(&moduli);
+        assert_eq!(batch_gcd(&moduli), expect);
+        assert_eq!(batch_gcd_parallel(&moduli), expect);
+    }
+
+    #[test]
+    fn wrapped_step_is_within_two_units_of_the_exact_window() {
+        // A step wide enough for the wrapped NTT product: |s²| = 1040
+        // limbs and p_v = p_c + |s²| + 1 = 1941, so a 2048-point transform
+        // where the full 2981-limb product needs 4096 points.
+        let mut state = 0x0123_4567_89ab_cdef_u64;
+        let s = wide(&mut state, 520);
+        let (p_c, s2) = (900usize, s.square());
+        let p_v = p_c + s2.len() + 1;
+        let y_v = wide(&mut state, p_v);
+        let mut st = StepScratch::default();
+        let mut y_c = Nat::default();
+        descend(&y_v, p_v, &s, p_c, &mut st, &mut y_c);
+        let full = y_v.mul(&s2);
+        let limbs = full.limbs();
+        let exact = Nat::from_limbs(&limbs[p_v - p_c..p_v.min(limbs.len())]);
+        let modulus = Nat::one().shl(32 * p_c as u64);
+        let diff = y_c.add(&modulus).sub(&exact).rem(&modulus);
+        assert!(diff.to_u128().is_some_and(|d| d <= 2), "off by {diff:?}");
     }
 
     #[test]

@@ -30,8 +30,10 @@ impl std::error::Error for ZeroModulus {}
 #[derive(Debug, Clone, Default)]
 pub struct CorpusIndex {
     moduli: Vec<Nat>,
-    /// Product tree over `moduli`; rebuilt lazily after inserts.
+    /// Product tree over the committed prefix `moduli[..committed]`.
     tree: Option<ProductTree>,
+    /// Moduli covered by `tree`; `moduli[committed..]` are pending inserts.
+    committed: usize,
 }
 
 impl CorpusIndex {
@@ -69,18 +71,19 @@ impl CorpusIndex {
         }
         let mut idx = CorpusIndex {
             moduli: moduli.to_vec(),
-            tree: None,
+            ..Self::default()
         };
         idx.rebuild();
         Ok(idx)
     }
 
     fn rebuild(&mut self) {
-        self.tree = if self.moduli.is_empty() {
-            None
-        } else {
-            Some(ProductTree::build(&self.moduli))
-        };
+        // Drop the old tree first: a rebuild never holds two trees.
+        self.tree = None;
+        if !self.moduli.is_empty() {
+            self.tree = Some(ProductTree::build(&self.moduli));
+        }
+        self.committed = self.moduli.len();
     }
 
     /// Number of indexed moduli.
@@ -95,16 +98,25 @@ impl CorpusIndex {
 
     /// Check a candidate modulus against everything indexed: returns
     /// `gcd(n, P mod n)` — a value > 1 exactly when `n` shares a factor
-    /// with (or equals) some indexed modulus. A zero candidate is refused
-    /// ([`ZeroModulus`]) rather than asserted away.
+    /// with (or equals) some indexed modulus. Moduli inserted since the
+    /// last [`Self::commit`] count too: their residues mod `n` join the
+    /// committed tree's, so the answer is the one a commit would give. A
+    /// zero candidate is refused ([`ZeroModulus`]) rather than asserted
+    /// away.
     pub fn shared_factor(&self, n: &Nat) -> Result<Nat, ZeroModulus> {
         if n.is_zero() {
             return Err(ZeroModulus);
         }
-        let Some(tree) = &self.tree else {
+        if self.moduli.is_empty() {
             return Ok(Nat::one());
+        }
+        let mut r = match &self.tree {
+            Some(tree) => tree.root().rem(n),
+            None => Nat::one(),
         };
-        let r = tree.root().rem(n);
+        for m in &self.moduli[self.committed..] {
+            r = r.mul(&m.rem(n)).rem(n);
+        }
         if r.is_zero() {
             // n divides the product: n itself is (a product of) shared
             // primes — the duplicate-modulus case.
@@ -113,19 +125,20 @@ impl CorpusIndex {
         Ok(r.gcd_reference(n))
     }
 
-    /// Register a new modulus (call [`Self::commit`] when done inserting).
-    /// A zero modulus is refused — indexing one would zero the product
-    /// tree's root and break every later check.
+    /// Register a new modulus. Checks see it at once (reduced mod the
+    /// candidate directly) and the next [`Self::commit`] folds it into the
+    /// product tree. A zero modulus is refused — indexing one would zero
+    /// the product tree's root and break every later check.
     pub fn insert(&mut self, n: Nat) -> Result<(), ZeroModulus> {
         if n.is_zero() {
             return Err(ZeroModulus);
         }
         self.moduli.push(n);
-        self.tree = None;
         Ok(())
     }
 
-    /// Rebuild the tree after a batch of [`Self::insert`]s.
+    /// Rebuild the tree over every modulus after a batch of
+    /// [`Self::insert`]s.
     pub fn commit(&mut self) {
         self.rebuild();
     }
@@ -137,9 +150,6 @@ impl CorpusIndex {
     /// Note: rebuilding per key is O(m) multiplications; batch inserts and
     /// a single [`Self::commit`] when throughput matters.
     pub fn check_and_insert(&mut self, n: &Nat) -> Result<Nat, ZeroModulus> {
-        if self.tree.is_none() && !self.moduli.is_empty() {
-            self.rebuild();
-        }
         let g = self.shared_factor(n)?;
         self.insert(n.clone())?;
         self.commit();
@@ -238,6 +248,26 @@ mod tests {
         idx.insert(nat(103 * 223)).unwrap();
         idx.commit();
         assert_eq!(idx.shared_factor(&nat(211 * 9973)).unwrap(), nat(211));
+    }
+
+    #[test]
+    fn uncommitted_insert_is_visible_to_checks() {
+        let mut idx = CorpusIndex::from_moduli(&[nat(101 * 211), nat(103 * 223)]).unwrap();
+        idx.insert(nat(107 * 227)).unwrap();
+        // No commit: the pending key's prime is still found.
+        assert_eq!(idx.shared_factor(&nat(227 * 229)).unwrap(), nat(227));
+        assert_eq!(idx.shared_factor(&nat(101 * 233)).unwrap(), nat(101));
+        assert!(idx.shared_factor(&nat(109 * 233)).unwrap().is_one());
+        assert_eq!(idx.shared_factor(&nat(107 * 227)).unwrap(), nat(107 * 227));
+        // Pending keys only, no tree yet.
+        let mut fresh = CorpusIndex::new();
+        fresh.insert(nat(101 * 211)).unwrap();
+        assert_eq!(fresh.shared_factor(&nat(211 * 239)).unwrap(), nat(211));
+        // Committing changes no answer.
+        let before = idx.shared_factor(&nat(103 * 227)).unwrap();
+        idx.commit();
+        assert_eq!(idx.shared_factor(&nat(103 * 227)).unwrap(), before);
+        assert_eq!(before, nat(103 * 227));
     }
 
     #[test]

@@ -22,6 +22,7 @@ use bulkgcd_core::{
     run_in_place, Algorithm, GcdOutcome, GcdPair, GcdStatus, NoProbe, StatsProbe, Termination,
 };
 use bulkgcd_gpu::{schedule, simulate_bulk_gcd, CostModel, DeviceConfig, WarpWork};
+use std::collections::HashMap;
 use std::sync::OnceLock;
 
 /// Everything a backend needs to execute launches over one corpus: the
@@ -619,25 +620,51 @@ fn product_tree_findings(cx: &ExecCtx<'_>, parallel: bool) -> Vec<Finding> {
     } else {
         crate::batch::batch_gcd(&moduli)
     };
-    // Batch GCD reports per-modulus factors; synthesize pairwise
-    // findings for vulnerable moduli by pairing the flagged ones (the
-    // number of moduli with gcd > 1 is tiny in any real corpus, so the
-    // quadratic pass over them costs nothing).
-    let flagged: Vec<usize> = (0..moduli.len()).filter(|&i| !gcds[i].is_one()).collect();
+    // Batch GCD reports per-modulus factors; synthesize the pairwise
+    // findings. A prime divides both `n_i` and `n_j` iff it divides both
+    // batch factors `g_i` and `g_j`, so group the flagged moduli by batch
+    // factor, test pairs of groups on the (small) factors, and run the
+    // full-width `gcd(n_i, n_j)` only where the groups share. Members of
+    // one group always share.
+    let mut groups: Vec<(&Nat, Vec<usize>)> = Vec::new();
+    let mut by_factor: HashMap<&Nat, usize> = HashMap::new();
+    for (i, g) in gcds.iter().enumerate().filter(|(_, g)| !g.is_one()) {
+        let slot = *by_factor.entry(g).or_insert_with(|| {
+            groups.push((g, Vec::new()));
+            groups.len() - 1
+        });
+        groups[slot].1.push(i);
+    }
+    // A batch GCD over the group factors marks the groups that share a
+    // prime with any other group; only those need the pairwise group test
+    // (in a corpus of device batches with one shared prime each: none).
+    let factors: Vec<Nat> = groups.iter().map(|(g, _)| (*g).clone()).collect();
+    let linked = crate::batch::batch_gcd(&factors);
     let mut findings = Vec::new();
-    for (a, &i) in flagged.iter().enumerate() {
-        for &j in &flagged[a + 1..] {
-            let g = moduli[i].gcd(&moduli[j]);
-            if !g.is_one() {
-                findings.push(Finding {
-                    i,
-                    j,
-                    kind: kind_of(arena, i, j, &g),
-                    factor: g,
-                });
+    for (a, (ga, xs)) in groups.iter().enumerate() {
+        for (b, (gb, ys)) in groups.iter().enumerate().skip(a) {
+            if a != b && (linked[a].is_one() || linked[b].is_one() || ga.gcd(gb).is_one()) {
+                continue;
+            }
+            for (x, &i) in xs.iter().enumerate() {
+                // Within a group, members ascend: pair each with the later.
+                let partners = if a == b { &ys[x + 1..] } else { &ys[..] };
+                for &j in partners {
+                    let (i, j) = (i.min(j), i.max(j));
+                    let g = moduli[i].gcd(&moduli[j]);
+                    if !g.is_one() {
+                        findings.push(Finding {
+                            i,
+                            j,
+                            kind: kind_of(arena, i, j, &g),
+                            factor: g,
+                        });
+                    }
+                }
             }
         }
     }
+    findings.sort_unstable_by_key(|f| (f.i, f.j));
     findings
 }
 

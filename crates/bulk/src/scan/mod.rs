@@ -1155,6 +1155,34 @@ mod tests {
     }
 
     #[test]
+    fn product_tree_backend_all_flagged_corpus_matches_pairwise_scan() {
+        // 257 keys, every one flagged: a 128-key chain where key k is
+        // a_k·a_{k+1} (both primes shared), 16 device batches of 8 keys
+        // sharing one prime each, and a duplicate modulus.
+        let mut rng = StdRng::seed_from_u64(34);
+        let mut prime = || random_prime(&mut rng, 64);
+        let chain: Vec<Nat> = (0..129).map(|_| prime()).collect();
+        let mut moduli: Vec<Nat> = chain.windows(2).map(|w| w[0].mul(&w[1])).collect();
+        for _ in 0..16 {
+            let shared = prime();
+            moduli.extend((0..8).map(|_| shared.mul(&prime())));
+        }
+        moduli.push(moduli[200].clone());
+        let arena = ModuliArena::try_from_moduli(&moduli).unwrap();
+        let pairwise = ScanPipeline::new(&arena).run().unwrap().scan;
+        assert_eq!(pairwise.findings.len(), 127 + 16 * 28 + 8);
+        for parallel in [false, true] {
+            let batch = ScanPipeline::new(&arena)
+                .backend(ProductTreeBackend { parallel })
+                .run()
+                .unwrap()
+                .scan;
+            assert_eq!(batch.findings, pairwise.findings, "parallel={parallel}");
+            assert_eq!(batch.duplicate_pairs, pairwise.duplicate_pairs);
+        }
+    }
+
+    #[test]
     fn product_tree_backend_refuses_launch_layers() {
         let mut rng = StdRng::seed_from_u64(32);
         let corpus = build_corpus(&mut rng, 6, 96, 1);

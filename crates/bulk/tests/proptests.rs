@@ -4,8 +4,8 @@
 
 use bulkgcd_bigint::Nat;
 use bulkgcd_bulk::{
-    batch_gcd, CorpusIndex, FaultPlan, GpuSimBackend, GroupedPairs, ModuliArena, ScanError,
-    ScanJournal, ScanPipeline,
+    batch_gcd, batch_gcd_parallel, CorpusIndex, FaultPlan, GpuSimBackend, GroupedPairs,
+    ModuliArena, ScanError, ScanJournal, ScanPipeline,
 };
 use bulkgcd_core::Algorithm;
 use bulkgcd_gpu::{CostModel, DeviceConfig, RetryPolicy};
@@ -23,7 +23,80 @@ fn composite() -> impl Strategy<Value = Nat> {
         .prop_map(|(i, j)| Nat::from(SMALL_PRIMES[i]).mul(&Nat::from(SMALL_PRIMES[j])))
 }
 
+/// A modulus of one of four shapes: a 1-limb composite, a 32-limb number
+/// carrying a small composite (so wide moduli share factors with narrow
+/// ones and each other), a 32-limb number whose top limb is 1, or a plain
+/// pseudo-random 32-limb odd number.
+fn mixed_width_modulus() -> impl Strategy<Value = Nat> {
+    (0u8..4, composite(), any::<u64>()).prop_map(|(shape, small, seed)| {
+        let mut state = seed | 1;
+        let mut limbs: Vec<u32> = (0..32)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state >> 32) as u32
+            })
+            .collect();
+        limbs[0] |= 1;
+        limbs[31] |= 1;
+        match shape {
+            0 => small,
+            1 => Nat::from_limbs(&limbs[..30]).mul(&small),
+            2 => Nat::from_u64(1).shl(32 * 31).add(&small),
+            _ => Nat::from_limbs(&limbs),
+        }
+    })
+}
+
+/// `gcd(n_i, Π_{j≠i} n_j)` by reducing the cofactor product mod `n_i`,
+/// with batch GCD's duplicate convention `gcd(n, 0) = n`.
+fn cofactor_gcds(moduli: &[Nat]) -> Vec<Nat> {
+    moduli
+        .iter()
+        .enumerate()
+        .map(|(i, ni)| {
+            let mut r = Nat::one();
+            for (j, nj) in moduli.iter().enumerate() {
+                if i != j {
+                    r = r.mul(&nj.rem(ni)).rem(ni);
+                }
+            }
+            if r.is_zero() {
+                ni.clone()
+            } else {
+                ni.gcd_reference(&r)
+            }
+        })
+        .collect()
+}
+
 proptest! {
+    #[test]
+    fn batch_gcd_mixed_widths_match_oracle(
+        corpus in vec(mixed_width_modulus(), 1..24),
+        shape in 0u8..4,
+        dup in any::<u64>(),
+    ) {
+        // Shapes: as drawn, plus a duplicate of a random member, or every
+        // modulus equal to the first (m ≥ 2 so the tree is real).
+        let mut moduli = corpus;
+        match shape {
+            0 => {
+                let k = dup as usize % moduli.len();
+                moduli.push(moduli[k].clone());
+            }
+            1 => {
+                let m = moduli.len().max(2);
+                moduli = vec![moduli[0].clone(); m];
+            }
+            _ => {}
+        }
+        let expect = cofactor_gcds(&moduli);
+        prop_assert_eq!(&batch_gcd(&moduli), &expect);
+        prop_assert_eq!(&batch_gcd_parallel(&moduli), &expect);
+    }
+
     #[test]
     fn grid_covers_every_pair_exactly_once(groups in 1usize..=8, r in 1usize..=8) {
         let m = groups * r;

@@ -7,11 +7,13 @@
 //!                [--shards N] [--shard-dir DIR]
 //! bulkgcd scan   corpus.arena --arena [--chunk-limbs N]
 //! bulkgcd check  corpus.txt <modulus-hex>
+//! bulkgcd break  corpus.txt [--engine cpu|lockstep|gpu|batch|auto] [--exponent E]
 //! bulkgcd gcd    <x-hex> <y-hex> [--algo A|B|C|D|E|lehmer] [--stats]
 //! ```
 //!
 //! Corpus files hold one hexadecimal modulus per line; `#` starts a comment.
 
+use bulk_gcd::bulk::recover_keys;
 use bulk_gcd::prelude::*;
 
 use rand::rngs::StdRng;
@@ -169,8 +171,16 @@ fn cmd_gen(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// The `--algo` of a scan (Approximate Euclid by default).
+fn scan_algo(args: &Args) -> Result<Algorithm, String> {
+    match args.get("algo") {
+        None => Ok(Algorithm::Approximate),
+        Some(s) => algo_from_flag(s).ok_or_else(|| format!("unknown algorithm {s:?}")),
+    }
+}
+
 /// Configure the pipeline's backend from an `--engine` flag. Shared by the
-/// text-corpus and compiled-arena scan paths.
+/// text-corpus and compiled-arena scan paths and by `break`.
 fn apply_engine<'a>(
     mut pipeline: ScanPipeline<'a>,
     engine: &str,
@@ -256,10 +266,7 @@ fn cmd_scan(args: &Args) -> Result<(), String> {
         println!("no shared factors found");
         return Ok(());
     }
-    let algo = match args.get("algo") {
-        None => Algorithm::Approximate,
-        Some(s) => algo_from_flag(s).ok_or_else(|| format!("unknown algorithm {s:?}"))?,
-    };
+    let algo = scan_algo(args)?;
     let early = !args.has("full");
     let engine = args.get("engine").unwrap_or("cpu");
     eprintln!(
@@ -343,10 +350,7 @@ fn cmd_scan(args: &Args) -> Result<(), String> {
 /// arena is loaded whole and runs through the normal pipeline engines
 /// (including `--shards`). Findings are identical either way.
 fn cmd_scan_arena(args: &Args, path: &str) -> Result<(), String> {
-    let algo = match args.get("algo") {
-        None => Algorithm::Approximate,
-        Some(s) => algo_from_flag(s).ok_or_else(|| format!("unknown algorithm {s:?}"))?,
-    };
+    let algo = scan_algo(args)?;
     let early = !args.has("full");
     let engine = args.get("engine").unwrap_or("cpu");
     let mut source = ArenaSource::open(std::path::Path::new(path)).map_err(|e| e.to_string())?;
@@ -498,10 +502,10 @@ fn cmd_check(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_break(args: &Args) -> Result<(), String> {
-    let path = args
-        .positional
-        .get(1)
-        .ok_or("usage: bulkgcd break <corpus-file> [--exponent E]")?;
+    let path = args.positional.get(1).ok_or(
+        "usage: bulkgcd break <corpus-file> [--engine cpu|lockstep|gpu|batch|auto] [--algo A..E] \
+         [--exponent E]",
+    )?;
     let (moduli, ingest) = sanitized_corpus(args, path)?;
     if moduli.len() < 2 {
         println!("no keys broken");
@@ -511,6 +515,14 @@ fn cmd_break(args: &Args) -> Result<(), String> {
         None => 65_537,
         Some(v) => v.parse().map_err(|_| format!("invalid --exponent {v:?}"))?,
     };
+    let algo = scan_algo(args)?;
+    let engine = args.get("engine").unwrap_or("cpu");
+    if engine == "blocks" {
+        return Err(
+            "break runs a pipeline engine (cpu, lockstep, gpu, batch or auto), not \"blocks\""
+                .into(),
+        );
+    }
     let e = Nat::from_u64(e_val);
     let keys: Vec<PublicKey> = moduli
         .iter()
@@ -519,18 +531,23 @@ fn cmd_break(args: &Args) -> Result<(), String> {
             e: e.clone(),
         })
         .collect();
-    let report = break_weak_keys(&keys, Algorithm::Approximate).map_err(|e| e.to_string())?;
+    // The same engine configuration as `scan`, so `break --engine batch`
+    // finds its pairs with the product tree.
+    let arena = ModuliArena::try_from_moduli(&moduli).map_err(|e| e.to_string())?;
+    let pipeline = apply_engine(ScanPipeline::new(&arena).algorithm(algo), engine, algo)?;
+    let scan = pipeline.run().map_err(|e| e.to_string())?.scan;
+    let broken = recover_keys(&keys, &scan.findings);
     eprintln!(
-        "scanned {} pairs in {:.3} s; {} shared-factor pairs; {} keys broken",
-        report.scan.pairs_scanned,
-        report.scan.elapsed.as_secs_f64(),
-        report.scan.findings.len(),
-        report.broken.len()
+        "scanned {} pairs in {:.3} s [{engine}]; {} shared-factor pairs; {} keys broken",
+        scan.pairs_scanned,
+        scan.elapsed.as_secs_f64(),
+        scan.findings.len(),
+        broken.len()
     );
-    if report.broken.is_empty() {
+    if broken.is_empty() {
         println!("no keys broken");
     }
-    for b in &report.broken {
+    for b in &broken {
         println!(
             "{} {} {}",
             ingest.raw_index(b.index),
@@ -620,7 +637,8 @@ USAGE:
   bulkgcd scan   <arena-file> --arena [--chunk-limbs N]   # scan a compiled arena; with a chunk budget,
                  # stream it through a bounded window (corpora larger than RAM)
   bulkgcd check  <corpus-file> <modulus-hex>
-  bulkgcd break  <corpus-file> [--exponent E]   # prints: index factor-hex d-hex
+  bulkgcd break  <corpus-file> [--engine cpu|lockstep|gpu|batch|auto] [--algo A..E] [--exponent E]
+                 # prints: index factor-hex d-hex
   bulkgcd gcd    <x-hex> <y-hex> [--algo A|B|C|D|E|lehmer] [--stats]
 
 Corpus files: one hex modulus per line, '#' comments."

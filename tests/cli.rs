@@ -156,6 +156,58 @@ fn gen_scan_check_pipeline() {
 }
 
 #[test]
+fn break_engine_batch_matches_default_engine() {
+    let dir = tempdir();
+    let corpus = dir.join("corpus.txt");
+    let out = bulkgcd()
+        .args([
+            "gen",
+            "--keys",
+            "24",
+            "--bits",
+            "128",
+            "--weak-pairs",
+            "3",
+            "--seed",
+            "13",
+            "--out",
+            corpus.to_str().unwrap(),
+        ])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+
+    let run = |extra: &[&str]| {
+        let out = bulkgcd()
+            .arg("break")
+            .arg(&corpus)
+            .args(extra)
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        (
+            String::from_utf8(out.stdout).unwrap(),
+            String::from_utf8(out.stderr).unwrap(),
+        )
+    };
+    let (default, _) = run(&[]);
+    let (batch, batch_log) = run(&["--engine", "batch"]);
+    assert_eq!(
+        default.lines().count(),
+        6,
+        "three weak pairs break six keys"
+    );
+    assert_eq!(batch, default);
+    assert!(batch_log.contains("[batch]"), "{batch_log}");
+    let (lockstep, _) = run(&["--engine", "lockstep"]);
+    assert_eq!(lockstep, default);
+}
+
+#[test]
 fn break_recovers_working_private_exponents() {
     use bulk_gcd::prelude::*;
     let dir = tempdir();
