@@ -15,6 +15,12 @@
 //! scalar all-pairs scan as an interleaved reference — and findings
 //! identity asserted — up to `--batch-scalar-cap` keys.
 //!
+//! A `vector_pass` section times the lockstep vector pass alone
+//! (`fused_submul_rshift_columns_prefix`, 64 limb rows of a 128-wide warp
+//! at two live prefixes) on every ISA path this CPU can run, interleaved,
+//! in ns per lane-row; each grid row records the `kernel_isa` the lockstep
+//! scans dispatched to.
+//!
 //! Run: `cargo run --release -p bulkgcd-bench --bin scan_bench --
 //!       [--sizes 16,32,64] [--bits 128,1024] [--reps 3] [--warp-width 32]
 //!       [--batch-sizes 64,256,1024] [--out BENCH_scan.json]`
@@ -39,7 +45,7 @@
 //!   the largest 1024-bit corpus; or if the auto-tuned backend falls below
 //!   0.90× the best fixed backend on any cell of the bench matrix (a wrong
 //!   selection costs 13-50%, so the gate still binds). (On the
-//!   host AVX2 kernel masked lanes are nearly free, so reclaimed slots
+//!   host SIMD kernels masked lanes are nearly free, so reclaimed slots
 //!   gate as occupancy, not wall clock — see DESIGN.md.)
 //! * `--gate-ingest` fails the run if the streaming sanitizer's keys/s on
 //!   an `--ingest-keys` (default 64k) synthetic hostile corpus fall below
@@ -57,18 +63,19 @@
 //! the findings against an uninterrupted fault-free scan.
 
 use bulkgcd_bench::Options;
-use bulkgcd_bigint::Nat;
+use bulkgcd_bigint::{Limb, Nat};
 use bulkgcd_bulk::{
     group_size_for, run_sharded, AutoBackend, CompactionConfig, FaultPlan, GpuSimBackend,
     GroupedPairs, LockstepBackend, ModuliArena, ProductTreeBackend, ScanError, ScanJournal,
     ScanPipeline, ShardConfig, ShardFaultPlan, TilePlan,
 };
-use bulkgcd_core::{run, Algorithm, GcdOutcome, GcdPair, NoProbe, Termination};
+use bulkgcd_core::lanes::{columns_on, KernelIsa};
+use bulkgcd_core::{kernel_isa, run, Algorithm, GcdOutcome, GcdPair, NoProbe, Termination};
 use bulkgcd_gpu::{CostModel, DeviceConfig, RetryPolicy};
 use bulkgcd_rsa::build_corpus;
 use bulkgcd_rsa::{sanitize_moduli, StreamingSanitizer};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
 use std::time::Instant;
 
@@ -153,6 +160,86 @@ fn json_f64(x: f64) -> String {
     } else {
         "null".to_string()
     }
+}
+
+/// The lockstep vector pass alone, on every ISA path this CPU can run:
+/// `CALLS` passes over 64 limb rows of a 128-wide warp per sample, at a
+/// full and a 32-lane live prefix, with the paths interleaved round by
+/// round. Rows report best-of-rounds ns per lane-row and the median
+/// per-round speedup over the portable body; every path's planes must end
+/// bitwise equal to the portable body's.
+fn bench_vector_pass(reps: usize) -> Vec<String> {
+    const W: usize = 128;
+    const ROWS: usize = 64;
+    const CALLS: usize = 64;
+    let isas: Vec<KernelIsa> = [KernelIsa::Avx512, KernelIsa::Avx2, KernelIsa::Portable]
+        .into_iter()
+        .filter(|isa| isa.available())
+        .collect();
+    let mut out = Vec::new();
+    for lanes in [W, 32] {
+        let mut rng = StdRng::seed_from_u64(0x7ec7 ^ lanes as u64);
+        let mut limbs = |n: usize| -> Vec<Limb> { (0..n).map(|_| rng.gen::<u32>()).collect() };
+        let (u0, v0) = (limbs(ROWS * W), limbs(ROWS * W));
+        let sel: Vec<Limb> = limbs(W).iter().map(|&r| (r & 1).wrapping_neg()).collect();
+        let alpha: Vec<Limb> = limbs(W).iter().map(|&r| r | 1).collect();
+        let rs: Vec<u32> = limbs(W).iter().map(|&r| 1 + r % 31).collect();
+        let pass = |isa: KernelIsa, u: &mut Vec<Limb>, v: &mut Vec<Limb>| {
+            let (mut carry, mut prev, mut dcur) = (vec![0u64; W], vec![0; W], vec![0; W]);
+            for _ in 0..CALLS {
+                columns_on(
+                    isa, u, v, W, lanes, ROWS, &sel, &alpha, &rs, &mut carry, &mut prev, &mut dcur,
+                );
+            }
+        };
+        let mut planes: Vec<(Vec<Limb>, Vec<Limb>)> =
+            isas.iter().map(|_| (u0.clone(), v0.clone())).collect();
+        let mut runs: Vec<_> = isas
+            .iter()
+            .zip(planes.iter_mut())
+            .map(|(&isa, (u, v))| {
+                move || {
+                    pass(isa, u, v);
+                    lanes
+                }
+            })
+            .collect();
+        let mut contestants: Vec<&mut dyn FnMut() -> usize> =
+            runs.iter_mut().map(|f| f as _).collect();
+        let (times, _) = round_times(reps, &mut contestants);
+        let results: Vec<(Vec<Limb>, Vec<Limb>)> = isas
+            .iter()
+            .map(|&isa| {
+                let (mut u, mut v) = (u0.clone(), v0.clone());
+                pass(isa, &mut u, &mut v);
+                (u, v)
+            })
+            .collect();
+        let portable = isas.len() - 1;
+        let lane_rows = (CALLS * ROWS * lanes) as f64;
+        for (i, isa) in isas.iter().enumerate() {
+            assert!(
+                results[i] == results[portable],
+                "{} vector pass differs from the portable body at lanes={lanes}",
+                isa.name()
+            );
+            let ns = best_of(&times[i]) * 1e9 / lane_rows;
+            let speedup = median_speedup(&times[portable], &times[i]);
+            eprintln!(
+                "vector pass {lanes}/{W} lanes x {ROWS} rows: {} {ns:.3} ns/lane-row \
+                 (x{speedup:.2} vs portable)",
+                isa.name()
+            );
+            out.push(format!(
+                "    {{\"isa\": \"{}\", \"width\": {W}, \"lanes\": {lanes}, \"rows\": {ROWS}, \
+                 \"ns_per_lane_row\": {}, \"vs_portable\": {}}}",
+                isa.name(),
+                json_f64(ns),
+                json_f64(speedup),
+            ));
+        }
+    }
+    out
 }
 
 /// The `--inject-faults` smoke run: drive the journaled pipeline through a
@@ -761,7 +848,8 @@ fn main() {
                     "     \"auto_seconds\": {auto_s}, \"auto_pairs_per_sec\": {auto_tp},\n",
                     "     \"auto_backend\": \"{auto_name}\", \"auto_vs_best_fixed\": {avb},\n",
                     "     \"gpu_sim_host_seconds\": {gpu_s}, \"gpu_sim_host_pairs_per_sec\": {gpu_tp},\n",
-                    "     \"gpu_sim_simulated_seconds\": {sim}, \"gpu_sim_parallel_matches_serial\": {ok}}}"
+                    "     \"gpu_sim_simulated_seconds\": {sim}, \"gpu_sim_parallel_matches_serial\": {ok},\n",
+                    "     \"kernel_isa\": \"{isa}\"}}"
                 ),
                 m = m,
                 bits = bits,
@@ -793,6 +881,7 @@ fn main() {
                 gpu_tp = json_f64(pairs / gpu_s),
                 sim = json_f64(par_sim),
                 ok = parallel_matches_serial,
+                isa = kernel_isa(),
             ));
         }
     }
@@ -892,6 +981,8 @@ fn main() {
         ));
     }
 
+    let vector_rows = bench_vector_pass(reps);
+
     // Ingest throughput: the streaming sanitizer (owned rows, fingerprint
     // dedup, rank/select acceptance index) against borrowed-mode
     // `sanitize_moduli`, on an m=64k synthetic hostile corpus by default.
@@ -922,6 +1013,7 @@ fn main() {
             "  \"reps\": {reps},\n",
             "  \"rows\": [\n{rows}\n  ],\n",
             "  \"batch_tree\": [\n{brows}\n  ],\n",
+            "  \"vector_pass\": [\n{vrows}\n  ],\n",
             "  \"ingest\": {{\"m\": {im}, \"bits\": {ibits}, \"accepted\": {iacc}, \"rejected\": {irej},\n",
             "    \"streaming_seconds\": {is_s}, \"streaming_keys_per_sec\": {is_tp},\n",
             "    \"borrowed_seconds\": {ib_s}, \"borrowed_keys_per_sec\": {ib_tp},\n",
@@ -939,6 +1031,7 @@ fn main() {
         reps = reps,
         rows = rows.join(",\n"),
         brows = batch_rows.join(",\n"),
+        vrows = vector_rows.join(",\n"),
         im = ingest.m,
         ibits = ingest.bits,
         iacc = ingest.accepted,
@@ -1071,8 +1164,8 @@ fn main() {
             // deterministic function of the corpus — so that is what the
             // 128-bit gate pins, at the issue-level ≥1.15× margin. Wall
             // clock only gets a no-regression floor there: on the host
-            // AVX2 kernel a masked lane costs almost nothing (slots are
-            // quantized in 8-lane vectors and plan/epilogue skip dead
+            // SIMD kernels a masked lane costs almost nothing (slots are
+            // quantized in 16- or 8-lane vectors and plan/epilogue skip dead
             // lanes), so reclaimed slots translate to a few percent of
             // wall clock, not the issue-bound speedup a real SIMT device
             // would see. DESIGN.md ("Compaction and refill") documents the

@@ -11,9 +11,11 @@
 //!    classifies the lane into the overwhelmingly common fused update or
 //!    one of the rare scalar paths, and
 //! 2. a **shared vector pass** ([`fused_submul_rshift_columns`]) that
-//!    applies `X ← rshift(X − α·Y)` to every fused lane at once, driven
-//!    limb-row-innermost over column-major operand planes so the compiler
-//!    can autovectorize across lanes.
+//!    applies `X ← rshift(X − α·Y)` to every fused lane at once over
+//!    column-major operand planes. It dispatches at run time
+//!    ([`kernel_isa`]) to a hand-written AVX-512F lane-block kernel, to the
+//!    portable body autovectorized for AVX2, or to the portable body itself,
+//!    which is the oracle the other two are tested against bit for bit.
 //!
 //! The vector pass is numerically identical to the scalar
 //! `ops::fused_submul_rshift` single-pass loop: same difference limb
@@ -179,7 +181,9 @@ pub fn plan_lane(
 ///
 /// `carry`, `prev` and `dcur` are caller-provided scratch rows of `w`
 /// elements each (reused across iterations; the engine allocates nothing
-/// in its steady state).
+/// in its steady state). The AVX-512 path keeps these rows in registers
+/// and leaves the scratch untouched; their contents after a call are
+/// unspecified.
 ///
 /// Requirements per active lane (the planner guarantees them): `α` odd,
 /// `α·Y ≤ X`, `1 ≤ rs < 32`, and `rs` is the trailing-zero count of
@@ -222,6 +226,104 @@ pub fn fused_submul_rshift_columns_prefix(
     prev: &mut [Limb],
     dcur: &mut [Limb],
 ) {
+    let ran = columns_on(
+        KernelIsa::detect(),
+        u,
+        v,
+        w,
+        lanes,
+        rows,
+        sel,
+        alpha,
+        rs,
+        carry,
+        prev,
+        dcur,
+    );
+    debug_assert!(ran, "the detected kernel ISA is always available");
+}
+
+/// Which implementation of the vector pass this CPU runs: `"avx512"`,
+/// `"avx2"` or `"portable"`.
+///
+/// This is the same decision [`fused_submul_rshift_columns_prefix`]
+/// dispatches on, so a bench row or a timing line that records it names the
+/// kernel that actually produced the number.
+pub fn kernel_isa() -> &'static str {
+    KernelIsa::detect().name()
+}
+
+/// The vector-pass implementations, fastest first. Hidden: tests and the
+/// kernel bench use it to reach each path; callers use the dispatcher.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum KernelIsa {
+    /// `columns_avx512`: hand-written AVX-512F lane-block kernel.
+    Avx512,
+    /// `columns_avx2`: the portable body autovectorized for AVX2.
+    Avx2,
+    /// `columns_kernel`: the portable body, and the oracle for the others.
+    Portable,
+}
+
+impl KernelIsa {
+    /// The fastest implementation this CPU can run.
+    pub fn detect() -> KernelIsa {
+        let avx512 = KernelIsa::Avx512.available();
+        let avx2 = KernelIsa::Avx2.available();
+        if avx512 {
+            KernelIsa::Avx512
+        } else if avx2 {
+            KernelIsa::Avx2
+        } else {
+            KernelIsa::Portable
+        }
+    }
+
+    /// Whether this CPU supports the implementation.
+    pub fn available(self) -> bool {
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            KernelIsa::Avx512 => std::arch::is_x86_feature_detected!("avx512f"),
+            #[cfg(target_arch = "x86_64")]
+            KernelIsa::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+            KernelIsa::Portable => true,
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => false,
+        }
+    }
+
+    /// The name [`kernel_isa`] reports.
+    pub fn name(self) -> &'static str {
+        match self {
+            KernelIsa::Avx512 => "avx512",
+            KernelIsa::Avx2 => "avx2",
+            KernelIsa::Portable => "portable",
+        }
+    }
+}
+
+/// Run the vector pass on the given implementation. Returns `false`, with
+/// nothing touched, when this CPU cannot run it — which is how tests reach
+/// each path and skip the ones the host lacks. Arguments as
+/// [`fused_submul_rshift_columns_prefix`]; the length checks here are what
+/// the AVX-512 path's raw accesses rely on.
+#[doc(hidden)]
+#[allow(clippy::too_many_arguments)]
+pub fn columns_on(
+    isa: KernelIsa,
+    u: &mut [Limb],
+    v: &mut [Limb],
+    w: usize,
+    lanes: usize,
+    rows: usize,
+    sel: &[Limb],
+    alpha: &[Limb],
+    rs: &[u32],
+    carry: &mut [u64],
+    prev: &mut [Limb],
+    dcur: &mut [Limb],
+) -> bool {
     assert!(
         lanes <= w,
         "column prefix wider than the plane: {lanes} > {w}"
@@ -229,20 +331,23 @@ pub fn fused_submul_rshift_columns_prefix(
     assert!(rows == 0 || (u.len() >= rows * w && v.len() >= rows * w));
     assert!(sel.len() >= lanes && alpha.len() >= lanes && rs.len() >= lanes);
     assert!(carry.len() >= lanes && prev.len() >= lanes && dcur.len() >= lanes);
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: guarded by the runtime AVX2 check; the kernel body
-            // contains no intrinsics, the attribute only licenses the
-            // compiler to autovectorize with AVX2 instructions.
-            unsafe {
-                columns_avx2(u, v, w, lanes, rows, sel, alpha, rs, carry, prev, dcur);
-            }
-            // analyze: allow(cf-early-return, reason = "ISA dispatch: uniform across all lanes, decided before any operand word is read")
-            return;
-        }
+    if !isa.available() {
+        return false;
     }
-    columns_kernel(u, v, w, lanes, rows, sel, alpha, rs, carry, prev, dcur);
+    match isa {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `available()` confirmed AVX-512F above, and the asserts
+        // above are the plane and per-lane slice lengths that the kernel's
+        // pointer accesses rely on.
+        KernelIsa::Avx512 => unsafe { columns_avx512(u, v, w, lanes, rows, sel, alpha, rs) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `available()` confirmed AVX2 above.
+        KernelIsa::Avx2 => unsafe {
+            columns_avx2(u, v, w, lanes, rows, sel, alpha, rs, carry, prev, dcur)
+        },
+        _ => columns_kernel(u, v, w, lanes, rows, sel, alpha, rs, carry, prev, dcur),
+    }
+    true
 }
 
 /// Copy lane column `src` onto lane column `dst` across **both** operand
@@ -302,6 +407,186 @@ unsafe fn columns_avx2(
     dcur: &mut [Limb],
 ) {
     columns_kernel(u, v, w, lanes, rows, sel, alpha, rs, carry, prev, dcur);
+}
+
+/// The AVX-512F vector pass: lane-block outer, limb row inner.
+///
+/// A lane block is one zmm of 16 lanes' limbs. The multiply-subtract runs
+/// on `u64` halves — the even lanes in place, the odd lanes shifted down —
+/// and the block keeps its `α`, `rs`, `sel` mask, carries and previous
+/// difference row in registers across all `rows`, so unlike the portable
+/// body it needs no scratch rows and never writes them. [`lane_blocks`]
+/// runs two blocks interleaved (four independent carry chains), then one
+/// block for the rest of the prefix; a tail mask on every load and store
+/// covers a `lanes` that is not a multiple of 16. Each row reads `X`/`Y`
+/// through a `sel` blend and writes the shifted result back with two masked
+/// stores: plane `u` where `sel` is 0, plane `v` where it is all-ones. `Y`
+/// words and columns `≥ lanes` are never stored to.
+///
+/// `sel` words must be 0 or all-ones (the engine only ever writes those):
+/// the blend mask is "word is nonzero", where the portable body blends bit
+/// by bit.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F, and the slices must pass the length
+/// checks of [`columns_on`]: `lanes ≤ w`, planes of at least `rows·w`
+/// limbs, per-lane slices of at least `lanes`.
+// SAFETY: every raw access below relies on the contract above.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn columns_avx512(
+    u: &mut [Limb],
+    v: &mut [Limb],
+    w: usize,
+    lanes: usize,
+    rows: usize,
+    sel: &[Limb],
+    alpha: &[Limb],
+    rs: &[u32],
+) {
+    const BLOCK: usize = 16;
+    const INTERLEAVE: usize = 2;
+    let (up, vp) = (u.as_mut_ptr(), v.as_mut_ptr());
+    let mut t = 0;
+    while t + INTERLEAVE * BLOCK <= lanes {
+        // SAFETY: columns t..t+32 lie inside the checked prefix.
+        unsafe { lane_blocks::<INTERLEAVE>(up, vp, w, t, rows, sel, alpha, rs, 0xffff) };
+        t += INTERLEAVE * BLOCK;
+    }
+    while t < lanes {
+        let n = (lanes - t).min(BLOCK);
+        let tail = (0xffff_u32 >> (BLOCK - n)) as u16;
+        // SAFETY: the tail mask confines every access to columns t..t+n,
+        // inside the checked prefix.
+        unsafe { lane_blocks::<1>(up, vp, w, t, rows, sel, alpha, rs, tail) };
+        t += n;
+    }
+}
+
+/// `N` interleaved 16-lane blocks of [`columns_avx512`] starting at column
+/// `t0`; `tail` masks the columns of the last block (0xffff when full).
+///
+/// # Safety
+///
+/// As [`columns_avx512`], with `up`/`vp` its plane pointers; columns
+/// `t0..t0 + 16·(N−1)` plus the `tail` columns of the last block must lie
+/// inside the checked prefix `0..lanes`.
+// SAFETY: every raw access below relies on the contract above.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+#[allow(clippy::too_many_arguments)]
+unsafe fn lane_blocks<const N: usize>(
+    up: *mut Limb,
+    vp: *mut Limb,
+    w: usize,
+    t0: usize,
+    rows: usize,
+    sel: &[Limb],
+    alpha: &[Limb],
+    rs: &[u32],
+    tail: u16,
+) {
+    use std::arch::x86_64::*;
+    // The carry chain runs biased so that it needs no borrow extraction.
+    // Row k's `s = x_k − α·y_k − carry` lies in [−(2⁶⁴ − 2³²), 2³²), so
+    // `t = s + (2⁶⁴ − 2³²)` fits a u64 exactly: its low half is the
+    // difference limb d and its high half is `hi = 2³² − 1 − carry'`. The
+    // next row's `t' = x' − α·y' − carry' − 2³²` is then `x' + g − α·y'`
+    // with `g = hi − (2³³ − 1)` (mod 2⁶⁴), and `carry = 0` is `g = −2³²`.
+    let g0 = _mm512_set1_epi64(-(1i64 << 32));
+    let bias = _mm512_set1_epi64(1 - (1i64 << 33));
+    let lo32 = _mm512_set1_epi64(Limb::MAX as i64);
+    let k32 = _mm512_set1_epi32(LIMB_BITS as i32);
+    // Per block, `u64` halves (e = even lanes, o = odd lanes): α, carry
+    // state g; per block, 16 limb lanes: rs, 32 − rs, previous d row.
+    let [mut ae, mut ao, mut ge, mut go, mut r, mut rc, mut prev] = [[g0; N]; 7];
+    // Per block: the column mask, and the store masks of plane `u` (`X`
+    // there: sel = 0) and plane `v` (sel = all-ones).
+    let (mut kcol, mut ku, mut kv) = ([0u16; N], [0u16; N], [0u16; N]);
+    for b in 0..N {
+        let col = t0 + 16 * b;
+        let k = if b + 1 == N { tail } else { 0xffff };
+        // SAFETY: masked loads read only columns the mask admits, all
+        // below `lanes ≤` each per-lane slice's length.
+        let (selv, av, rv) = unsafe {
+            (
+                _mm512_maskz_loadu_epi32(k, sel.as_ptr().add(col).cast()),
+                _mm512_maskz_loadu_epi32(k, alpha.as_ptr().add(col).cast()),
+                _mm512_maskz_loadu_epi32(k, rs.as_ptr().add(col).cast()),
+            )
+        };
+        kcol[b] = k;
+        kv[b] = _mm512_mask_test_epi32_mask(k, selv, selv);
+        ku[b] = k & !kv[b];
+        ae[b] = av;
+        ao[b] = _mm512_srli_epi64::<32>(av);
+        r[b] = rv;
+        rc[b] = _mm512_sub_epi32(k32, rv);
+    }
+    for k in 0..rows {
+        let row = k * w + t0;
+        for b in 0..N {
+            let at = row + 16 * b;
+            // SAFETY: row k < rows and the masked columns are < lanes ≤ w,
+            // so every admitted word lies inside both `rows·w` planes.
+            let (uw, vw) = unsafe {
+                (
+                    _mm512_maskz_loadu_epi32(kcol[b], up.add(at).cast()),
+                    _mm512_maskz_loadu_epi32(kcol[b], vp.add(at).cast()),
+                )
+            };
+            let x = _mm512_mask_blend_epi32(kv[b], uw, vw);
+            let y = _mm512_mask_blend_epi32(kv[b], vw, uw);
+            // `mul_epu32` reads the low limb of each u64: the even lanes
+            // as loaded, the odd lanes once shifted down.
+            let te = _mm512_sub_epi64(
+                _mm512_add_epi64(_mm512_and_si512(x, lo32), ge[b]),
+                _mm512_mul_epu32(ae[b], y),
+            );
+            let to = _mm512_sub_epi64(
+                _mm512_add_epi64(_mm512_srli_epi64::<32>(x), go[b]),
+                _mm512_mul_epu32(ao[b], _mm512_srli_epi64::<32>(y)),
+            );
+            ge[b] = _mm512_add_epi64(_mm512_srli_epi64::<32>(te), bias);
+            go[b] = _mm512_add_epi64(_mm512_srli_epi64::<32>(to), bias);
+            // This row's 16 difference limbs, back in lane order: the odd
+            // lanes' d moves up from the low half of `to`.
+            let d = _mm512_mask_shuffle_epi32::<0b10_10_00_00>(te, 0xaaaa, to);
+            // Row k−1 is final now that its high bits (this row's d) are
+            // known: out = (prev >> rs) | (d << (32 − rs)), where a shift
+            // by 32 gives 0, so rs = 0 (identity lanes) is exact. Row 0
+            // has no row below.
+            if k > 0 {
+                let out = _mm512_or_si512(
+                    _mm512_srlv_epi32(prev[b], r[b]),
+                    _mm512_sllv_epi32(d, rc[b]),
+                );
+                // SAFETY: row k−1 of the same admitted columns; masked
+                // stores write only the words `ku`/`kv` admit.
+                unsafe {
+                    _mm512_mask_storeu_epi32(up.add(at - w).cast(), ku[b], out);
+                    _mm512_mask_storeu_epi32(vp.add(at - w).cast(), kv[b], out);
+                }
+            }
+            prev[b] = d;
+        }
+    }
+    // Top row: no difference limb above it, so out = prev >> rs.
+    if rows > 0 {
+        let row = (rows - 1) * w + t0;
+        for b in 0..N {
+            let at = row + 16 * b;
+            let out = _mm512_srlv_epi32(prev[b], r[b]);
+            // SAFETY: row rows−1 of the admitted columns, masked stores.
+            unsafe {
+                _mm512_mask_storeu_epi32(up.add(at).cast(), ku[b], out);
+                _mm512_mask_storeu_epi32(vp.add(at).cast(), kv[b], out);
+            }
+        }
+    }
 }
 
 /// The portable kernel body; `inline(always)` so the AVX2 wrapper's
@@ -559,5 +844,87 @@ mod tests {
                 assert_eq!(got_y, expect_y, "round {round} lane {t} Y untouched");
             }
         }
+    }
+
+    /// Every ISA path against the portable oracle, bit for bit, on random
+    /// planes: ragged prefixes of every width, mixed `sel`, identity lanes
+    /// beside α = u32::MAX / rs = 31, and untouched bytes past the prefix
+    /// and above `rows`.
+    #[test]
+    fn isa_paths_match_portable_kernel() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for isa in [KernelIsa::Avx512, KernelIsa::Avx2] {
+            if !isa.available() {
+                eprintln!("skipped: this CPU cannot run the {} kernel", isa.name());
+                continue;
+            }
+            for w in [8usize, 32, 33, 128] {
+                for rows in [0usize, 1, 2, 64] {
+                    let cap = rows + 2;
+                    for lanes in 1..=w {
+                        let u0: Vec<Limb> = (0..cap * w).map(|_| next() as Limb).collect();
+                        let v0: Vec<Limb> = (0..cap * w).map(|_| next() as Limb).collect();
+                        let mut sel = vec![0 as Limb; w];
+                        let mut alpha = vec![0 as Limb; w];
+                        let mut rs = vec![0u32; w];
+                        for t in 0..w {
+                            let r = next();
+                            sel[t] = if r & 1 == 0 { 0 } else { Limb::MAX };
+                            (alpha[t], rs[t]) = match (r >> 1) % 4 {
+                                0 => (0, 0),
+                                1 => (Limb::MAX, 31),
+                                _ => ((r >> 8) as Limb, (r >> 40) as u32 % 32),
+                            };
+                        }
+                        let run = |isa: KernelIsa| {
+                            let (mut u, mut v) = (u0.clone(), v0.clone());
+                            // Per-lane slices exactly `lanes` long, the
+                            // dispatcher's minimum.
+                            let (mut carry, mut prev, mut dcur) =
+                                (vec![0u64; lanes], vec![0; lanes], vec![0; lanes]);
+                            let ran = columns_on(
+                                isa,
+                                &mut u,
+                                &mut v,
+                                w,
+                                lanes,
+                                rows,
+                                &sel[..lanes],
+                                &alpha[..lanes],
+                                &rs[..lanes],
+                                &mut carry,
+                                &mut prev,
+                                &mut dcur,
+                            );
+                            assert!(ran);
+                            (u, v)
+                        };
+                        let (u, v) = run(isa);
+                        let (pu, pv) = run(KernelIsa::Portable);
+                        let at = format!("{} w={w} lanes={lanes} rows={rows}", isa.name());
+                        assert!(u == pu && v == pv, "{at}: differs from portable");
+                        for i in 0..cap * w {
+                            if i % w >= lanes || i / w >= rows {
+                                assert_eq!((u[i], v[i]), (u0[i], v0[i]), "{at}: word {i}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_isa_names_the_detected_path() {
+        let isa = KernelIsa::detect();
+        assert!(isa.available());
+        assert_eq!(kernel_isa(), isa.name());
+        assert!(["avx512", "avx2", "portable"].contains(&kernel_isa()));
     }
 }

@@ -218,15 +218,20 @@ fn apply_engine<'a>(
 }
 
 /// Print the scan's clock line: simulated device seconds for launch-priced
-/// backends, host wall clock otherwise.
+/// backends, host wall clock otherwise. Engines that can run the lockstep
+/// vector pass also name the ISA path it dispatched to.
 fn report_timing(engine: &str, scan: &ScanReport) {
+    let isa = match engine {
+        "lockstep" | "auto" | "gpu" => format!(" [vector pass: {}]", bulk_gcd::core::kernel_isa()),
+        _ => String::new(),
+    };
     match scan.simulated() {
         Ok(sim) => eprintln!(
-            "simulated GPU scan: {sim:.6} s simulated ({:.3} us/GCD)",
+            "simulated GPU scan: {sim:.6} s simulated ({:.3} us/GCD){isa}",
             sim * 1e6 / scan.pairs_scanned.max(1) as f64
         ),
         Err(_) => eprintln!(
-            "{engine} scan: {:.3} s ({:.2} us/GCD)",
+            "{engine} scan: {:.3} s ({:.2} us/GCD){isa}",
             scan.elapsed.as_secs_f64(),
             scan.elapsed.as_secs_f64() * 1e6 / scan.pairs_scanned.max(1) as f64
         ),

@@ -155,6 +155,43 @@ fn gen_scan_check_pipeline() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The stderr timing line names the vector-pass ISA for the engines that
+/// can run the lockstep kernel, and only for them; stdout is the same
+/// findings on every engine.
+#[test]
+fn scan_timing_line_names_the_kernel_isa() {
+    let dir = tempdir();
+    let corpus = dir.join("isa-corpus.txt");
+    let out = bulkgcd()
+        .args(["gen", "--keys", "10", "--bits", "256", "--weak-pairs", "2"])
+        .args(["--seed", "11", "--out", corpus.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let tag = format!("[vector pass: {}]", bulk_gcd::core::kernel_isa());
+    let mut stdouts = Vec::new();
+    for engine in ["cpu", "lockstep", "auto", "gpu"] {
+        let out = bulkgcd()
+            .args(["scan", corpus.to_str().unwrap(), "--engine", engine])
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "engine {engine}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let timing = stderr
+            .lines()
+            .find(|l| l.contains("us/GCD"))
+            .unwrap_or_else(|| panic!("engine {engine}: no timing line in {stderr}"));
+        assert_eq!(
+            timing.ends_with(&tag),
+            engine != "cpu",
+            "{engine}: {timing}"
+        );
+        stdouts.push(out.stdout);
+    }
+    assert!(stdouts.iter().all(|s| *s == stdouts[0] && !s.is_empty()));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn break_engine_batch_matches_default_engine() {
     let dir = tempdir();
