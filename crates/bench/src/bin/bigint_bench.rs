@@ -31,11 +31,17 @@
 //!   tree's step shape (`N − N/128` by `N/2` limbs at [`WRAP_LIMBS`])
 //!   runs at least 1.3x the full product, whose transform is twice as
 //!   large, and equals the full product reduced mod `β^N − 1`.
+//!
+//! The `long_rem` rows time the key-service check's reduction, a long
+//! product modulo one 1024-bit key, as [`MontFold::fold`] against Knuth
+//! `Nat::rem`, at the shape of a 4096-key corpus's whole product
+//! ([`LONG_REM_SHAPES`]) and of one index segment. Each row checks that
+//! both give the same gcd with the key; its ratio is reported, not gated.
 
 use bulkgcd_bench::gate::{best_of, median_speedup, round_times};
 use bulkgcd_bench::Options;
 use bulkgcd_bigint::random::random_odd_bits;
-use bulkgcd_bigint::{ntt, thresholds, Nat, LIMB_BITS};
+use bulkgcd_bigint::{ntt, thresholds, MontFold, Nat, LIMB_BITS};
 use bulkgcd_bulk::{ModuliArena, ProductTreeBackend, ScanPipeline};
 use bulkgcd_rsa::build_corpus;
 use rand::rngs::StdRng;
@@ -45,6 +51,11 @@ use std::hint::black_box;
 /// Transform size `N` of the wrapped-product row: the width where the
 /// wrap halves a step's transform (8192 vs the full product's 16384).
 const WRAP_LIMBS: usize = 8192;
+
+/// `(dividend, divisor)` limbs of the `long_rem` rows: the product of 4096
+/// 1024-bit keys, and one `CorpusIndex` segment (1024 limbs), each reduced
+/// modulo a 1024-bit key.
+const LONG_REM_SHAPES: [(usize, usize); 2] = [(131_072, 32), (1024, 32)];
 
 /// A `Nat` of exactly `limbs` limbs (top bit set), odd.
 fn nat_of_limbs(rng: &mut StdRng, limbs: usize) -> Nat {
@@ -214,6 +225,40 @@ fn main() {
         fail = true;
     }
 
+    // Long remainder: fold vs Knuth at the key-service shapes. The key is
+    // a·b and the dividend a multiple of a, so the gcd they must agree on
+    // is not 1.
+    let mut long_rem_rows = Vec::new();
+    for (x_limbs, n_limbs) in LONG_REM_SHAPES {
+        let a = nat_of_limbs(&mut rng, n_limbs / 2);
+        let n = a.mul(&nat_of_limbs(&mut rng, n_limbs - n_limbs / 2));
+        let x = a.mul(&nat_of_limbs(&mut rng, x_limbs - n_limbs / 2));
+        let iters = (131_072 / x_limbs).max(1);
+        let fold = || MontFold::new(&n).fold(x.limbs());
+        let knuth = || x.rem(&n);
+        let repeat = |f: &dyn Fn() -> Nat| (0..iters).fold(0, |acc, _| acc ^ digest(&f()));
+        let (times, _) = round_times(reps, &mut [&mut || repeat(&fold), &mut || repeat(&knuth)]);
+        let (fold_s, knuth_s) = (
+            best_of(&times[0]) / iters as f64,
+            best_of(&times[1]) / iters as f64,
+        );
+        let speedup = median_speedup(&times[1], &times[0]);
+        let gcds_match = fold().gcd(&n) == knuth().gcd(&n);
+        eprintln!(
+            "long rem {x_limbs:>6}/{n_limbs:<3} limbs: fold {fold_s:.3e}s knuth {knuth_s:.3e}s \
+             x{speedup:.2} (same gcd: {gcds_match})"
+        );
+        if !gcds_match {
+            eprintln!("GATE FAIL: fold and Knuth rem give different gcds at {x_limbs}/{n_limbs}");
+            fail = true;
+        }
+        long_rem_rows.push(format!(
+            "    {{\"dividend_limbs\": {x_limbs}, \"divisor_limbs\": {n_limbs}, \
+             \"fold_seconds\": {fold_s:.9}, \"knuth_seconds\": {knuth_s:.9}, \
+             \"speedup\": {speedup:.4}, \"gcds_match\": {gcds_match}}}"
+        ));
+    }
+
     // End-to-end batch scan: the ProductTreeBackend over a planted corpus,
     // new ladder vs legacy, plus findings identity against the scalar
     // pairwise scan (the gate's correctness leg).
@@ -272,6 +317,7 @@ fn main() {
             "  \"gcd\": [\n{gcd}\n  ],\n",
             "  \"wrap_mul\": {{\"limbs\": {wn}, \"wrap_seconds\": {ws:.9}, \"full_seconds\": {fs:.9},\n",
             "    \"speedup\": {wsp:.4}, \"matches_full\": {wm}}},\n",
+            "  \"long_rem\": [\n{lr}\n  ],\n",
             "  \"batch_scan\": {{\"m\": {bm}, \"bits\": {bb}, \"findings\": {bf},\n",
             "    \"ladder_seconds\": {bls:.9}, \"legacy_seconds\": {bgs:.9},\n",
             "    \"speedup\": {bsp:.4}, \"findings_match_scalar\": {fm}}}\n",
@@ -287,6 +333,7 @@ fn main() {
         fs = full_s,
         wsp = wrap_speedup,
         wm = wrap_matches,
+        lr = long_rem_rows.join(",\n"),
         bm = batch_m,
         bb = batch_bits,
         bf = tree_findings.len(),

@@ -22,7 +22,8 @@
 //! * GCD by binary/Lehmer loops below [`thresholds::HGCD`] limbs and
 //!   subquadratic half-GCD ([`hgcd`]) above it;
 //! * Montgomery modular exponentiation and modular inverse (for recovering
-//!   RSA private keys);
+//!   RSA private keys), and a one-word Montgomery fold ([`MontFold`]) for
+//!   reducing long products modulo a short odd modulus;
 //! * Miller–Rabin primality testing and random prime generation (replacing
 //!   the paper's use of the OpenSSL toolkit to produce RSA moduli).
 
@@ -49,5 +50,5 @@ pub mod toom;
 pub use barrett::Barrett;
 pub use extgcd::{ext_gcd, ExtGcd, SignedNat};
 pub use limb::{Limb, Wide, D, LIMB_BITS};
-pub use modular::Montgomery;
+pub use modular::{MontFold, Montgomery};
 pub use nat::Nat;

@@ -1,6 +1,7 @@
 //! Property tests for the orchestration layer: exact pair coverage for
 //! arbitrary grid shapes, batch-GCD vs a pairwise oracle on arbitrary
-//! composite sets, and incremental-index consistency.
+//! composite sets, and incremental-index consistency (including corpora
+//! that span several of the index's segment products).
 
 use bulkgcd_bigint::Nat;
 use bulkgcd_bulk::{
@@ -12,6 +13,9 @@ use bulkgcd_gpu::{CostModel, DeviceConfig, RetryPolicy};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::collections::HashSet;
+
+/// Moduli in the segment-spanning index test.
+const KEYS: usize = 206;
 
 /// Small odd primes for building composite moduli cheaply.
 const SMALL_PRIMES: &[u32] = &[
@@ -47,6 +51,37 @@ fn mixed_width_modulus() -> impl Strategy<Value = Nat> {
             _ => Nat::from_limbs(&limbs),
         }
     })
+}
+
+/// Xorshift64 stream for bulk operands a strategy cannot draw one by one.
+struct XorShift(u64);
+
+impl XorShift {
+    fn next(&mut self) -> u32 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        (self.0 >> 32) as u32
+    }
+
+    /// An odd number of exactly `limbs` limbs.
+    fn odd(&mut self, limbs: usize) -> Nat {
+        let mut v: Vec<u32> = (0..limbs).map(|_| self.next()).collect();
+        v[0] |= 1;
+        v[limbs - 1] |= 1;
+        Nat::from_limbs(&v)
+    }
+}
+
+/// The index's answer recomputed from the product of every indexed
+/// modulus, with the duplicate convention `gcd(n, 0) = n`.
+fn direct_product_factor(prod: &Nat, candidate: &Nat) -> Nat {
+    let r = prod.rem(candidate);
+    if r.is_zero() {
+        candidate.clone()
+    } else {
+        r.gcd_reference(candidate)
+    }
 }
 
 /// `gcd(n_i, Π_{j≠i} n_j)` by reducing the cofactor product mod `n_i`,
@@ -160,6 +195,63 @@ proptest! {
             r.gcd_reference(&candidate)
         };
         prop_assert_eq!(got, expect);
+    }
+
+    #[test]
+    fn index_spanning_segments_agrees_with_direct_product(
+        seed in any::<u64>(),
+        split in 0usize..KEYS,
+        ops in vec((0u8..8, any::<u64>()), 20..28),
+    ) {
+        // KEYS moduli of 10–12 limbs hold more than 2·1024 limbs, so the
+        // index (1024-limb segments) spans at least three segment products
+        // whatever the split between bootstrap and inserts.
+        let mut rng = XorShift(seed | 1);
+        let pool: Vec<Nat> = (0..24).map(|_| Nat::from(rng.next() | 1)).collect();
+        let keys: Vec<Nat> = (0..KEYS)
+            .map(|i| {
+                let width = 10 + rng.next() as usize % 3;
+                let n = pool[rng.next() as usize % pool.len()].mul(&rng.odd(width - 1));
+                // Every 16th key is even.
+                if i % 16 == 5 { n.shl(1) } else { n }
+            })
+            .collect();
+        prop_assert!(keys.iter().map(Nat::len).sum::<usize>() > 2 * 1024);
+
+        let mut idx = CorpusIndex::from_moduli(&keys[..split]).unwrap();
+        let mut prod = keys[..split].iter().fold(Nat::one(), |p, n| p.mul(n));
+        let mut next = split;
+        // The ops run once; a final pass inserts whatever is left and
+        // checks one candidate of each kind.
+        let tail = (0u8..8).map(|kind| (kind, u64::MAX));
+        for (kind, pick) in ops.into_iter().chain(tail) {
+            let run = if pick == u64::MAX { KEYS } else { 1 + pick as usize % 24 };
+            if kind < 3 {
+                for n in &keys[next..KEYS.min(next + run)] {
+                    idx.insert(n.clone()).unwrap();
+                    prod = prod.mul(n);
+                }
+                next = KEYS.min(next + run);
+                if kind == 0 {
+                    idx.commit();
+                }
+                continue;
+            }
+            let candidate = match kind {
+                // A duplicate of an indexed modulus: the answer is n itself.
+                3 if next > 0 => keys[pick as usize % next].clone(),
+                4 => pool[pick as usize % pool.len()].mul(&rng.odd(4)),
+                5 => pool[pick as usize % pool.len()].mul(&rng.odd(3)).shl(1),
+                6 => Nat::one(),
+                _ => rng.odd(1 + pick as usize % 12),
+            };
+            let got = idx.shared_factor(&candidate).unwrap();
+            prop_assert_eq!(&got, &direct_product_factor(&prod, &candidate));
+            if kind == 3 && next > 0 {
+                prop_assert_eq!(&got, &candidate);
+            }
+        }
+        prop_assert_eq!(idx.len(), KEYS);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Streaming weak-key monitoring: a certificate-authority-style service
 //! that checks every newly submitted RSA key against all keys seen so far
-//! using the incremental product-tree index, rejects weak submissions, and
+//! using the incremental segment-product index, rejects weak submissions, and
 //! demonstrates just how broken a flagged key is by decrypting traffic
 //! with a CRT key rebuilt from the shared factor.
 //!

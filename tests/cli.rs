@@ -466,3 +466,70 @@ fn corpus_parse_error_reports_line() {
     assert!(String::from_utf8_lossy(&out.stderr).contains(":2"));
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// `bulkgcd check` against a corpus of three index segments (160 512-bit
+/// moduli, 2560 limbs): a planted shared prime in the last segment, an
+/// exact duplicate, a clean key and an even candidate, stdout pinned.
+#[test]
+fn check_on_a_corpus_spanning_several_index_segments() {
+    use bulk_gcd::prelude::Nat;
+
+    let dir = tempdir();
+    let corpus = dir.join("segments.txt");
+    // Pseudo-random odd 512-bit moduli; the one at line 150 carries the
+    // Mersenne prime 2^127 − 1.
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    let mut odd = |limbs: usize| {
+        let mut v: Vec<u32> = (0..limbs)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state >> 32) as u32
+            })
+            .collect();
+        v[0] |= 1;
+        v[limbs - 1] |= 1 << 31;
+        Nat::from_limbs(&v)
+    };
+    let m127 = Nat::one().shl(127).sub(&Nat::one());
+    let moduli: Vec<Nat> = (0..160)
+        .map(|i| {
+            if i == 150 {
+                m127.mul(&odd(12))
+            } else {
+                odd(16)
+            }
+        })
+        .collect();
+    let text: String = moduli.iter().map(|n| n.to_hex() + "\n").collect();
+    std::fs::write(&corpus, text).unwrap();
+
+    let check = |candidate: &Nat| {
+        let out = bulkgcd()
+            .args(["check", corpus.to_str().unwrap(), &candidate.to_hex()])
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8(out.stdout).unwrap()
+    };
+    // 2^89 − 1 is prime too, so the planted prime is the whole answer.
+    let m89 = Nat::one().shl(89).sub(&Nat::one());
+    let weak = format!("WEAK: shares factor {}\n", m127.to_hex());
+    assert_eq!(check(&m127.mul(&m89)), weak);
+    assert_eq!(check(&m127.shl(1)), weak, "even candidate");
+    assert_eq!(
+        check(&moduli[150]),
+        format!("WEAK: shares factor {}\n", moduli[150].to_hex()),
+        "a duplicate shares itself"
+    );
+    assert_eq!(
+        check(&Nat::from_hex("ffffffffffffffc5").unwrap()),
+        "clean: no factor shared with the 160 indexed moduli\n"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
