@@ -1,7 +1,9 @@
 //! Crash-consistency lints for `// analyze: journal` regions.
 //!
-//! The journal idiom (established in `bulk::checkpoint`, reused by
-//! `bulk::shard::coordinator` and `bulk::store`) is: every record is
+//! The journal idiom (implemented once in `bulk::journal`, which the scan
+//! journal of `bulk::checkpoint` and the lease ledger of
+//! `bulk::shard::coordinator` are built on; `bulk::store` shares its header
+//! conventions and fsyncs its one-shot write) is: every record is
 //! appended with `write_all` and made durable with `sync_data` *before*
 //! the operation reports success; the magic+header commit is a single
 //! append (no torn half-header can ever look valid); and every replay

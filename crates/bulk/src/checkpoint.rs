@@ -33,23 +33,22 @@
 //!   sum is bitwise identical; factors are lower-case hex;
 //! * `D` marks the scan complete.
 //!
-//! Records are appended line-at-a-time and fsynced (`sync_data`) before
-//! the commit returns, so even an OS crash or power loss can only tear the
-//! final line. [`ScanJournal::open`] tolerates exactly that: bytes after
-//! the last `\n` are dropped (the interrupted launch is simply re-run),
-//! while a malformed *complete* line is real corruption and is reported as
-//! [`JournalError::Corrupt`]. `L` lines may appear in any order — the
-//! parallel driver commits each launch the moment it completes — and are
-//! normalised to launch-index order on replay.
+//! The crash rules are those of `bulk::journal`: each record is one
+//! fsynced append, so a crash can only tear the final line, which
+//! [`ScanJournal::open`] drops (the interrupted launch is simply re-run),
+//! while a malformed *complete* line is [`JournalError::Corrupt`]. `L`
+//! lines may appear in any order — the parallel driver commits each launch
+//! the moment it completes — and are normalised to launch-index order on
+//! replay.
 
 use crate::arena::ModuliArena;
+use crate::journal::{field, opt_field, parse_hex_u64, parse_num, Corrupt, Journal};
 use crate::scan::{Finding, FindingKind};
 use bulkgcd_bigint::Nat;
 use bulkgcd_core::Algorithm;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::fs::{File, OpenOptions};
-use std::io::{self, Write};
+use std::io;
 use std::path::Path;
 
 /// First line of every journal file.
@@ -112,6 +111,12 @@ impl std::error::Error for JournalError {
 impl From<io::Error> for JournalError {
     fn from(e: io::Error) -> Self {
         JournalError::Io(e)
+    }
+}
+
+impl From<Corrupt> for JournalError {
+    fn from(Corrupt { line, reason }: Corrupt) -> Self {
+        JournalError::Corrupt { line, reason }
     }
 }
 
@@ -279,12 +284,8 @@ impl LaunchRecord {
 /// merge deterministic.
 #[derive(Debug)]
 pub struct ScanJournal {
-    file: Option<File>,
+    log: Journal,
     header: Option<JournalHeader>,
-    /// Whether the magic line is already on disk (written by this run or
-    /// replayed from a prior one). A crash between the magic append and
-    /// the header append must not lead to a duplicated magic line.
-    magic_written: bool,
     records: BTreeMap<u64, LaunchRecord>,
     done: bool,
 }
@@ -293,9 +294,8 @@ impl ScanJournal {
     /// A journal with no backing file: resume semantics without I/O.
     pub fn in_memory() -> Self {
         ScanJournal {
-            file: None,
+            log: Journal::in_memory(MAGIC),
             header: None,
-            magic_written: false,
             records: BTreeMap::new(),
             done: false,
         }
@@ -308,23 +308,7 @@ impl ScanJournal {
     // analyze: journal(replay)
     pub fn open(path: &Path) -> Result<Self, JournalError> {
         let mut journal = ScanJournal::in_memory();
-        if path.exists() {
-            let bytes = std::fs::read(path)?;
-            journal.replay(&bytes)?;
-            let committed = bytes
-                .iter()
-                .rposition(|&b| b == b'\n')
-                .map_or(0, |pos| pos + 1);
-            if committed < bytes.len() {
-                // Drop the half-written tail before reopening for append —
-                // otherwise the next record would be glued onto it and
-                // corrupt the journal for every replay after this one.
-                let file = OpenOptions::new().write(true).open(path)?;
-                file.set_len(committed as u64)?;
-                file.sync_data()?;
-            }
-        }
-        journal.file = Some(OpenOptions::new().create(true).append(true).open(path)?);
+        journal.log = Journal::open(path, MAGIC, |lineno, line| journal.apply(lineno, line))?;
         Ok(journal)
     }
 
@@ -343,7 +327,7 @@ impl ScanJournal {
     /// launch-index order). `from_bytes(to_bytes())` round-trips.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut text = String::new();
-        if self.magic_written || self.header.is_some() {
+        if self.log.magic_written() {
             text.push_str(MAGIC);
             text.push('\n');
         }
@@ -361,75 +345,43 @@ impl ScanJournal {
         text.into_bytes()
     }
 
-    // analyze: journal(replay)
     fn replay(&mut self, bytes: &[u8]) -> Result<(), JournalError> {
-        // Torn-tail tolerance: only bytes up to the last '\n' are a
-        // committed prefix; anything after it is a half-written line.
-        let committed = match bytes.iter().rposition(|&b| b == b'\n') {
-            Some(pos) => &bytes[..=pos],
-            None => return Ok(()), // no complete line yet: fresh journal
+        self.log = Journal::from_bytes(bytes, MAGIC, |lineno, line| self.apply(lineno, line))?;
+        Ok(())
+    }
+
+    /// Apply one replayed record line to the in-memory state.
+    fn apply(&mut self, lineno: usize, line: &str) -> Result<(), JournalError> {
+        let corrupt = |reason: String| JournalError::Corrupt {
+            line: lineno,
+            reason,
         };
-        let text = std::str::from_utf8(committed).map_err(|e| JournalError::Corrupt {
-            line: 0,
-            reason: format!("not UTF-8: {e}"),
-        })?;
-        for (idx, line) in text.lines().enumerate() {
-            let lineno = idx + 1;
-            let corrupt = |reason: String| JournalError::Corrupt {
-                line: lineno,
-                reason,
-            };
-            if idx == 0 {
-                if line != MAGIC {
-                    return Err(corrupt(format!("expected `{MAGIC}`, found `{line}`")));
+        match line.as_bytes().first() {
+            Some(b'H') => self.header = Some(parse_header(line, lineno)?),
+            Some(b'L') => {
+                let Some(header) = &self.header else {
+                    return Err(corrupt("launch record before header".into()));
+                };
+                let rec = parse_record(line, lineno)?;
+                if rec.launch >= header.launches {
+                    return Err(corrupt(format!(
+                        "launch index {} out of range (header declares {} launches)",
+                        rec.launch, header.launches
+                    )));
                 }
-                self.magic_written = true;
-                continue;
-            }
-            match line.as_bytes().first() {
-                Some(b'H') => self.header = Some(parse_header(line, lineno)?),
-                Some(b'L') => {
-                    let Some(header) = &self.header else {
-                        return Err(corrupt("launch record before header".into()));
-                    };
-                    let rec = parse_record(line, lineno)?;
-                    if rec.launch >= header.launches {
-                        return Err(corrupt(format!(
-                            "launch index {} out of range (header declares {} launches)",
-                            rec.launch, header.launches
-                        )));
-                    }
-                    let tile_end = header.tile_start + header.tile_launches;
-                    if rec.launch < header.tile_start || rec.launch >= tile_end {
-                        return Err(corrupt(format!(
-                            "launch index {} outside this journal's tile [{}, {})",
-                            rec.launch, header.tile_start, tile_end
-                        )));
-                    }
-                    self.records.insert(rec.launch, rec);
+                let tile_end = header.tile_start + header.tile_launches;
+                if rec.launch < header.tile_start || rec.launch >= tile_end {
+                    return Err(corrupt(format!(
+                        "launch index {} outside this journal's tile [{}, {})",
+                        rec.launch, header.tile_start, tile_end
+                    )));
                 }
-                Some(b'D') => self.done = true,
-                _ => return Err(corrupt(format!("unknown record `{line}`"))),
+                self.records.insert(rec.launch, rec);
             }
+            Some(b'D') => self.done = true,
+            _ => return Err(corrupt(format!("unknown record `{line}`"))),
         }
         Ok(())
-    }
-
-    /// Append pre-terminated text in one `write_all` and fsync it.
-    /// `File::flush` alone is a no-op — only `sync_data` makes the commit
-    /// survive an OS crash or power loss, not just a process death.
-    // analyze: journal(append)
-    fn append_raw(&mut self, text: &str) -> Result<(), JournalError> {
-        if let Some(file) = &mut self.file {
-            file.write_all(text.as_bytes())?;
-            file.sync_data()?;
-        }
-        Ok(())
-    }
-
-    // analyze: journal(append)
-    fn append(&mut self, line: &str) -> Result<(), JournalError> {
-        self.append_raw(&format!("{line}\n"))
     }
 
     /// Bind the journal to `header`, or verify it is already bound to an
@@ -437,107 +389,90 @@ impl ScanJournal {
     /// knows *what* diverged (corpus edits show up as `fingerprint`).
     // analyze: journal(create)
     pub fn check_compatible(&mut self, header: &JournalHeader) -> Result<(), JournalError> {
-        match &self.header {
-            None => {
-                // One write for magic + header. A prior run may have died
-                // after persisting the magic line but before the header
-                // (replay then leaves `header` None with `magic_written`
-                // set) — re-appending the magic there would corrupt the
-                // journal for every later open.
-                let mut text = String::new();
-                if !self.magic_written {
-                    text.push_str(MAGIC);
-                    text.push('\n');
-                }
-                text.push_str(&header.to_line());
-                text.push('\n');
-                self.append_raw(&text)?;
-                self.magic_written = true;
-                self.header = Some(header.clone());
-                Ok(())
-            }
-            Some(existing) => {
-                let mismatch = |field: &'static str, journal: String, run: String| {
-                    Err(JournalError::Mismatch {
-                        field,
-                        journal,
-                        run,
-                    })
-                };
-                if existing.fingerprint != header.fingerprint {
-                    return mismatch(
-                        "fingerprint",
-                        format!("{:016x}", existing.fingerprint),
-                        format!("{:016x}", header.fingerprint),
-                    );
-                }
-                if existing.moduli != header.moduli {
-                    return mismatch(
-                        "moduli",
-                        existing.moduli.to_string(),
-                        header.moduli.to_string(),
-                    );
-                }
-                if existing.stride != header.stride {
-                    return mismatch(
-                        "stride",
-                        existing.stride.to_string(),
-                        header.stride.to_string(),
-                    );
-                }
-                if existing.algo != header.algo {
-                    return mismatch("algo", existing.algo.clone(), header.algo.clone());
-                }
-                if existing.early != header.early {
-                    return mismatch(
-                        "early",
-                        existing.early.to_string(),
-                        header.early.to_string(),
-                    );
-                }
-                if existing.launch_pairs != header.launch_pairs {
-                    return mismatch(
-                        "launch_pairs",
-                        existing.launch_pairs.to_string(),
-                        header.launch_pairs.to_string(),
-                    );
-                }
-                // Derived from moduli and launch_pairs, so a driver-written
-                // header always agrees — but a hand-edited journal must not
-                // smuggle phantom launch records past compatibility.
-                if existing.launches != header.launches {
-                    return mismatch(
-                        "launches",
-                        existing.launches.to_string(),
-                        header.launches.to_string(),
-                    );
-                }
-                if (existing.tile_start, existing.tile_launches)
-                    != (header.tile_start, header.tile_launches)
-                {
-                    return mismatch(
-                        "tile",
-                        format!("{}+{}", existing.tile_start, existing.tile_launches),
-                        format!("{}+{}", header.tile_start, header.tile_launches),
-                    );
-                }
-                // A done marker vouches for every launch in the journal's
-                // range; a done journal missing launch records (truncated
-                // by hand, or spliced from a run with a different launch
-                // count) would silently merge an incomplete report.
-                if self.done && self.records.len() as u64 != existing.tile_launches {
-                    return Err(JournalError::Corrupt {
-                        line: 0,
-                        reason: format!(
-                            "journal is marked done but holds {} of {} launch records",
-                            self.records.len(),
-                            existing.tile_launches
-                        ),
-                    });
-                }
-                Ok(())
-            }
+        let Some(existing) = &self.header else {
+            self.log.bind(&header.to_line())?;
+            self.header = Some(header.clone());
+            return Ok(());
+        };
+        let mismatch = |field: &'static str, journal: String, run: String| {
+            Err(JournalError::Mismatch {
+                field,
+                journal,
+                run,
+            })
+        };
+        if existing.fingerprint != header.fingerprint {
+            return mismatch(
+                "fingerprint",
+                format!("{:016x}", existing.fingerprint),
+                format!("{:016x}", header.fingerprint),
+            );
         }
+        if existing.moduli != header.moduli {
+            return mismatch(
+                "moduli",
+                existing.moduli.to_string(),
+                header.moduli.to_string(),
+            );
+        }
+        if existing.stride != header.stride {
+            return mismatch(
+                "stride",
+                existing.stride.to_string(),
+                header.stride.to_string(),
+            );
+        }
+        if existing.algo != header.algo {
+            return mismatch("algo", existing.algo.clone(), header.algo.clone());
+        }
+        if existing.early != header.early {
+            return mismatch(
+                "early",
+                existing.early.to_string(),
+                header.early.to_string(),
+            );
+        }
+        if existing.launch_pairs != header.launch_pairs {
+            return mismatch(
+                "launch_pairs",
+                existing.launch_pairs.to_string(),
+                header.launch_pairs.to_string(),
+            );
+        }
+        // Derived from moduli and launch_pairs, so a driver-written
+        // header always agrees — but a hand-edited journal must not
+        // smuggle phantom launch records past compatibility.
+        if existing.launches != header.launches {
+            return mismatch(
+                "launches",
+                existing.launches.to_string(),
+                header.launches.to_string(),
+            );
+        }
+        if (existing.tile_start, existing.tile_launches)
+            != (header.tile_start, header.tile_launches)
+        {
+            return mismatch(
+                "tile",
+                format!("{}+{}", existing.tile_start, existing.tile_launches),
+                format!("{}+{}", header.tile_start, header.tile_launches),
+            );
+        }
+        // A done marker vouches for every launch in the journal's
+        // range; a done journal missing launch records (truncated
+        // by hand, or spliced from a run with a different launch
+        // count) would silently merge an incomplete report.
+        if self.done && self.records.len() as u64 != existing.tile_launches {
+            return Err(JournalError::Corrupt {
+                line: 0,
+                reason: format!(
+                    "journal is marked done but holds {} of {} launch records",
+                    self.records.len(),
+                    existing.tile_launches
+                ),
+            });
+        }
+        Ok(())
     }
 
     /// Whether launch `launch` is already committed.
@@ -565,7 +500,7 @@ impl ScanJournal {
     /// including an OS crash or power loss — cannot lose the launch.
     // analyze: journal
     pub fn record(&mut self, record: LaunchRecord) -> Result<(), JournalError> {
-        self.append(&record.to_line())?;
+        self.log.append_line(&record.to_line())?;
         self.records.insert(record.launch, record);
         Ok(())
     }
@@ -574,7 +509,7 @@ impl ScanJournal {
     // analyze: journal
     pub fn mark_done(&mut self) -> Result<(), JournalError> {
         if !self.done {
-            self.append("D")?;
+            self.log.append_line("D")?;
             self.done = true;
         }
         Ok(())
@@ -587,43 +522,9 @@ impl ScanJournal {
     }
 }
 
-fn field<'a>(line: &'a str, key: &str, lineno: usize) -> Result<&'a str, JournalError> {
-    let prefix = format!("{key}=");
-    line.split_ascii_whitespace()
-        .find_map(|tok| tok.strip_prefix(&prefix))
-        .ok_or_else(|| JournalError::Corrupt {
-            line: lineno,
-            reason: format!("missing field `{key}`"),
-        })
-}
-
-fn parse_num<T: std::str::FromStr>(s: &str, what: &str, lineno: usize) -> Result<T, JournalError>
-where
-    T::Err: fmt::Display,
-{
-    s.parse().map_err(|e| JournalError::Corrupt {
-        line: lineno,
-        reason: format!("bad {what} `{s}`: {e}"),
-    })
-}
-
-fn parse_hex_u64(s: &str, what: &str, lineno: usize) -> Result<u64, JournalError> {
-    u64::from_str_radix(s, 16).map_err(|e| JournalError::Corrupt {
-        line: lineno,
-        reason: format!("bad {what} `{s}`: {e}"),
-    })
-}
-
-/// An optional `key=value` token. Pre-shard journals have no tile fields;
-/// they parse as full-range.
-fn opt_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let prefix = format!("{key}=");
-    line.split_ascii_whitespace()
-        .find_map(|tok| tok.strip_prefix(&prefix))
-}
-
 fn parse_header(line: &str, lineno: usize) -> Result<JournalHeader, JournalError> {
     let launches: u64 = parse_num(field(line, "launches", lineno)?, "launches", lineno)?;
+    // Pre-shard journals have no tile fields; they parse as full-range.
     let tile_start: u64 = match opt_field(line, "tile_start") {
         Some(s) => parse_num(s, "tile_start", lineno)?,
         None => 0,
@@ -674,8 +575,10 @@ fn parse_record(line: &str, lineno: usize) -> Result<LaunchRecord, JournalError>
     )?;
     let sim_bits = parse_hex_u64(field(line, "sim", lineno)?, "sim bits", lineno)?;
     let cpu_fallback = field(line, "fb", lineno)? == "1";
+    // `n` is checked against the tokens actually present, never used to
+    // size an allocation: a corrupt count must not be able to abort replay.
     let n: usize = parse_num(field(line, "n", lineno)?, "finding count", lineno)?;
-    let mut findings = Vec::with_capacity(n);
+    let mut findings = Vec::new();
     // Findings are the tokens after the fixed fields (launch, sim, fb, n).
     for tok in toks.skip(3) {
         let mut parts = tok.split(',');
@@ -715,6 +618,7 @@ fn parse_record(line: &str, lineno: usize) -> Result<LaunchRecord, JournalError>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs::OpenOptions;
 
     fn sample_record() -> LaunchRecord {
         LaunchRecord {
@@ -1045,6 +949,20 @@ mod tests {
         match j.replay(bytes.as_bytes()) {
             Err(JournalError::Corrupt { line, .. }) => assert_eq!(line, 2),
             other => panic!("expected corruption at line 2, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn huge_finding_count_is_corrupt_not_an_allocation() {
+        let text = format!(
+            "{MAGIC}\nH fp=0000000000000001 m=4 stride=2 algo=(E) early=0 launch_pairs=2 \
+             launches=3\nL 0 sim=0000000000000000 fb=0 n=18446744073709551615\n"
+        );
+        match ScanJournal::from_bytes(text.as_bytes()) {
+            Err(JournalError::Corrupt { line: 3, reason }) => {
+                assert!(reason.contains("finding count mismatch"), "{reason}")
+            }
+            other => panic!("expected a finding-count corruption, got {other:?}"),
         }
     }
 

@@ -44,6 +44,7 @@ pub mod checkpoint;
 pub mod estimate;
 pub mod fault;
 pub mod incremental;
+mod journal;
 pub mod lockstep;
 pub mod pairing;
 pub mod pipeline;

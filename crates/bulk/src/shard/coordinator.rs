@@ -21,9 +21,10 @@
 //!   [`LedgerError::ConflictingCompletion`], because deterministic tiles
 //!   cannot legitimately produce two different results.
 //!
-//! The ledger uses the same hand-rolled journal idiom as
+//! The ledger is a `bulk::journal` file, like the scan journal of
 //! [`bulk::checkpoint`](crate::checkpoint): line-oriented plain text,
-//! magic + header in one append, fsync per record, torn-tail tolerance:
+//! magic + header in one append, fsync per record, and a torn final line
+//! dropped and truncated away on reopen:
 //!
 //! ```text
 //! bulkgcd-shard-ledger v1
@@ -35,11 +36,11 @@
 
 use crate::arena::ModuliArena;
 use crate::checkpoint::{corpus_fingerprint, ScanJournal};
+use crate::journal::{field, parse_hex_u64, parse_num, Corrupt, Journal};
 use crate::shard::TilePlan;
 use bulkgcd_core::Algorithm;
 use std::fmt;
-use std::fs::{File, OpenOptions};
-use std::io::{self, Write};
+use std::io;
 use std::path::Path;
 
 /// First line of every ledger file.
@@ -156,6 +157,12 @@ impl From<io::Error> for LedgerError {
     }
 }
 
+impl From<Corrupt> for LedgerError {
+    fn from(Corrupt { line, reason }: Corrupt) -> Self {
+        LedgerError::Corrupt { line, reason }
+    }
+}
+
 /// The sharded-scan configuration a ledger is bound to.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LedgerHeader {
@@ -256,8 +263,7 @@ pub struct CoordStats {
 /// protocol and the on-disk format.
 #[derive(Debug)]
 pub struct Coordinator {
-    file: Option<File>,
-    magic_written: bool,
+    log: Journal,
     header: Option<LedgerHeader>,
     states: Vec<TileState>,
     stats: CoordStats,
@@ -267,8 +273,7 @@ impl Coordinator {
     /// A ledger with no backing file: protocol semantics without I/O.
     pub fn in_memory() -> Self {
         Coordinator {
-            file: None,
-            magic_written: false,
+            log: Journal::in_memory(MAGIC),
             header: None,
             states: Vec::new(),
             stats: CoordStats::default(),
@@ -278,74 +283,53 @@ impl Coordinator {
     /// Open (or create) the ledger at `path`, replaying any prior run's
     /// records. Leases replay with their recorded expiry ticks, so a
     /// restarted coordinator resumes dead-worker detection where it left
-    /// off; a torn final line is dropped.
+    /// off; a torn final line is dropped and truncated away.
     // analyze: journal(replay)
     pub fn open(path: &Path) -> Result<Self, LedgerError> {
         let mut ledger = Coordinator::in_memory();
-        if path.exists() {
-            ledger.replay(&std::fs::read(path)?)?;
-        }
-        ledger.file = Some(OpenOptions::new().create(true).append(true).open(path)?);
+        ledger.log = Journal::open(path, MAGIC, |lineno, line| ledger.apply(lineno, line))?;
         Ok(ledger)
     }
 
-    // analyze: journal(replay)
-    fn replay(&mut self, bytes: &[u8]) -> Result<(), LedgerError> {
-        let committed = match bytes.iter().rposition(|&b| b == b'\n') {
-            Some(pos) => &bytes[..=pos],
-            None => return Ok(()),
+    /// Apply one replayed record line to the tile states.
+    fn apply(&mut self, lineno: usize, line: &str) -> Result<(), LedgerError> {
+        let corrupt = |reason: String| LedgerError::Corrupt {
+            line: lineno,
+            reason,
         };
-        let text = std::str::from_utf8(committed).map_err(|e| LedgerError::Corrupt {
-            line: 0,
-            reason: format!("not UTF-8: {e}"),
-        })?;
-        for (idx, line) in text.lines().enumerate() {
-            let lineno = idx + 1;
-            let corrupt = |reason: String| LedgerError::Corrupt {
-                line: lineno,
-                reason,
-            };
-            if idx == 0 {
-                if line != MAGIC {
-                    return Err(corrupt(format!("expected `{MAGIC}`, found `{line}`")));
-                }
-                self.magic_written = true;
-                continue;
+        match line.as_bytes().first() {
+            Some(b'H') => {
+                let header = parse_header(line, lineno)?;
+                self.states = vec![TileState::Unassigned; header.tiles];
+                self.header = Some(header);
             }
-            match line.as_bytes().first() {
-                Some(b'H') => {
-                    let header = parse_header(line, lineno)?;
-                    self.states = vec![TileState::Unassigned; header.tiles];
-                    self.header = Some(header);
+            Some(b'A') | Some(b'R') => {
+                let (tile, worker, expires) = parse_lease_line(line, lineno)?;
+                let state = self.state_mut(tile, lineno)?;
+                if let TileState::Complete { .. } = state {
+                    return Err(corrupt(format!("lease recorded for complete tile {tile}")));
                 }
-                Some(b'A') | Some(b'R') => {
-                    let (tile, worker, expires) = parse_lease_line(line, lineno)?;
-                    let state = self.state_mut(tile, lineno)?;
-                    if let TileState::Complete { .. } = state {
-                        return Err(corrupt(format!("lease recorded for complete tile {tile}")));
-                    }
-                    *state = TileState::Leased { worker, expires };
-                }
-                Some(b'C') => {
-                    let (tile, worker, fingerprint) = parse_complete_line(line, lineno)?;
-                    let state = self.state_mut(tile, lineno)?;
-                    if let TileState::Complete {
-                        fingerprint: have, ..
-                    } = state
-                    {
-                        if *have != fingerprint {
-                            return Err(corrupt(format!(
-                                "tile {tile} completed twice with different fingerprints"
-                            )));
-                        }
-                    }
-                    *state = TileState::Complete {
-                        worker,
-                        fingerprint,
-                    };
-                }
-                _ => return Err(corrupt(format!("unknown record `{line}`"))),
+                *state = TileState::Leased { worker, expires };
             }
+            Some(b'C') => {
+                let (tile, worker, fingerprint) = parse_complete_line(line, lineno)?;
+                let state = self.state_mut(tile, lineno)?;
+                if let TileState::Complete {
+                    fingerprint: have, ..
+                } = state
+                {
+                    if *have != fingerprint {
+                        return Err(corrupt(format!(
+                            "tile {tile} completed twice with different fingerprints"
+                        )));
+                    }
+                }
+                *state = TileState::Complete {
+                    worker,
+                    fingerprint,
+                };
+            }
+            _ => return Err(corrupt(format!("unknown record `{line}`"))),
         }
         Ok(())
     }
@@ -358,92 +342,65 @@ impl Coordinator {
         })
     }
 
-    // analyze: journal(append)
-    fn append_raw(&mut self, text: &str) -> Result<(), LedgerError> {
-        if let Some(file) = &mut self.file {
-            file.write_all(text.as_bytes())?;
-            file.sync_data()?;
-        }
-        Ok(())
-    }
-
-    // analyze: journal(append)
-    fn append(&mut self, line: &str) -> Result<(), LedgerError> {
-        self.append_raw(&format!("{line}\n"))
-    }
-
     /// Bind the ledger to `header`, or verify it is already bound to an
-    /// identical one (same magic-plus-header single-append idiom as the
-    /// scan journal).
+    /// identical one.
     // analyze: journal(create)
     pub fn check_compatible(&mut self, header: &LedgerHeader) -> Result<(), LedgerError> {
-        match &self.header {
-            None => {
-                let mut text = String::new();
-                if !self.magic_written {
-                    text.push_str(MAGIC);
-                    text.push('\n');
-                }
-                text.push_str(&header.to_line());
-                text.push('\n');
-                self.append_raw(&text)?;
-                self.magic_written = true;
-                self.states = vec![TileState::Unassigned; header.tiles];
-                self.header = Some(header.clone());
-                Ok(())
-            }
-            Some(existing) => {
-                let mismatch = |field: &'static str, ledger: String, run: String| {
-                    Err(LedgerError::Mismatch { field, ledger, run })
-                };
-                if existing.fingerprint != header.fingerprint {
-                    return mismatch(
-                        "fingerprint",
-                        format!("{:016x}", existing.fingerprint),
-                        format!("{:016x}", header.fingerprint),
-                    );
-                }
-                if existing.moduli != header.moduli {
-                    return mismatch(
-                        "moduli",
-                        existing.moduli.to_string(),
-                        header.moduli.to_string(),
-                    );
-                }
-                if existing.launch_pairs != header.launch_pairs {
-                    return mismatch(
-                        "launch_pairs",
-                        existing.launch_pairs.to_string(),
-                        header.launch_pairs.to_string(),
-                    );
-                }
-                if existing.launches != header.launches {
-                    return mismatch(
-                        "launches",
-                        existing.launches.to_string(),
-                        header.launches.to_string(),
-                    );
-                }
-                if existing.tiles != header.tiles {
-                    return mismatch(
-                        "tiles",
-                        existing.tiles.to_string(),
-                        header.tiles.to_string(),
-                    );
-                }
-                if existing.algo != header.algo {
-                    return mismatch("algo", existing.algo.clone(), header.algo.clone());
-                }
-                if existing.early != header.early {
-                    return mismatch(
-                        "early",
-                        existing.early.to_string(),
-                        header.early.to_string(),
-                    );
-                }
-                Ok(())
-            }
+        let Some(existing) = &self.header else {
+            self.log.bind(&header.to_line())?;
+            self.states = vec![TileState::Unassigned; header.tiles];
+            self.header = Some(header.clone());
+            return Ok(());
+        };
+        let mismatch = |field: &'static str, ledger: String, run: String| {
+            Err(LedgerError::Mismatch { field, ledger, run })
+        };
+        if existing.fingerprint != header.fingerprint {
+            return mismatch(
+                "fingerprint",
+                format!("{:016x}", existing.fingerprint),
+                format!("{:016x}", header.fingerprint),
+            );
         }
+        if existing.moduli != header.moduli {
+            return mismatch(
+                "moduli",
+                existing.moduli.to_string(),
+                header.moduli.to_string(),
+            );
+        }
+        if existing.launch_pairs != header.launch_pairs {
+            return mismatch(
+                "launch_pairs",
+                existing.launch_pairs.to_string(),
+                header.launch_pairs.to_string(),
+            );
+        }
+        if existing.launches != header.launches {
+            return mismatch(
+                "launches",
+                existing.launches.to_string(),
+                header.launches.to_string(),
+            );
+        }
+        if existing.tiles != header.tiles {
+            return mismatch(
+                "tiles",
+                existing.tiles.to_string(),
+                header.tiles.to_string(),
+            );
+        }
+        if existing.algo != header.algo {
+            return mismatch("algo", existing.algo.clone(), header.algo.clone());
+        }
+        if existing.early != header.early {
+            return mismatch(
+                "early",
+                existing.early.to_string(),
+                header.early.to_string(),
+            );
+        }
+        Ok(())
     }
 
     /// Assign the lowest-indexed acquirable tile to `worker` with a lease
@@ -466,7 +423,8 @@ impl Coordinator {
                 _ => continue,
             };
             let expires = now.saturating_add(lease_ticks.max(1));
-            self.append(&format!("A tile={tile} worker={worker} expires={expires}"))?;
+            self.log
+                .append_line(&format!("A tile={tile} worker={worker} expires={expires}"))?;
             self.states[tile] = TileState::Leased {
                 worker: worker.to_string(),
                 expires,
@@ -510,7 +468,8 @@ impl Coordinator {
                     return lost(worker);
                 }
                 let expires = now.saturating_add(lease_ticks.max(1));
-                self.append(&format!("R tile={tile} worker={worker} expires={expires}"))?;
+                self.log
+                    .append_line(&format!("R tile={tile} worker={worker} expires={expires}"))?;
                 self.states[tile] = TileState::Leased {
                     worker: worker.to_string(),
                     expires,
@@ -553,7 +512,7 @@ impl Coordinator {
                 Ok(Completion::Duplicate)
             }
             Some(_) => {
-                self.append(&format!(
+                self.log.append_line(&format!(
                     "C tile={tile} worker={worker} fp={fingerprint:016x}"
                 ))?;
                 self.states[tile] = TileState::Complete {
@@ -616,33 +575,6 @@ impl Coordinator {
     }
 }
 
-fn field<'a>(line: &'a str, key: &str, lineno: usize) -> Result<&'a str, LedgerError> {
-    let prefix = format!("{key}=");
-    line.split_ascii_whitespace()
-        .find_map(|tok| tok.strip_prefix(&prefix))
-        .ok_or_else(|| LedgerError::Corrupt {
-            line: lineno,
-            reason: format!("missing field `{key}`"),
-        })
-}
-
-fn parse_num<T: std::str::FromStr>(s: &str, what: &str, lineno: usize) -> Result<T, LedgerError>
-where
-    T::Err: fmt::Display,
-{
-    s.parse().map_err(|e| LedgerError::Corrupt {
-        line: lineno,
-        reason: format!("bad {what} `{s}`: {e}"),
-    })
-}
-
-fn parse_hex_u64(s: &str, what: &str, lineno: usize) -> Result<u64, LedgerError> {
-    u64::from_str_radix(s, 16).map_err(|e| LedgerError::Corrupt {
-        line: lineno,
-        reason: format!("bad {what} `{s}`: {e}"),
-    })
-}
-
 fn parse_header(line: &str, lineno: usize) -> Result<LedgerHeader, LedgerError> {
     Ok(LedgerHeader {
         fingerprint: parse_hex_u64(field(line, "fp", lineno)?, "fingerprint", lineno)?,
@@ -683,6 +615,8 @@ pub struct Lease {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs::OpenOptions;
+    use std::io::Write;
 
     fn header(tiles: usize) -> LedgerHeader {
         LedgerHeader {
@@ -801,6 +735,43 @@ mod tests {
         // replayed lease expires at 13 and is then reclaimable.
         assert!(c.acquire("w2", 12, 10).unwrap().is_none());
         assert_eq!(c.acquire("w2", 13, 10).unwrap().unwrap().tile, 1);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn torn_tail_is_cut_before_the_next_append() {
+        // Reopening must cut the torn line off the file, or the next record
+        // is glued onto it and every later open fails as corrupt.
+        let dir = std::env::temp_dir().join("bulkgcd-ledger-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("torn-append-{}.ledger", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        {
+            let mut c = Coordinator::open(&path).unwrap();
+            c.check_compatible(&header(2)).unwrap();
+            c.acquire("w0", 0, 10).unwrap().unwrap();
+            c.complete(0, "w0", 0xabc).unwrap();
+        }
+        // Tear the last line: `C tile=0 worker=w0 fp=…` becomes `C tile=0 wor`.
+        let bytes = std::fs::read(&path).unwrap();
+        let last = bytes[..bytes.len() - 1]
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .unwrap();
+        std::fs::write(&path, &bytes[..last + 1 + "C tile=0 wor".len()]).unwrap();
+        {
+            let mut c = Coordinator::open(&path).unwrap();
+            c.check_compatible(&header(2)).unwrap();
+            assert_eq!(c.completed_fingerprint(0), None);
+            // w0's lease on tile 0 is live until tick 10, so w1 gets tile 1.
+            assert_eq!(c.acquire("w1", 1, 30).unwrap().unwrap().tile, 1);
+        }
+        let mut c = Coordinator::open(&path).unwrap();
+        c.check_compatible(&header(2)).unwrap();
+        assert!(matches!(
+            c.tile_state(1),
+            Some(TileState::Leased { expires: 31, .. })
+        ));
         std::fs::remove_file(&path).unwrap();
     }
 

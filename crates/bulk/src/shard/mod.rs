@@ -8,7 +8,7 @@
 //!   contiguous [`Tile`]s aligned to launch boundaries, so sharding never
 //!   changes what any individual launch computes;
 //! * [`coordinator`] — [`Coordinator`] owns an append-only tile-assignment
-//!   ledger (same journal idiom as [`checkpoint`](crate::checkpoint)):
+//!   ledger (built on `bulk::journal`, like [`checkpoint`](crate::checkpoint)):
 //!   lease-based tile ownership on a logical clock, heartbeat renewal,
 //!   expired-lease reclaim for dead-worker detection, and duplicate
 //!   completions discriminated from conflicting ones by tile fingerprint;

@@ -8,9 +8,10 @@
 //!
 //! # Arena file format (version 1)
 //!
-//! The same journal idiom as [`crate::checkpoint`] — a text header pinned
-//! by a magic line, fsynced writes, explicit torn-tail rules — followed by
-//! one binary payload:
+//! A text header in the `bulk::journal` conventions shared with
+//! [`crate::checkpoint`] — pinned by a magic line, `key=value` fields,
+//! fsynced writes, explicit torn-tail rules — followed by one binary
+//! payload:
 //!
 //! ```text
 //! bulkgcd-arena v1
@@ -46,6 +47,7 @@
 
 use crate::arena::{ArenaError, ModuliArena};
 use crate::checkpoint::corpus_fingerprint;
+use crate::journal::{check_magic, field, parse_hex_u64, parse_num, Corrupt};
 use crate::scan::report::{Finding, FindingKind, ScanReport};
 use bulkgcd_bigint::{ops, Limb, Nat};
 use bulkgcd_core::{run_in_place, Algorithm, GcdPair, GcdStatus, NoProbe, RankSelect, Termination};
@@ -139,6 +141,12 @@ impl From<io::Error> for StoreError {
     }
 }
 
+impl From<Corrupt> for StoreError {
+    fn from(Corrupt { line, reason }: Corrupt) -> Self {
+        StoreError::Corrupt { line, reason }
+    }
+}
+
 impl From<ArenaError> for StoreError {
     fn from(e: ArenaError) -> Self {
         StoreError::Arena(e)
@@ -161,9 +169,12 @@ pub struct ArenaHeader {
 }
 
 impl ArenaHeader {
-    /// Exact payload length in bytes.
-    fn payload_bytes(&self) -> u64 {
-        (self.m as u64) * (self.stride as u64) * LIMB_BYTES as u64
+    /// Exact payload length in bytes, or `None` if a hostile shape
+    /// overflows it.
+    fn payload_bytes(&self) -> Option<u64> {
+        (self.m as u64)
+            .checked_mul(self.stride as u64)?
+            .checked_mul(LIMB_BYTES as u64)
     }
 }
 
@@ -203,7 +214,7 @@ pub fn write_arena(
         write!(w, " {word:016x}")?;
     }
     writeln!(w)?;
-    writeln!(w, "P {}", header.payload_bytes())?;
+    writeln!(w, "P {}", arena.as_limbs().len() * LIMB_BYTES)?;
     for &limb in arena.as_limbs() {
         w.write_all(&limb.to_le_bytes())?;
     }
@@ -237,26 +248,24 @@ impl ArenaSource {
         let mut reader = io::BufReader::new(&mut file);
         let mut lineno = 0usize;
 
-        let magic = read_header_line(&mut reader, &mut lineno)?;
-        if magic != ARENA_MAGIC {
-            return Err(StoreError::Corrupt {
-                line: lineno,
-                reason: format!("bad magic {magic:?} (want {ARENA_MAGIC:?})"),
-            });
-        }
+        check_magic(&read_header_line(&mut reader, &mut lineno)?, ARENA_MAGIC)?;
         let h_line = read_header_line(&mut reader, &mut lineno)?;
         let header = parse_h_line(&h_line, lineno)?;
+        let needed = header.payload_bytes().ok_or_else(|| StoreError::Corrupt {
+            line: lineno,
+            reason: format!(
+                "m={} * stride={} overflows the payload length",
+                header.m, header.stride
+            ),
+        })?;
         let b_line = read_header_line(&mut reader, &mut lineno)?;
         let words = parse_b_line(&b_line, lineno)?;
         let p_line = read_header_line(&mut reader, &mut lineno)?;
         let declared = parse_p_line(&p_line, lineno)?;
-        if declared != header.payload_bytes() {
+        if declared != needed {
             return Err(StoreError::Corrupt {
                 line: lineno,
-                reason: format!(
-                    "P declares {declared} bytes but m * stride needs {}",
-                    header.payload_bytes()
-                ),
+                reason: format!("P declares {declared} bytes but m * stride needs {needed}"),
             });
         }
 
@@ -292,13 +301,13 @@ impl ArenaSource {
             acceptance,
             payload_offset,
         };
-        source.verify_fingerprint()?;
+        source.verify_fingerprint(declared)?;
         Ok(source)
     }
 
     /// Stream the payload once through the corpus fingerprint and compare
     /// with the header — bounded memory regardless of corpus size.
-    fn verify_fingerprint(&mut self) -> Result<(), StoreError> {
+    fn verify_fingerprint(&mut self, payload_bytes: u64) -> Result<(), StoreError> {
         const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const PRIME: u64 = 0x0000_0100_0000_01b3;
         let mut h = OFFSET;
@@ -311,7 +320,7 @@ impl ArenaSource {
         eat(&(self.header.m as u64).to_le_bytes());
         eat(&(self.header.stride as u64).to_le_bytes());
         self.file.seek(SeekFrom::Start(self.payload_offset))?;
-        let mut remaining = self.header.payload_bytes();
+        let mut remaining = payload_bytes;
         let mut buf = vec![0u8; (1 << 20).min(remaining.max(1) as usize)];
         while remaining > 0 {
             let take = buf.len().min(remaining as usize);
@@ -538,73 +547,35 @@ fn read_header_line<R: io::BufRead>(r: &mut R, lineno: &mut usize) -> Result<Str
     })
 }
 
+/// `line` without its record `tag`, or corruption naming the line expected.
+fn strip_tag<'a>(line: &'a str, tag: &str, lineno: usize) -> Result<&'a str, Corrupt> {
+    line.strip_prefix(tag).ok_or_else(|| Corrupt {
+        line: lineno,
+        reason: format!("expected {} line, got {line:?}", tag.trim_end()),
+    })
+}
+
 fn parse_h_line(line: &str, lineno: usize) -> Result<ArenaHeader, StoreError> {
-    let rest = line.strip_prefix("H ").ok_or_else(|| StoreError::Corrupt {
-        line: lineno,
-        reason: format!("expected H line, got {line:?}"),
-    })?;
-    let mut m = None;
-    let mut stride = None;
-    let mut raw_len = None;
-    let mut min_bits = None;
-    let mut fingerprint = None;
-    for token in rest.split_whitespace() {
-        let (key, value) = token.split_once('=').ok_or_else(|| StoreError::Corrupt {
-            line: lineno,
-            reason: format!("malformed H field {token:?}"),
-        })?;
-        let bad = |what: &str| StoreError::Corrupt {
-            line: lineno,
-            reason: format!("bad {what} value {value:?}"),
-        };
-        match key {
-            "m" => m = Some(value.parse::<usize>().map_err(|_| bad("m"))?),
-            "stride" => stride = Some(value.parse::<usize>().map_err(|_| bad("stride"))?),
-            "raw" => raw_len = Some(value.parse::<usize>().map_err(|_| bad("raw"))?),
-            "min_bits" => min_bits = Some(value.parse::<u64>().map_err(|_| bad("min_bits"))?),
-            "fp" => {
-                fingerprint = Some(u64::from_str_radix(value, 16).map_err(|_| bad("fp"))?);
-            }
-            _ => {} // unknown fields are ignored for forward compatibility
-        }
-    }
-    let missing = |what: &str| StoreError::Corrupt {
-        line: lineno,
-        reason: format!("H line missing {what}"),
-    };
+    strip_tag(line, "H ", lineno)?;
     Ok(ArenaHeader {
-        m: m.ok_or_else(|| missing("m"))?,
-        stride: stride.ok_or_else(|| missing("stride"))?,
-        raw_len: raw_len.ok_or_else(|| missing("raw"))?,
-        min_bits: min_bits.ok_or_else(|| missing("min_bits"))?,
-        fingerprint: fingerprint.ok_or_else(|| missing("fp"))?,
+        m: parse_num(field(line, "m", lineno)?, "m", lineno)?,
+        stride: parse_num(field(line, "stride", lineno)?, "stride", lineno)?,
+        raw_len: parse_num(field(line, "raw", lineno)?, "raw", lineno)?,
+        min_bits: parse_num(field(line, "min_bits", lineno)?, "min_bits", lineno)?,
+        fingerprint: parse_hex_u64(field(line, "fp", lineno)?, "fp", lineno)?,
     })
 }
 
 fn parse_b_line(line: &str, lineno: usize) -> Result<Vec<u64>, StoreError> {
-    let rest = line.strip_prefix('B').ok_or_else(|| StoreError::Corrupt {
-        line: lineno,
-        reason: format!("expected B line, got {line:?}"),
-    })?;
-    rest.split_whitespace()
-        .map(|w| {
-            u64::from_str_radix(w, 16).map_err(|_| StoreError::Corrupt {
-                line: lineno,
-                reason: format!("bad bitmap word {w:?}"),
-            })
-        })
-        .collect()
+    Ok(strip_tag(line, "B", lineno)?
+        .split_ascii_whitespace()
+        .map(|w| parse_hex_u64(w, "bitmap word", lineno))
+        .collect::<Result<_, _>>()?)
 }
 
 fn parse_p_line(line: &str, lineno: usize) -> Result<u64, StoreError> {
-    let rest = line.strip_prefix("P ").ok_or_else(|| StoreError::Corrupt {
-        line: lineno,
-        reason: format!("expected P line, got {line:?}"),
-    })?;
-    rest.trim().parse::<u64>().map_err(|_| StoreError::Corrupt {
-        line: lineno,
-        reason: format!("bad payload length {rest:?}"),
-    })
+    let rest = strip_tag(line, "P ", lineno)?;
+    Ok(parse_num(rest.trim(), "payload length", lineno)?)
 }
 
 #[cfg(test)]
@@ -719,6 +690,26 @@ mod tests {
             ArenaSource::open(&path),
             Err(StoreError::Corrupt { line: 2, .. })
         ));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn overflowing_shape_is_corrupt() {
+        let path = tmp("overflow.arena");
+        std::fs::write(
+            &path,
+            format!(
+                "{ARENA_MAGIC}\nH m=4294967296 stride=4294967296 raw=0 min_bits=0 \
+                 fp=0000000000000000\nB\nP 0\n"
+            ),
+        )
+        .unwrap();
+        match ArenaSource::open(&path) {
+            Err(StoreError::Corrupt { line: 2, reason }) => {
+                assert!(reason.contains("overflows"), "{reason}")
+            }
+            other => panic!("want Corrupt at the H line, got {other:?}"),
+        }
         std::fs::remove_file(&path).unwrap();
     }
 
