@@ -28,8 +28,7 @@
 //!
 //! 4. **Workspace invariants.** No `unwrap`/`expect`/`panic!` in library
 //!    code, `// SAFETY:` above every `unsafe`, no debug prints in library
-//!    crates, no bare `as Limb` truncation in bigint limb arithmetic, no
-//!    calls to the deprecated flat `scan_*` shims.
+//!    crates, no bare `as Limb` truncation in bigint limb arithmetic.
 //!
 //! Analysis is two-phase: a cacheable per-file pass ([`lints::analyze_file`],
 //! memoized by [`cache`] under `target/analyze-cache/`) and a global pass

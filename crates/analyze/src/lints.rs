@@ -7,7 +7,7 @@
 //! 1. [`analyze_file`] — everything derivable from one file alone: lex,
 //!    parse pragmas, build [`crate::dataflow`] summaries for every fn,
 //!    run the token-level invariant lints (no-panic, safety-comment,
-//!    truncating-cast, deprecated-shim, debug prints). The result — a
+//!    truncating-cast, debug prints). The result — a
 //!    [`FileAnalysis`] — is plain data, serialized by [`crate::cache`]
 //!    and keyed by a fingerprint of the source text.
 //! 2. [`finish`] — the global passes over all summaries: interprocedural
@@ -154,10 +154,6 @@ pub const LINTS: &[(&str, &str)] = &[
         "truncating-cast",
         "`as Limb` truncation in bigint limb arithmetic without an allow",
     ),
-    (
-        "deprecated-shim",
-        "call to a deprecated scan_* shim from workspace code",
-    ),
     ("unused-allow", "allow pragma that excused no finding"),
     ("bad-pragma", "analyze pragma that failed to parse"),
     (
@@ -171,18 +167,6 @@ pub const LINTS: &[(&str, &str)] = &[
 pub fn lint_tag(name: &str) -> Option<&'static str> {
     LINTS.iter().find(|(n, _)| *n == name).map(|(n, _)| *n)
 }
-
-/// The deprecated flat `scan_*` entry points superseded by `ScanPipeline`.
-const SHIM_NAMES: &[&str] = &[
-    "scan_cpu",
-    "scan_cpu_arena",
-    "scan_gpu_sim",
-    "scan_gpu_sim_arena",
-    "scan_gpu_sim_serial",
-    "scan_lockstep",
-    "scan_lockstep_arena",
-    "scan_gpu_sim_resumable",
-];
 
 /// Macros that abort in library code.
 const PANIC_MACROS: &[&str] = &["panic", "todo", "unimplemented"];
@@ -311,7 +295,6 @@ pub fn analyze_file(src: &str, ctx: &FileCtx) -> FileAnalysis {
     if ctx.bigint_limb {
         lint_truncating_cast(toks, ctx, &in_test, &mut fa.intra);
     }
-    lint_deprecated_shim(toks, ctx, &mut fa.intra);
 
     fa
 }
@@ -669,36 +652,6 @@ fn lint_truncating_cast(
                 "`as Limb` truncation in limb arithmetic".to_string(),
                 "use limb::lo / limb::hi, which document the intended truncation, \
                  or add an allow pragma",
-            ));
-        }
-    }
-}
-
-/// `deprecated-shim`: calls to the flat `scan_*` entry points superseded
-/// by `ScanPipeline`. The defining file is exempt (shims call each other's
-/// plumbing), as is anything under an `allow-file` pragma — the pin suite.
-fn lint_deprecated_shim(toks: &[Tok], ctx: &FileCtx, out: &mut Vec<Finding>) {
-    let defines_shim = toks
-        .windows(2)
-        .any(|w| w[0].is_ident("fn") && w[1].ident().is_some_and(|n| SHIM_NAMES.contains(&n)));
-    if defines_shim {
-        return;
-    }
-    for (i, t) in toks.iter().enumerate() {
-        let Some(name) = t.ident() else { continue };
-        if !SHIM_NAMES.contains(&name) {
-            continue;
-        }
-        // A call: the name is applied to arguments. `use` imports and
-        // doc-path mentions don't have a following `(`.
-        if toks.get(i + 1).is_some_and(|n| n.is_punct("(")) {
-            out.push(finding(
-                ctx,
-                t.line,
-                "deprecated-shim",
-                format!("call to deprecated shim `{name}`"),
-                "build the equivalent ScanPipeline instead; the shims exist only for \
-                 pinned backward-compatibility tests",
             ));
         }
     }

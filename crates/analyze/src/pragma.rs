@@ -26,8 +26,7 @@
 //! torn-tail rule). `allow` suppresses the named lint on findings within
 //! the next few source lines and **requires** a non-empty reason — the
 //! escape hatch is also the documentation of the divergence it excuses.
-//! `allow-file` does the same for a whole file (used by the shim-pinning
-//! suite, whose entire purpose is calling the deprecated entry points).
+//! `allow-file` does the same for a whole file.
 //! Unconsumed `allow`s are themselves findings ([`crate::lints`]'
 //! `unused-allow`), so stale excuses rot loudly.
 
@@ -246,7 +245,7 @@ mod tests {
             comment(3, " analyze: allow(cf-branch, reason = \"documented\")"),
             comment(
                 4,
-                " analyze: allow-file(deprecated-shim, reason = \"pin suite\")",
+                " analyze: allow-file(no-panic, reason = \"test harness\")",
             ),
             comment(5, " just prose"),
         ];

@@ -106,7 +106,7 @@ mod tests {
         );
         assert_eq!(classify("tests/lockstep_trace.rs"), Some(FileClass::Test));
         assert_eq!(
-            classify("crates/bulk/tests/shim_pins.rs"),
+            classify("crates/bulk/tests/golden_pins.rs"),
             Some(FileClass::Test)
         );
         assert_eq!(classify("examples/demo.rs"), Some(FileClass::Example));

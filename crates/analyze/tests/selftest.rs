@@ -109,14 +109,6 @@ fn truncating_cast_needs_bigint_flag() {
 }
 
 #[test]
-fn deprecated_shim_lint_fires_on_calls_only() {
-    let out = run_fixture("shims.rs", false);
-    assert_eq!(out.findings.len(), 1, "{:?}", out.findings);
-    assert_eq!(out.findings[0].lint, "deprecated-shim");
-    assert!(out.findings[0].message.contains("scan_cpu"));
-}
-
-#[test]
 fn meta_lints_fire() {
     let out = run_fixture("meta.rs", false);
     let counts = lint_counts(&out);

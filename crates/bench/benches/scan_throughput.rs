@@ -1,19 +1,16 @@
-//! Scan-pipeline throughput: the arena-backed zero-allocation CPU scan
-//! against the pre-refactor per-block-workspace path, and the parallel
-//! simulated-GPU scan against its serial reference, across corpus sizes.
+//! Scan-pipeline throughput: the arena-backed zero-allocation CPU scan,
+//! and the parallel simulated-GPU scan against its serial reference,
+//! across corpus sizes.
 //!
 //! Run: `cargo bench -p bulkgcd-bench --bench scan_throughput`
 
 use bulkgcd_bigint::Nat;
-use bulkgcd_bulk::group_size_for;
-use bulkgcd_bulk::{GpuSimBackend, GroupedPairs, ModuliArena, ScanPipeline};
-use bulkgcd_core::{run, Algorithm, GcdOutcome, GcdPair, NoProbe, Termination};
+use bulkgcd_bulk::{GpuSimBackend, ModuliArena, ScanPipeline};
 use bulkgcd_gpu::{CostModel, DeviceConfig};
 use bulkgcd_rsa::build_corpus;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rayon::prelude::*;
 
 const BITS: u64 = 128;
 const SIZES: [usize; 3] = [16, 32, 64];
@@ -23,51 +20,14 @@ fn moduli_of(m: usize) -> Vec<Nat> {
     build_corpus(&mut rng, m, BITS, 2).moduli()
 }
 
-/// The pre-refactor CPU scan: one fresh workspace and findings vector per
-/// §VI block, operands loaded from owned `Nat`s, allocating `run`.
-fn scan_cpu_prerefactor(moduli: &[Nat], algo: Algorithm, early: bool) -> usize {
-    let m = moduli.len();
-    let grid = GroupedPairs::new(m, group_size_for(m));
-    let blocks: Vec<_> = grid.blocks().collect();
-    let findings: Vec<(usize, usize, Nat)> = blocks
-        .par_iter()
-        .map(|&b| {
-            let mut pair = GcdPair::with_capacity(1);
-            let mut found = Vec::new();
-            for (i, j) in grid.block_pairs(b) {
-                let (a, c) = (&moduli[i], &moduli[j]);
-                pair.load(a, c);
-                let term = if early {
-                    Termination::Early {
-                        threshold_bits: a.bit_len().min(c.bit_len()) / 2,
-                    }
-                } else {
-                    Termination::Full
-                };
-                if let GcdOutcome::Gcd(g) = run(algo, &mut pair, term, &mut NoProbe) {
-                    if !g.is_one() {
-                        found.push((i, j, g));
-                    }
-                }
-            }
-            found
-        })
-        .flatten()
-        .collect();
-    findings.len()
-}
-
 fn bench_cpu_scan(c: &mut Criterion) {
-    let mut group = c.benchmark_group("scan_cpu");
+    let mut group = c.benchmark_group("scalar_scan");
     group.sample_size(10);
     for &m in &SIZES {
         let moduli = moduli_of(m);
         let arena = ModuliArena::try_from_moduli(&moduli).unwrap();
         group.bench_function(BenchmarkId::new("arena", m), |b| {
             b.iter(|| ScanPipeline::new(&arena).run().unwrap().scan.findings.len())
-        });
-        group.bench_function(BenchmarkId::new("prerefactor", m), |b| {
-            b.iter(|| scan_cpu_prerefactor(&moduli, Algorithm::Approximate, true))
         });
     }
     group.finish();
@@ -76,7 +36,7 @@ fn bench_cpu_scan(c: &mut Criterion) {
 fn bench_gpu_sim_scan(c: &mut Criterion) {
     let device = DeviceConfig::gtx_780_ti();
     let cost = CostModel::default();
-    let mut group = c.benchmark_group("scan_gpu_sim");
+    let mut group = c.benchmark_group("gpu_sim_scan");
     group.sample_size(10);
     for &m in &SIZES {
         let moduli = moduli_of(m);

@@ -1,13 +1,13 @@
 //! Machine-readable scan-throughput benchmark: `BENCH_scan.json`.
 //!
-//! Measures pairs/second for the arena-backed CPU scan (against the
-//! pre-refactor per-block path), the lockstep SIMT host scan (against the
-//! scalar arena path), and the parallel simulated-GPU scan (against its
-//! serial reference) across a corpus-size × modulus-width grid, and writes
-//! one JSON report for tooling to diff across commits. All scans run
-//! through the composable [`ScanPipeline`] builder; the legacy
-//! `scan_lockstep_arena` entry point is benched alongside it so the
-//! builder's composition overhead is itself a measured quantity.
+//! Measures pairs/second for the arena-backed CPU scan, the lockstep SIMT
+//! host scan (against the scalar arena path), and the parallel
+//! simulated-GPU scan (against its serial reference) across a corpus-size
+//! × modulus-width grid, and writes one JSON report for tooling to diff
+//! across commits. All scans run through the composable [`ScanPipeline`]
+//! builder; a hand-written [`LockstepEngine`] loop that runs the same
+//! warps is benched alongside it so the builder's composition overhead is
+//! itself a measured quantity.
 //!
 //! A separate `batch_tree` section benches the [`ProductTreeBackend`]
 //! remainder-tree scan at corpus sizes the all-pairs grid cannot afford
@@ -34,8 +34,10 @@
 //! * `--gate-lockstep` fails the run (exit 1) if the lockstep scan's
 //!   pairs/second fall below 0.95× the scalar arena path's;
 //! * `--gate-pipeline` fails the run if the builder-composed lockstep
-//!   pipeline falls below 0.98× the direct `scan_lockstep_arena` call —
-//!   the builder must stay a zero-cost veneer;
+//!   pipeline falls below 0.98× a direct `LockstepEngine::run_warp` loop
+//!   over the same pairs (`GroupedPairs::all_pairs` order, warp-aligned
+//!   runs on rayon `map_init` workers, the `combine_terminations` fold per
+//!   warp) — the builder must stay a zero-cost veneer;
 //! * `--gate-compaction` fails the run if, at the largest 128-bit corpus,
 //!   the compacted (queue-mode) lockstep scan's SIMT efficiency (mean
 //!   active-lane occupancy, a deterministic function of the corpus) is
@@ -65,12 +67,12 @@
 use bulkgcd_bench::Options;
 use bulkgcd_bigint::{Limb, Nat};
 use bulkgcd_bulk::{
-    group_size_for, run_sharded, AutoBackend, CompactionConfig, FaultPlan, GpuSimBackend,
-    GroupedPairs, LockstepBackend, ModuliArena, ProductTreeBackend, ScanError, ScanJournal,
-    ScanPipeline, ShardConfig, ShardFaultPlan, TilePlan,
+    combine_terminations, group_size_for, run_sharded, AutoBackend, CompactionConfig, FaultPlan,
+    GpuSimBackend, GroupedPairs, LockstepBackend, LockstepEngine, ModuliArena, ProductTreeBackend,
+    ScanError, ScanJournal, ScanPipeline, ShardConfig, ShardFaultPlan, TilePlan,
 };
 use bulkgcd_core::lanes::{columns_on, KernelIsa};
-use bulkgcd_core::{kernel_isa, run, Algorithm, GcdOutcome, GcdPair, NoProbe, Termination};
+use bulkgcd_core::{kernel_isa, Algorithm, GcdStatus, Termination};
 use bulkgcd_gpu::{CostModel, DeviceConfig, RetryPolicy};
 use bulkgcd_rsa::build_corpus;
 use bulkgcd_rsa::{sanitize_moduli, StreamingSanitizer};
@@ -79,38 +81,46 @@ use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
 use std::time::Instant;
 
-/// The pre-refactor CPU scan (one workspace per block, owned-`Nat` loads,
-/// allocating `run`) — the baseline the arena path must not regress below.
-fn scan_cpu_prerefactor(moduli: &[Nat], algo: Algorithm, early: bool) -> usize {
-    let m = moduli.len();
+/// The `--gate-pipeline` reference: the plain lockstep scan written out by
+/// hand. Pairs in `GroupedPairs::all_pairs` order, cut into warp-aligned
+/// runs of the length `LockstepBackend` prefers, one run per rayon
+/// `map_init` worker task, one `run_warp` per warp under the
+/// `combine_terminations` fold of its lanes' early-termination thresholds,
+/// findings sorted by `(i, j)` as the pipeline merges them. Returns the
+/// finding count.
+fn lockstep_direct(arena: &ModuliArena, w: usize) -> usize {
+    let m = arena.len();
     let grid = GroupedPairs::new(m, group_size_for(m));
-    let blocks: Vec<_> = grid.blocks().collect();
-    let findings: Vec<(usize, usize, Nat)> = blocks
-        .par_iter()
-        .map(|&b| {
-            let mut pair = GcdPair::with_capacity(1);
-            let mut found = Vec::new();
-            for (i, j) in grid.block_pairs(b) {
-                let (a, c) = (&moduli[i], &moduli[j]);
-                pair.load(a, c);
-                let term = if early {
-                    Termination::Early {
-                        threshold_bits: a.bit_len().min(c.bit_len()) / 2,
-                    }
-                } else {
-                    Termination::Full
-                };
-                if let GcdOutcome::Gcd(g) = run(algo, &mut pair, term, &mut NoProbe) {
-                    if !g.is_one() {
-                        found.push((i, j, g));
+    let all: Vec<(usize, usize)> = grid.all_pairs().collect();
+    let workers = rayon::current_num_threads().max(1);
+    let run_len = all.len().div_ceil(workers).div_ceil(w).max(1) * w;
+    let term_of = |i: usize, j: usize| Termination::Early {
+        threshold_bits: arena.bit_len(i).min(arena.bit_len(j)) / 2,
+    };
+    let mut found: Vec<(usize, usize, Nat)> = all
+        .par_chunks(run_len)
+        .map_init(
+            || (LockstepEngine::new(w), Vec::with_capacity(w)),
+            |(engine, inputs), run| {
+                let mut found = Vec::new();
+                for warp in run.chunks(w) {
+                    let term = combine_terminations(warp.iter().map(|&(i, j)| term_of(i, j)));
+                    inputs.clear();
+                    inputs.extend(warp.iter().map(|&(i, j)| (arena.limbs(i), arena.limbs(j))));
+                    engine.run_warp(inputs, term, None);
+                    for (t, &(i, j)) in warp.iter().enumerate() {
+                        if engine.lane_status(t) == GcdStatus::Done && !engine.lane_gcd_is_one(t) {
+                            found.push((i, j, engine.lane_gcd_nat(t)));
+                        }
                     }
                 }
-            }
-            found
-        })
+                found
+            },
+        )
         .flatten()
         .collect();
-    findings.len()
+    found.sort_by_key(|&(i, j, _)| (i, j));
+    found.len()
 }
 
 /// Best-of-`reps` wall seconds for `f` (one warmup call first).
@@ -692,16 +702,10 @@ fn main() {
                     .findings
                     .len()
             };
-            // The legacy direct entry point joins the interleaved group:
+            // The hand-written lockstep loop joins the interleaved group:
             // `--gate-pipeline` compares it against the builder path, so
             // both must be timed in the same rounds.
-            #[allow(deprecated)]
-            let mut run_direct = || {
-                // analyze: allow(deprecated-shim, reason = "benches the legacy entry point against the builder path on purpose")
-                bulkgcd_bulk::scan_lockstep_arena(&arena, true, warp_width)
-                    .findings
-                    .len()
-            };
+            let mut run_direct = || lockstep_direct(&arena, warp_width);
             let (times, sinks) = round_times(
                 reps,
                 &mut [
@@ -739,10 +743,6 @@ fn main() {
             );
             assert_eq!(auto_found, cpu_found, "auto and arena scans disagree");
             assert_eq!(direct_found, ls_found, "builder and direct paths disagree");
-
-            let (base_s, base_found) =
-                best_seconds(reps, || scan_cpu_prerefactor(&moduli, algo, true));
-            assert_eq!(cpu_found, base_found, "arena and baseline disagree");
 
             // Occupancy accounting (untimed): what fraction of issued warp
             // slots held live lanes, and how often the queue compacted.
@@ -794,7 +794,7 @@ fn main() {
                 && (par_sim - ser_sim).abs() <= 1e-12 * ser_sim.max(1.0);
 
             eprintln!(
-                "m={m} bits={bits}: cpu {:.0} pairs/s (baseline {:.0}, x{:.2}), \
+                "m={m} bits={bits}: cpu {:.0} pairs/s, \
                  lockstep {:.0} pairs/s (x{:.2} vs cpu, x{:.2} vs direct, occ {:.2}), \
                  compact {:.0} pairs/s (x{:.2} vs plain, occ {:.2}, \
                  {cls_compactions} compactions, {cls_refills} refills), \
@@ -802,8 +802,6 @@ fn main() {
                  gpu-sim host {:.0} pairs/s, simulated {:.3e} s, \
                  parallel==serial: {parallel_matches_serial}",
                 pairs / cpu_s,
-                pairs / base_s,
-                base_s / cpu_s,
                 pairs / ls_s,
                 ls_vs_cpu,
                 ls_vs_direct,
@@ -835,8 +833,6 @@ fn main() {
                 concat!(
                     "    {{\"m\": {m}, \"bits\": {bits}, \"pairs\": {pairs}, \"findings\": {found},\n",
                     "     \"cpu_arena_seconds\": {cpu_s}, \"cpu_arena_pairs_per_sec\": {cpu_tp},\n",
-                    "     \"cpu_prerefactor_seconds\": {base_s}, \"cpu_prerefactor_pairs_per_sec\": {base_tp},\n",
-                    "     \"cpu_arena_speedup\": {speedup},\n",
                     "     \"lockstep_seconds\": {ls_s}, \"lockstep_pairs_per_sec\": {ls_tp},\n",
                     "     \"lockstep_vs_cpu_speedup\": {ls_speedup},\n",
                     "     \"lockstep_direct_seconds\": {dls_s}, \"lockstep_direct_pairs_per_sec\": {dls_tp},\n",
@@ -857,9 +853,6 @@ fn main() {
                 found = cpu_found,
                 cpu_s = json_f64(cpu_s),
                 cpu_tp = json_f64(pairs / cpu_s),
-                base_s = json_f64(base_s),
-                base_tp = json_f64(pairs / base_s),
-                speedup = json_f64(base_s / cpu_s),
                 ls_s = json_f64(ls_s),
                 ls_tp = json_f64(pairs / ls_s),
                 ls_speedup = json_f64(ls_vs_cpu),
@@ -1139,19 +1132,19 @@ fn main() {
             }
         }
         if gate_pipeline {
-            // The builder must stay a zero-cost veneer over the direct
-            // entry point: same launches, same executor, no extra copies.
+            // The builder must stay a zero-cost veneer over a hand-written
+            // loop running the same warps on the same workers.
             const TOLERANCE: f64 = 0.98;
             if gate.ls_vs_direct < TOLERANCE {
                 eprintln!(
-                    "GATE FAIL: builder pipeline x{:.3} of direct scan_lockstep_arena < \
+                    "GATE FAIL: builder pipeline x{:.3} of direct run_warp loop < \
                      {TOLERANCE} at m={}, bits={}",
                     gate.ls_vs_direct, gate.m, gate.bits
                 );
                 std::process::exit(1);
             }
             eprintln!(
-                "gate OK: builder pipeline x{:.3} of direct scan_lockstep_arena >= \
+                "gate OK: builder pipeline x{:.3} of direct run_warp loop >= \
                  {TOLERANCE} at m={}, bits={}",
                 gate.ls_vs_direct, gate.m, gate.bits
             );

@@ -1,13 +1,13 @@
 //! Append-only checkpoint journal for resumable scans.
 //!
 //! A full all-pairs sweep of a real corpus takes hours; a crash near the
-//! end must not force a restart from pair zero. The scan driver
-//! ([`scan_gpu_sim_resumable`](crate::scan::scan_gpu_sim_resumable))
-//! commits each completed launch to a [`ScanJournal`] — launch index,
-//! simulated seconds, CPU-fallback flag, and the launch's findings — and on
-//! resume skips every launch the journal already holds. Because the final
-//! report is always merged **from the journal**, a resumed run reduces to
-//! exactly the records an uninterrupted run would have written, making the
+//! end must not force a restart from pair zero. The scan pipeline's
+//! [`CheckpointLayer`](crate::scan::CheckpointLayer) commits each completed
+//! launch to a [`ScanJournal`] — launch index, simulated seconds,
+//! CPU-fallback flag, and the launch's findings — and on resume skips
+//! every launch the journal already holds. Because the final report is
+//! always merged **from the journal**, a resumed run reduces to exactly the
+//! records an uninterrupted run would have written, making the
 //! resume-equals-rerun property testable byte for byte.
 //!
 //! # Journal format (version 1)

@@ -16,7 +16,7 @@
 //!   column-major (limb `k` of all lanes contiguous, the paper's Fig. 3
 //!   layout), Approximate Euclid executed one shared instruction at a time
 //!   across the warp with per-lane active masks; the engine behind
-//!   [`scan_lockstep`] and the Approximate-Euclid GPU-sim launches;
+//!   [`LockstepBackend`] and the Approximate-Euclid GPU-sim launches;
 //! * [`batch`] — the product/remainder-tree **batch GCD** baseline
 //!   (the pre-existing attack the paper competes with);
 //! * [`pipeline`] — scan → factor → private-key recovery, end to end;
@@ -39,7 +39,6 @@
 
 pub mod arena;
 pub mod batch;
-pub mod block_launch;
 pub mod checkpoint;
 pub mod estimate;
 pub mod fault;
@@ -54,7 +53,6 @@ pub mod store;
 
 pub use arena::{ArenaError, ModuliArena};
 pub use batch::{batch_gcd, batch_gcd_into, batch_gcd_parallel, BatchScratch, ProductTree};
-pub use block_launch::{scan_gpu_blocks, BlockLaunchReport};
 pub use checkpoint::{corpus_fingerprint, JournalError, JournalHeader, LaunchRecord, ScanJournal};
 pub use estimate::{estimate_full_scan, ScanEstimate};
 pub use fault::{FaultPlan, FaultSpec, ShardFaultPlan, ShardFaultSpec};
@@ -65,17 +63,12 @@ pub use lockstep::{
 pub use pairing::{group_size_for, BlockId, GroupedPairs};
 pub use pipeline::{break_weak_keys, recover_keys, BreakReport, BrokenKey};
 pub use scan::{
-    combine_terminations, scan_block_into, AutoBackend, Backend, CheckpointLayer, ExecCtx,
-    FaultLayer, FaultStats, Finding, FindingKind, GpuSimBackend, LaunchExecutor, LaunchMetrics,
-    LaunchOutput, LockstepBackend, MetricsLayer, NoSimulatedClock, PipelineReport,
-    ProductTreeBackend, ResumableReport, RetryLayer, ScalarBackend, ScanBackend, ScanError,
-    ScanMetrics, ScanPipeline, ScanReport, AUTO_LOCKSTEP_MIN_BITS, AUTO_MAX_BETA_FRACTION,
-    AUTO_PRODUCT_TREE_MIN_MODULI, DEFAULT_LAUNCH_PAIRS,
-};
-#[allow(deprecated)]
-pub use scan::{
-    scan_cpu, scan_cpu_arena, scan_gpu_sim, scan_gpu_sim_arena, scan_gpu_sim_resumable,
-    scan_gpu_sim_serial, scan_lockstep, scan_lockstep_arena,
+    combine_terminations, scan_block_into, AutoBackend, CheckpointLayer, ExecCtx, FaultLayer,
+    FaultStats, Finding, FindingKind, GpuSimBackend, LaunchExecutor, LaunchMetrics, LaunchOutput,
+    LockstepBackend, MetricsLayer, NoSimulatedClock, PipelineReport, ProductTreeBackend,
+    RetryLayer, ScalarBackend, ScanBackend, ScanError, ScanMetrics, ScanPipeline, ScanReport,
+    AUTO_LOCKSTEP_MIN_BITS, AUTO_MAX_BETA_FRACTION, AUTO_PRODUCT_TREE_MIN_MODULI,
+    DEFAULT_LAUNCH_PAIRS,
 };
 pub use shard::{
     merge_tiles, run_sharded, tile_fingerprint, Coordinator, MergeError, ShardConfig, ShardError,

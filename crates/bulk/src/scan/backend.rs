@@ -721,9 +721,7 @@ enum AutoChoice {
 /// 3. **Lockstep with compaction/refill** otherwise.
 ///
 /// The decision is cached per backend instance, so construct one
-/// `AutoBackend` per corpus (the convenience [`Backend::Auto`] constructs
-/// one per call and re-derives the decision — same answer, repeated
-/// probe). In launch-driven (layered/journaled) runs a product-tree
+/// `AutoBackend` per corpus. In launch-driven (layered/journaled) runs a product-tree
 /// resolution degrades to the scalar executor, since the tree has no
 /// launch structure to checkpoint.
 #[derive(Debug, Clone, Default)]
@@ -851,84 +849,6 @@ impl ScanBackend for AutoBackend {
         match self.decide(cx) {
             AutoChoice::ProductTree => Some(product_tree_findings(cx, true)),
             AutoChoice::Scalar | AutoChoice::Lockstep => None,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Backend — the one-stop enum for ScanPipeline::backend.
-// ---------------------------------------------------------------------------
-
-/// Ready-made backend selection for
-/// [`ScanPipeline::backend`](crate::scan::ScanPipeline::backend): every
-/// fixed strategy with its default tuning, plus [`Auto`](Backend::Auto).
-///
-/// Each pipeline call constructs the concrete backend on the fly, so
-/// `Backend::Auto` re-derives its per-corpus decision on every use; the
-/// probe is deterministic and cheap, but construct an [`AutoBackend`]
-/// directly to cache the resolution across workers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backend {
-    /// Per-pair scalar host scan ([`ScalarBackend`]).
-    Scalar,
-    /// Fixed lockstep SIMT warps of width 32 ([`LockstepBackend`]).
-    Lockstep,
-    /// Lockstep with default compaction/refill
-    /// ([`LockstepBackend::with_compaction`]).
-    LockstepCompact,
-    /// Product/remainder-tree batch GCD, parallel
-    /// ([`ProductTreeBackend`]).
-    ProductTree,
-    /// Probe the corpus and pick the fastest of the above
-    /// ([`AutoBackend`]).
-    Auto,
-}
-
-impl ScanBackend for Backend {
-    fn name(&self) -> &'static str {
-        match self {
-            Backend::Scalar => "scalar",
-            Backend::Lockstep => "lockstep",
-            Backend::LockstepCompact => "lockstep-compact",
-            Backend::ProductTree => "product-tree",
-            Backend::Auto => "auto",
-        }
-    }
-
-    fn preferred_run_len(&self, total_pairs: usize, workers: usize) -> usize {
-        match self {
-            Backend::Scalar => ScalarBackend.preferred_run_len(total_pairs, workers),
-            Backend::Lockstep | Backend::LockstepCompact => {
-                LockstepBackend::default().preferred_run_len(total_pairs, workers)
-            }
-            Backend::ProductTree => {
-                ProductTreeBackend { parallel: true }.preferred_run_len(total_pairs, workers)
-            }
-            Backend::Auto => AutoBackend::default().preferred_run_len(total_pairs, workers),
-        }
-    }
-
-    fn executor(&self, cx: &ExecCtx<'_>) -> Box<dyn LaunchExecutor + Send> {
-        match self {
-            Backend::Scalar => ScalarBackend.executor(cx),
-            Backend::Lockstep => LockstepBackend::default().executor(cx),
-            Backend::LockstepCompact => LockstepBackend::default()
-                .with_compaction(CompactionConfig::default())
-                .executor(cx),
-            Backend::ProductTree => ProductTreeBackend { parallel: true }.executor(cx),
-            Backend::Auto => AutoBackend::default().executor(cx),
-        }
-    }
-
-    fn is_whole_corpus(&self) -> bool {
-        matches!(self, Backend::ProductTree)
-    }
-
-    fn run_whole(&self, cx: &ExecCtx<'_>) -> Option<Vec<Finding>> {
-        match self {
-            Backend::ProductTree => ProductTreeBackend { parallel: true }.run_whole(cx),
-            Backend::Auto => AutoBackend::default().run_whole(cx),
-            _ => None,
         }
     }
 }

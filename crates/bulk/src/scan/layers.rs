@@ -30,8 +30,7 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 /// Journal a scan commits completed launches to: a path the pipeline opens
-/// (and owns) itself, or a caller-held journal handle (the legacy
-/// `scan_gpu_sim_resumable` calling convention, and what the kill/resume
+/// (and owns) itself, or a caller-held journal handle (what the kill/resume
 /// tests use to inspect the journal between runs).
 pub enum CheckpointLayer<'j> {
     /// Open (or resume) the journal file at this path.

@@ -36,23 +36,21 @@
 //! ```
 //!
 //! All backends produce identical findings; only the clock (and the
-//! per-launch metrics) differ. The legacy `scan_*` functions remain as
-//! thin deprecated shims over the builder, pinned bitwise-equal to their
-//! pre-refactor outputs by the `shim_pins` test suite.
+//! per-launch metrics) differ. The builder is the only way to run a scan.
 
 pub mod backend;
 pub mod layers;
 pub mod report;
 
 pub use backend::{
-    combine_terminations, scan_block_into, AutoBackend, Backend, ExecCtx, GpuSimBackend,
-    LaunchExecutor, LaunchOutput, LockstepBackend, ProductTreeBackend, ScalarBackend, ScanBackend,
+    combine_terminations, scan_block_into, AutoBackend, ExecCtx, GpuSimBackend, LaunchExecutor,
+    LaunchOutput, LockstepBackend, ProductTreeBackend, ScalarBackend, ScanBackend,
     AUTO_LOCKSTEP_MIN_BITS, AUTO_MAX_BETA_FRACTION, AUTO_PRODUCT_TREE_MIN_MODULI,
 };
 pub use layers::{CheckpointLayer, FaultLayer, MetricsLayer, RetryLayer};
 pub use report::{
-    FaultStats, Finding, FindingKind, LaunchMetrics, NoSimulatedClock, PipelineReport,
-    ResumableReport, ScanError, ScanMetrics, ScanReport,
+    FaultStats, Finding, FindingKind, LaunchMetrics, NoSimulatedClock, PipelineReport, ScanError,
+    ScanMetrics, ScanReport,
 };
 
 use crate::arena::ModuliArena;
@@ -60,9 +58,8 @@ use crate::checkpoint::{JournalError, JournalHeader, ScanJournal};
 use crate::fault::FaultPlan;
 use crate::pairing::{group_size_for, GroupedPairs};
 use crate::shard::Tile;
-use bulkgcd_bigint::Nat;
 use bulkgcd_core::Algorithm;
-use bulkgcd_gpu::{CostModel, DeviceConfig, RetryPolicy};
+use bulkgcd_gpu::RetryPolicy;
 use layers::run_layered_launch;
 use rayon::prelude::*;
 use std::path::PathBuf;
@@ -647,192 +644,15 @@ fn run_layered(
     })
 }
 
-// ---------------------------------------------------------------------------
-// Legacy entry points — thin deprecated shims over the builder, kept one
-// release for API stability and pinned bitwise-equal to their pre-refactor
-// outputs by the `shim_pins` test suite.
-// ---------------------------------------------------------------------------
-
-/// Scan all pairs of `moduli` on the CPU with `algo`, using every rayon
-/// worker. `early` enables the §V early termination (recommended).
-#[deprecated(
-    since = "0.5.0",
-    note = "use ScanPipeline::new(&arena).algorithm(algo).early(early).run() — see DESIGN.md's migration table"
-)]
-pub fn scan_cpu(moduli: &[Nat], algo: Algorithm, early: bool) -> Result<ScanReport, ScanError> {
-    let arena = ModuliArena::try_from_moduli(moduli)?;
-    #[allow(deprecated)]
-    Ok(scan_cpu_arena(&arena, algo, early))
-}
-
-/// `scan_cpu` over a pre-packed [`ModuliArena`].
-#[deprecated(
-    since = "0.5.0",
-    note = "use ScanPipeline::new(arena).algorithm(algo).early(early).run()"
-)]
-pub fn scan_cpu_arena(arena: &ModuliArena, algo: Algorithm, early: bool) -> ScanReport {
-    ScanPipeline::new(arena)
-        .algorithm(algo)
-        .early(early)
-        .run()
-        // analyze: allow(no-panic, reason = "deprecated shim; a pipeline with no journal/fault layers is infallible by construction")
-        .expect("the un-layered scalar scan cannot fail")
-        .scan
-}
-
-/// Scan all pairs of `moduli` on the simulated GPU in launches of
-/// `launch_pairs` lanes.
-#[deprecated(
-    since = "0.5.0",
-    note = "use ScanPipeline::new(&arena).backend(GpuSimBackend { device, cost }).launch_pairs(n).run()"
-)]
-pub fn scan_gpu_sim(
-    moduli: &[Nat],
-    algo: Algorithm,
-    early: bool,
-    device: &DeviceConfig,
-    cost: &CostModel,
-    launch_pairs: usize,
-) -> Result<ScanReport, ScanError> {
-    let arena = ModuliArena::try_from_moduli(moduli)?;
-    #[allow(deprecated)]
-    Ok(scan_gpu_sim_arena(
-        &arena,
-        algo,
-        early,
-        device,
-        cost,
-        launch_pairs,
-    ))
-}
-
-/// `scan_gpu_sim` over a pre-packed [`ModuliArena`].
-#[deprecated(
-    since = "0.5.0",
-    note = "use ScanPipeline::new(arena).backend(GpuSimBackend { device, cost }).launch_pairs(n).run()"
-)]
-pub fn scan_gpu_sim_arena(
-    arena: &ModuliArena,
-    algo: Algorithm,
-    early: bool,
-    device: &DeviceConfig,
-    cost: &CostModel,
-    launch_pairs: usize,
-) -> ScanReport {
-    ScanPipeline::new(arena)
-        .algorithm(algo)
-        .early(early)
-        .backend(GpuSimBackend {
-            device: device.clone(),
-            cost: cost.clone(),
-        })
-        .launch_pairs(launch_pairs)
-        .run()
-        // analyze: allow(no-panic, reason = "deprecated shim; a pipeline with no journal/fault layers is infallible by construction")
-        .expect("the un-layered GPU-sim scan cannot fail")
-        .scan
-}
-
-/// Serial reference for `scan_gpu_sim`: same launches, same order, one
-/// after another on the calling thread.
-#[deprecated(
-    since = "0.5.0",
-    note = "use ScanPipeline::new(&arena).backend(GpuSimBackend { device, cost }).launch_pairs(n).serial(true).run()"
-)]
-pub fn scan_gpu_sim_serial(
-    moduli: &[Nat],
-    algo: Algorithm,
-    early: bool,
-    device: &DeviceConfig,
-    cost: &CostModel,
-    launch_pairs: usize,
-) -> Result<ScanReport, ScanError> {
-    let arena = ModuliArena::try_from_moduli(moduli)?;
-    Ok(ScanPipeline::new(&arena)
-        .algorithm(algo)
-        .early(early)
-        .backend(GpuSimBackend {
-            device: device.clone(),
-            cost: cost.clone(),
-        })
-        .launch_pairs(launch_pairs)
-        .serial(true)
-        .run()
-        // analyze: allow(no-panic, reason = "deprecated shim; a pipeline with no journal/fault layers is infallible by construction")
-        .expect("the un-layered GPU-sim scan cannot fail")
-        .scan)
-}
-
-/// Scan all pairs of `moduli` on the host through the lockstep SIMT engine
-/// in warps of `warp_width` lanes.
-#[deprecated(
-    since = "0.5.0",
-    note = "use ScanPipeline::new(&arena).backend(LockstepBackend::new(warp_width)).run()"
-)]
-pub fn scan_lockstep(
-    moduli: &[Nat],
-    early: bool,
-    warp_width: usize,
-) -> Result<ScanReport, ScanError> {
-    let arena = ModuliArena::try_from_moduli(moduli)?;
-    #[allow(deprecated)]
-    Ok(scan_lockstep_arena(&arena, early, warp_width))
-}
-
-/// `scan_lockstep` over a pre-packed [`ModuliArena`].
-#[deprecated(
-    since = "0.5.0",
-    note = "use ScanPipeline::new(arena).backend(LockstepBackend::new(warp_width)).run()"
-)]
-pub fn scan_lockstep_arena(arena: &ModuliArena, early: bool, warp_width: usize) -> ScanReport {
-    ScanPipeline::new(arena)
-        .early(early)
-        .backend(LockstepBackend::new(warp_width))
-        .run()
-        // analyze: allow(no-panic, reason = "deprecated shim; a pipeline with no journal/fault layers is infallible by construction")
-        .expect("the un-layered lockstep scan cannot fail")
-        .scan
-}
-
-/// Fault-tolerant, resumable variant of `scan_gpu_sim_arena`.
-#[deprecated(
-    since = "0.5.0",
-    note = "use ScanPipeline::new(arena).backend(GpuSimBackend { device, cost }).launch_pairs(n).journal(j).faults(plan).retry(policy).run()"
-)]
-#[allow(clippy::too_many_arguments)]
-pub fn scan_gpu_sim_resumable(
-    arena: &ModuliArena,
-    algo: Algorithm,
-    early: bool,
-    device: &DeviceConfig,
-    cost: &CostModel,
-    launch_pairs: usize,
-    journal: &mut ScanJournal,
-    plan: &FaultPlan,
-    policy: &RetryPolicy,
-) -> Result<ResumableReport, ScanError> {
-    ScanPipeline::new(arena)
-        .algorithm(algo)
-        .early(early)
-        .backend(GpuSimBackend {
-            device: device.clone(),
-            cost: cost.clone(),
-        })
-        .launch_pairs(launch_pairs)
-        .journal(journal)
-        .faults(plan)
-        .retry(*policy)
-        .run()
-        .map(PipelineReport::into_resumable)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::arena::ArenaError;
     use bulkgcd_bigint::prime::random_prime;
     use bulkgcd_bigint::random::random_odd_bits;
+    use bulkgcd_bigint::Nat;
     use bulkgcd_core::Termination;
+    use bulkgcd_gpu::{CostModel, DeviceConfig};
     use bulkgcd_rsa::build_corpus;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -886,14 +706,13 @@ mod tests {
         launch_pairs: usize,
         journal: &mut ScanJournal,
         plan: &FaultPlan,
-    ) -> Result<ResumableReport, ScanError> {
+    ) -> Result<PipelineReport, ScanError> {
         ScanPipeline::new(arena)
             .backend(gpu_backend())
             .launch_pairs(launch_pairs)
             .journal(journal)
             .faults(plan)
             .run()
-            .map(PipelineReport::into_resumable)
     }
 
     fn check_findings_match_ground_truth(findings: &[Finding], corpus: &bulkgcd_rsa::Corpus) {
@@ -1242,7 +1061,7 @@ mod tests {
     fn fault_free_reference(
         arena: &ModuliArena,
         launch_pairs: usize,
-    ) -> (ScanReport, ResumableReport) {
+    ) -> (ScanReport, PipelineReport) {
         let plain = ScanPipeline::new(arena)
             .backend(gpu_backend())
             .launch_pairs(launch_pairs)

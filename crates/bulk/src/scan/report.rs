@@ -184,17 +184,6 @@ pub struct FaultStats {
     pub backoff: Duration,
 }
 
-/// A [`ScanReport`] plus the fault-tolerance bookkeeping of the run that
-/// produced it (the legacy resumable-scan result shape).
-#[derive(Debug, Clone)]
-pub struct ResumableReport {
-    /// The scan outcome — findings identical to an uninterrupted run over
-    /// the same corpus.
-    pub scan: ScanReport,
-    /// Resume/retry/fallback accounting for this run.
-    pub stats: FaultStats,
-}
-
 /// Everything a [`ScanPipeline`](crate::scan::ScanPipeline) run produces.
 #[derive(Debug, Clone)]
 pub struct PipelineReport {
@@ -206,16 +195,6 @@ pub struct PipelineReport {
     /// Per-launch execution metrics, when the pipeline's metrics layer was
     /// enabled.
     pub metrics: Option<ScanMetrics>,
-}
-
-impl PipelineReport {
-    /// The legacy resumable-report view of this run.
-    pub fn into_resumable(self) -> ResumableReport {
-        ResumableReport {
-            scan: self.scan,
-            stats: self.stats,
-        }
-    }
 }
 
 /// Execution metrics of one pipeline launch.

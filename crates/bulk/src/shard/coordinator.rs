@@ -39,6 +39,7 @@ use crate::checkpoint::{corpus_fingerprint, ScanJournal};
 use crate::journal::{field, parse_hex_u64, parse_num, Corrupt, Journal};
 use crate::shard::TilePlan;
 use bulkgcd_core::Algorithm;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::io;
 use std::path::Path;
@@ -265,9 +266,15 @@ pub struct CoordStats {
 pub struct Coordinator {
     log: Journal,
     header: Option<LedgerHeader>,
-    states: Vec<TileState>,
+    /// Every tile that has left [`TileState::Unassigned`], by index. Only
+    /// touched tiles are stored, so the header's `tiles=` count (which a
+    /// hand-edited ledger can set to anything) never sizes an allocation.
+    states: BTreeMap<usize, TileState>,
     stats: CoordStats,
 }
+
+/// The state of every in-plan tile absent from [`Coordinator::states`].
+static UNASSIGNED: TileState = TileState::Unassigned;
 
 impl Coordinator {
     /// A ledger with no backing file: protocol semantics without I/O.
@@ -275,7 +282,7 @@ impl Coordinator {
         Coordinator {
             log: Journal::in_memory(MAGIC),
             header: None,
-            states: Vec::new(),
+            states: BTreeMap::new(),
             stats: CoordStats::default(),
         }
     }
@@ -299,9 +306,8 @@ impl Coordinator {
         };
         match line.as_bytes().first() {
             Some(b'H') => {
-                let header = parse_header(line, lineno)?;
-                self.states = vec![TileState::Unassigned; header.tiles];
-                self.header = Some(header);
+                self.header = Some(parse_header(line, lineno)?);
+                self.states.clear();
             }
             Some(b'A') | Some(b'R') => {
                 let (tile, worker, expires) = parse_lease_line(line, lineno)?;
@@ -335,11 +341,19 @@ impl Coordinator {
     }
 
     fn state_mut(&mut self, tile: usize, lineno: usize) -> Result<&mut TileState, LedgerError> {
-        let tiles = self.states.len();
-        self.states.get_mut(tile).ok_or(LedgerError::Corrupt {
-            line: lineno,
-            reason: format!("tile {tile} out of range (header declares {tiles} tiles)"),
-        })
+        let tiles = self.tiles();
+        if tile >= tiles {
+            return Err(LedgerError::Corrupt {
+                line: lineno,
+                reason: format!("tile {tile} out of range (header declares {tiles} tiles)"),
+            });
+        }
+        Ok(self.states.entry(tile).or_insert(TileState::Unassigned))
+    }
+
+    /// The plan's tile count (0 before the ledger is bound to a header).
+    fn tiles(&self) -> usize {
+        self.header.as_ref().map_or(0, |h| h.tiles)
     }
 
     /// Bind the ledger to `header`, or verify it is already bound to an
@@ -348,7 +362,6 @@ impl Coordinator {
     pub fn check_compatible(&mut self, header: &LedgerHeader) -> Result<(), LedgerError> {
         let Some(existing) = &self.header else {
             self.log.bind(&header.to_line())?;
-            self.states = vec![TileState::Unassigned; header.tiles];
             self.header = Some(header.clone());
             return Ok(());
         };
@@ -416,19 +429,22 @@ impl Coordinator {
         now: u64,
         lease_ticks: u64,
     ) -> Result<Option<Lease>, LedgerError> {
-        for tile in 0..self.states.len() {
-            let reclaim = match &self.states[tile] {
-                TileState::Unassigned => false,
-                TileState::Leased { expires, .. } if now >= *expires => true,
-                _ => continue,
+        for tile in 0..self.tiles() {
+            let reclaim = match self.states.get(&tile) {
+                None | Some(TileState::Unassigned) => false,
+                Some(TileState::Leased { expires, .. }) if now >= *expires => true,
+                Some(_) => continue,
             };
             let expires = now.saturating_add(lease_ticks.max(1));
             self.log
                 .append_line(&format!("A tile={tile} worker={worker} expires={expires}"))?;
-            self.states[tile] = TileState::Leased {
-                worker: worker.to_string(),
-                expires,
-            };
+            self.states.insert(
+                tile,
+                TileState::Leased {
+                    worker: worker.to_string(),
+                    expires,
+                },
+            );
             self.stats.assignments += 1;
             if reclaim {
                 self.stats.reclaimed_leases += 1;
@@ -457,7 +473,7 @@ impl Coordinator {
                 worker: worker.to_string(),
             })
         };
-        match self.states.get(tile) {
+        match self.tile_state(tile) {
             None => Err(LedgerError::UnknownTile { tile }),
             Some(TileState::Leased {
                 worker: holder,
@@ -470,10 +486,13 @@ impl Coordinator {
                 let expires = now.saturating_add(lease_ticks.max(1));
                 self.log
                     .append_line(&format!("R tile={tile} worker={worker} expires={expires}"))?;
-                self.states[tile] = TileState::Leased {
-                    worker: worker.to_string(),
-                    expires,
-                };
+                self.states.insert(
+                    tile,
+                    TileState::Leased {
+                        worker: worker.to_string(),
+                        expires,
+                    },
+                );
                 self.stats.renewals += 1;
                 Ok(expires)
             }
@@ -496,7 +515,7 @@ impl Coordinator {
         worker: &str,
         fingerprint: u64,
     ) -> Result<Completion, LedgerError> {
-        match self.states.get(tile) {
+        match self.tile_state(tile) {
             None => Err(LedgerError::UnknownTile { tile }),
             Some(TileState::Complete {
                 fingerprint: have, ..
@@ -515,10 +534,13 @@ impl Coordinator {
                 self.log.append_line(&format!(
                     "C tile={tile} worker={worker} fp={fingerprint:016x}"
                 ))?;
-                self.states[tile] = TileState::Complete {
-                    worker: worker.to_string(),
-                    fingerprint,
-                };
+                self.states.insert(
+                    tile,
+                    TileState::Complete {
+                        worker: worker.to_string(),
+                        fingerprint,
+                    },
+                );
                 Ok(Completion::Accepted)
             }
         }
@@ -526,24 +548,24 @@ impl Coordinator {
 
     /// Whether every tile is complete.
     pub fn all_complete(&self) -> bool {
-        self.states
-            .iter()
-            .all(|s| matches!(s, TileState::Complete { .. }))
+        self.incomplete() == 0
     }
 
     /// Number of tiles not yet complete.
     pub fn incomplete(&self) -> usize {
-        self.states
-            .iter()
-            .filter(|s| !matches!(s, TileState::Complete { .. }))
-            .count()
+        let complete = self
+            .states
+            .values()
+            .filter(|s| matches!(s, TileState::Complete { .. }))
+            .count();
+        self.tiles() - complete
     }
 
     /// The earliest lease expiry among leased tiles — the tick at which
     /// an idle caller should retry [`acquire`](Self::acquire).
     pub fn next_expiry(&self) -> Option<u64> {
         self.states
-            .iter()
+            .values()
             .filter_map(|s| match s {
                 TileState::Leased { expires, .. } => Some(*expires),
                 _ => None,
@@ -553,12 +575,12 @@ impl Coordinator {
 
     /// The state of tile `tile`, if it is in the plan.
     pub fn tile_state(&self, tile: usize) -> Option<&TileState> {
-        self.states.get(tile)
+        (tile < self.tiles()).then(|| self.states.get(&tile).unwrap_or(&UNASSIGNED))
     }
 
     /// The accepted fingerprint of tile `tile`, if it is complete.
     pub fn completed_fingerprint(&self, tile: usize) -> Option<u64> {
-        match self.states.get(tile) {
+        match self.states.get(&tile) {
             Some(TileState::Complete { fingerprint, .. }) => Some(*fingerprint),
             _ => None,
         }
@@ -794,6 +816,37 @@ mod tests {
             other => panic!("expected fingerprint mismatch, got {other:?}"),
         }
         c.check_compatible(&header(2)).unwrap();
+    }
+
+    #[test]
+    fn ledger_header_tile_count_sizes_no_allocation() {
+        // A hand-edited `tiles=` far beyond any plan must neither size an
+        // allocation on open nor bind: the run's own header refuses it.
+        let dir = std::env::temp_dir().join("bulkgcd-ledger-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("huge-tiles-{}.ledger", std::process::id()));
+        let mut hostile = header(2);
+        hostile.tiles = usize::MAX;
+        std::fs::write(
+            &path,
+            format!(
+                "{MAGIC}\n{}\nA tile={} worker=w0 expires=5\n",
+                hostile.to_line(),
+                usize::MAX - 1
+            ),
+        )
+        .unwrap();
+        let mut c = Coordinator::open(&path).unwrap();
+        assert_eq!(c.header(), Some(&hostile));
+        assert!(matches!(
+            c.tile_state(usize::MAX - 1),
+            Some(TileState::Leased { expires: 5, .. })
+        ));
+        match c.check_compatible(&header(2)) {
+            Err(LedgerError::Mismatch { field: "tiles", .. }) => {}
+            other => panic!("expected tiles mismatch, got {other:?}"),
+        }
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

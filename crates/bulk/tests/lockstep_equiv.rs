@@ -17,7 +17,8 @@
 
 use bulkgcd_bigint::{Limb, Nat};
 use bulkgcd_bulk::{
-    Backend, CompactionConfig, LockstepBackend, LockstepEngine, ModuliArena, ScanPipeline,
+    AutoBackend, CompactionConfig, Finding, LockstepBackend, LockstepEngine, ModuliArena,
+    ScanBackend, ScanPipeline,
 };
 use bulkgcd_core::{run_in_place, Algorithm, GcdPair, GcdStatus, NoProbe, StepKind, Termination};
 use bulkgcd_gpu::{execute_warp, CostModel, DeviceConfig, WarpWork};
@@ -195,6 +196,16 @@ proptest! {
     }
 }
 
+fn findings_with(arena: &ModuliArena, backend: impl ScanBackend + 'static) -> Vec<Finding> {
+    ScanPipeline::new(arena)
+        .backend(backend)
+        .launch_pairs(32)
+        .run()
+        .expect("backend scan")
+        .scan
+        .findings
+}
+
 /// Pipeline-level finding equivalence: plain lockstep, compacted lockstep,
 /// and the auto selector all land on the scalar pipeline's findings, byte
 /// for byte, on corpora with planted shared primes.
@@ -210,18 +221,21 @@ fn compacted_and_auto_backends_match_scalar_findings() {
             .scan
             .findings;
         assert!(!reference.is_empty(), "corpus plants shared primes");
-        for backend in [Backend::Lockstep, Backend::LockstepCompact, Backend::Auto] {
-            let got = ScanPipeline::new(&arena)
-                .backend(backend)
-                .launch_pairs(32)
-                .run()
-                .expect("backend scan")
-                .scan
-                .findings;
-            assert_eq!(
-                got, reference,
-                "{backend:?} findings diverge at {bits} bits"
-            );
+        for (name, got) in [
+            (
+                "lockstep",
+                findings_with(&arena, LockstepBackend::default()),
+            ),
+            (
+                "lockstep-compact",
+                findings_with(
+                    &arena,
+                    LockstepBackend::default().with_compaction(CompactionConfig::default()),
+                ),
+            ),
+            ("auto", findings_with(&arena, AutoBackend::default())),
+        ] {
+            assert_eq!(got, reference, "{name} findings diverge at {bits} bits");
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Backend selection: fixed engines vs the auto-tuning selector.
 //!
 //! The same corpus scanned four ways — scalar arena loop, plain lockstep
-//! warps, queue-mode compacted lockstep, and `Backend::Auto`, which
+//! warps, queue-mode compacted lockstep, and `AutoBackend`, which
 //! probes the corpus (size, operand width, a shallow divergence pilot)
 //! and picks the fastest strategy itself. Findings are identical in
 //! every case; the metrics layer reports which backend auto chose.
@@ -35,14 +35,8 @@ fn main() {
         .expect("compacted scan")
         .scan;
 
-    // `Backend::Auto` is the one-stop enum form; constructing an
-    // `AutoBackend` directly caches the per-corpus resolution and lets
-    // the metrics layer report it as "auto:<choice>".
-    let enum_auto = ScanPipeline::new(&arena)
-        .backend(Backend::Auto)
-        .run()
-        .expect("auto scan")
-        .scan;
+    // `AutoBackend` resolves its choice once per corpus and the metrics
+    // layer reports it as "auto:<choice>".
     let auto = ScanPipeline::new(&arena)
         .backend(AutoBackend::new(32))
         .metrics()
@@ -51,7 +45,6 @@ fn main() {
 
     assert_eq!(lockstep.findings, scalar.findings);
     assert_eq!(compacted.findings, scalar.findings);
-    assert_eq!(enum_auto.findings, scalar.findings);
     assert_eq!(auto.scan.findings, scalar.findings);
 
     let metrics = auto.metrics.expect("metrics layer collects");

@@ -81,7 +81,7 @@ cargo run --release -q -p bulkgcd-bench --bin scan_bench -- --shards 4 --inject-
 echo "== shard gate: per-shard serial efficiency >= 0.80x at 4 shards"
 cargo run --release -q -p bulkgcd-bench --bin scan_bench -- --gate-shards
 
-echo "== perf gates: lockstep >= 0.95x scalar arena scan, builder pipeline >= 0.98x direct call,"
+echo "== perf gates: lockstep >= 0.95x scalar arena scan, builder pipeline >= 0.98x direct run_warp loop,"
 echo "==             compaction occupancy >= 1.15x plain at 128-bit + wall-clock floors, auto >= 0.90x best fixed,"
 echo "==             streaming ingest >= 1M keys/s at m=64k with a bounded peak-RSS delta"
 cargo run --release -q -p bulkgcd-bench --bin scan_bench -- \

@@ -3,7 +3,7 @@
 //! ```text
 //! bulkgcd gen    --keys 64 --bits 512 --weak-pairs 3 --out corpus.txt
 //! bulkgcd ingest corpus.txt --out corpus.arena [--min-bits B]
-//! bulkgcd scan   corpus.txt [--engine cpu|lockstep|gpu|blocks|batch|auto] [--algo E] [--full] [--metrics-out m.json]
+//! bulkgcd scan   corpus.txt [--engine cpu|lockstep|gpu|batch|auto] [--algo E] [--full] [--metrics-out m.json]
 //!                [--shards N] [--shard-dir DIR]
 //! bulkgcd scan   corpus.arena --arena [--chunk-limbs N]
 //! bulkgcd check  corpus.txt <modulus-hex>
@@ -208,8 +208,6 @@ fn apply_engine<'a>(
             pipeline = pipeline.backend(ProductTreeBackend { parallel: true });
         }
         "auto" => {
-            // AutoBackend (not Backend::Auto) so a --metrics-out report
-            // names the resolved choice as "auto:<backend>".
             pipeline = pipeline.backend(AutoBackend::new(32));
         }
         other => return Err(format!("unknown engine {other:?}")),
@@ -260,7 +258,7 @@ fn cmd_scan(args: &Args) -> Result<(), String> {
     let path = args
         .positional
         .get(1)
-        .ok_or("usage: bulkgcd scan <corpus-file> [--engine cpu|lockstep|gpu|blocks|batch|auto]")?;
+        .ok_or("usage: bulkgcd scan <corpus-file> [--engine cpu|lockstep|gpu|batch|auto]")?;
     if args.has("arena") {
         return cmd_scan_arena(args, path);
     }
@@ -283,7 +281,7 @@ fn cmd_scan(args: &Args) -> Result<(), String> {
     let metrics_out = args.get("metrics-out");
     let shards: usize = args.get_parse("shards", 0)?;
     if shards > 0 {
-        if engine == "blocks" || engine == "batch" || engine == "auto" {
+        if engine == "batch" || engine == "auto" {
             return Err(format!(
                 "--shards requires a per-launch engine (cpu, gpu, or lockstep), not {engine:?}"
             ));
@@ -299,52 +297,27 @@ fn cmd_scan(args: &Args) -> Result<(), String> {
             shards,
         );
     }
-    let findings: Vec<Finding> = if engine == "blocks" {
-        // The §VII block-shaped launch has its own report type and is not a
-        // pipeline backend; metrics come from its GpuReport instead.
-        if metrics_out.is_some() {
-            return Err("--metrics-out is not supported with --engine blocks".into());
-        }
-        let r = group_size_for(moduli.len());
-        let rep = scan_gpu_blocks(
-            &moduli,
-            algo,
-            early,
-            &DeviceConfig::gtx_780_ti(),
-            &CostModel::default(),
-            r,
-        );
+    let arena = ModuliArena::try_from_moduli(&moduli).map_err(|e| e.to_string())?;
+    let mut pipeline = ScanPipeline::new(&arena).algorithm(algo).early(early);
+    pipeline = apply_engine(pipeline, engine, algo)?;
+    if metrics_out.is_some() {
+        pipeline = pipeline.metrics();
+    }
+    let rep = pipeline.run().map_err(|e| e.to_string())?;
+    report_timing(engine, &rep.scan);
+    report_duplicates(&rep.scan);
+    if let Some(path) = metrics_out {
+        let metrics = rep
+            .metrics
+            .as_ref()
+            .expect("metrics layer was enabled for --metrics-out");
+        std::fs::write(path, metrics.to_json()).map_err(|e| format!("writing {path}: {e}"))?;
         eprintln!(
-            "simulated GPU block launch (r = {r}, {} blocks): {:.6} s simulated, SIMT eff {:.1}%",
-            rep.blocks,
-            rep.gpu.seconds,
-            rep.gpu.mean_simt_efficiency * 100.0
+            "wrote {} launch metrics ({} backend) to {path}",
+            metrics.total_launches, metrics.backend
         );
-        rep.findings
-    } else {
-        let arena = ModuliArena::try_from_moduli(&moduli).map_err(|e| e.to_string())?;
-        let mut pipeline = ScanPipeline::new(&arena).algorithm(algo).early(early);
-        pipeline = apply_engine(pipeline, engine, algo)?;
-        if metrics_out.is_some() {
-            pipeline = pipeline.metrics();
-        }
-        let rep = pipeline.run().map_err(|e| e.to_string())?;
-        report_timing(engine, &rep.scan);
-        report_duplicates(&rep.scan);
-        if let Some(path) = metrics_out {
-            let metrics = rep
-                .metrics
-                .as_ref()
-                .expect("metrics layer was enabled for --metrics-out");
-            std::fs::write(path, metrics.to_json()).map_err(|e| format!("writing {path}: {e}"))?;
-            eprintln!(
-                "wrote {} launch metrics ({} backend) to {path}",
-                metrics.total_launches, metrics.backend
-            );
-        }
-        rep.scan.findings
-    };
-    print_findings(&findings, &report.acceptance);
+    }
+    print_findings(&rep.scan.findings, &report.acceptance);
     Ok(())
 }
 
@@ -384,7 +357,7 @@ fn cmd_scan_arena(args: &Args, path: &str) -> Result<(), String> {
     } else {
         let arena = source.load_arena().map_err(|e| e.to_string())?;
         if shards > 0 {
-            if engine == "blocks" || engine == "batch" || engine == "auto" {
+            if engine == "batch" || engine == "auto" {
                 return Err(format!(
                     "--shards requires a per-launch engine (cpu, gpu, or lockstep), not {engine:?}"
                 ));
@@ -522,12 +495,6 @@ fn cmd_break(args: &Args) -> Result<(), String> {
     };
     let algo = scan_algo(args)?;
     let engine = args.get("engine").unwrap_or("cpu");
-    if engine == "blocks" {
-        return Err(
-            "break runs a pipeline engine (cpu, lockstep, gpu, batch or auto), not \"blocks\""
-                .into(),
-        );
-    }
     let e = Nat::from_u64(e_val);
     let keys: Vec<PublicKey> = moduli
         .iter()
@@ -637,7 +604,7 @@ fn usage() -> String {
 USAGE:
   bulkgcd gen    [--keys N] [--bits B] [--weak-pairs W] [--seed S] [--out FILE] [--truth FILE]
   bulkgcd ingest <corpus-file> --out <arena-file> [--min-bits B]   # compile a sanitized on-disk arena
-  bulkgcd scan   <corpus-file> [--engine cpu|lockstep|gpu|blocks|batch|auto] [--algo A..E] [--full] [--metrics-out FILE]
+  bulkgcd scan   <corpus-file> [--engine cpu|lockstep|gpu|batch|auto] [--algo A..E] [--full] [--metrics-out FILE]
                  [--shards N] [--shard-dir DIR]   # tile-sharded scan with a resumable lease ledger
   bulkgcd scan   <arena-file> --arena [--chunk-limbs N]   # scan a compiled arena; with a chunk budget,
                  # stream it through a bounded window (corpora larger than RAM)

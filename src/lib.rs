@@ -44,21 +44,15 @@ pub mod prelude {
     pub use bulkgcd_bigint::{Barrett, Montgomery, Nat};
     pub use bulkgcd_bulk::{
         batch_gcd, batch_gcd_parallel, break_weak_keys, estimate_full_scan, group_size_for,
-        merge_tiles, run_sharded, scan_gpu_blocks, tile_fingerprint, write_arena, ArenaError,
-        ArenaHeader, ArenaSource, AutoBackend, Backend, BreakReport, CheckpointLayer,
-        CompactionConfig, Coordinator, CorpusIndex, FaultLayer, FaultPlan, FaultSpec, FaultStats,
-        Finding, FindingKind, GpuSimBackend, GroupedPairs, JournalError, JournalHeader,
-        LaunchMetrics, LaunchRecord, LockstepBackend, LockstepEngine, MergeError, MetricsLayer,
-        ModuliArena, NoSimulatedClock, PipelineReport, ProductTreeBackend, ResumableReport,
-        RetryLayer, ScalarBackend, ScanBackend, ScanError, ScanJournal, ScanMetrics, ScanPipeline,
-        ScanReport, ShardConfig, ShardError, ShardFaultPlan, ShardFaultSpec, ShardStats,
-        ShardWorker, ShardedReport, StoreError, Tile, TilePlan, ZeroModulus, ARENA_MAGIC,
-        DEFAULT_LAUNCH_PAIRS,
-    };
-    #[allow(deprecated)]
-    pub use bulkgcd_bulk::{
-        scan_cpu, scan_cpu_arena, scan_gpu_sim, scan_gpu_sim_arena, scan_gpu_sim_resumable,
-        scan_gpu_sim_serial, scan_lockstep, scan_lockstep_arena,
+        merge_tiles, run_sharded, tile_fingerprint, write_arena, ArenaError, ArenaHeader,
+        ArenaSource, AutoBackend, BreakReport, CheckpointLayer, CompactionConfig, Coordinator,
+        CorpusIndex, FaultLayer, FaultPlan, FaultSpec, FaultStats, Finding, FindingKind,
+        GpuSimBackend, GroupedPairs, JournalError, JournalHeader, LaunchMetrics, LaunchRecord,
+        LockstepBackend, LockstepEngine, MergeError, MetricsLayer, ModuliArena, NoSimulatedClock,
+        PipelineReport, ProductTreeBackend, RetryLayer, ScalarBackend, ScanBackend, ScanError,
+        ScanJournal, ScanMetrics, ScanPipeline, ScanReport, ShardConfig, ShardError,
+        ShardFaultPlan, ShardFaultSpec, ShardStats, ShardWorker, ShardedReport, StoreError, Tile,
+        TilePlan, ZeroModulus, ARENA_MAGIC, DEFAULT_LAUNCH_PAIRS,
     };
     pub use bulkgcd_core::{
         gcd_nat, lehmer_gcd_nat, run, Algorithm, GcdOutcome, GcdPair, NoProbe, RankSelect,

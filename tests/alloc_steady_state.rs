@@ -1,7 +1,8 @@
 //! Proof of the zero-allocation scan hot loop: a counting global allocator
 //! wraps the system allocator, and the steady-state CPU scan loop (the
-//! per-worker [`scan_block_into`] used by `scan_cpu`) must perform **zero**
-//! heap allocations after its warmup pass on a clean corpus.
+//! per-block [`scan_block_into`], the same per-pair body the scalar
+//! backend's workers run) must perform **zero** heap allocations after its
+//! warmup pass on a clean corpus.
 //!
 //! This file holds exactly one `#[test]` on purpose: the counter is global,
 //! so a sibling test allocating on another harness thread would race it.
@@ -64,7 +65,7 @@ fn steady_state_scan_hot_loop_allocates_nothing() {
 
     for algo in [Algorithm::Approximate, Algorithm::FastBinary] {
         for early in [true, false] {
-            // Worker-local scratch, exactly as scan_cpu's workers hold it.
+            // Worker-local scratch, exactly as the scalar backend's workers hold it.
             let mut pair = GcdPair::with_capacity(arena.stride());
             let mut found = Vec::new();
 

@@ -47,7 +47,6 @@ fn every_lint_fires_on_fixtures() {
         ("panics.rs", false),
         ("unsafe_blocks.rs", false),
         ("casts.rs", true),
-        ("shims.rs", false),
         ("meta.rs", false),
     ] {
         fired.extend(run_fixture(&root, name, bigint_limb));

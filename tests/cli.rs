@@ -107,7 +107,7 @@ fn gen_scan_check_pipeline() {
         .collect();
     assert_eq!(expected.len(), 2);
 
-    for engine in ["cpu", "gpu", "blocks", "batch"] {
+    for engine in ["cpu", "gpu", "batch"] {
         let out = bulkgcd()
             .args(["scan", corpus.to_str().unwrap(), "--engine", engine])
             .output()
@@ -130,6 +130,14 @@ fn gen_scan_check_pipeline() {
             .collect();
         assert_eq!(findings, expected, "engine {engine}");
     }
+
+    // `blocks` names no engine: scan refuses it.
+    let out = bulkgcd()
+        .args(["scan", corpus.to_str().unwrap(), "--engine", "blocks"])
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown engine"));
 
     // Incremental check: a fresh modulus sharing a prime with the corpus.
     let factor_hex = &expected[0].2;
