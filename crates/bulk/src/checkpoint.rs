@@ -1,11 +1,11 @@
 //! Append-only checkpoint journal for resumable scans.
 //!
 //! A full all-pairs sweep of a real corpus takes hours; a crash near the
-//! end must not force a restart from pair zero. The scan pipeline's
-//! [`CheckpointLayer`](crate::scan::CheckpointLayer) commits each completed
-//! launch to a [`ScanJournal`] — launch index, simulated seconds,
-//! CPU-fallback flag, and the launch's findings — and on resume skips
-//! every launch the journal already holds. Because the final report is
+//! end must not force a restart from pair zero. The scan pipeline
+//! ([`ScanPipeline::checkpoint`](crate::scan::ScanPipeline::checkpoint))
+//! commits each completed launch to a [`ScanJournal`] — launch index,
+//! simulated seconds, CPU-fallback flag, and the launch's findings — and
+//! on resume skips every launch the journal already holds. Because the final report is
 //! always merged **from the journal**, a resumed run reduces to exactly the
 //! records an uninterrupted run would have written, making the
 //! resume-equals-rerun property testable byte for byte.

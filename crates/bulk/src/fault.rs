@@ -1,9 +1,9 @@
 //! Deterministic fault plans for testing the resumable scan driver.
 //!
 //! A [`FaultPlan`] maps launch indices to injected failures and is the
-//! [`FaultInjector`] the journaled scan pipeline (its
-//! [`FaultLayer`](crate::scan::FaultLayer)) runs against. Three failure
-//! classes cover the fault surface:
+//! [`FaultInjector`] the scan pipeline's launch loop runs against
+//! ([`ScanPipeline::faults`](crate::scan::ScanPipeline::faults)). Three
+//! failure classes cover the fault surface:
 //!
 //! * **transient** launch faults — retried with exponential backoff;
 //! * **persistent** launch faults — the launch degrades to the CPU path;

@@ -8,10 +8,10 @@
 //!   the scans allocate nothing per pair;
 //! * [`pairing`] — the paper's §VI group/block decomposition of the
 //!   `m(m−1)/2` pairs, with exact-coverage guarantees;
-//! * [`scan`] — the composable [`ScanPipeline`]: one [`ScanBackend`]
-//!   (scalar / lockstep / simulated-GPU / product-tree) crossed with a
-//!   stack of middleware layers (checkpoint, fault injection, retry,
-//!   metrics), all producing identical findings;
+//! * [`scan`] — the [`ScanPipeline`]: one [`ScanBackend`] (scalar /
+//!   lockstep / simulated-GPU / product-tree / auto) driven through one
+//!   launch loop (journal, fault injection, retry, metrics), all
+//!   producing identical findings;
 //! * [`lockstep`] — the lockstep SIMT engine: a launch's operands stored
 //!   column-major (limb `k` of all lanes contiguous, the paper's Fig. 3
 //!   layout), Approximate Euclid executed one shared instruction at a time
@@ -63,15 +63,14 @@ pub use lockstep::{
 pub use pairing::{group_size_for, BlockId, GroupedPairs};
 pub use pipeline::{break_weak_keys, recover_keys, BreakReport, BrokenKey};
 pub use scan::{
-    combine_terminations, scan_block_into, AutoBackend, CheckpointLayer, ExecCtx, FaultLayer,
-    FaultStats, Finding, FindingKind, GpuSimBackend, LaunchExecutor, LaunchMetrics, LaunchOutput,
-    LockstepBackend, MetricsLayer, NoSimulatedClock, PipelineReport, ProductTreeBackend,
-    RetryLayer, ScalarBackend, ScanBackend, ScanError, ScanMetrics, ScanPipeline, ScanReport,
-    AUTO_LOCKSTEP_MIN_BITS, AUTO_MAX_BETA_FRACTION, AUTO_PRODUCT_TREE_MIN_MODULI,
+    combine_terminations, AutoBackend, ExecCtx, FaultStats, Finding, FindingKind, GpuSimBackend,
+    LaunchExecutor, LaunchMetrics, LaunchOutput, LockstepBackend, NoSimulatedClock, PipelineReport,
+    ProductTreeBackend, ScalarBackend, ScanBackend, ScanError, ScanMetrics, ScanPipeline,
+    ScanReport, AUTO_LOCKSTEP_MIN_BITS, AUTO_MAX_BETA_FRACTION, AUTO_PRODUCT_TREE_MIN_MODULI,
     DEFAULT_LAUNCH_PAIRS,
 };
 pub use shard::{
     merge_tiles, run_sharded, tile_fingerprint, Coordinator, MergeError, ShardConfig, ShardError,
-    ShardStats, ShardWorker, ShardedReport, Tile, TilePlan,
+    ShardStats, ShardedReport, Tile, TilePlan,
 };
 pub use store::{write_arena, ArenaHeader, ArenaSource, StoreError, ARENA_MAGIC};

@@ -15,9 +15,8 @@
 
 use crate::arena::ModuliArena;
 use crate::lockstep::{CompactionConfig, LockstepEngine};
-use crate::pairing::{BlockId, GroupedPairs};
 use crate::scan::report::{Finding, FindingKind};
-use bulkgcd_bigint::{Limb, Nat, LIMB_BITS};
+use bulkgcd_bigint::{ops, Limb, Nat, LIMB_BITS};
 use bulkgcd_core::{
     run_in_place, Algorithm, GcdOutcome, GcdPair, GcdStatus, NoProbe, StatsProbe, Termination,
 };
@@ -38,7 +37,7 @@ pub struct ExecCtx<'a> {
 }
 
 /// What one executed launch produced: its findings plus the execution
-/// metrics the pipeline's metrics layer aggregates.
+/// metrics the pipeline aggregates.
 #[derive(Debug, Clone, Default)]
 pub struct LaunchOutput {
     /// Findings, in lane order (the pipeline sorts globally).
@@ -113,28 +112,61 @@ pub trait ScanBackend: Sync {
     }
 }
 
+/// A boxed backend is a backend, so a caller can pick one at run time
+/// (the CLI's `--engine` table) and hand it to the pipeline or the shard
+/// driver.
+impl<B: ScanBackend + ?Sized> ScanBackend for Box<B> {
+    fn name(&self) -> &'static str {
+        (**self).name()
+    }
+
+    fn prices_launches(&self) -> bool {
+        (**self).prices_launches()
+    }
+
+    fn preferred_run_len(&self, total_pairs: usize, workers: usize) -> usize {
+        (**self).preferred_run_len(total_pairs, workers)
+    }
+
+    fn executor(&self, cx: &ExecCtx<'_>) -> Box<dyn LaunchExecutor + Send> {
+        (**self).executor(cx)
+    }
+
+    fn is_whole_corpus(&self) -> bool {
+        (**self).is_whole_corpus()
+    }
+
+    fn run_whole(&self, cx: &ExecCtx<'_>) -> Option<Vec<Finding>> {
+        (**self).run_whole(cx)
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Shared per-pair helpers.
 // ---------------------------------------------------------------------------
 
-/// Classify a non-trivial GCD: a factor equal to either modulus marks a
+/// Classify a non-trivial GCD of the moduli in limb rows `a` and `b`
+/// (high-zero padding allowed): a factor equal to either modulus marks a
 /// duplicate (or dividing) modulus, anything else is a proper shared prime.
 /// Compares borrowed limb slices — no allocation on the scan path.
 #[inline]
-pub(crate) fn kind_of(arena: &ModuliArena, i: usize, j: usize, factor: &Nat) -> FindingKind {
-    if factor.as_limbs() == arena.limbs_trimmed(i) || factor.as_limbs() == arena.limbs_trimmed(j) {
+pub(crate) fn kind_of(factor: &Nat, a: &[Limb], b: &[Limb]) -> FindingKind {
+    let f = factor.as_limbs();
+    if f == &a[..ops::normalized_len(a)] || f == &b[..ops::normalized_len(b)] {
         FindingKind::DuplicateModulus
     } else {
         FindingKind::SharedPrime
     }
 }
 
+/// The per-pair termination for two moduli of `bits_i` and `bits_j`
+/// significant bits.
 #[inline]
-pub(crate) fn termination_for(arena: &ModuliArena, i: usize, j: usize, early: bool) -> Termination {
+pub(crate) fn termination_for(bits_i: u64, bits_j: u64, early: bool) -> Termination {
     if early {
         // s/2 where s is the modulus width: a shared prime has s/2 bits.
         Termination::Early {
-            threshold_bits: arena.bit_len(i).min(arena.bit_len(j)) / 2,
+            threshold_bits: bits_i.min(bits_j) / 2,
         }
     } else {
         Termination::Full
@@ -176,35 +208,35 @@ pub(crate) fn launch_termination(
     combine_terminations(
         lanes
             .iter()
-            .map(|&(i, j)| termination_for(arena, i, j, early)),
+            .map(|&(i, j)| termination_for(arena.bit_len(i), arena.bit_len(j), early)),
     )
 }
 
-/// Scan one §VI block of `grid` against `arena`, appending findings to
-/// `found`. `pair` is caller-provided scratch (reused across blocks by the
-/// scan workers); after warmup the loop performs **no heap allocations**
-/// except when a finding is actually pushed — the property the root
-/// crate's allocation-counting test pins down.
+/// One pair's scan step, the body every scalar path runs: load row `a`
+/// (modulus `i`) and row `b` (modulus `j`) into the caller's `pair`
+/// workspace, run `algo` under `term`, and return the finding when the GCD
+/// is not 1. Once `pair` has grown to the operand width the step performs
+/// **no heap allocations** except for a finding it returns — the property
+/// the root crate's allocation-counting test pins down.
 // analyze: zero-alloc
-pub fn scan_block_into(
-    arena: &ModuliArena,
-    grid: &GroupedPairs,
-    block: BlockId,
-    algo: Algorithm,
-    early: bool,
+#[inline]
+pub(crate) fn scan_pair(
     pair: &mut GcdPair,
-    found: &mut Vec<Finding>,
-) {
-    for (i, j) in grid.block_pair_iter(block) {
-        pair.load_from_limbs(arena.limbs(i), arena.limbs(j));
-        let term = termination_for(arena, i, j, early);
-        if run_in_place(algo, pair, term, &mut NoProbe) == GcdStatus::Done && !pair.gcd_is_one() {
-            // analyze: allow(za-alloc, reason = "a factor hit is the rare path the scan exists to surface; materializing and recording the finding may allocate")
-            let factor = pair.x_nat();
-            let kind = kind_of(arena, i, j, &factor);
-            found.push(Finding { i, j, kind, factor });
-        }
+    algo: Algorithm,
+    term: Termination,
+    i: usize,
+    a: &[Limb],
+    j: usize,
+    b: &[Limb],
+) -> Option<Finding> {
+    pair.load_from_limbs(a, b);
+    if run_in_place(algo, pair, term, &mut NoProbe) != GcdStatus::Done || pair.gcd_is_one() {
+        return None;
     }
+    // analyze: allow(za-alloc, reason = "a factor hit is the rare path the scan exists to surface; materializing the finding allocates")
+    let factor = pair.x_nat();
+    let kind = kind_of(&factor, a, b);
+    Some(Finding { i, j, kind, factor })
 }
 
 /// Run `lanes` on the host with one shared `term` (the CPU degradation path
@@ -217,22 +249,20 @@ pub(crate) fn scalar_fallback(
 ) -> Vec<Finding> {
     let arena = cx.arena;
     let mut pair = GcdPair::with_capacity(arena.stride());
-    let mut found = Vec::new();
-    for &(i, j) in lanes {
-        pair.load_from_limbs(arena.limbs(i), arena.limbs(j));
-        if run_in_place(cx.algo, &mut pair, term, &mut NoProbe) == GcdStatus::Done
-            && !pair.gcd_is_one()
-        {
-            let factor = pair.x_nat();
-            found.push(Finding {
+    lanes
+        .iter()
+        .filter_map(|&(i, j)| {
+            scan_pair(
+                &mut pair,
+                cx.algo,
+                term,
                 i,
+                arena.limbs(i),
                 j,
-                kind: kind_of(arena, i, j, &factor),
-                factor,
-            });
-        }
-    }
-    found
+                arena.limbs(j),
+            )
+        })
+        .collect()
 }
 
 /// Harvest the findings of one executed warp from the engine's lanes.
@@ -248,7 +278,7 @@ fn harvest_warp(
             found.push(Finding {
                 i,
                 j,
-                kind: kind_of(arena, i, j, &factor),
+                kind: kind_of(&factor, arena.limbs(i), arena.limbs(j)),
                 factor,
             });
         }
@@ -274,18 +304,10 @@ impl LaunchExecutor for ScalarExecutor {
         let arena = cx.arena;
         let mut out = LaunchOutput::default();
         for &(i, j) in lanes {
-            self.pair.load_from_limbs(arena.limbs(i), arena.limbs(j));
-            let term = termination_for(arena, i, j, cx.early);
-            if run_in_place(cx.algo, &mut self.pair, term, &mut NoProbe) == GcdStatus::Done
-                && !self.pair.gcd_is_one()
-            {
-                let factor = self.pair.x_nat();
-                out.findings.push(Finding {
-                    i,
-                    j,
-                    kind: kind_of(arena, i, j, &factor),
-                    factor,
-                });
+            let term = termination_for(arena.bit_len(i), arena.bit_len(j), cx.early);
+            let (a, b) = (arena.limbs(i), arena.limbs(j));
+            if let Some(found) = scan_pair(&mut self.pair, cx.algo, term, i, a, j, b) {
+                out.findings.push(found);
             }
         }
         out
@@ -397,7 +419,7 @@ impl LaunchExecutor for LockstepExecutor {
                     out.findings.push(Finding {
                         i,
                         j,
-                        kind: kind_of(arena, i, j, &factor),
+                        kind: kind_of(&factor, arena.limbs(i), arena.limbs(j)),
                         factor,
                     });
                 }
@@ -540,7 +562,7 @@ impl GpuSimExecutor {
                     out.findings.push(Finding {
                         i,
                         j,
-                        kind: kind_of(arena, i, j, g),
+                        kind: kind_of(g, arena.limbs(i), arena.limbs(j)),
                         factor: g.clone(),
                     });
                 }
@@ -656,7 +678,7 @@ fn product_tree_findings(cx: &ExecCtx<'_>, parallel: bool) -> Vec<Finding> {
                         findings.push(Finding {
                             i,
                             j,
-                            kind: kind_of(arena, i, j, &g),
+                            kind: kind_of(&g, arena.limbs(i), arena.limbs(j)),
                             factor: g,
                         });
                     }
@@ -698,6 +720,9 @@ pub const AUTO_MAX_BETA_FRACTION: f64 = 0.05;
 /// one full GCD per sampled pair instead of a whole one.
 pub const AUTO_PROBE_DEPTH_BITS: u64 = 64;
 
+/// How many adjacent-index pairs the divergence probe runs.
+const AUTO_PROBE_PAIRS: usize = 64;
+
 /// The strategy [`AutoBackend`] resolved to for its corpus.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum AutoChoice {
@@ -711,14 +736,15 @@ enum AutoChoice {
 /// prefix) and resolves to the fastest fixed strategy for that corpus:
 ///
 /// 1. **Product tree** when the corpus has at least
-///    `product_tree_min_moduli` moduli — quasi-linear beats any pairwise
-///    scan at scale.
+///    [`AUTO_PRODUCT_TREE_MIN_MODULI`] moduli — quasi-linear beats any
+///    pairwise scan at scale.
 /// 2. **Scalar** when operands are narrower than
 ///    [`AUTO_LOCKSTEP_MIN_BITS`], when the algorithm is not Approximate
 ///    Euclid (the lockstep engine is AEA-only), or when the shallow probe
 ///    sees a β > 0 fraction above [`AUTO_MAX_BETA_FRACTION`] (divergence
 ///    serialization would dominate).
-/// 3. **Lockstep with compaction/refill** otherwise.
+/// 3. **Lockstep with compaction/refill** (the default
+///    [`CompactionConfig`]) otherwise.
 ///
 /// The decision is cached per backend instance, so construct one
 /// `AutoBackend` per corpus. In launch-driven (layered/journaled) runs a product-tree
@@ -728,14 +754,6 @@ enum AutoChoice {
 pub struct AutoBackend {
     /// Lanes per warp for the lockstep resolution (0 → default 32).
     pub warp_width: usize,
-    /// Compaction tuning for the lockstep resolution.
-    pub compaction: CompactionConfig,
-    /// Corpus size at which the product tree takes over.
-    /// 0 → [`AUTO_PRODUCT_TREE_MIN_MODULI`].
-    pub product_tree_min_moduli: usize,
-    /// How many adjacent-index pairs the divergence probe runs
-    /// (0 → default 64).
-    pub probe_pairs: usize,
     choice: OnceLock<AutoChoice>,
 }
 
@@ -757,20 +775,12 @@ impl AutoBackend {
         }
     }
 
-    fn tree_min(&self) -> usize {
-        if self.product_tree_min_moduli == 0 {
-            AUTO_PRODUCT_TREE_MIN_MODULI
-        } else {
-            self.product_tree_min_moduli
-        }
-    }
-
     /// Resolve (once per instance) which strategy this corpus gets.
     fn decide(&self, cx: &ExecCtx<'_>) -> AutoChoice {
         *self.choice.get_or_init(|| {
             let arena = cx.arena;
             let m = arena.len();
-            if m >= self.tree_min() {
+            if m >= AUTO_PRODUCT_TREE_MIN_MODULI {
                 return AutoChoice::ProductTree;
             }
             if cx.algo != Algorithm::Approximate {
@@ -787,18 +797,13 @@ impl AutoBackend {
             // early-terminated after [`AUTO_PROBE_DEPTH_BITS`] bits of
             // reduction — so the probe costs a small fraction of a full
             // GCD per pair and stays negligible next to the scan itself.
-            let sample = if self.probe_pairs == 0 {
-                64
-            } else {
-                self.probe_pairs
-            };
             let width_bits = (arena.stride() * LIMB_BITS as usize) as u64;
             let depth = Termination::Early {
                 threshold_bits: width_bits.saturating_sub(AUTO_PROBE_DEPTH_BITS).max(1),
             };
             let mut probe = StatsProbe::default();
             let mut pair = GcdPair::with_capacity(arena.stride());
-            for i in 0..m.saturating_sub(1).min(sample) {
+            for i in 0..m.saturating_sub(1).min(AUTO_PROBE_PAIRS) {
                 pair.load_from_limbs(arena.limbs(i), arena.limbs(i + 1));
                 run_in_place(Algorithm::Approximate, &mut pair, depth, &mut probe);
             }
@@ -837,7 +842,7 @@ impl ScanBackend for AutoBackend {
     fn executor(&self, cx: &ExecCtx<'_>) -> Box<dyn LaunchExecutor + Send> {
         match self.decide(cx) {
             AutoChoice::Lockstep => LockstepBackend::new(self.width())
-                .with_compaction(self.compaction)
+                .with_compaction(CompactionConfig::default())
                 .executor(cx),
             // Product-tree corpora normally exit via run_whole before any
             // executor is minted; launch-driven drivers degrade to scalar.

@@ -1,25 +1,13 @@
-//! Middleware layers of the scan pipeline.
+//! The per-launch step of the scan pipeline's one launch loop.
 //!
-//! Each layer wraps the backend's launch execution with one orthogonal
-//! concern, and the [`ScanPipeline`](crate::scan::ScanPipeline) builder
-//! stacks them:
-//!
-//! * [`CheckpointLayer`] — commit every completed launch to a
-//!   [`ScanJournal`] the moment it finishes, so a killed scan resumes
-//!   mid-corpus (from `bulk::checkpoint`);
-//! * [`FaultLayer`] — inject deterministic launch faults and process kills
-//!   from a [`FaultPlan`] (from `bulk::fault`, test/chaos harness);
-//! * [`RetryLayer`] — retry transiently faulted launches with exponential
-//!   backoff under a [`RetryPolicy`], degrading persistently failing
-//!   launches to the CPU path (from `gpu::fault`);
-//! * [`MetricsLayer`] — time every launch and collect its warp work and
-//!   retry accounting into a structured
-//!   [`ScanMetrics`](crate::scan::ScanMetrics).
-//!
-//! The per-launch composition lives in [`run_layered_launch`]: fault
-//! injection and retry wrap the backend executor, checkpointing records
-//! the result, metrics observes all of it. Layer order is fixed by the
-//! pipeline (it is semantics, not configuration).
+//! Every launch-driven scan runs each launch through
+//! [`run_layered_launch`]: fault injection from a
+//! [`FaultPlan`] ([`FaultPlan::none`] unless the caller set one) and
+//! retry-with-backoff under a [`RetryPolicy`] wrap the backend executor,
+//! and a launch that exhausts its retries degrades to the CPU path. The
+//! result is a journal record, which the pipeline commits to its
+//! [`ScanJournal`] (a file, a caller-held journal, or an in-memory one),
+//! plus the launch's metrics row.
 
 use crate::checkpoint::{LaunchRecord, ScanJournal};
 use crate::fault::FaultPlan;
@@ -32,37 +20,16 @@ use std::time::Instant;
 /// Journal a scan commits completed launches to: a path the pipeline opens
 /// (and owns) itself, or a caller-held journal handle (what the kill/resume
 /// tests use to inspect the journal between runs).
-pub enum CheckpointLayer<'j> {
+pub(crate) enum CheckpointLayer<'j> {
     /// Open (or resume) the journal file at this path.
     Path(PathBuf),
     /// Use a journal the caller already holds.
     Journal(&'j mut ScanJournal),
 }
 
-/// Deterministic fault injection: the launch faults and process kills of a
-/// [`FaultPlan`] applied to every launch the pipeline runs.
-#[derive(Clone, Copy)]
-pub struct FaultLayer<'p> {
-    /// The plan faults are drawn from.
-    pub plan: &'p FaultPlan,
-}
-
-/// Retry transiently faulted launches under this policy; launches that
-/// exhaust it degrade to the CPU path instead of aborting the scan.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RetryLayer {
-    /// Attempt/backoff budget per launch.
-    pub policy: RetryPolicy,
-}
-
-/// Collect per-launch execution metrics
-/// ([`ScanMetrics`](crate::scan::ScanMetrics)) alongside the scan report.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MetricsLayer;
-
-/// One launch's fully-layered result: the journal record (what checkpoint
-/// commits) plus the metrics row (what the metrics layer aggregates — also
-/// the source of the run's [`FaultStats`](crate::scan::FaultStats)).
+/// One launch's result: the journal record the pipeline commits plus the
+/// metrics row (also the source of the run's
+/// [`FaultStats`](crate::scan::FaultStats)).
 pub(crate) struct LayeredLaunch {
     pub record: LaunchRecord,
     pub metrics: LaunchMetrics,

@@ -1,20 +1,22 @@
-//! All-pairs weak-key scans, composed from two orthogonal axes.
+//! All-pairs weak-key scans: one backend, one launch loop.
 //!
 //! The paper's bulk-execution strategy is one algorithm (Approximate
-//! Euclid over all `m(m−1)/2` pairs) with orthogonal execution concerns:
-//! *how* GCDs are computed and *what* wraps the execution. This module
-//! encodes exactly that split:
+//! Euclid over all `m(m−1)/2` pairs) launched over batches of pairs. This
+//! module splits *how* a batch gets its GCDs from *how* launches are
+//! driven:
 //!
 //! * a [`ScanBackend`] picks the execution strategy — [`ScalarBackend`]
 //!   (per-pair `run_in_place`), [`LockstepBackend`] (column-major SIMT
 //!   warps), [`GpuSimBackend`] (launches priced on the simulated device),
-//!   [`ProductTreeBackend`] (the batch-GCD baseline);
-//! * middleware layers wrap the launch driver — [`CheckpointLayer`]
-//!   (resumable journal), [`FaultLayer`]/[`RetryLayer`] (fault injection
-//!   and retry-with-backoff), [`MetricsLayer`] (per-launch execution
-//!   metrics);
-//!
-//! composed by the [`ScanPipeline`] builder:
+//!   [`ProductTreeBackend`] (the batch-GCD baseline), [`AutoBackend`]
+//!   (probes the corpus and picks one);
+//! * the [`ScanPipeline`] builder drives every launch-driven scan through
+//!   one loop: each launch runs under a fault plan and retry policy
+//!   ([`faults`](ScanPipeline::faults), [`retry`](ScanPipeline::retry)),
+//!   commits to a scan journal ([`checkpoint`](ScanPipeline::checkpoint),
+//!   [`journal`](ScanPipeline::journal), or an in-memory one), and the
+//!   report is folded from the journal's records in launch order, with
+//!   per-launch [`metrics`](ScanPipeline::metrics) on request.
 //!
 //! ```
 //! use bulkgcd_bigint::Nat;
@@ -39,15 +41,14 @@
 //! per-launch metrics) differ. The builder is the only way to run a scan.
 
 pub mod backend;
-pub mod layers;
+mod layers;
 pub mod report;
 
 pub use backend::{
-    combine_terminations, scan_block_into, AutoBackend, ExecCtx, GpuSimBackend, LaunchExecutor,
-    LaunchOutput, LockstepBackend, ProductTreeBackend, ScalarBackend, ScanBackend,
-    AUTO_LOCKSTEP_MIN_BITS, AUTO_MAX_BETA_FRACTION, AUTO_PRODUCT_TREE_MIN_MODULI,
+    combine_terminations, AutoBackend, ExecCtx, GpuSimBackend, LaunchExecutor, LaunchOutput,
+    LockstepBackend, ProductTreeBackend, ScalarBackend, ScanBackend, AUTO_LOCKSTEP_MIN_BITS,
+    AUTO_MAX_BETA_FRACTION, AUTO_PRODUCT_TREE_MIN_MODULI,
 };
-pub use layers::{CheckpointLayer, FaultLayer, MetricsLayer, RetryLayer};
 pub use report::{
     FaultStats, Finding, FindingKind, LaunchMetrics, NoSimulatedClock, PipelineReport, ScanError,
     ScanMetrics, ScanReport,
@@ -60,40 +61,24 @@ use crate::pairing::{group_size_for, GroupedPairs};
 use crate::shard::Tile;
 use bulkgcd_core::Algorithm;
 use bulkgcd_gpu::RetryPolicy;
-use layers::run_layered_launch;
+use layers::{run_layered_launch, CheckpointLayer, LayeredLaunch};
 use rayon::prelude::*;
 use std::path::PathBuf;
 use std::sync::Mutex;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Launch size (pairs per simulated kernel launch) used when the caller
 /// does not set one on a launch-priced backend.
 pub const DEFAULT_LAUNCH_PAIRS: usize = 4096;
 
-fn count_duplicates(findings: &[Finding]) -> u64 {
-    findings
-        .iter()
-        .filter(|f| f.kind == FindingKind::DuplicateModulus)
-        .count() as u64
-}
-
-fn empty_report(start: Instant, simulated: Option<f64>) -> ScanReport {
-    ScanReport {
-        findings: Vec::new(),
-        pairs_scanned: 0,
-        duplicate_pairs: 0,
-        elapsed: start.elapsed(),
-        simulated_seconds: simulated,
-    }
-}
-
-/// The composable all-pairs scan: one backend, any stack of layers.
+/// The composable all-pairs scan: one backend, one launch loop.
 ///
 /// Defaults: [`Algorithm::Approximate`], §V early termination on, the
-/// [`ScalarBackend`], no layers. `run()` enumerates pairs in the paper's
-/// §VI block order, batches them (into launches for priced backends, into
-/// worker runs otherwise), executes each batch on the backend through the
-/// configured layers, and merges results in launch order — so findings
+/// [`ScalarBackend`], no checkpoint, no faults. `run()` enumerates pairs
+/// in the paper's §VI block order, batches them (into launches for priced
+/// backends, into worker runs otherwise), executes each batch on the
+/// backend under the fault plan and retry policy, commits it to the
+/// journal, and folds the journal's records in launch order — so findings
 /// *and* the floating-point sum of simulated seconds are independent of
 /// the worker count.
 pub struct ScanPipeline<'a> {
@@ -105,15 +90,15 @@ pub struct ScanPipeline<'a> {
     serial: bool,
     tile: Option<Tile>,
     checkpoint: Option<CheckpointLayer<'a>>,
-    fault: Option<FaultLayer<'a>>,
-    retry: RetryLayer,
-    metrics: Option<MetricsLayer>,
+    faults: Option<&'a FaultPlan>,
+    retry: RetryPolicy,
+    metrics: bool,
 }
 
 impl<'a> ScanPipeline<'a> {
     /// Start building a scan over `arena` with the default configuration
     /// (Approximate Euclid, early termination, [`ScalarBackend`], no
-    /// layers).
+    /// checkpoint, no faults).
     pub fn new(arena: &'a ModuliArena) -> Self {
         ScanPipeline {
             arena,
@@ -124,9 +109,9 @@ impl<'a> ScanPipeline<'a> {
             serial: false,
             tile: None,
             checkpoint: None,
-            fault: None,
-            retry: RetryLayer::default(),
-            metrics: None,
+            faults: None,
+            retry: RetryPolicy::default(),
+            metrics: false,
         }
     }
 
@@ -149,8 +134,8 @@ impl<'a> ScanPipeline<'a> {
     }
 
     /// Fix the launch size in pairs. Defaults to [`DEFAULT_LAUNCH_PAIRS`]
-    /// for launch-priced backends and to the backend's preferred worker-run
-    /// length otherwise.
+    /// for launch-priced backends, tiled, checkpointed and faulted scans,
+    /// and to the backend's preferred worker-run length otherwise.
     pub fn launch_pairs(mut self, pairs: usize) -> Self {
         self.launch_pairs = Some(pairs);
         self
@@ -192,24 +177,31 @@ impl<'a> ScanPipeline<'a> {
     /// Inject deterministic launch faults and kills from `plan`
     /// (test/chaos harness; production scans simply omit this).
     pub fn faults(mut self, plan: &'a FaultPlan) -> Self {
-        self.fault = Some(FaultLayer { plan });
+        self.faults = Some(plan);
         self
     }
 
     /// Set the retry/backoff policy for transiently faulted launches
     /// (default: [`RetryPolicy::default`], 4 attempts).
     pub fn retry(mut self, policy: RetryPolicy) -> Self {
-        self.retry = RetryLayer { policy };
+        self.retry = policy;
         self
     }
 
     /// Collect per-launch [`ScanMetrics`] into the report.
     pub fn metrics(mut self) -> Self {
-        self.metrics = Some(MetricsLayer);
+        self.metrics = true;
         self
     }
 
     /// Execute the scan.
+    ///
+    /// Each launch is committed to the journal (and fsynced, when it is a
+    /// file) the moment it completes, from inside the parallel driver, so
+    /// a run that dies at any point keeps every launch that finished before
+    /// the crash; the report is folded from the journal in launch-index
+    /// order, so resumed and uninterrupted runs reduce the same records the
+    /// same way.
     pub fn run(self) -> Result<PipelineReport, ScanError> {
         let start = Instant::now();
         let ScanPipeline {
@@ -221,17 +213,19 @@ impl<'a> ScanPipeline<'a> {
             serial,
             tile,
             checkpoint,
-            fault,
+            faults,
             retry,
             metrics,
         } = self;
         let cx = ExecCtx { arena, algo, early };
-        let layered = checkpoint.is_some() || fault.is_some();
-        let collect_metrics = metrics.is_some();
+        let backend = &*backend;
+        let layered = checkpoint.is_some() || faults.is_some();
+        let prices = backend.prices_launches();
+        let m = arena.len();
 
         // Whole-corpus backends have no launch boundaries: nothing to
         // journal, retry, fault — or restrict to a tile of launches —
-        // surface the mismatch instead of silently ignoring the layers.
+        // surface the mismatch instead of silently ignoring the request.
         if backend.is_whole_corpus() {
             if layered {
                 return Err(ScanError::Unsupported {
@@ -246,402 +240,185 @@ impl<'a> ScanPipeline<'a> {
                 });
             }
         }
-        if layered {
-            run_layered(
-                start,
-                cx,
-                &*backend,
-                launch_pairs,
-                serial,
-                tile,
-                checkpoint,
-                fault,
-                retry,
-                collect_metrics,
-            )
-        } else {
-            run_unlayered(
-                start,
-                cx,
-                &*backend,
-                launch_pairs,
-                serial,
-                tile,
-                collect_metrics,
-            )
+        if !layered && tile.is_none() && m >= 2 {
+            if let Some(findings) = backend.run_whole(&cx) {
+                return Ok(whole_corpus_report(start, backend, m, &findings, metrics));
+            }
         }
-    }
-}
 
-/// Direct mode: no journal, no faults. Batches run straight on the
-/// backend across the rayon pool (or serially), merged in launch order.
-/// A [`Tile`] restricts execution to its launch range; launch numbering
-/// stays global so tiled runs compose back into the unsharded result.
-fn run_unlayered(
-    start: Instant,
-    cx: ExecCtx<'_>,
-    backend: &dyn ScanBackend,
-    launch_pairs: Option<usize>,
-    serial: bool,
-    tile: Option<Tile>,
-    collect_metrics: bool,
-) -> Result<PipelineReport, ScanError> {
-    let prices = backend.prices_launches();
-    let m = cx.arena.len();
+        let mut owned_journal;
+        let journal: &mut ScanJournal = match checkpoint {
+            Some(CheckpointLayer::Journal(j)) => j,
+            Some(CheckpointLayer::Path(path)) => {
+                owned_journal = ScanJournal::open(&path)?;
+                &mut owned_journal
+            }
+            None => {
+                owned_journal = ScanJournal::in_memory();
+                &mut owned_journal
+            }
+        };
+        let none_plan = FaultPlan::none();
+        let plan = faults.unwrap_or(&none_plan);
 
-    // Whole-corpus escape hatch (the product-tree baseline). `run()`
-    // already refused tiles for whole-corpus backends.
-    if m >= 2 && tile.is_none() {
-        if let Some(mut findings) = backend.run_whole(&cx) {
-            let grid = GroupedPairs::new(m, group_size_for(m));
-            findings.sort_by_key(|f| (f.i, f.j));
-            let host = start.elapsed();
-            let metrics = collect_metrics.then(|| ScanMetrics {
-                backend: backend.name(),
-                total_launches: 1,
-                resumed_launches: 0,
-                launches: vec![LaunchMetrics {
-                    launch: 0,
-                    lanes: grid.total_pairs(),
-                    warps: 0,
-                    warp_instructions: 0.0,
-                    mem_transactions: 0,
-                    lane_iterations: 0,
-                    active_lane_iters: 0,
-                    resident_lane_iters: 0,
-                    compactions: 0,
-                    refills: 0,
-                    simulated_seconds: None,
-                    host_seconds: host.as_secs_f64(),
-                    attempts: 1,
-                    backoff: std::time::Duration::ZERO,
-                    cpu_fallback: false,
-                }],
-            });
-            return Ok(PipelineReport {
-                scan: ScanReport {
-                    duplicate_pairs: count_duplicates(&findings),
-                    findings,
-                    pairs_scanned: grid.total_pairs(),
-                    elapsed: start.elapsed(),
-                    simulated_seconds: None,
-                },
-                stats: FaultStats {
-                    total_launches: 1,
-                    executed_launches: 1,
-                    ..FaultStats::default()
-                },
-                metrics,
-            });
-        }
-    }
-
-    if m < 2 {
+        let grid = GroupedPairs::new(m, group_size_for(m));
+        let all: Vec<(usize, usize)> = grid.all_pairs().collect();
+        let lp = match launch_pairs {
+            Some(lp) => lp.max(1),
+            // A tiled, journaled or faulted run must chunk exactly like
+            // every other run of the same plan or journal, so it cannot
+            // use the worker-count-dependent default.
+            None if prices || tile.is_some() || layered => DEFAULT_LAUNCH_PAIRS,
+            None => backend.preferred_run_len(all.len(), rayon::current_num_threads().max(1)),
+        };
+        let mut header = JournalHeader::for_scan(arena, algo, early, lp);
         if let Some(t) = tile {
-            // No pairs means no launches: no tile can fit.
-            return Err(ScanError::InvalidTile {
-                tile_start: t.start,
-                tile_launches: t.launches,
-                launches: 0,
-            });
-        }
-        return Ok(PipelineReport {
-            scan: empty_report(start, prices.then_some(0.0)),
-            stats: FaultStats::default(),
-            metrics: collect_metrics.then(|| ScanMetrics {
-                backend: backend.name(),
-                ..ScanMetrics::default()
-            }),
-        });
-    }
-
-    let grid = GroupedPairs::new(m, group_size_for(m));
-    let all: Vec<(usize, usize)> = grid.all_pairs().collect();
-    let workers = rayon::current_num_threads().max(1);
-    let chunk = match launch_pairs {
-        Some(lp) => lp.max(1),
-        // A tiled run must chunk exactly like every other shard of the
-        // same plan, so it cannot use the worker-count-dependent default.
-        None if prices || tile.is_some() => DEFAULT_LAUNCH_PAIRS,
-        None => backend.preferred_run_len(all.len(), workers),
-    };
-    let launches = (all.len() as u64).div_ceil(chunk as u64);
-    let (lo, hi) = match tile {
-        Some(t) => {
-            if t.launches == 0 || t.end() > launches {
+            if t.launches == 0 || t.end() > header.launches {
                 return Err(ScanError::InvalidTile {
                     tile_start: t.start,
                     tile_launches: t.launches,
-                    launches,
+                    launches: header.launches,
                 });
             }
-            (t.start as usize, t.end() as usize)
+            // The journal binds to the tile, too: a shard journal cannot
+            // resume another shard's tile or the unsharded scan.
+            header.tile_start = t.start;
+            header.tile_launches = t.launches;
         }
-        None => (0, launches as usize),
-    };
-    let chunks: Vec<&[(usize, usize)]> = all.chunks(chunk).collect();
-    let run_chunks = &chunks[lo..hi];
+        journal.check_compatible(&header)?;
+        let chunks: Vec<&[(usize, usize)]> = all.chunks(lp).collect();
+        debug_assert_eq!(chunks.len() as u64, header.launches);
 
-    let outputs: Vec<(LaunchOutput, f64)> = if serial {
-        let mut ex = backend.executor(&cx);
-        run_chunks
-            .iter()
-            .map(|lanes| {
-                let t0 = Instant::now();
-                let out = ex.execute(&cx, lanes);
-                (out, t0.elapsed().as_secs_f64())
-            })
-            .collect()
-    } else {
-        run_chunks
-            .par_iter()
-            .map_init(
-                || backend.executor(&cx),
-                |ex, lanes| {
-                    let t0 = Instant::now();
-                    let out = ex.execute(&cx, lanes);
-                    (out, t0.elapsed().as_secs_f64())
-                },
-            )
-            .collect()
-    };
-
-    let total_launches = outputs.len() as u64;
-    let pairs_scanned = run_chunks.iter().map(|c| c.len() as u64).sum();
-    let mut findings = Vec::new();
-    let mut simulated = 0f64;
-    let mut rows = collect_metrics.then(Vec::new);
-    for (idx, (out, host_seconds)) in outputs.into_iter().enumerate() {
-        simulated += out.simulated_seconds.unwrap_or(0.0);
-        if let Some(rows) = &mut rows {
-            rows.push(LaunchMetrics {
-                launch: (lo + idx) as u64,
-                lanes: run_chunks[idx].len() as u64,
-                warps: out.warps,
-                warp_instructions: out.warp_instructions,
-                mem_transactions: out.mem_transactions,
-                lane_iterations: out.lane_iterations,
-                active_lane_iters: out.active_lane_iters,
-                resident_lane_iters: out.resident_lane_iters,
-                compactions: out.compactions,
-                refills: out.refills,
-                simulated_seconds: out.simulated_seconds,
-                host_seconds,
-                attempts: 1,
-                backoff: std::time::Duration::ZERO,
-                cpu_fallback: false,
-            });
-        }
-        findings.extend(out.findings);
-    }
-    findings.sort_by_key(|f| (f.i, f.j));
-    Ok(PipelineReport {
-        scan: ScanReport {
-            duplicate_pairs: count_duplicates(&findings),
-            findings,
-            pairs_scanned,
-            elapsed: start.elapsed(),
-            simulated_seconds: prices.then_some(simulated),
-        },
-        stats: FaultStats {
-            total_launches,
-            executed_launches: total_launches,
+        // Launch indices stay global even for a tile-restricted run, so the
+        // journal's records and the fault plan's keys mean the same thing
+        // sharded or not.
+        let tile_range = header.tile_start..header.tile_start + header.tile_launches;
+        let pending: Vec<u64> = tile_range
+            .clone()
+            .filter(|&l| !journal.completed(l))
+            .collect();
+        let mut stats = FaultStats {
+            total_launches: header.tile_launches,
+            resumed_launches: header.tile_launches - pending.len() as u64,
             ..FaultStats::default()
-        },
-        metrics: rows.map(|launches| ScanMetrics {
-            backend: backend.name(),
-            total_launches,
-            resumed_launches: 0,
-            launches,
-        }),
-    })
+        };
+
+        // An injected kill at launch k stops the run at that boundary: work
+        // before it commits, nothing at or after it runs — the journal looks
+        // exactly like a crashed process's.
+        let kill_pos = pending.iter().position(|&l| plan.kills(l));
+        let to_run = &pending[..kill_pos.unwrap_or(pending.len())];
+
+        // Each launch commits to the journal the moment it completes — from
+        // inside the parallel map, serialized behind a mutex — so a real crash
+        // (SIGKILL, OOM, power loss) mid-run loses only the launches still in
+        // flight, never the whole run. Commits land in completion order, not
+        // launch order; the journal keys records by launch index, so the final
+        // merge is launch-ordered regardless.
+        let rows: Vec<LaunchMetrics> = {
+            let journal_mx = Mutex::new(&mut *journal);
+            let launch = |ex: &mut Box<dyn LaunchExecutor + Send>, l: u64| {
+                let LayeredLaunch { record, metrics } =
+                    run_layered_launch(&cx, ex.as_mut(), chunks[l as usize], l, plan, &retry);
+                journal_mx
+                    .lock()
+                    .unwrap_or_else(std::sync::PoisonError::into_inner)
+                    .record(record)?;
+                Ok::<_, JournalError>(metrics)
+            };
+            if serial {
+                let mut ex = backend.executor(&cx);
+                to_run
+                    .iter()
+                    .map(|&l| launch(&mut ex, l))
+                    .collect::<Result<_, _>>()?
+            } else {
+                to_run
+                    .par_iter()
+                    .map_init(|| backend.executor(&cx), |ex, &l| launch(ex, l))
+                    .collect::<Result<_, _>>()?
+            }
+        };
+        for row in &rows {
+            stats.executed_launches += 1;
+            stats.retried_attempts += u64::from(row.attempts.saturating_sub(1));
+            stats.backoff += row.backoff;
+            if row.cpu_fallback {
+                stats.cpu_fallback_launches += 1;
+            }
+        }
+
+        if let Some(p) = kill_pos {
+            return Err(ScanError::Interrupted { launch: pending[p] });
+        }
+        journal.mark_done()?;
+
+        // The report is folded from the journal — not from this run's
+        // results — so resumed and uninterrupted runs reduce the same
+        // records the same way.
+        let pairs_scanned = tile_range.map(|l| chunks[l as usize].len() as u64).sum();
+        let scan = ScanReport::fold(
+            journal
+                .records()
+                .map(|r| (r.findings.as_slice(), r.simulated_seconds)),
+            pairs_scanned,
+            start.elapsed(),
+            prices,
+        );
+        Ok(PipelineReport {
+            scan,
+            metrics: metrics.then(|| ScanMetrics {
+                backend: backend.name(),
+                total_launches: stats.total_launches,
+                resumed_launches: stats.resumed_launches,
+                launches: rows,
+            }),
+            stats,
+        })
+    }
 }
 
-/// Layered mode: the checkpoint/fault/retry stack around the launch
-/// driver. Each launch is committed to the journal (and fsynced) the
-/// moment it completes, from inside the parallel driver, so a run that
-/// dies at any point keeps every launch that finished before the crash;
-/// the final report is merged from the journal in launch-index order, so
-/// resumed and uninterrupted runs reduce the same records the same way.
-#[allow(clippy::too_many_arguments)]
-fn run_layered(
+/// The report of a whole-corpus backend's one-shot run, accounted as a
+/// single launch covering every pair.
+fn whole_corpus_report(
     start: Instant,
-    cx: ExecCtx<'_>,
     backend: &dyn ScanBackend,
-    launch_pairs: Option<usize>,
-    serial: bool,
-    tile: Option<Tile>,
-    checkpoint: Option<CheckpointLayer<'_>>,
-    fault: Option<FaultLayer<'_>>,
-    retry: RetryLayer,
-    collect_metrics: bool,
-) -> Result<PipelineReport, ScanError> {
-    let arena = cx.arena;
-    let prices = backend.prices_launches();
-    let none_plan = FaultPlan::none();
-    let plan = fault.map(|f| f.plan).unwrap_or(&none_plan);
-    let policy = &retry.policy;
-
-    let mut owned_journal;
-    let journal: &mut ScanJournal = match checkpoint {
-        Some(CheckpointLayer::Journal(j)) => j,
-        Some(CheckpointLayer::Path(path)) => {
-            owned_journal = ScanJournal::open(&path)?;
-            &mut owned_journal
-        }
-        None => {
-            owned_journal = ScanJournal::in_memory();
-            &mut owned_journal
-        }
-    };
-
-    let lp = launch_pairs.unwrap_or(DEFAULT_LAUNCH_PAIRS).max(1);
-    let mut header = JournalHeader::for_scan(arena, cx.algo, cx.early, lp);
-    if let Some(t) = tile {
-        if t.launches == 0 || t.end() > header.launches {
-            return Err(ScanError::InvalidTile {
-                tile_start: t.start,
-                tile_launches: t.launches,
-                launches: header.launches,
-            });
-        }
-        // The journal binds to the tile, too: a shard journal cannot
-        // resume another shard's tile or the unsharded scan.
-        header.tile_start = t.start;
-        header.tile_launches = t.launches;
-    }
-    journal.check_compatible(&header)?;
-    if arena.len() < 2 {
-        journal.mark_done()?;
-        return Ok(PipelineReport {
-            scan: empty_report(start, prices.then_some(0.0)),
-            stats: FaultStats::default(),
-            metrics: collect_metrics.then(|| ScanMetrics {
-                backend: backend.name(),
-                ..ScanMetrics::default()
-            }),
-        });
-    }
-
-    let grid = GroupedPairs::new(arena.len(), group_size_for(arena.len()));
-    let all: Vec<(usize, usize)> = grid.all_pairs().collect();
-    let chunks: Vec<&[(usize, usize)]> = all.chunks(lp).collect();
-    debug_assert_eq!(chunks.len() as u64, header.launches);
-
-    // Launch indices stay global even for a tile-restricted run, so the
-    // journal's records and the fault plan's keys mean the same thing
-    // sharded or not.
-    let tile_range = header.tile_start..header.tile_start + header.tile_launches;
-    let pending: Vec<u64> = tile_range
-        .clone()
-        .filter(|&l| !journal.completed(l))
-        .collect();
-    let mut stats = FaultStats {
-        total_launches: header.tile_launches,
-        resumed_launches: header.tile_launches - pending.len() as u64,
-        ..FaultStats::default()
-    };
-
-    // An injected kill at launch k stops the run at that boundary: work
-    // before it commits, nothing at or after it runs — the journal looks
-    // exactly like a crashed process's.
-    let kill_pos = pending.iter().position(|&l| plan.kills(l));
-    let to_run = match kill_pos {
-        Some(p) => &pending[..p],
-        None => &pending[..],
-    };
-
-    // Each launch commits to the journal the moment it completes — from
-    // inside the parallel map, serialized behind a mutex — so a real crash
-    // (SIGKILL, OOM, power loss) mid-run loses only the launches still in
-    // flight, never the whole run. Commits land in completion order, not
-    // launch order; the journal keys records by launch index, so the final
-    // merge is launch-ordered regardless.
-    let per_launch: Result<Vec<LaunchMetrics>, JournalError> = {
-        let journal_mx = Mutex::new(&mut *journal);
-        let commit = |metrics_and_record: layers::LayeredLaunch| {
-            let layers::LayeredLaunch { record, metrics } = metrics_and_record;
-            journal_mx
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .record(record)?;
-            Ok(metrics)
-        };
-        if serial {
-            let mut ex = backend.executor(&cx);
-            to_run
-                .iter()
-                .map(|&l| {
-                    commit(run_layered_launch(
-                        &cx,
-                        ex.as_mut(),
-                        chunks[l as usize],
-                        l,
-                        plan,
-                        policy,
-                    ))
-                })
-                .collect()
-        } else {
-            to_run
-                .par_iter()
-                .map_init(
-                    || backend.executor(&cx),
-                    |ex, &l| {
-                        commit(run_layered_launch(
-                            &cx,
-                            ex.as_mut(),
-                            chunks[l as usize],
-                            l,
-                            plan,
-                            policy,
-                        ))
-                    },
-                )
-                .collect()
-        }
-    };
-    let rows = per_launch?;
-    for row in &rows {
-        stats.executed_launches += 1;
-        stats.retried_attempts += u64::from(row.attempts.saturating_sub(1));
-        stats.backoff += row.backoff;
-        if row.cpu_fallback {
-            stats.cpu_fallback_launches += 1;
-        }
-    }
-
-    if let Some(p) = kill_pos {
-        return Err(ScanError::Interrupted { launch: pending[p] });
-    }
-    journal.mark_done()?;
-
-    // The report is merged from the journal — not from this run's results —
-    // so resumed and uninterrupted runs reduce the same records the same way.
-    let mut findings = Vec::new();
-    let mut simulated = 0f64;
-    for record in journal.records() {
-        findings.extend_from_slice(&record.findings);
-        simulated += record.simulated_seconds;
-    }
-    findings.sort_by_key(|f| (f.i, f.j));
-    let pairs_scanned = tile_range.map(|l| chunks[l as usize].len() as u64).sum();
-    Ok(PipelineReport {
-        scan: ScanReport {
-            duplicate_pairs: count_duplicates(&findings),
-            findings,
-            pairs_scanned,
-            elapsed: start.elapsed(),
-            simulated_seconds: prices.then_some(simulated),
+    m: usize,
+    findings: &[Finding],
+    metrics: bool,
+) -> PipelineReport {
+    let pairs = GroupedPairs::new(m, group_size_for(m)).total_pairs();
+    let host = start.elapsed();
+    PipelineReport {
+        scan: ScanReport::fold([(findings, 0.0)], pairs, start.elapsed(), false),
+        stats: FaultStats {
+            total_launches: 1,
+            executed_launches: 1,
+            ..FaultStats::default()
         },
-        metrics: collect_metrics.then(|| ScanMetrics {
+        metrics: metrics.then(|| ScanMetrics {
             backend: backend.name(),
-            total_launches: stats.total_launches,
-            resumed_launches: stats.resumed_launches,
-            launches: rows,
+            total_launches: 1,
+            resumed_launches: 0,
+            launches: vec![LaunchMetrics {
+                launch: 0,
+                lanes: pairs,
+                warps: 0,
+                warp_instructions: 0.0,
+                mem_transactions: 0,
+                lane_iterations: 0,
+                active_lane_iters: 0,
+                resident_lane_iters: 0,
+                compactions: 0,
+                refills: 0,
+                simulated_seconds: None,
+                host_seconds: host.as_secs_f64(),
+                attempts: 1,
+                backoff: Duration::ZERO,
+                cpu_fallback: false,
+            }],
         }),
-        stats,
-    })
+    }
 }
 
 #[cfg(test)]

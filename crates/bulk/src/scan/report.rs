@@ -48,6 +48,38 @@ pub struct ScanReport {
 }
 
 impl ScanReport {
+    /// Fold launch results into a report: each launch's findings and
+    /// simulated seconds, given in launch order. Findings are sorted by
+    /// `(i, j)` and duplicate moduli counted; simulated seconds are summed
+    /// in the order given, so every driver that folds the same launches in
+    /// launch order gets the same `f64` bit for bit. `priced` says whether
+    /// the backend fills the simulated clock at all.
+    pub(crate) fn fold<'r>(
+        launches: impl IntoIterator<Item = (&'r [Finding], f64)>,
+        pairs_scanned: u64,
+        elapsed: Duration,
+        priced: bool,
+    ) -> ScanReport {
+        let mut findings = Vec::new();
+        let mut simulated = 0f64;
+        for (found, seconds) in launches {
+            findings.extend_from_slice(found);
+            simulated += seconds;
+        }
+        findings.sort_by_key(|f| (f.i, f.j));
+        let duplicate_pairs = findings
+            .iter()
+            .filter(|f| f.kind == FindingKind::DuplicateModulus)
+            .count() as u64;
+        ScanReport {
+            findings,
+            pairs_scanned,
+            duplicate_pairs,
+            elapsed,
+            simulated_seconds: priced.then_some(simulated),
+        }
+    }
+
     /// Simulated device seconds, or [`NoSimulatedClock`] when the scan ran
     /// on a backend that does not price launches (the pure-CPU paths).
     ///
@@ -95,9 +127,9 @@ pub enum ScanError {
         /// The launch boundary the kill fired at (not yet executed).
         launch: u64,
     },
-    /// The requested layer stack asks the backend for a capability it does
-    /// not have (e.g. checkpointing a whole-corpus product-tree backend,
-    /// which has no launch boundaries to journal).
+    /// The scan asks the backend for a capability it does not have (e.g.
+    /// checkpointing a whole-corpus product-tree backend, which has no
+    /// launch boundaries to journal).
     Unsupported {
         /// The backend that lacks the capability.
         backend: &'static str,
@@ -190,10 +222,10 @@ pub struct PipelineReport {
     /// The scan outcome.
     pub scan: ScanReport,
     /// Resume/retry/fallback accounting (all-zero except `total_launches`
-    /// and `executed_launches` for un-layered runs).
+    /// and `executed_launches` for a fresh scan without faults).
     pub stats: FaultStats,
-    /// Per-launch execution metrics, when the pipeline's metrics layer was
-    /// enabled.
+    /// Per-launch execution metrics, when
+    /// [`metrics`](crate::scan::ScanPipeline::metrics) was requested.
     pub metrics: Option<ScanMetrics>,
 }
 
@@ -246,7 +278,7 @@ impl LaunchMetrics {
     }
 }
 
-/// Structured per-launch metrics collected by the pipeline's metrics layer.
+/// Structured per-launch metrics collected by the pipeline's launch loop.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ScanMetrics {
     /// The backend that executed the scan.

@@ -18,10 +18,9 @@ use crate::arena::ModuliArena;
 use crate::checkpoint::{JournalError, ScanJournal};
 use crate::fault::{FaultPlan, ShardFaultPlan, ShardFaultSpec};
 use crate::scan::report::{LaunchMetrics, ScanError, ScanMetrics, ScanReport};
-use crate::scan::ScanBackend;
+use crate::scan::{ScanBackend, ScanPipeline};
 use crate::shard::coordinator::{Completion, CoordStats, Coordinator, LedgerError, LedgerHeader};
 use crate::shard::merge::{merge_tiles, MergeError};
-use crate::shard::worker::ShardWorker;
 use crate::shard::{tile_fingerprint, TilePlan};
 use bulkgcd_core::Algorithm;
 use std::collections::BTreeMap;
@@ -47,10 +46,6 @@ pub struct ShardConfig {
     pub serial: bool,
     /// Collect per-launch metrics rows into the merged report.
     pub collect_metrics: bool,
-    /// Lease length in logical ticks (one tick ≈ one executed launch).
-    /// `0` picks a safe default: twice the largest tile plus slack, so a
-    /// healthy worker can always finish and heartbeat in time.
-    pub lease_ticks: u64,
     /// Persist the ledger and per-tile journals under this directory
     /// (`ledger` and `shard-<i>.journal`); `None` keeps them in memory.
     pub dir: Option<PathBuf>,
@@ -59,7 +54,7 @@ pub struct ShardConfig {
 impl ShardConfig {
     /// A sharded scan with `shards` tiles and the library defaults
     /// (Approximate Euclid, early termination on, parallel workers,
-    /// auto lease, in-memory journals).
+    /// in-memory journals).
     pub fn new(shards: usize, launch_pairs: usize) -> Self {
         ShardConfig {
             shards,
@@ -68,7 +63,6 @@ impl ShardConfig {
             early: true,
             serial: false,
             collect_metrics: false,
-            lease_ticks: 0,
             dir: None,
         }
     }
@@ -270,13 +264,7 @@ where
     if plan.is_empty() {
         // Fewer than two moduli: nothing to shard, nothing to scan.
         return Ok(ShardedReport {
-            scan: ScanReport {
-                findings: Vec::new(),
-                pairs_scanned: 0,
-                duplicate_pairs: 0,
-                elapsed: start.elapsed(),
-                simulated_seconds: priced.then_some(0.0),
-            },
+            scan: ScanReport::fold([], 0, start.elapsed(), priced),
             stats,
             coordinator: CoordStats::default(),
             metrics: config.collect_metrics.then(|| ScanMetrics {
@@ -308,11 +296,7 @@ where
     // A lease must outlive a healthy worker's longest possible attempt
     // (one tick per executed launch) with room to heartbeat.
     let max_tile = plan.tiles().iter().map(|t| t.launches).max().unwrap_or(1);
-    let lease = if config.lease_ticks == 0 {
-        2 * max_tile + 2
-    } else {
-        config.lease_ticks
-    };
+    let lease = 2 * max_tile + 2;
 
     let mut clock: u64 = 0;
     let mut incarnation: u64 = 0;
@@ -365,16 +349,22 @@ where
         let before = journal.committed();
         stats.resumed_launches += before;
 
-        let worker = ShardWorker::new(
-            &worker_name,
-            arena,
-            config.algo,
-            config.early,
-            config.launch_pairs,
-        )
-        .serial(config.serial)
-        .collect_metrics(config.collect_metrics);
-        let result = worker.attempt(make_backend(), tile, &mut journal, &launch_faults);
+        // One worker incarnation: the ordinary pipeline pointed at its
+        // tile, committing to the shard journal, so each shard survives
+        // kill/resume exactly like an unsharded scan.
+        let mut pipeline = ScanPipeline::new(arena)
+            .algorithm(config.algo)
+            .early(config.early)
+            .backend(make_backend())
+            .launch_pairs(config.launch_pairs)
+            .serial(config.serial)
+            .tile(tile)
+            .journal(&mut journal)
+            .faults(&launch_faults);
+        if config.collect_metrics {
+            pipeline = pipeline.metrics();
+        }
+        let result = pipeline.run();
 
         let executed = journal.committed() - before;
         stats.executed_launches += executed;
@@ -412,9 +402,8 @@ where
                 }
 
                 // Healthy completion path: heartbeat, then report. A
-                // refused heartbeat (caller-set lease shorter than the
-                // tile) is a lease loss, not an error — the journal is
-                // done and the reclaimer completes it cheaply.
+                // refused heartbeat is a lease loss, not an error — the
+                // journal is done and the reclaimer completes it cheaply.
                 match coordinator.renew(tile.index, &worker_name, clock, lease) {
                     Ok(_) => {}
                     Err(LedgerError::LeaseLost { .. }) => {

@@ -13,7 +13,7 @@
 //! report is bitwise identical, including the non-associative `f64` sum.
 
 use crate::checkpoint::ScanJournal;
-use crate::scan::report::{Finding, FindingKind, ScanReport};
+use crate::scan::report::ScanReport;
 use crate::shard::TilePlan;
 use std::fmt;
 use std::time::Duration;
@@ -98,8 +98,6 @@ pub fn merge_tiles(
         });
     }
 
-    let mut findings: Vec<Finding> = Vec::new();
-    let mut simulated = 0f64;
     for (tile, journal) in plan.tiles().iter().zip(journals) {
         let expected = (tile.start, tile.launches);
         match journal.header() {
@@ -119,31 +117,19 @@ pub fn merge_tiles(
                 needed: tile.launches,
             });
         }
-        // Tiles are ordered by start and journals key records by launch
-        // index, so this iterates records in *global* launch order — the
-        // exact fold order of the unsharded merge, which is what keeps the
-        // f64 sum bitwise identical.
-        for record in journal.records() {
-            findings.extend_from_slice(&record.findings);
-            simulated += record.simulated_seconds;
-        }
     }
-    // Per-tile pair counts sum back to the full triangle by construction,
-    // so take the total from the plan's corpus directly.
-    let pairs_scanned = total_pairs(plan.moduli());
-
-    findings.sort_by_key(|f| (f.i, f.j));
-    let duplicate_pairs = findings
-        .iter()
-        .filter(|f| f.kind == FindingKind::DuplicateModulus)
-        .count() as u64;
-    Ok(ScanReport {
-        findings,
-        pairs_scanned,
-        duplicate_pairs,
+    // Tiles are ordered by start and journals key records by launch
+    // index, so this folds records in *global* launch order — the exact
+    // fold order of the unsharded scan, which is what keeps the f64 sum
+    // bitwise identical. Per-tile pair counts sum back to the full
+    // triangle by construction, so the total comes from the plan's corpus.
+    let records = journals.iter().flat_map(|j| j.records());
+    Ok(ScanReport::fold(
+        records.map(|r| (r.findings.as_slice(), r.simulated_seconds)),
+        total_pairs(plan.moduli()),
         elapsed,
-        simulated_seconds: priced.then_some(simulated),
-    })
+        priced,
+    ))
 }
 
 fn total_pairs(moduli: usize) -> u64 {

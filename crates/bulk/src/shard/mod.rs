@@ -12,22 +12,20 @@
 //!   lease-based tile ownership on a logical clock, heartbeat renewal,
 //!   expired-lease reclaim for dead-worker detection, and duplicate
 //!   completions discriminated from conflicting ones by tile fingerprint;
-//! * [`worker`] — [`ShardWorker`] runs any [`ScanBackend`](crate::scan::ScanBackend)
-//!   over its tile through the existing pipeline layers (per-shard
-//!   checkpoint journal, fault, retry, metrics), so each shard survives
-//!   kill/resume exactly like an unsharded scan;
 //! * [`merge`] — [`merge_tiles`] folds completed per-shard journals in
 //!   global launch order, reproducing the unsharded report bit for bit
 //!   (including the non-associative `f64` simulated-seconds sum);
 //! * [`driver`] — [`run_sharded`] plays the whole protocol end to end
 //!   under a deterministic [`ShardFaultPlan`](crate::fault::ShardFaultPlan)
 //!   (worker deaths, torn journals, lease losses, duplicate completions).
+//!   Each worker incarnation is the ordinary `ScanPipeline` pointed at its
+//!   [`Tile`], committing to the shard journal, so each shard survives
+//!   kill/resume exactly like an unsharded scan.
 
 pub mod coordinator;
 pub mod driver;
 pub mod merge;
 pub mod plan;
-pub mod worker;
 
 pub use coordinator::{
     tile_fingerprint, Completion, CoordStats, Coordinator, Lease, LedgerError, LedgerHeader,
@@ -36,4 +34,3 @@ pub use coordinator::{
 pub use driver::{run_sharded, ShardConfig, ShardError, ShardStats, ShardedReport};
 pub use merge::{merge_tiles, MergeError};
 pub use plan::{Tile, TilePlan};
-pub use worker::ShardWorker;

@@ -48,9 +48,10 @@
 use crate::arena::{ArenaError, ModuliArena};
 use crate::checkpoint::corpus_fingerprint;
 use crate::journal::{check_magic, field, parse_hex_u64, parse_num, Corrupt};
-use crate::scan::report::{Finding, FindingKind, ScanReport};
+use crate::scan::backend::{scan_pair, termination_for};
+use crate::scan::report::ScanReport;
 use bulkgcd_bigint::{ops, Limb, Nat};
-use bulkgcd_core::{run_in_place, Algorithm, GcdPair, GcdStatus, NoProbe, RankSelect, Termination};
+use bulkgcd_core::{Algorithm, GcdPair, RankSelect};
 use std::fmt;
 use std::fs::File;
 use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
@@ -435,96 +436,35 @@ impl ArenaSource {
         let mut findings = Vec::new();
         for a in 0..nchunks {
             let a_start = a * rows_per_chunk;
-            let a_count = rows_per_chunk.min(m - a_start);
-            let chunk_a = self.load_rows(a_start, a_count)?;
-            scan_window_pairs(
-                &mut pair,
-                algo,
-                early,
-                stride,
-                &chunk_a,
-                a_start,
-                &chunk_a,
-                a_start,
-                &mut findings,
-            );
-            for b in (a + 1)..nchunks {
+            let chunk_a = self.load_rows(a_start, rows_per_chunk.min(m - a_start))?;
+            // Window A against itself, then against every later window B.
+            for b in a..nchunks {
                 let b_start = b * rows_per_chunk;
-                let b_count = rows_per_chunk.min(m - b_start);
-                let chunk_b = self.load_rows(b_start, b_count)?;
-                scan_window_pairs(
-                    &mut pair,
-                    algo,
-                    early,
-                    stride,
-                    &chunk_a,
-                    a_start,
-                    &chunk_b,
-                    b_start,
-                    &mut findings,
-                );
-            }
-        }
-        findings.sort_by_key(|f| (f.i, f.j));
-        let duplicate_pairs = findings
-            .iter()
-            .filter(|f| f.kind == FindingKind::DuplicateModulus)
-            .count() as u64;
-        Ok(ScanReport {
-            findings,
-            pairs_scanned: (m as u64) * (m as u64).saturating_sub(1) / 2,
-            duplicate_pairs,
-            elapsed: start.elapsed(),
-            simulated_seconds: None,
-        })
-    }
-}
-
-/// Scan every global pair `(i, j)` with `i < j`, `i` in window A and `j`
-/// in window B (A and B may be the same window). Mirrors the scalar
-/// backend's per-pair loop exactly.
-#[allow(clippy::too_many_arguments)]
-fn scan_window_pairs(
-    pair: &mut GcdPair,
-    algo: Algorithm,
-    early: bool,
-    stride: usize,
-    window_a: &[Limb],
-    a_start: usize,
-    window_b: &[Limb],
-    b_start: usize,
-    findings: &mut Vec<Finding>,
-) {
-    let a_rows = window_a.len() / stride;
-    let b_rows = window_b.len() / stride;
-    for ia in 0..a_rows {
-        let row_a = &window_a[ia * stride..(ia + 1) * stride];
-        let i = a_start + ia;
-        let jb_first = if a_start == b_start { ia + 1 } else { 0 };
-        for jb in jb_first..b_rows {
-            let row_b = &window_b[jb * stride..(jb + 1) * stride];
-            let j = b_start + jb;
-            pair.load_from_limbs(row_a, row_b);
-            let term = if early {
-                Termination::Early {
-                    threshold_bits: ops::bit_len(row_a).min(ops::bit_len(row_b)) / 2,
-                }
-            } else {
-                Termination::Full
-            };
-            if run_in_place(algo, pair, term, &mut NoProbe) == GcdStatus::Done && !pair.gcd_is_one()
-            {
-                let factor = pair.x_nat();
-                let trimmed_a = &row_a[..ops::normalized_len(row_a)];
-                let trimmed_b = &row_b[..ops::normalized_len(row_b)];
-                let kind = if factor.as_limbs() == trimmed_a || factor.as_limbs() == trimmed_b {
-                    FindingKind::DuplicateModulus
+                let loaded;
+                let chunk_b = if b == a {
+                    &chunk_a
                 } else {
-                    FindingKind::SharedPrime
+                    loaded = self.load_rows(b_start, rows_per_chunk.min(m - b_start))?;
+                    &loaded
                 };
-                findings.push(Finding { i, j, kind, factor });
+                for (ia, row_a) in chunk_a.chunks_exact(stride).enumerate() {
+                    // Within one window, only the pairs with i < j.
+                    let first = if b == a { ia + 1 } else { 0 };
+                    for (jb, row_b) in chunk_b.chunks_exact(stride).enumerate().skip(first) {
+                        let term = termination_for(ops::bit_len(row_a), ops::bit_len(row_b), early);
+                        let (i, j) = (a_start + ia, b_start + jb);
+                        findings.extend(scan_pair(&mut pair, algo, term, i, row_a, j, row_b));
+                    }
+                }
             }
         }
+        let pairs = (m as u64) * (m as u64).saturating_sub(1) / 2;
+        Ok(ScanReport::fold(
+            [(findings.as_slice(), 0.0)],
+            pairs,
+            start.elapsed(),
+            false,
+        ))
     }
 }
 

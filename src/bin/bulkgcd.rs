@@ -5,7 +5,7 @@
 //! bulkgcd ingest corpus.txt --out corpus.arena [--min-bits B]
 //! bulkgcd scan   corpus.txt [--engine cpu|lockstep|gpu|batch|auto] [--algo E] [--full] [--metrics-out m.json]
 //!                [--shards N] [--shard-dir DIR]
-//! bulkgcd scan   corpus.arena --arena [--chunk-limbs N]
+//! bulkgcd scan   corpus.arena --arena [scan flags] [--chunk-limbs N]
 //! bulkgcd check  corpus.txt <modulus-hex>
 //! bulkgcd break  corpus.txt [--engine cpu|lockstep|gpu|batch|auto] [--exponent E]
 //! bulkgcd gcd    <x-hex> <y-hex> [--algo A|B|C|D|E|lehmer] [--stats]
@@ -179,21 +179,18 @@ fn scan_algo(args: &Args) -> Result<Algorithm, String> {
     }
 }
 
-/// Configure the pipeline's backend from an `--engine` flag. Shared by the
-/// text-corpus and compiled-arena scan paths and by `break`.
-fn apply_engine<'a>(
-    mut pipeline: ScanPipeline<'a>,
-    engine: &str,
-    algo: Algorithm,
-) -> Result<ScanPipeline<'a>, String> {
-    match engine {
-        "cpu" => {}
-        "gpu" => {
-            pipeline = pipeline.backend(GpuSimBackend {
+/// The engine table: an `--engine` name to a constructor of its backend.
+/// Every scan path (text corpus, compiled arena, sharded) and `break` pick
+/// their backend here.
+fn engine_backend(engine: &str, algo: Algorithm) -> Result<fn() -> Box<dyn ScanBackend>, String> {
+    let make: fn() -> Box<dyn ScanBackend> = match engine {
+        "cpu" => || Box::new(ScalarBackend),
+        "gpu" => || {
+            Box::new(GpuSimBackend {
                 device: DeviceConfig::gtx_780_ti(),
                 cost: CostModel::default(),
-            });
-        }
+            })
+        },
         "lockstep" => {
             if algo != Algorithm::Approximate {
                 return Err(format!(
@@ -201,18 +198,13 @@ fn apply_engine<'a>(
                      (drop --algo or use --algo E)"
                 ));
             }
-            pipeline = pipeline
-                .backend(LockstepBackend::new(32).with_compaction(CompactionConfig::default()));
+            || Box::new(LockstepBackend::new(32).with_compaction(CompactionConfig::default()))
         }
-        "batch" => {
-            pipeline = pipeline.backend(ProductTreeBackend { parallel: true });
-        }
-        "auto" => {
-            pipeline = pipeline.backend(AutoBackend::new(32));
-        }
+        "batch" => || Box::new(ProductTreeBackend { parallel: true }),
+        "auto" => || Box::new(AutoBackend::new(32)),
         other => return Err(format!("unknown engine {other:?}")),
-    }
-    Ok(pipeline)
+    };
+    Ok(make)
 }
 
 /// Print the scan's clock line: simulated device seconds for launch-priced
@@ -270,7 +262,6 @@ fn cmd_scan(args: &Args) -> Result<(), String> {
         return Ok(());
     }
     let algo = scan_algo(args)?;
-    let early = !args.has("full");
     let engine = args.get("engine").unwrap_or("cpu");
     eprintln!(
         "scanning {} moduli ({} pairs) with {} [{engine}] ...",
@@ -278,58 +269,18 @@ fn cmd_scan(args: &Args) -> Result<(), String> {
         moduli.len() * moduli.len().saturating_sub(1) / 2,
         algo.name()
     );
-    let metrics_out = args.get("metrics-out");
-    let shards: usize = args.get_parse("shards", 0)?;
-    if shards > 0 {
-        if engine == "batch" || engine == "auto" {
-            return Err(format!(
-                "--shards requires a per-launch engine (cpu, gpu, or lockstep), not {engine:?}"
-            ));
-        }
-        let arena = ModuliArena::try_from_moduli(&moduli).map_err(|e| e.to_string())?;
-        return cmd_scan_sharded(
-            args,
-            &arena,
-            &report.acceptance,
-            algo,
-            early,
-            engine,
-            shards,
-        );
-    }
     let arena = ModuliArena::try_from_moduli(&moduli).map_err(|e| e.to_string())?;
-    let mut pipeline = ScanPipeline::new(&arena).algorithm(algo).early(early);
-    pipeline = apply_engine(pipeline, engine, algo)?;
-    if metrics_out.is_some() {
-        pipeline = pipeline.metrics();
-    }
-    let rep = pipeline.run().map_err(|e| e.to_string())?;
-    report_timing(engine, &rep.scan);
-    report_duplicates(&rep.scan);
-    if let Some(path) = metrics_out {
-        let metrics = rep
-            .metrics
-            .as_ref()
-            .expect("metrics layer was enabled for --metrics-out");
-        std::fs::write(path, metrics.to_json()).map_err(|e| format!("writing {path}: {e}"))?;
-        eprintln!(
-            "wrote {} launch metrics ({} backend) to {path}",
-            metrics.total_launches, metrics.backend
-        );
-    }
-    print_findings(&rep.scan.findings, &report.acceptance);
-    Ok(())
+    scan_resident(args, &arena, &report.acceptance, algo)
 }
 
 /// `bulkgcd scan <file> --arena`: scan a compiled arena produced by
 /// `bulkgcd ingest`, skipping hex parsing and re-sanitization. With
 /// `--chunk-limbs N` the corpus streams through a bounded window of ~`N`
 /// limbs per side (the larger-than-RAM path, scalar engine); otherwise the
-/// arena is loaded whole and runs through the normal pipeline engines
-/// (including `--shards`). Findings are identical either way.
+/// arena is loaded whole and scanned exactly like a text corpus. Findings
+/// are identical either way.
 fn cmd_scan_arena(args: &Args, path: &str) -> Result<(), String> {
     let algo = scan_algo(args)?;
-    let early = !args.has("full");
     let engine = args.get("engine").unwrap_or("cpu");
     let mut source = ArenaSource::open(std::path::Path::new(path)).map_err(|e| e.to_string())?;
     let header = *source.header();
@@ -338,110 +289,97 @@ fn cmd_scan_arena(args: &Args, path: &str) -> Result<(), String> {
         header.m, header.stride, header.raw_len, header.fingerprint
     );
     let chunk_limbs: usize = args.get_parse("chunk-limbs", 0)?;
-    let shards: usize = args.get_parse("shards", 0)?;
-    let scan = if chunk_limbs > 0 {
-        if engine != "cpu" {
-            return Err(format!(
-                "--chunk-limbs streams through the scalar engine; --engine {engine} needs the \
-                 corpus resident (drop --chunk-limbs)"
-            ));
-        }
-        if shards > 0 {
-            return Err("--chunk-limbs does not combine with --shards".into());
-        }
-        let rows = (chunk_limbs / header.stride.max(1)).max(1);
-        eprintln!("streaming scan: {rows} rows per window ({chunk_limbs} limb budget)");
-        source
-            .scan_chunked(algo, early, chunk_limbs)
-            .map_err(|e| e.to_string())?
-    } else {
+    if chunk_limbs == 0 {
         let arena = source.load_arena().map_err(|e| e.to_string())?;
-        if shards > 0 {
-            if engine == "batch" || engine == "auto" {
-                return Err(format!(
-                    "--shards requires a per-launch engine (cpu, gpu, or lockstep), not {engine:?}"
-                ));
-            }
-            return cmd_scan_sharded(
-                args,
-                &arena,
-                source.acceptance(),
-                algo,
-                early,
-                engine,
-                shards,
-            );
-        }
-        let mut pipeline = ScanPipeline::new(&arena).algorithm(algo).early(early);
-        pipeline = apply_engine(pipeline, engine, algo)?;
-        pipeline.run().map_err(|e| e.to_string())?.scan
-    };
+        return scan_resident(args, &arena, source.acceptance(), algo);
+    }
+    if engine != "cpu" {
+        return Err(format!(
+            "--chunk-limbs streams through the scalar engine; --engine {engine} needs the \
+             corpus resident (drop --chunk-limbs)"
+        ));
+    }
+    if args.get_parse("shards", 0usize)? > 0 {
+        return Err("--chunk-limbs does not combine with --shards".into());
+    }
+    if args.get("metrics-out").is_some() {
+        return Err(
+            "--chunk-limbs does not combine with --metrics-out (the streaming scan has no \
+             launches to report)"
+                .into(),
+        );
+    }
+    let rows = (chunk_limbs / header.stride.max(1)).max(1);
+    eprintln!("streaming scan: {rows} rows per window ({chunk_limbs} limb budget)");
+    let scan = source
+        .scan_chunked(algo, !args.has("full"), chunk_limbs)
+        .map_err(|e| e.to_string())?;
     report_timing(engine, &scan);
     report_duplicates(&scan);
     print_findings(&scan.findings, source.acceptance());
     Ok(())
 }
 
-/// `bulkgcd scan --shards N`: partition the launch sequence into N tiles
-/// and run them through the shard coordinator (lease ledger, per-shard
-/// journals, deterministic merge). With `--shard-dir DIR` the ledger and
-/// journals persist, so a killed scan resumes from the completed tiles.
-fn cmd_scan_sharded(
+/// Scan a resident arena on the `--engine` backend: the one path a text
+/// corpus and a loaded compiled arena share. Plain, or with `--shards N`
+/// through the shard coordinator (lease ledger, per-shard journals,
+/// deterministic merge; with `--shard-dir DIR` the ledger and journals
+/// persist, so a killed scan resumes from the completed tiles). Either way
+/// `--metrics-out FILE` writes the per-launch metrics as JSON.
+fn scan_resident(
     args: &Args,
     arena: &ModuliArena,
     acceptance: &RankSelect,
     algo: Algorithm,
-    early: bool,
-    engine: &str,
-    shards: usize,
 ) -> Result<(), String> {
-    if engine == "lockstep" && algo != Algorithm::Approximate {
-        return Err(format!(
-            "--engine lockstep executes the Approximate variant only, not {algo:?} \
-             (drop --algo or use --algo E)"
-        ));
-    }
+    let engine = args.get("engine").unwrap_or("cpu");
+    let early = !args.has("full");
+    let make_backend = engine_backend(engine, algo)?;
     let metrics_out = args.get("metrics-out");
-    let mut config = ShardConfig::new(shards, DEFAULT_LAUNCH_PAIRS);
-    config.algo = algo;
-    config.early = early;
-    config.collect_metrics = metrics_out.is_some();
-    config.dir = args.get("shard-dir").map(std::path::PathBuf::from);
-
-    let report = match engine {
-        "cpu" => run_sharded(arena, &config, &ShardFaultPlan::none(), || ScalarBackend),
-        "gpu" => run_sharded(arena, &config, &ShardFaultPlan::none(), || GpuSimBackend {
-            device: DeviceConfig::gtx_780_ti(),
-            cost: CostModel::default(),
-        }),
-        "lockstep" => run_sharded(arena, &config, &ShardFaultPlan::none(), || {
-            LockstepBackend::new(32).with_compaction(CompactionConfig::default())
-        }),
-        other => return Err(format!("unknown engine {other:?}")),
-    }
-    .map_err(|e| e.to_string())?;
-
-    eprintln!(
-        "sharded scan: {} tiles, {} worker attempts, {} launches executed, {} resumed",
-        report.stats.tiles,
-        report.stats.worker_attempts,
-        report.stats.executed_launches,
-        report.stats.resumed_launches,
-    );
-    report_timing(engine, &report.scan);
-    report_duplicates(&report.scan);
+    let shards: usize = args.get_parse("shards", 0)?;
+    let (scan, metrics) = if shards > 0 {
+        if engine == "batch" || engine == "auto" {
+            return Err(format!(
+                "--shards requires a per-launch engine (cpu, gpu, or lockstep), not {engine:?}"
+            ));
+        }
+        let mut config = ShardConfig::new(shards, DEFAULT_LAUNCH_PAIRS);
+        config.algo = algo;
+        config.early = early;
+        config.collect_metrics = metrics_out.is_some();
+        config.dir = args.get("shard-dir").map(std::path::PathBuf::from);
+        let report = run_sharded(arena, &config, &ShardFaultPlan::none(), make_backend)
+            .map_err(|e| e.to_string())?;
+        eprintln!(
+            "sharded scan: {} tiles, {} worker attempts, {} launches executed, {} resumed",
+            report.stats.tiles,
+            report.stats.worker_attempts,
+            report.stats.executed_launches,
+            report.stats.resumed_launches,
+        );
+        (report.scan, report.metrics)
+    } else {
+        let mut pipeline = ScanPipeline::new(arena)
+            .algorithm(algo)
+            .early(early)
+            .backend(make_backend());
+        if metrics_out.is_some() {
+            pipeline = pipeline.metrics();
+        }
+        let report = pipeline.run().map_err(|e| e.to_string())?;
+        (report.scan, report.metrics)
+    };
+    report_timing(engine, &scan);
+    report_duplicates(&scan);
     if let Some(path) = metrics_out {
-        let metrics = report
-            .metrics
-            .as_ref()
-            .expect("metrics were collected for --metrics-out");
+        let metrics = metrics.expect("metrics were collected for --metrics-out");
         std::fs::write(path, metrics.to_json()).map_err(|e| format!("writing {path}: {e}"))?;
         eprintln!(
             "wrote {} launch metrics ({} backend) to {path}",
             metrics.total_launches, metrics.backend
         );
     }
-    print_findings(&report.scan.findings, acceptance);
+    print_findings(&scan.findings, acceptance);
     Ok(())
 }
 
@@ -506,8 +444,12 @@ fn cmd_break(args: &Args) -> Result<(), String> {
     // The same engine configuration as `scan`, so `break --engine batch`
     // finds its pairs with the product tree.
     let arena = ModuliArena::try_from_moduli(&moduli).map_err(|e| e.to_string())?;
-    let pipeline = apply_engine(ScanPipeline::new(&arena).algorithm(algo), engine, algo)?;
-    let scan = pipeline.run().map_err(|e| e.to_string())?.scan;
+    let scan = ScanPipeline::new(&arena)
+        .algorithm(algo)
+        .backend(engine_backend(engine, algo)?())
+        .run()
+        .map_err(|e| e.to_string())?
+        .scan;
     let broken = recover_keys(&keys, &scan.findings);
     eprintln!(
         "scanned {} pairs in {:.3} s [{engine}]; {} shared-factor pairs; {} keys broken",
@@ -606,8 +548,8 @@ USAGE:
   bulkgcd ingest <corpus-file> --out <arena-file> [--min-bits B]   # compile a sanitized on-disk arena
   bulkgcd scan   <corpus-file> [--engine cpu|lockstep|gpu|batch|auto] [--algo A..E] [--full] [--metrics-out FILE]
                  [--shards N] [--shard-dir DIR]   # tile-sharded scan with a resumable lease ledger
-  bulkgcd scan   <arena-file> --arena [--chunk-limbs N]   # scan a compiled arena; with a chunk budget,
-                 # stream it through a bounded window (corpora larger than RAM)
+  bulkgcd scan   <arena-file> --arena [scan flags] [--chunk-limbs N]   # scan a compiled arena; with a
+                 # chunk budget, stream it through a bounded window (corpora larger than RAM)
   bulkgcd check  <corpus-file> <modulus-hex>
   bulkgcd break  <corpus-file> [--engine cpu|lockstep|gpu|batch|auto] [--algo A..E] [--exponent E]
                  # prints: index factor-hex d-hex

@@ -45,14 +45,13 @@ pub mod prelude {
     pub use bulkgcd_bulk::{
         batch_gcd, batch_gcd_parallel, break_weak_keys, estimate_full_scan, group_size_for,
         merge_tiles, run_sharded, tile_fingerprint, write_arena, ArenaError, ArenaHeader,
-        ArenaSource, AutoBackend, BreakReport, CheckpointLayer, CompactionConfig, Coordinator,
-        CorpusIndex, FaultLayer, FaultPlan, FaultSpec, FaultStats, Finding, FindingKind,
-        GpuSimBackend, GroupedPairs, JournalError, JournalHeader, LaunchMetrics, LaunchRecord,
-        LockstepBackend, LockstepEngine, MergeError, MetricsLayer, ModuliArena, NoSimulatedClock,
-        PipelineReport, ProductTreeBackend, RetryLayer, ScalarBackend, ScanBackend, ScanError,
-        ScanJournal, ScanMetrics, ScanPipeline, ScanReport, ShardConfig, ShardError,
-        ShardFaultPlan, ShardFaultSpec, ShardStats, ShardWorker, ShardedReport, StoreError, Tile,
-        TilePlan, ZeroModulus, ARENA_MAGIC, DEFAULT_LAUNCH_PAIRS,
+        ArenaSource, AutoBackend, BreakReport, CompactionConfig, Coordinator, CorpusIndex,
+        FaultPlan, FaultSpec, FaultStats, Finding, FindingKind, GpuSimBackend, GroupedPairs,
+        JournalError, JournalHeader, LaunchMetrics, LaunchRecord, LockstepBackend, LockstepEngine,
+        MergeError, ModuliArena, NoSimulatedClock, PipelineReport, ProductTreeBackend,
+        ScalarBackend, ScanBackend, ScanError, ScanJournal, ScanMetrics, ScanPipeline, ScanReport,
+        ShardConfig, ShardError, ShardFaultPlan, ShardFaultSpec, ShardStats, ShardedReport,
+        StoreError, Tile, TilePlan, ZeroModulus, ARENA_MAGIC, DEFAULT_LAUNCH_PAIRS,
     };
     pub use bulkgcd_core::{
         gcd_nat, lehmer_gcd_nat, run, Algorithm, GcdOutcome, GcdPair, NoProbe, RankSelect,

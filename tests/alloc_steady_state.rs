@@ -1,17 +1,17 @@
 //! Proof of the zero-allocation scan hot loop: a counting global allocator
 //! wraps the system allocator, and the steady-state CPU scan loop (the
-//! per-block [`scan_block_into`], the same per-pair body the scalar
-//! backend's workers run) must perform **zero** heap allocations after its
-//! warmup pass on a clean corpus.
+//! scalar backend's launch executor, exactly what the pipeline's workers
+//! run, over every pair of the corpus) must perform **zero** heap
+//! allocations after its warmup pass on a clean corpus.
 //!
 //! This file holds exactly one `#[test]` on purpose: the counter is global,
 //! so a sibling test allocating on another harness thread would race it.
 
 use bulkgcd_bulk::{
-    batch_gcd_into, group_size_for, scan_block_into, BatchScratch, FaultPlan, GroupedPairs,
-    ModuliArena,
+    batch_gcd_into, group_size_for, BatchScratch, ExecCtx, FaultPlan, GroupedPairs, ModuliArena,
+    ScalarBackend, ScanBackend,
 };
-use bulkgcd_core::{Algorithm, GcdPair, Termination};
+use bulkgcd_core::{Algorithm, Termination};
 use bulkgcd_gpu::{simulate_bulk_gcd_retry, CostModel, DeviceConfig, RetryPolicy};
 use bulkgcd_rsa::build_corpus;
 use rand::rngs::StdRng;
@@ -61,28 +61,31 @@ fn steady_state_scan_hot_loop_allocates_nothing() {
     let moduli = corpus.moduli();
     let arena = ModuliArena::try_from_moduli(&moduli).unwrap();
     let grid = GroupedPairs::new(arena.len(), group_size_for(arena.len()));
-    let blocks: Vec<_> = grid.blocks().collect();
+    let lanes: Vec<_> = grid.all_pairs().collect();
 
     for algo in [Algorithm::Approximate, Algorithm::FastBinary] {
         for early in [true, false] {
-            // Worker-local scratch, exactly as the scalar backend's workers hold it.
-            let mut pair = GcdPair::with_capacity(arena.stride());
-            let mut found = Vec::new();
+            // Worker-local scratch, exactly as the pipeline's workers hold it.
+            let cx = ExecCtx {
+                arena: &arena,
+                algo,
+                early,
+            };
+            let mut executor = ScalarBackend.executor(&cx);
 
             // Warmup: first pass sizes the workspace buffers (X, Y, and the
             // β>0 scratch) for this corpus width.
-            for &b in &blocks {
-                scan_block_into(&arena, &grid, b, algo, early, &mut pair, &mut found);
-            }
-            assert!(found.is_empty(), "clean corpus must yield no findings");
+            let out = executor.execute(&cx, &lanes);
+            assert!(
+                out.findings.is_empty(),
+                "clean corpus must yield no findings"
+            );
 
             // Steady state: the full all-pairs sweep again, now warmed.
             let before = allocations();
-            for &b in &blocks {
-                scan_block_into(&arena, &grid, b, algo, early, &mut pair, &mut found);
-            }
+            let out = executor.execute(&cx, &lanes);
             let after = allocations();
-            assert!(found.is_empty());
+            assert!(out.findings.is_empty());
             assert_eq!(
                 after - before,
                 0,

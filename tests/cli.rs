@@ -438,6 +438,93 @@ fn ingest_then_arena_scan_matches_plain_scan() {
 }
 
 #[test]
+fn arena_scan_writes_metrics_out() {
+    let dir = tempdir();
+    let corpus = dir.join("corpus.txt");
+    let arena = dir.join("corpus.arena");
+    let out = bulkgcd()
+        .args([
+            "gen",
+            "--keys",
+            "12",
+            "--bits",
+            "128",
+            "--weak-pairs",
+            "2",
+            "--seed",
+            "17",
+            "--out",
+            corpus.to_str().unwrap(),
+        ])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let out = bulkgcd()
+        .args([
+            "ingest",
+            corpus.to_str().unwrap(),
+            "--out",
+            arena.to_str().unwrap(),
+        ])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let plain = bulkgcd()
+        .args(["scan", corpus.to_str().unwrap(), "--engine", "lockstep"])
+        .output()
+        .unwrap();
+    assert!(plain.status.success());
+
+    // Plain and sharded arena scans both honour --metrics-out, and the
+    // findings on stdout stay those of the text scan.
+    for extra in [&[][..], &["--shards", "2"][..]] {
+        let metrics = dir.join(format!("metrics-{}.json", extra.len()));
+        let out = bulkgcd()
+            .args([
+                "scan",
+                arena.to_str().unwrap(),
+                "--arena",
+                "--engine",
+                "lockstep",
+                "--metrics-out",
+                metrics.to_str().unwrap(),
+            ])
+            .args(extra)
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{extra:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert_eq!(out.stdout, plain.stdout, "{extra:?}");
+        let json = std::fs::read_to_string(&metrics)
+            .unwrap_or_else(|e| panic!("{extra:?}: no metrics file written: {e}"));
+        assert!(json.contains("\"total_launches\""), "{extra:?}: {json}");
+    }
+
+    // The streaming scan has no launches to report: refused, not ignored.
+    let metrics = dir.join("metrics-chunked.json");
+    let out = bulkgcd()
+        .args([
+            "scan",
+            arena.to_str().unwrap(),
+            "--arena",
+            "--chunk-limbs",
+            "8",
+            "--metrics-out",
+            metrics.to_str().unwrap(),
+        ])
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--metrics-out"));
+    assert!(!metrics.exists());
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn ingest_requires_an_output_path() {
     let dir = tempdir();
     let corpus = dir.join("corpus.txt");
