@@ -27,7 +27,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 /// Bump when [`FileAnalysis`] or the summary format changes shape.
-pub const CACHE_VERSION: u32 = 1;
+pub const CACHE_VERSION: u32 = 2;
 
 /// 64-bit FNV-1a over the source bytes.
 pub fn fingerprint(src: &str) -> u64 {
@@ -174,13 +174,7 @@ pub fn serialize(fa: &FileAnalysis, fp: u64) -> String {
         );
     }
     for g in &fa.gates {
-        let _ = writeln!(
-            s,
-            "G\t{}\t{}\t{}",
-            g.line,
-            esc(&g.lint),
-            u8::from(g.file_scope)
-        );
+        let _ = writeln!(s, "G\t{}\t{}", g.line, esc(&g.lint));
     }
     for f in &fa.fns {
         let cf = match &f.cf_public {
@@ -324,7 +318,6 @@ pub fn deserialize(text: &str, expect_fp: u64) -> Option<FileAnalysis> {
                 fa.gates.push(GateSpec {
                     line: fields.get(1)?.parse().ok()?,
                     lint: unesc(fields.get(2)?),
-                    file_scope: *fields.get(3)? == "1",
                 });
             }
             "N" => {

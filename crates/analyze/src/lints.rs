@@ -66,15 +66,13 @@ pub struct FileOutcome {
     pub allows_consumed: usize,
 }
 
-/// One `allow` / `allow-file` gate, in cacheable form.
+/// One `allow` gate, in cacheable form.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GateSpec {
     /// Line of the pragma comment.
     pub line: u32,
     /// Lint it excuses.
     pub lint: String,
-    /// Whole-file scope (`allow-file`).
-    pub file_scope: bool,
 }
 
 /// Everything phase 1 learns about one file. Plain data: this is exactly
@@ -221,15 +219,6 @@ pub fn analyze_file(src: &str, ctx: &FileCtx) -> FileAnalysis {
                 fa.gates.push(GateSpec {
                     line: *line,
                     lint: lint.clone(),
-                    file_scope: false,
-                });
-                continue;
-            }
-            Pragma::AllowFile { line, lint, .. } => {
-                fa.gates.push(GateSpec {
-                    line: *line,
-                    lint: lint.clone(),
-                    file_scope: true,
                 });
                 continue;
             }
@@ -373,7 +362,7 @@ pub fn finish(files: &[FileAnalysis], baseline: &[BaselineEntry], baseline_path:
     let covered = |file: &str, lint: &str, line: u32| {
         pass_gates.get(&(file, lint)).is_some_and(|gs| {
             gs.iter()
-                .any(|g| g.file_scope || (line >= g.line && line <= g.line + ALLOW_WINDOW))
+                .any(|g| line >= g.line && line <= g.line + ALLOW_WINDOW)
         })
     };
 
@@ -475,8 +464,7 @@ pub fn finish(files: &[FileAnalysis], baseline: &[BaselineEntry], baseline_path:
     report
 }
 
-/// Nearest applicable gate: line-scoped gates beat file-scoped, later
-/// (closer) lines beat earlier ones.
+/// Nearest applicable gate: later (closer) lines beat earlier ones.
 fn nearest_gate<'a>(
     gates: &'a mut [(GateSpec, bool)],
     lint: &str,
@@ -484,10 +472,8 @@ fn nearest_gate<'a>(
 ) -> Option<&'a mut (GateSpec, bool)> {
     gates
         .iter_mut()
-        .filter(|(g, _)| {
-            g.lint == lint && (g.file_scope || (line >= g.line && line <= g.line + ALLOW_WINDOW))
-        })
-        .max_by_key(|(g, _)| (!g.file_scope, g.line))
+        .filter(|(g, _)| g.lint == lint && line >= g.line && line <= g.line + ALLOW_WINDOW)
+        .max_by_key(|(g, _)| g.line)
 }
 
 /// Name of the innermost fn whose span covers `line`, or empty.

@@ -1,6 +1,6 @@
 //! The `// analyze:` pragma grammar.
 //!
-//! Five forms, all line comments so they survive rustfmt and cost nothing
+//! Four forms, all line comments so they survive rustfmt and cost nothing
 //! at compile time:
 //!
 //! ```text
@@ -10,7 +10,6 @@
 //! // analyze: journal
 //! // analyze: journal(create | append | replay)
 //! // analyze: allow(<lint>, reason = "...")
-//! // analyze: allow-file(<lint>, reason = "...")
 //! ```
 //!
 //! `constant-flow` opts the next `fn` item into the data-dependent
@@ -26,7 +25,6 @@
 //! torn-tail rule). `allow` suppresses the named lint on findings within
 //! the next few source lines and **requires** a non-empty reason — the
 //! escape hatch is also the documentation of the divergence it excuses.
-//! `allow-file` does the same for a whole file.
 //! Unconsumed `allow`s are themselves findings ([`crate::lints`]'
 //! `unused-allow`), so stale excuses rot loudly.
 
@@ -76,15 +74,6 @@ pub enum Pragma {
     },
     /// `allow(lint, reason = "...")` for findings within [`ALLOW_WINDOW`].
     Allow {
-        /// Line of the pragma comment.
-        line: u32,
-        /// Lint name being excused.
-        lint: String,
-        /// Mandatory human rationale.
-        reason: String,
-    },
-    /// `allow-file(lint, reason = "...")`: whole-file suppression.
-    AllowFile {
         /// Line of the pragma comment.
         line: u32,
         /// Lint name being excused.
@@ -163,22 +152,15 @@ fn parse_one(body: &str, line: u32) -> Result<Pragma, String> {
         };
         return Ok(Pragma::Journal { line, mode });
     }
-    for (kw, file_scope) in [("allow-file(", true), ("allow(", false)] {
-        if let Some(rest) = body.strip_prefix(kw) {
-            let inner = rest
-                .strip_suffix(')')
-                .ok_or_else(|| format!("{kw}...) missing closing paren"))?;
-            let (lint, reason) = parse_allow(inner)?;
-            return Ok(if file_scope {
-                Pragma::AllowFile { line, lint, reason }
-            } else {
-                Pragma::Allow { line, lint, reason }
-            });
-        }
+    if let Some(rest) = body.strip_prefix("allow(") {
+        let inner = rest
+            .strip_suffix(')')
+            .ok_or_else(|| "allow(...) missing closing paren".to_string())?;
+        let (lint, reason) = parse_allow(inner)?;
+        return Ok(Pragma::Allow { line, lint, reason });
     }
     Err(format!(
-        "unrecognized pragma `{body}` (expected constant-flow, zero-alloc, journal, allow, \
-         or allow-file)"
+        "unrecognized pragma `{body}` (expected constant-flow, zero-alloc, journal or allow)"
     ))
 }
 
@@ -243,15 +225,11 @@ mod tests {
             comment(1, " analyze: constant-flow"),
             comment(2, " analyze: constant-flow(public = \"w, rows\")"),
             comment(3, " analyze: allow(cf-branch, reason = \"documented\")"),
-            comment(
-                4,
-                " analyze: allow-file(no-panic, reason = \"test harness\")",
-            ),
             comment(5, " just prose"),
         ];
         let (pragmas, errors) = parse_pragmas(&comments);
         assert!(errors.is_empty(), "{errors:?}");
-        assert_eq!(pragmas.len(), 4);
+        assert_eq!(pragmas.len(), 3);
         assert_eq!(
             pragmas[1],
             Pragma::ConstantFlow {
@@ -275,10 +253,20 @@ mod tests {
             comment(2, " analyze: allow(cf-branch, reason = \"\")"),
             comment(3, " analyze: constant-flo"),
             comment(4, " analyze: journal(weird)"),
+            comment(
+                5,
+                " analyze: allow-file(no-panic, reason = \"test harness\")",
+            ),
         ];
         let (pragmas, errors) = parse_pragmas(&comments);
         assert!(pragmas.is_empty());
-        assert_eq!(errors.len(), 4);
+        assert_eq!(errors.len(), 5);
+        // The whole-file form is gone: a leftover one is an unknown pragma.
+        assert!(
+            errors[4].message.starts_with("unrecognized pragma"),
+            "{:?}",
+            errors[4]
+        );
     }
 
     #[test]

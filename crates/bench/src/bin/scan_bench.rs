@@ -72,7 +72,7 @@ use bulkgcd_bulk::{
     ScanError, ScanJournal, ScanPipeline, ShardConfig, ShardFaultPlan, TilePlan,
 };
 use bulkgcd_core::lanes::{columns_on, KernelIsa};
-use bulkgcd_core::{kernel_isa, Algorithm, GcdStatus, Termination};
+use bulkgcd_core::{kernel_isa, Algorithm, Termination};
 use bulkgcd_gpu::{CostModel, DeviceConfig, RetryPolicy};
 use bulkgcd_rsa::build_corpus;
 use bulkgcd_rsa::{sanitize_moduli, StreamingSanitizer};
@@ -107,10 +107,10 @@ fn lockstep_direct(arena: &ModuliArena, w: usize) -> usize {
                     let term = combine_terminations(warp.iter().map(|&(i, j)| term_of(i, j)));
                     inputs.clear();
                     inputs.extend(warp.iter().map(|&(i, j)| (arena.limbs(i), arena.limbs(j))));
-                    engine.run_warp(inputs, term, None);
+                    engine.run_warp(inputs, term);
                     for (t, &(i, j)) in warp.iter().enumerate() {
-                        if engine.lane_status(t) == GcdStatus::Done && !engine.lane_gcd_is_one(t) {
-                            found.push((i, j, engine.lane_gcd_nat(t)));
+                        if let Some(factor) = engine.entry_factor(t) {
+                            found.push((i, j, factor.clone()));
                         }
                     }
                 }

@@ -42,7 +42,10 @@
 //! replay.
 
 use crate::arena::ModuliArena;
-use crate::journal::{field, opt_field, parse_hex_u64, parse_num, Corrupt, Journal};
+use crate::journal::{
+    field, first_mismatch, opt_field, parse_hex_u64, parse_num, Corrupt, Fnv64, HeaderField,
+    Journal,
+};
 use crate::scan::{Finding, FindingKind};
 use bulkgcd_bigint::Nat;
 use bulkgcd_core::Algorithm;
@@ -120,26 +123,18 @@ impl From<Corrupt> for JournalError {
     }
 }
 
-/// FNV-1a-64 over the arena's shape and limb bytes: cheap, dependency-free,
-/// and sensitive to any reordering or edit of the corpus.
+/// FNV-1a-64 over the arena's shape and limb bytes: any reordering or edit
+/// of the corpus changes it.
 pub fn corpus_fingerprint(arena: &ModuliArena) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(PRIME);
-        }
-    };
-    eat(&(arena.len() as u64).to_le_bytes());
-    eat(&(arena.stride() as u64).to_le_bytes());
+    let mut h = Fnv64::new();
+    h.eat(&(arena.len() as u64).to_le_bytes());
+    h.eat(&(arena.stride() as u64).to_le_bytes());
     for i in 0..arena.len() {
         for &limb in arena.limbs(i) {
-            eat(&limb.to_le_bytes());
+            h.eat(&limb.to_le_bytes());
         }
     }
-    h
+    h.finish()
 }
 
 /// The configuration a journal is bound to. Two runs may share a journal
@@ -170,6 +165,21 @@ pub struct JournalHeader {
 }
 
 impl JournalHeader {
+    /// The fields [`ScanJournal::check_compatible`] compares, in order.
+    const FIELDS: [HeaderField<JournalHeader>; 8] = [
+        ("fingerprint", |h| format!("{:016x}", h.fingerprint)),
+        ("moduli", |h| h.moduli.to_string()),
+        ("stride", |h| h.stride.to_string()),
+        ("algo", |h| h.algo.clone()),
+        ("early", |h| h.early.to_string()),
+        ("launch_pairs", |h| h.launch_pairs.to_string()),
+        // Derived from moduli and launch_pairs, so a driver-written header
+        // always agrees — but a hand-edited journal must not smuggle
+        // phantom launch records past compatibility.
+        ("launches", |h| h.launches.to_string()),
+        ("tile", |h| format!("{}+{}", h.tile_start, h.tile_launches)),
+    ];
+
     /// The header for a scan of `arena` with the given settings.
     pub fn for_scan(
         arena: &ModuliArena,
@@ -394,69 +404,14 @@ impl ScanJournal {
             self.header = Some(header.clone());
             return Ok(());
         };
-        let mismatch = |field: &'static str, journal: String, run: String| {
-            Err(JournalError::Mismatch {
+        if let Some((field, journal, run)) =
+            first_mismatch(&JournalHeader::FIELDS, existing, header)
+        {
+            return Err(JournalError::Mismatch {
                 field,
                 journal,
                 run,
-            })
-        };
-        if existing.fingerprint != header.fingerprint {
-            return mismatch(
-                "fingerprint",
-                format!("{:016x}", existing.fingerprint),
-                format!("{:016x}", header.fingerprint),
-            );
-        }
-        if existing.moduli != header.moduli {
-            return mismatch(
-                "moduli",
-                existing.moduli.to_string(),
-                header.moduli.to_string(),
-            );
-        }
-        if existing.stride != header.stride {
-            return mismatch(
-                "stride",
-                existing.stride.to_string(),
-                header.stride.to_string(),
-            );
-        }
-        if existing.algo != header.algo {
-            return mismatch("algo", existing.algo.clone(), header.algo.clone());
-        }
-        if existing.early != header.early {
-            return mismatch(
-                "early",
-                existing.early.to_string(),
-                header.early.to_string(),
-            );
-        }
-        if existing.launch_pairs != header.launch_pairs {
-            return mismatch(
-                "launch_pairs",
-                existing.launch_pairs.to_string(),
-                header.launch_pairs.to_string(),
-            );
-        }
-        // Derived from moduli and launch_pairs, so a driver-written
-        // header always agrees — but a hand-edited journal must not
-        // smuggle phantom launch records past compatibility.
-        if existing.launches != header.launches {
-            return mismatch(
-                "launches",
-                existing.launches.to_string(),
-                header.launches.to_string(),
-            );
-        }
-        if (existing.tile_start, existing.tile_launches)
-            != (header.tile_start, header.tile_launches)
-        {
-            return mismatch(
-                "tile",
-                format!("{}+{}", existing.tile_start, existing.tile_launches),
-                format!("{}+{}", header.tile_start, header.tile_launches),
-            );
+            });
         }
         // A done marker vouches for every launch in the journal's
         // range; a done journal missing launch records (truncated

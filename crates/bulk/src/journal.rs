@@ -23,6 +23,10 @@
 //! * Records are `key=value` tokens read with [`field`], [`opt_field`],
 //!   [`parse_num`] and [`parse_hex_u64`]. Every parse failure is one
 //!   [`Corrupt`] value, which each owner converts into its own error type.
+//! * A header is compared field by field in one fixed order
+//!   ([`first_mismatch`]), and the first differing field is reported by
+//!   name.
+//! * Content fingerprints (corpus, tile) are FNV-1a-64 ([`Fnv64`]).
 
 use std::fmt;
 use std::fs::{File, OpenOptions};
@@ -202,4 +206,147 @@ pub(crate) fn parse_hex_u64(s: &str, what: &str, lineno: usize) -> Result<u64, C
         line: lineno,
         reason: format!("bad {what} `{s}`: {e}"),
     })
+}
+
+/// FNV-1a-64: the one content hash behind the arena, journal and ledger
+/// fingerprints. Cheap, dependency-free, and sensitive to any reordering
+/// or edit of the bytes fed to it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Fnv64(u64);
+
+impl Fnv64 {
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+
+    /// The hash of no bytes.
+    pub(crate) fn new() -> Self {
+        Fnv64(Self::OFFSET)
+    }
+
+    /// Feed `bytes`, in order.
+    pub(crate) fn eat(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(Self::PRIME);
+        }
+    }
+
+    /// The hash of every byte fed so far.
+    pub(crate) fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+/// One header field: its name in a mismatch error, and its rendering in
+/// that error (the comparison is on the rendering, so it must be
+/// injective).
+pub(crate) type HeaderField<H> = (&'static str, fn(&H) -> String);
+
+/// The first of `fields`, in order, whose rendering differs between the
+/// header already bound (`stored`) and the current run's (`run`), as
+/// `(field, stored value, run value)`.
+pub(crate) fn first_mismatch<H>(
+    fields: &[HeaderField<H>],
+    stored: &H,
+    run: &H,
+) -> Option<(&'static str, String, String)> {
+    fields.iter().find_map(|&(name, render)| {
+        let (stored, run) = (render(stored), render(run));
+        (stored != run).then_some((name, stored, run))
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::checkpoint::{JournalError, JournalHeader, ScanJournal};
+    use crate::shard::{Coordinator, LedgerError, LedgerHeader};
+
+    /// A header field's name and an edit that changes only that field.
+    type Edit<H> = (&'static str, fn(&mut H));
+
+    /// Bind a fresh store to `base`, then check `run` against it: the name
+    /// of the reported mismatched field.
+    fn journal_mismatch(base: &JournalHeader, run: &JournalHeader) -> &'static str {
+        let mut j = ScanJournal::in_memory();
+        j.check_compatible(base).unwrap();
+        match j.check_compatible(run) {
+            Err(JournalError::Mismatch { field, .. }) => field,
+            other => panic!("expected a journal mismatch, got {other:?}"),
+        }
+    }
+
+    fn ledger_mismatch(base: &LedgerHeader, run: &LedgerHeader) -> &'static str {
+        let mut c = Coordinator::in_memory();
+        c.check_compatible(base).unwrap();
+        match c.check_compatible(run) {
+            Err(LedgerError::Mismatch { field, .. }) => field,
+            other => panic!("expected a ledger mismatch, got {other:?}"),
+        }
+    }
+
+    /// Each header field, changed alone, is refused by name. Changing the
+    /// fields cumulatively from the last one back, the earliest changed
+    /// field is always the one reported, which pins the check order.
+    fn check_fields<H: Clone>(base: &H, edits: &[Edit<H>], mismatch: fn(&H, &H) -> &'static str) {
+        let mut all = base.clone();
+        for &(name, edit) in edits.iter().rev() {
+            let mut one = base.clone();
+            edit(&mut one);
+            assert_eq!(mismatch(base, &one), name, "{name} alone");
+            edit(&mut all);
+            assert_eq!(mismatch(base, &all), name, "{name} and every later field");
+        }
+    }
+
+    #[test]
+    fn each_header_field_mismatch_is_reported_by_name() {
+        let journal = JournalHeader {
+            fingerprint: 1,
+            moduli: 4,
+            stride: 2,
+            algo: "(E)".to_string(),
+            early: false,
+            launch_pairs: 2,
+            launches: 3,
+            tile_start: 0,
+            tile_launches: 3,
+        };
+        check_fields(
+            &journal,
+            &[
+                ("fingerprint", |h| h.fingerprint = 2),
+                ("moduli", |h| h.moduli = 5),
+                ("stride", |h| h.stride = 3),
+                ("algo", |h| h.algo = "(A)".to_string()),
+                ("early", |h| h.early = true),
+                ("launch_pairs", |h| h.launch_pairs = 1),
+                ("launches", |h| h.launches = 6),
+                ("tile", |h| h.tile_launches = 2),
+            ],
+            journal_mismatch,
+        );
+
+        let ledger = LedgerHeader {
+            fingerprint: 1,
+            moduli: 4,
+            launch_pairs: 2,
+            launches: 3,
+            tiles: 2,
+            algo: "(E)".to_string(),
+            early: false,
+        };
+        check_fields(
+            &ledger,
+            &[
+                ("fingerprint", |h| h.fingerprint = 2),
+                ("moduli", |h| h.moduli = 5),
+                ("launch_pairs", |h| h.launch_pairs = 1),
+                ("launches", |h| h.launches = 6),
+                ("tiles", |h| h.tiles = 3),
+                ("algo", |h| h.algo = "(A)".to_string()),
+                ("early", |h| h.early = true),
+            ],
+            ledger_mismatch,
+        );
+    }
 }

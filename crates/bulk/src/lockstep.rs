@@ -24,16 +24,25 @@
 //!    by flipping the lane's plane-selector mask — a pointer swap with no
 //!    copying, exactly like [`GcdPair::swap`](bulkgcd_core::GcdPair::swap).
 //!
+//! One private loop runs these four steps for every entry point. A fixed
+//! warp ([`LockstepEngine::run_warp`]) is that loop with no service pass:
+//! its lanes stay resident until the last one terminates. Queue mode
+//! ([`LockstepEngine::run_queue`]) adds a compaction/refill service pass
+//! between iterations. Both harvest into one per-entry result store, read
+//! with [`LockstepEngine::entry_status`] and its siblings.
+//!
 //! Each lane's value sequence is identical, iteration by iteration, to
 //! what `run_in_place(Algorithm::Approximate, ..)` computes for that pair
 //! — the equivalence suite asserts it — so findings, checkpoints, and
 //! resume semantics carry over bit-for-bit.
 //!
-//! When asked to **measure**, the engine feeds the descriptors of every
-//! iteration it executes into the same
+//! The loop is generic over an observer. With none, it does no accounting.
+//! [`LockstepEngine::run_warp_measured`] feeds the descriptors of every
+//! iteration into the same
 //! [`WarpWorkAccumulator`](bulkgcd_gpu::WarpWorkAccumulator) that the
 //! trace-replay model uses, so divergence fractions and coalesced-traffic
-//! counts come from live execution rather than a replay.
+//! counts come from live execution rather than a replay. The `_traced`
+//! entry points record the UMM address trace.
 
 use bulkgcd_bigint::{ops, Limb, Nat, LIMB_BITS};
 use bulkgcd_core::{
@@ -44,9 +53,9 @@ use bulkgcd_gpu::{CostModel, WarpWork, WarpWorkAccumulator};
 use bulkgcd_umm::gcd_trace::IterDesc;
 use bulkgcd_umm::trace::{BulkTrace, ThreadTrace};
 
-/// Address-sequence record of one traced warp execution
-/// ([`LockstepEngine::run_warp_traced`]), in the UMM trace model's
-/// per-thread logical offsets.
+/// Address-sequence record of one traced execution
+/// ([`LockstepEngine::run_warp_traced`], [`LockstepEngine::run_queue_traced`]),
+/// in the UMM trace model's per-entry logical offsets.
 ///
 /// Logical offsets encode the two operand planes back to back: plane-A
 /// row `k` is offset `k`, plane-B row `k` is offset `stride + k`. That
@@ -56,21 +65,21 @@ use bulkgcd_umm::trace::{BulkTrace, ThreadTrace};
 #[derive(Debug, Clone)]
 pub struct LockstepTrace {
     /// Head-read accesses of the per-lane planning phase: exactly 8 slots
-    /// (reads or idles) per lane per iteration — the §IV top-two and
+    /// (reads or idles) per entry per iteration — the §IV top-two and
     /// bottom-two words of each operand.
     pub plan: BulkTrace,
-    /// Accesses of the shared vector pass. Every lane records the same
-    /// sequence — masked lanes ride along — so this trace must analyze as
-    /// perfectly uniform; that is the dynamic half of the constant-flow
-    /// claim the analyze pass checks statically.
+    /// Accesses of the shared vector pass. Every resident entry records
+    /// the same sequence — masked lanes ride along — so this trace must
+    /// analyze as perfectly uniform; that is the dynamic half of the
+    /// constant-flow claim the analyze pass checks statically.
     pub vector: BulkTrace,
     /// The vector-pass trip count of each iteration (0 = fixup-only
     /// iteration). Together with `stride` this fully determines `vector`:
     /// the documented residual leak of the semi-oblivious design.
     pub rows_per_iter: Vec<usize>,
-    /// Limb rows per plane for this warp (max operand length).
+    /// Limb rows per plane for this run (max operand length).
     pub stride: usize,
-    /// Lockstep iterations executed until every lane terminated.
+    /// Lockstep iterations executed until every entry terminated.
     pub iterations: usize,
     /// Compaction/refill service events, part of the public per-iteration
     /// structure: each records the iteration index it preceded, how many
@@ -148,9 +157,7 @@ impl Default for CompactionConfig {
 /// (either mode), reset on every load.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LockstepStats {
-    /// Lockstep iterations that executed (planned at least one lane).
-    pub iterations: u64,
-    /// Σ running lanes over those iterations (useful work slots).
+    /// Σ running lanes over the executed iterations (useful work slots).
     pub active_lane_iters: u64,
     /// Σ resident width over those iterations (issued work slots —
     /// masked lanes burn these).
@@ -161,29 +168,16 @@ pub struct LockstepStats {
     pub refills: u64,
 }
 
-impl LockstepStats {
-    /// Mean active-lane occupancy: useful slots over issued slots, the
-    /// SIMT-efficiency analogue compaction exists to raise. 1.0 when
-    /// nothing ran.
-    pub fn occupancy(&self) -> f64 {
-        if self.resident_lane_iters == 0 {
-            1.0
-        } else {
-            self.active_lane_iters as f64 / self.resident_lane_iters as f64
-        }
-    }
-}
-
-/// Harvested terminal result of one queue entry.
+/// Harvested terminal result of one entry.
 #[derive(Debug, Clone)]
-struct QueueResult {
+struct EntryResult {
     status: GcdStatus,
     gcd_is_one: bool,
     factor: Option<Nat>,
 }
 
 /// Idle-pad every thread to the bulk's current step count, keeping a
-/// queue-mode trace step-aligned across partial-residency iterations.
+/// trace step-aligned across partial-residency iterations.
 fn pad_to_steps(tr: &mut BulkTrace) {
     let steps = tr.steps();
     for th in &mut tr.threads {
@@ -198,6 +192,62 @@ enum LaneState {
     Running,
     Done,
     Early,
+}
+
+/// What the one iteration loop ([`LockstepEngine::run_lanes`]) reports to:
+/// nothing (`()`), the warp's cost ([`Measure`]) or its address trace
+/// ([`LockstepTrace`]).
+trait Observer {
+    /// Whether planning records each running lane's [`IterDesc`] in `live`.
+    const LIVE: bool = false;
+    /// One executed iteration, after planning and before its vector pass
+    /// of `rows` limb rows.
+    fn on_iteration(&mut self, _engine: &mut LockstepEngine, _rows: usize) {}
+    /// A service pass that refilled or repacked columns.
+    fn on_service(&mut self, _event: CompactionEvent) {}
+}
+
+impl Observer for () {}
+
+/// Feeds every executed iteration into the engine's [`WarpWorkAccumulator`].
+struct Measure<'a>(&'a CostModel);
+
+impl Observer for Measure<'_> {
+    const LIVE: bool = true;
+
+    fn on_iteration(&mut self, engine: &mut LockstepEngine, _rows: usize) {
+        engine.record_work(self.0);
+    }
+}
+
+/// Records each entry's plan and vector-pass addresses, threads indexed by
+/// entry, plus the service events.
+impl Observer for LockstepTrace {
+    fn on_iteration(&mut self, engine: &mut LockstepEngine, rows: usize) {
+        engine.record_plan_reads(&mut self.plan);
+        self.rows_per_iter.push(rows);
+        for k in 0..rows {
+            // Every resident column whose entry is not yet harvested rides
+            // the same row sweep — including terminated lanes, which ride
+            // masked exactly like the real kernel until a service pass (or,
+            // in a fixed warp, the end of the run) harvests them.
+            for t in 0..engine.n {
+                let q = engine.owner[t];
+                if q == usize::MAX {
+                    continue;
+                }
+                let th = &mut self.vector.threads[q];
+                th.read(k);
+                th.read(engine.stride + k);
+                th.write(k);
+            }
+        }
+        pad_to_steps(&mut self.vector);
+    }
+
+    fn on_service(&mut self, event: CompactionEvent) {
+        self.events.push(event);
+    }
 }
 
 /// A reusable lockstep warp executor.
@@ -215,9 +265,9 @@ enum LaneState {
 /// let mut engine = LockstepEngine::new(8);
 /// let (a, b) = (Nat::from_u64(1_043_915), Nat::from_u64(768_955));
 /// let inputs = [(a.as_limbs(), b.as_limbs())];
-/// engine.run_warp(&inputs, Termination::Full, None);
-/// assert_eq!(engine.lane_status(0), GcdStatus::Done);
-/// assert_eq!(engine.lane_gcd_nat(0), Nat::from_u64(5));
+/// engine.run_warp(&inputs, Termination::Full);
+/// assert_eq!(engine.entry_status(0), GcdStatus::Done);
+/// assert_eq!(engine.entry_factor(0), Some(&Nat::from_u64(5)));
 /// ```
 #[derive(Debug, Clone)]
 pub struct LockstepEngine {
@@ -246,10 +296,10 @@ pub struct LockstepEngine {
     xg: Vec<Limb>,
     yg: Vec<Limb>,
     pair: GcdPair,
-    // Queue mode (compaction/refill): which queue entry owns each resident
-    // column (usize::MAX = dead/harvested), and the harvested results.
+    // Which entry owns each resident column (usize::MAX = dead/harvested),
+    // and the harvested per-entry results.
     owner: Vec<usize>,
-    qres: Vec<Option<QueueResult>>,
+    results: Vec<Option<EntryResult>>,
     stats: LockstepStats,
     // Measurement.
     live: Vec<IterDesc>,
@@ -281,15 +331,14 @@ impl LockstepEngine {
             yg: Vec::new(),
             pair: GcdPair::with_capacity(1),
             owner: vec![usize::MAX; w],
-            qres: Vec::new(),
+            results: Vec::new(),
             stats: LockstepStats::default(),
             live: Vec::with_capacity(w),
             acc: WarpWorkAccumulator::new(32),
         }
     }
 
-    /// Occupancy and service-event counters of the most recent
-    /// [`run_warp`](Self::run_warp) / [`run_queue`](Self::run_queue) call.
+    /// Occupancy and service-event counters of the most recent run.
     pub fn session_stats(&self) -> LockstepStats {
         self.stats
     }
@@ -302,76 +351,18 @@ impl LockstepEngine {
     /// Execute one warp of at most `width()` pairs to termination.
     ///
     /// Operands are borrowed little-endian limb slices (high zero padding
-    /// fine). With `measure = Some((cost, words_per_transaction))` the
-    /// engine also accumulates the warp's [`WarpWork`] from the iterations
-    /// it actually executes and returns it; with `None` it skips all
-    /// accounting.
-    ///
-    /// After return, every lane is terminated: harvest with
-    /// [`lane_status`](Self::lane_status) /
-    /// [`lane_gcd_is_one`](Self::lane_gcd_is_one) /
-    /// [`lane_gcd_nat`](Self::lane_gcd_nat).
-    // analyze: constant-flow(public = "w, n, stride, term, measure, live, fused_rows")
-    pub fn run_warp(
-        &mut self,
-        inputs: &[(&[Limb], &[Limb])],
-        term: Termination,
-        measure: Option<(&CostModel, u64)>,
-    ) -> Option<WarpWork> {
-        let w = self.w;
-        assert!(inputs.len() <= w, "warp overfilled: {} > {w}", inputs.len());
-        // analyze: allow(cf-reach, reason = "one-time scatter before lockstep begins: operand placement is per-pair setup, not part of the iteration kernel")
-        self.load(inputs);
-        if let Some((_, wpt)) = measure {
-            self.acc.reset(wpt);
-        }
-        // Hang insurance only: every path strips bits from the pair, so the
-        // scalar bound (~32·stride iterations) holds per lane; the engine
-        // matches the scalar sequence exactly.
-        let max_iters = 4096 + 64 * LIMB_BITS as usize * self.stride;
-        let mut iter = 0usize;
-        loop {
-            // analyze: allow(cf-branch, reason = "loop exit: the warp runs until every lane terminates; the iteration count is operand-dependent and is the documented residual leak (rows_per_iter in the UMM trace model)")
-            if !self.plan_iteration(term, measure.is_some()) {
-                break;
-            }
-            if let Some((cost, _)) = measure {
-                self.acc.record_iteration(cost, &self.live);
-            }
-            let rows = self.fused_rows();
-            if rows > 0 {
-                fused_submul_rshift_columns_prefix(
-                    &mut self.u,
-                    &mut self.v,
-                    w,
-                    self.n,
-                    rows,
-                    &self.sel,
-                    &self.alpha,
-                    &self.rs,
-                    &mut self.carry,
-                    &mut self.prev,
-                    &mut self.dcur,
-                );
-            }
-            for fi in 0..self.fixups.len() {
-                let (t, plan) = self.fixups[fi];
-                // analyze: allow(cf-reach, reason = "serialized scalar-fixup region: diverged lanes already left the vector pass; this is the documented divergence point")
-                self.apply_fixup(t, plan);
-            }
-            self.epilogue();
-            iter += 1;
-            assert!(
-                iter <= max_iters,
-                "lockstep engine exceeded {max_iters} iterations"
-            );
-        }
-        measure.map(|_| self.acc.take())
+    /// fine). After return, every entry is terminated: read the results
+    /// with [`entry_status`](Self::entry_status) /
+    /// [`entry_gcd_is_one`](Self::entry_gcd_is_one) /
+    /// [`entry_factor`](Self::entry_factor), indexed by position in
+    /// `inputs`.
+    pub fn run_warp(&mut self, inputs: &[(&[Limb], &[Limb])], term: Termination) {
+        self.run_lanes(inputs, term, None, &mut ());
     }
 
-    /// [`run_warp`](Self::run_warp) with measurement always on: returns the
-    /// warp's [`WarpWork`] directly, so callers don't have to unwrap an
-    /// `Option` that is `Some` by construction.
+    /// [`run_warp`](Self::run_warp) that also accumulates the warp's
+    /// [`WarpWork`] from the iterations it actually executes, priced under
+    /// `cost` with `words_per_transaction` words per coalesced transaction.
     pub fn run_warp_measured(
         &mut self,
         inputs: &[(&[Limb], &[Limb])],
@@ -379,8 +370,9 @@ impl LockstepEngine {
         cost: &CostModel,
         words_per_transaction: u64,
     ) -> WarpWork {
-        self.run_warp(inputs, term, Some((cost, words_per_transaction)))
-            .unwrap_or_default()
+        self.acc.reset(words_per_transaction);
+        self.run_lanes(inputs, term, None, &mut Measure(cost));
+        self.acc.take()
     }
 
     /// [`run_warp`](Self::run_warp) recording the address sequence of every
@@ -394,72 +386,14 @@ impl LockstepEngine {
     /// iteration. The serialized divergent fixups are the documented
     /// allow-pragma sites and are not part of the lockstep trace.
     ///
-    /// Lane results are identical to an untraced run — the trace is
-    /// recorded around the same `plan_iteration` / vector-pass / fixup /
-    /// epilogue calls, not a reimplementation.
+    /// Results are identical to an untraced run — the trace is recorded by
+    /// an observer of the same loop, not a reimplementation.
     pub fn run_warp_traced(
         &mut self,
         inputs: &[(&[Limb], &[Limb])],
         term: Termination,
     ) -> LockstepTrace {
-        let w = self.w;
-        assert!(inputs.len() <= w, "warp overfilled: {} > {w}", inputs.len());
-        self.load(inputs);
-        let mut plan = BulkTrace::with_threads(self.n);
-        let mut vector = BulkTrace::with_threads(self.n);
-        let mut rows_per_iter = Vec::new();
-        let max_iters = 4096 + 64 * LIMB_BITS as usize * self.stride;
-        loop {
-            if !self.plan_iteration(term, false) {
-                break;
-            }
-            self.record_plan_reads(&mut plan);
-            let rows = self.fused_rows();
-            rows_per_iter.push(rows);
-            for k in 0..rows {
-                // Every lane records the same row sweep: masked lanes ride
-                // along with α = 0, exactly like the real kernel.
-                for t in 0..self.n {
-                    let th = &mut vector.threads[t];
-                    th.read(k);
-                    th.read(self.stride + k);
-                    th.write(k);
-                }
-            }
-            if rows > 0 {
-                fused_submul_rshift_columns_prefix(
-                    &mut self.u,
-                    &mut self.v,
-                    w,
-                    self.n,
-                    rows,
-                    &self.sel,
-                    &self.alpha,
-                    &self.rs,
-                    &mut self.carry,
-                    &mut self.prev,
-                    &mut self.dcur,
-                );
-            }
-            for fi in 0..self.fixups.len() {
-                let (t, p) = self.fixups[fi];
-                self.apply_fixup(t, p);
-            }
-            self.epilogue();
-            assert!(
-                rows_per_iter.len() <= max_iters,
-                "lockstep engine exceeded {max_iters} iterations"
-            );
-        }
-        let iterations = rows_per_iter.len();
-        LockstepTrace {
-            plan,
-            vector,
-            rows_per_iter,
-            stride: self.stride,
-            iterations,
-            events: Vec::new(),
-        }
+        self.run_traced(inputs, term, None)
     }
 
     /// Execute an arbitrarily long queue of pairs through one warp with
@@ -467,8 +401,8 @@ impl LockstepEngine {
     ///
     /// The engine loads the first `width()` entries, then between lockstep
     /// iterations runs a **service pass**: terminated lanes are harvested
-    /// into a per-entry result store (freeing their columns), and when the
-    /// running-lane fraction drops below `cfg.min_active_fraction` dead
+    /// into the per-entry result store (freeing their columns), and when
+    /// the running-lane fraction drops below `cfg.min_active_fraction` dead
     /// columns are refilled with pending entries and/or the survivors are
     /// repacked into a dense column prefix so the shared vector pass stops
     /// issuing masked slots. Lane values are untouched by either move —
@@ -476,64 +410,15 @@ impl LockstepEngine {
     /// sequence is identical to [`run_warp`](Self::run_warp) — so findings
     /// and statuses match the uncompacted engine bit for bit.
     ///
-    /// Harvest with [`queue_status`](Self::queue_status) /
-    /// [`queue_gcd_is_one`](Self::queue_gcd_is_one) /
-    /// [`queue_factor`](Self::queue_factor), indexed by queue entry.
-    // analyze: constant-flow(public = "w, n, stride, term, cfg, fused_rows")
-    // analyze: zero-alloc
+    /// Results are read exactly as after [`run_warp`](Self::run_warp),
+    /// indexed by queue entry.
     pub fn run_queue(
         &mut self,
         inputs: &[(&[Limb], &[Limb])],
         term: Termination,
         cfg: CompactionConfig,
     ) {
-        let w = self.w;
-        // analyze: allow(cf-reach, reason = "one-time load/scatter before lockstep begins: operand placement is per-pair setup, not part of the iteration kernel")
-        // analyze: allow(za-alloc, reason = "setup sizes the column planes and queue store once per run, before the iteration loop")
-        self.queue_setup(inputs);
-        let mut next = self.n;
-        let max_iters = self.queue_iter_bound(inputs.len());
-        let mut iter = 0usize;
-        loop {
-            // analyze: allow(cf-branch, reason = "loop exit: the queue runs until every entry terminates; the iteration count is operand-dependent and is the documented residual leak (rows_per_iter in the UMM trace model)")
-            if !self.plan_iteration(term, false) {
-                // analyze: allow(cf-reach, reason = "harvest/repack/refill service pass between vector iterations: compaction is the documented serialized region")
-                self.queue_service(inputs, &mut next, cfg);
-                if self.n == 0 {
-                    break;
-                }
-                continue;
-            }
-            let rows = self.fused_rows();
-            if rows > 0 {
-                fused_submul_rshift_columns_prefix(
-                    &mut self.u,
-                    &mut self.v,
-                    w,
-                    self.n,
-                    rows,
-                    &self.sel,
-                    &self.alpha,
-                    &self.rs,
-                    &mut self.carry,
-                    &mut self.prev,
-                    &mut self.dcur,
-                );
-            }
-            for fi in 0..self.fixups.len() {
-                let (t, p) = self.fixups[fi];
-                // analyze: allow(cf-reach, reason = "serialized scalar-fixup region: diverged lanes already left the vector pass; this is the documented divergence point")
-                self.apply_fixup(t, p);
-            }
-            self.epilogue();
-            iter += 1;
-            assert!(
-                iter <= max_iters,
-                "lockstep engine exceeded {max_iters} iterations"
-            );
-            // analyze: allow(cf-reach, reason = "harvest/repack/refill service pass between vector iterations: compaction is the documented serialized region")
-            self.queue_service(inputs, &mut next, cfg);
-        }
+        self.run_lanes(inputs, term, Some(cfg), &mut ());
     }
 
     /// [`run_queue`](Self::run_queue) recording every queue entry's address
@@ -553,20 +438,109 @@ impl LockstepEngine {
         term: Termination,
         cfg: CompactionConfig,
     ) -> LockstepTrace {
+        self.run_traced(inputs, term, Some(cfg))
+    }
+
+    fn run_traced(
+        &mut self,
+        inputs: &[(&[Limb], &[Limb])],
+        term: Termination,
+        service: Option<CompactionConfig>,
+    ) -> LockstepTrace {
+        let mut trace = LockstepTrace {
+            plan: BulkTrace::with_threads(inputs.len()),
+            vector: BulkTrace::with_threads(inputs.len()),
+            rows_per_iter: Vec::new(),
+            stride: 0,
+            iterations: 0,
+            events: Vec::new(),
+        };
+        self.run_lanes(inputs, term, service, &mut trace);
+        trace.stride = self.stride;
+        trace.iterations = trace.rows_per_iter.len();
+        trace
+    }
+
+    /// The one lockstep iteration loop: plan, the shared vector pass, the
+    /// serialized fixups and the epilogue, until every entry terminates.
+    ///
+    /// `service: None` is the paper's fixed warp: at most `width()`
+    /// entries, no harvest, repack or refill between iterations, and one
+    /// harvest at the end. `Some(cfg)` runs the compaction/refill service
+    /// pass after every iteration.
+    // analyze: constant-flow(public = "w, n, stride, term, service, max_iters, fused_rows")
+    // analyze: zero-alloc
+    fn run_lanes<O: Observer>(
+        &mut self,
+        inputs: &[(&[Limb], &[Limb])],
+        term: Termination,
+        service: Option<CompactionConfig>,
+        obs: &mut O,
+    ) {
         let w = self.w;
-        self.queue_setup(inputs);
+        if service.is_none() {
+            assert!(inputs.len() <= w, "warp overfilled: {} > {w}", inputs.len());
+        }
+        // analyze: allow(cf-reach, reason = "one-time load/scatter before lockstep begins: operand placement is per-pair setup, not part of the iteration kernel")
+        // analyze: allow(za-alloc, reason = "setup sizes the column planes and result store once per run, before the iteration loop")
+        self.load(inputs);
         let mut next = self.n;
-        let mut plan = BulkTrace::with_threads(inputs.len());
-        let mut vector = BulkTrace::with_threads(inputs.len());
-        let mut rows_per_iter = Vec::new();
-        let mut events: Vec<CompactionEvent> = Vec::new();
-        let max_iters = self.queue_iter_bound(inputs.len());
+        // Hang insurance only: every path strips bits from the pair, so the
+        // scalar bound (~32·stride iterations) holds per lane; the engine
+        // matches the scalar sequence exactly. A queue scales it by its
+        // length, since each entry holds a column for at most its own
+        // scalar iteration count.
+        let entries = if service.is_some() {
+            inputs.len().max(1)
+        } else {
+            1
+        };
+        let max_iters = 4096 + 64 * LIMB_BITS as usize * self.stride * entries;
+        let mut iter = 0usize;
         loop {
-            if !self.plan_iteration(term, false) {
+            // analyze: allow(cf-branch, reason = "loop exit: the run continues until every entry terminates; the iteration count is operand-dependent and is the documented residual leak (rows_per_iter in the UMM trace model)")
+            if self.plan_iteration(term, O::LIVE) {
+                let rows = self.fused_rows();
+                obs.on_iteration(self, rows);
+                if rows > 0 {
+                    fused_submul_rshift_columns_prefix(
+                        &mut self.u,
+                        &mut self.v,
+                        w,
+                        self.n,
+                        rows,
+                        &self.sel,
+                        &self.alpha,
+                        &self.rs,
+                        &mut self.carry,
+                        &mut self.prev,
+                        &mut self.dcur,
+                    );
+                }
+                for fi in 0..self.fixups.len() {
+                    let (t, plan) = self.fixups[fi];
+                    // analyze: allow(cf-reach, reason = "serialized scalar-fixup region: diverged lanes already left the vector pass; this is the documented divergence point")
+                    self.apply_fixup(t, plan);
+                }
+                self.epilogue();
+                iter += 1;
+                assert!(
+                    iter <= max_iters,
+                    "lockstep engine exceeded {max_iters} iterations"
+                );
+            } else if service.is_none() {
+                // analyze: allow(cf-reach, reason = "end-of-run harvest: reads each terminated lane's result once, after the last iteration")
+                self.harvest();
+                break;
+            }
+            if let Some(cfg) = service {
+                // analyze: allow(cf-reach, reason = "harvest/repack/refill service pass between vector iterations: compaction is the documented serialized region")
                 let (refilled, repacked) = self.queue_service(inputs, &mut next, cfg);
+                // analyze: allow(cf-branch, reason = "service events count refilled columns and repacks: the public termination structure, never operand values")
+                // analyze: allow(cf-short-circuit, reason = "same event test: both operands are termination-structure counts")
                 if refilled > 0 || repacked {
-                    events.push(CompactionEvent {
-                        iteration: rows_per_iter.len(),
+                    obs.on_service(CompactionEvent {
+                        iteration: iter,
                         refilled,
                         repacked,
                         width_after: self.n,
@@ -575,76 +549,15 @@ impl LockstepEngine {
                 if self.n == 0 {
                     break;
                 }
-                continue;
             }
-            self.record_plan_reads_queue(&mut plan);
-            let rows = self.fused_rows();
-            rows_per_iter.push(rows);
-            for k in 0..rows {
-                // Every resident column whose entry is still recording
-                // rides the same row sweep — including lanes terminated at
-                // this iteration's plan, which ride masked exactly like the
-                // real kernel until the service pass harvests them.
-                for t in 0..self.n {
-                    if self.owner[t] == usize::MAX {
-                        continue;
-                    }
-                    let th = &mut vector.threads[self.owner[t]];
-                    th.read(k);
-                    th.read(self.stride + k);
-                    th.write(k);
-                }
-            }
-            pad_to_steps(&mut vector);
-            if rows > 0 {
-                fused_submul_rshift_columns_prefix(
-                    &mut self.u,
-                    &mut self.v,
-                    w,
-                    self.n,
-                    rows,
-                    &self.sel,
-                    &self.alpha,
-                    &self.rs,
-                    &mut self.carry,
-                    &mut self.prev,
-                    &mut self.dcur,
-                );
-            }
-            for fi in 0..self.fixups.len() {
-                let (t, p) = self.fixups[fi];
-                self.apply_fixup(t, p);
-            }
-            self.epilogue();
-            assert!(
-                rows_per_iter.len() <= max_iters,
-                "lockstep engine exceeded {max_iters} iterations"
-            );
-            let (refilled, repacked) = self.queue_service(inputs, &mut next, cfg);
-            if refilled > 0 || repacked {
-                events.push(CompactionEvent {
-                    iteration: rows_per_iter.len(),
-                    refilled,
-                    repacked,
-                    width_after: self.n,
-                });
-            }
-        }
-        let iterations = rows_per_iter.len();
-        LockstepTrace {
-            plan,
-            vector,
-            rows_per_iter,
-            stride: self.stride,
-            iterations,
-            events,
         }
     }
 
-    /// Size the planes for the whole queue (stride = max operand length
-    /// over every pending pair, so any refill fits any column), clear the
-    /// result store, and load the first `min(width, len)` entries.
-    fn queue_setup(&mut self, inputs: &[(&[Limb], &[Limb])]) {
+    /// The one loader: size the planes for every entry (stride = max
+    /// operand length over the whole input, so any refill fits any
+    /// column), clear the result store, and load the first
+    /// `min(width, len)` entries.
+    fn load(&mut self, inputs: &[(&[Limb], &[Limb])]) {
         let w = self.w;
         let mut stride = 1usize;
         for &(a, b) in inputs {
@@ -669,8 +582,8 @@ impl LockstepEngine {
             self.state[t] = LaneState::Done;
             self.owner[t] = usize::MAX;
         }
-        self.qres.clear();
-        self.qres.resize(inputs.len(), None);
+        self.results.clear();
+        self.results.resize(inputs.len(), None);
         self.stats = LockstepStats::default();
         // load_column zeroes each column it claims, so the planes need no
         // global fill: columns past the resident prefix are never touched.
@@ -680,16 +593,10 @@ impl LockstepEngine {
         }
     }
 
-    /// Hang-insurance bound for queue mode: the per-lane scalar bound
-    /// scaled by the whole queue (each entry occupies a column for at most
-    /// its own scalar iteration count).
-    fn queue_iter_bound(&self, total: usize) -> usize {
-        4096 + 64 * LIMB_BITS as usize * self.stride * total.max(1)
-    }
-
-    /// Load queue entry `q` into column `t`: zero the column's rows in
-    /// both planes, scatter the pair with the same larger-to-X (ties: `a`)
-    /// ordering rule as a full warp load, and mark the lane running.
+    /// Load entry `q` into column `t`: zero the column's rows in both
+    /// planes, scatter the pair with the same larger-to-X (ties: `a`)
+    /// ordering rule as `GcdPair::load_from_limbs` (X starts in plane A),
+    /// and mark the lane running.
     fn load_column(&mut self, t: usize, q: usize, a: &[Limb], b: &[Limb]) {
         let w = self.w;
         zero_lane_columns(&mut self.u, &mut self.v, w, self.stride, t);
@@ -733,11 +640,7 @@ impl LockstepEngine {
         next: &mut usize,
         cfg: CompactionConfig,
     ) -> (usize, bool) {
-        for t in 0..self.n {
-            if self.state[t] != LaneState::Running && self.owner[t] != usize::MAX {
-                self.harvest_lane(t);
-            }
-        }
+        self.harvest();
         let running = (0..self.n)
             .filter(|&t| self.state[t] == LaneState::Running)
             .count();
@@ -780,28 +683,36 @@ impl LockstepEngine {
         (refilled, repacked)
     }
 
-    /// Move a terminated lane's result into the queue store, freeing its
-    /// column for refill. Allocates only for actual findings (gcd > 1).
-    fn harvest_lane(&mut self, t: usize) {
-        let q = self.owner[t];
-        let status = match self.state[t] {
-            LaneState::Done => GcdStatus::Done,
-            LaneState::Early => GcdStatus::EarlyCoprime,
-            LaneState::Running => unreachable!("only terminated lanes are harvested"),
-        };
-        let gcd_is_one = status == GcdStatus::Done && self.lx[t] == 1 && self.x_plane(t)[t] == 1;
-        let factor = if status == GcdStatus::Done && !gcd_is_one {
-            // analyze: allow(za-alloc, reason = "allocates only for an actual finding (gcd > 1) — the rare path harvest exists to record")
-            Some(self.lane_gcd_nat(t))
-        } else {
-            None
-        };
-        self.qres[q] = Some(QueueResult {
-            status,
-            gcd_is_one,
-            factor,
-        });
-        self.owner[t] = usize::MAX;
+    /// Move every terminated, unharvested lane's result into the result
+    /// store, freeing its column. Allocates only for actual findings
+    /// (gcd > 1).
+    fn harvest(&mut self) {
+        for t in 0..self.n {
+            let q = self.owner[t];
+            let status = match self.state[t] {
+                LaneState::Running => continue,
+                LaneState::Done => GcdStatus::Done,
+                LaneState::Early => GcdStatus::EarlyCoprime,
+            };
+            if q == usize::MAX {
+                continue;
+            }
+            let xp = self.x_plane(t);
+            let gcd_is_one = status == GcdStatus::Done && self.lx[t] == 1 && xp[t] == 1;
+            let factor = if status == GcdStatus::Done && !gcd_is_one {
+                // analyze: allow(za-alloc, reason = "allocates only for an actual finding (gcd > 1) — the rare path harvest exists to record")
+                let limbs: Vec<Limb> = (0..self.lx[t]).map(|k| xp[k * self.w + t]).collect();
+                Some(Nat::from_limbs(&limbs))
+            } else {
+                None
+            };
+            self.results[q] = Some(EntryResult {
+                status,
+                gcd_is_one,
+                factor,
+            });
+            self.owner[t] = usize::MAX;
+        }
     }
 
     /// Repack live columns into a dense prefix and shrink the resident
@@ -809,7 +720,7 @@ impl LockstepEngine {
     /// slots for dead columns. Swap-remove order: each hole is plugged by
     /// the **last** live column, so a death costs one lane move (not a
     /// shift of every survivor — lane order inside the warp is free, the
-    /// `owner` registers track queue identity). Pure plane/register copies
+    /// `owner` registers track entry identity). Pure plane/register copies
     /// — lane values are untouched (α/rs are per-iteration and already
     /// consumed).
     fn repack(&mut self) {
@@ -843,62 +754,39 @@ impl LockstepEngine {
         self.n = n;
     }
 
-    /// Number of entries in the engine's last
-    /// [`run_queue`](Self::run_queue) call.
-    pub fn queue_len(&self) -> usize {
-        self.qres.len()
+    /// Number of entries in the engine's last run.
+    pub fn entry_count(&self) -> usize {
+        self.results.len()
     }
 
-    /// Terminal status of queue entry `q` after
-    /// [`run_queue`](Self::run_queue).
-    pub fn queue_status(&self, q: usize) -> GcdStatus {
-        // analyze: allow(no-panic, reason = "documented panic contract: queue accessors are valid only after run_queue returns, which harvests every entry")
-        self.qres[q]
-            .as_ref()
-            .expect("queue entry not harvested")
-            .status
+    fn result(&self, q: usize) -> &EntryResult {
+        // analyze: allow(no-panic, reason = "documented panic contract: entry accessors are valid only after a run returns, which harvests every entry")
+        self.results[q].as_ref().expect("entry not harvested")
     }
 
-    /// For a [`GcdStatus::Done`] queue entry: is the GCD exactly 1?
-    pub fn queue_gcd_is_one(&self, q: usize) -> bool {
-        // analyze: allow(no-panic, reason = "documented panic contract: queue accessors are valid only after run_queue returns, which harvests every entry")
-        self.qres[q]
-            .as_ref()
-            .expect("queue entry not harvested")
-            .gcd_is_one
+    /// Terminal status of entry `q` of the last run.
+    ///
+    /// Panics if `q` is out of range for the last run.
+    pub fn entry_status(&self, q: usize) -> GcdStatus {
+        self.result(q).status
     }
 
-    /// For a [`GcdStatus::Done`] queue entry with GCD > 1: the factor,
-    /// gathered at harvest time. `None` for coprime or interrupted entries.
-    pub fn queue_factor(&self, q: usize) -> Option<&Nat> {
-        // analyze: allow(no-panic, reason = "documented panic contract: queue accessors are valid only after run_queue returns, which harvests every entry")
-        self.qres[q]
-            .as_ref()
-            .expect("queue entry not harvested")
-            .factor
-            .as_ref()
+    /// For a [`GcdStatus::Done`] entry: is the GCD exactly 1?
+    pub fn entry_gcd_is_one(&self, q: usize) -> bool {
+        self.result(q).gcd_is_one
     }
 
-    /// Record this iteration's planning-phase head reads: 8 slots per lane
-    /// (§IV's top-two and bottom-two words of each operand), idles for
-    /// terminated lanes so the bulk stays step-aligned.
+    /// For a [`GcdStatus::Done`] entry with GCD > 1: the factor, gathered
+    /// at harvest time. `None` for coprime or interrupted entries.
+    pub fn entry_factor(&self, q: usize) -> Option<&Nat> {
+        self.result(q).factor.as_ref()
+    }
+
+    /// Record this iteration's planning-phase head reads: 8 slots per
+    /// running lane (§IV's top-two and bottom-two words of each operand)
+    /// into its owning entry's thread, and idles for every other thread so
+    /// the bulk stays step-aligned.
     fn record_plan_reads(&self, tr: &mut BulkTrace) {
-        for t in 0..self.n {
-            let th = &mut tr.threads[t];
-            if self.state[t] != LaneState::Running {
-                for _ in 0..8 {
-                    th.idle();
-                }
-                continue;
-            }
-            self.record_lane_plan_reads(t, th);
-        }
-    }
-
-    /// Queue-mode variant of [`record_plan_reads`](Self::record_plan_reads):
-    /// running lanes record into their owning queue entry's thread, and
-    /// every other thread idle-pads to the common step count.
-    fn record_plan_reads_queue(&self, tr: &mut BulkTrace) {
         for t in 0..self.n {
             if self.state[t] == LaneState::Running {
                 self.record_lane_plan_reads(t, &mut tr.threads[self.owner[t]]);
@@ -941,32 +829,13 @@ impl LockstepEngine {
         }
     }
 
-    /// Terminal status of lane `t` after [`run_warp`](Self::run_warp).
-    ///
-    /// Panics if the lane index is out of range for the last warp.
-    pub fn lane_status(&self, t: usize) -> GcdStatus {
-        assert!(t < self.n, "lane {t} out of range ({} loaded)", self.n);
-        match self.state[t] {
-            LaneState::Done => GcdStatus::Done,
-            LaneState::Early => GcdStatus::EarlyCoprime,
-            LaneState::Running => unreachable!("run_warp terminates every lane"),
-        }
-    }
-
-    /// For a [`GcdStatus::Done`] lane: is the GCD exactly 1? Answered from
-    /// the length register and one strided word, no allocation.
-    pub fn lane_gcd_is_one(&self, t: usize) -> bool {
-        assert!(t < self.n);
-        self.lx[t] == 1 && self.x_plane(t)[t] == 1
-    }
-
-    /// For a [`GcdStatus::Done`] lane: the GCD as an owned `Nat` (gathers
-    /// the lane's column; allocates, so reserve it for rare findings).
-    pub fn lane_gcd_nat(&self, t: usize) -> Nat {
-        assert!(t < self.n);
-        let xp = self.x_plane(t);
-        let limbs: Vec<Limb> = (0..self.lx[t]).map(|k| xp[k * self.w + t]).collect();
-        Nat::from_limbs(&limbs)
+    /// Price this iteration's live lanes into the warp's accumulator. It
+    /// runs inside the lockstep loop every iteration, so it is held to the
+    /// loop's discipline; the accumulator's step-kind branches are the
+    /// baselined replay-model accounting.
+    // analyze: constant-flow(public = "cost, live")
+    fn record_work(&mut self, cost: &CostModel) {
+        self.acc.record_iteration(cost, &self.live);
     }
 
     #[inline]
@@ -975,58 +844,6 @@ impl LockstepEngine {
             &self.u
         } else {
             &self.v
-        }
-    }
-
-    fn load(&mut self, inputs: &[(&[Limb], &[Limb])]) {
-        let w = self.w;
-        self.n = inputs.len();
-        let mut stride = 1usize;
-        for &(a, b) in inputs {
-            stride = stride
-                .max(ops::normalized_len(a))
-                .max(ops::normalized_len(b));
-        }
-        self.stride = stride;
-        let need = stride * w;
-        if self.u.len() < need {
-            self.u.resize(need, 0);
-            self.v.resize(need, 0);
-        }
-        self.u[..need].fill(0);
-        self.v[..need].fill(0);
-        if self.xg.len() < stride {
-            self.xg.resize(stride, 0);
-            self.yg.resize(stride, 0);
-        }
-        for t in 0..w {
-            self.sel[t] = 0;
-            self.lx[t] = 0;
-            self.ly[t] = 0;
-            self.state[t] = LaneState::Done;
-            self.owner[t] = usize::MAX;
-        }
-        self.qres.clear();
-        self.stats = LockstepStats::default();
-        for (t, &(a, b)) in inputs.iter().enumerate() {
-            // Same ordering rule as GcdPair::load_from_limbs: larger value
-            // (ties: a) goes to X, which starts in plane A.
-            let la = ops::normalized_len(a);
-            let lb = ops::normalized_len(b);
-            let (hi, lhi, lo, llo) = if ops::cmp(&a[..la], &b[..lb]) == core::cmp::Ordering::Less {
-                (b, lb, a, la)
-            } else {
-                (a, la, b, lb)
-            };
-            for (k, &limb) in hi[..lhi].iter().enumerate() {
-                self.u[k * w + t] = limb;
-            }
-            for (k, &limb) in lo[..llo].iter().enumerate() {
-                self.v[k * w + t] = limb;
-            }
-            self.lx[t] = lhi;
-            self.ly[t] = llo;
-            self.state[t] = LaneState::Running;
         }
     }
 
@@ -1128,7 +945,6 @@ impl LockstepEngine {
             }
         }
         if running > 0 {
-            self.stats.iterations += 1;
             self.stats.active_lane_iters += running as u64;
             self.stats.resident_lane_iters += self.n as u64;
         }
@@ -1296,6 +1112,20 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// The GCD of a `Done` entry, read through the entry accessors.
+    fn entry_gcd(engine: &LockstepEngine, q: usize) -> Nat {
+        match engine.entry_factor(q) {
+            Some(f) => f.clone(),
+            None => {
+                assert!(
+                    engine.entry_gcd_is_one(q),
+                    "entry {q}: no factor, gcd not 1"
+                );
+                Nat::from_u64(1)
+            }
+        }
+    }
+
     fn warp_vs_reference(pairs: &[(Nat, Nat)], w: usize, term: Termination) {
         let mut engine = LockstepEngine::new(w);
         for chunk in pairs.chunks(w) {
@@ -1303,7 +1133,7 @@ mod tests {
                 .iter()
                 .map(|(a, b)| (a.as_limbs(), b.as_limbs()))
                 .collect();
-            engine.run_warp(&inputs, term, None);
+            engine.run_warp(&inputs, term);
             for (t, (a, b)) in chunk.iter().enumerate() {
                 let mut pair = GcdPair::new(a, b);
                 let status = bulkgcd_core::run_in_place(
@@ -1312,10 +1142,10 @@ mod tests {
                     term,
                     &mut bulkgcd_core::NoProbe,
                 );
-                assert_eq!(engine.lane_status(t), status, "status lane {t}");
+                assert_eq!(engine.entry_status(t), status, "status lane {t}");
                 if status == GcdStatus::Done {
-                    assert_eq!(engine.lane_gcd_nat(t), pair.x_nat(), "gcd lane {t}");
-                    assert_eq!(engine.lane_gcd_is_one(t), pair.gcd_is_one());
+                    assert_eq!(entry_gcd(&engine, t), pair.x_nat(), "gcd lane {t}");
+                    assert_eq!(engine.entry_gcd_is_one(t), pair.gcd_is_one());
                 }
             }
         }
@@ -1380,8 +1210,8 @@ mod tests {
         for bits in [1024u64, 64, 512, 32] {
             let a = random_odd_bits(&mut rng, bits);
             let b = random_odd_bits(&mut rng, bits);
-            engine.run_warp(&[(a.as_limbs(), b.as_limbs())], Termination::Full, None);
-            assert_eq!(engine.lane_gcd_nat(0), a.gcd_reference(&b), "{bits} bits");
+            engine.run_warp(&[(a.as_limbs(), b.as_limbs())], Termination::Full);
+            assert_eq!(entry_gcd(&engine, 0), a.gcd_reference(&b), "{bits} bits");
         }
     }
 }

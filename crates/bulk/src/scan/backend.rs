@@ -265,16 +265,17 @@ pub(crate) fn scalar_fallback(
         .collect()
 }
 
-/// Harvest the findings of one executed warp from the engine's lanes.
-fn harvest_warp(
+/// Collect the findings of the engine's last run, whose entry `q` was the
+/// pair `pairs[q]`.
+fn harvest(
     arena: &ModuliArena,
     engine: &LockstepEngine,
-    warp: &[(usize, usize)],
+    pairs: &[(usize, usize)],
     found: &mut Vec<Finding>,
 ) {
-    for (t, &(i, j)) in warp.iter().enumerate() {
-        if engine.lane_status(t) == GcdStatus::Done && !engine.lane_gcd_is_one(t) {
-            let factor = engine.lane_gcd_nat(t);
+    for (q, &(i, j)) in pairs.iter().enumerate() {
+        if let Some(factor) = engine.entry_factor(q) {
+            let factor = factor.clone();
             found.push(Finding {
                 i,
                 j,
@@ -384,59 +385,33 @@ struct LockstepExecutor {
     compaction: Option<CompactionConfig>,
 }
 
-impl LockstepExecutor {
-    /// Fold the engine's per-run occupancy/service counters into the
-    /// launch output.
-    fn accumulate_stats(engine: &LockstepEngine, out: &mut LaunchOutput) {
-        let st = engine.session_stats();
-        out.active_lane_iters += st.active_lane_iters;
-        out.resident_lane_iters += st.resident_lane_iters;
-        out.compactions += st.compactions;
-        out.refills += st.refills;
-    }
-}
-
 impl LaunchExecutor for LockstepExecutor {
     fn execute(&mut self, cx: &ExecCtx<'_>, lanes: &[(usize, usize)]) -> LaunchOutput {
         let arena = cx.arena;
-        let w = self.engine.width();
+        // Queue mode runs the whole launch as one pending queue through a
+        // single compacting warp; plain mode runs fixed warps of `width()`
+        // lanes. Each group runs under its own termination fold.
+        let group = match self.compaction {
+            Some(_) => lanes.len().max(1),
+            None => self.engine.width(),
+        };
         let mut out = LaunchOutput::default();
-        if let Some(cfg) = self.compaction {
-            // Queue mode: the launch is one pending queue through a single
-            // compacting warp, under the launch-level termination fold.
-            let term = launch_termination(arena, lanes, cx.early);
-            let inputs: Vec<(&[Limb], &[Limb])> = lanes
-                .iter()
-                .map(|&(i, j)| (arena.limbs(i), arena.limbs(j)))
-                .collect();
-            self.engine.run_queue(&inputs, term, cfg);
-            for (q, &(i, j)) in lanes.iter().enumerate() {
-                // A queue entry carries a factor exactly when it completed
-                // with a non-trivial GCD — the same harvest rule as
-                // `harvest_warp` applies to plain warps.
-                if let Some(factor) = self.engine.queue_factor(q) {
-                    let factor = factor.clone();
-                    out.findings.push(Finding {
-                        i,
-                        j,
-                        kind: kind_of(&factor, arena.limbs(i), arena.limbs(j)),
-                        factor,
-                    });
-                }
-            }
-            out.warps += 1;
-            Self::accumulate_stats(&self.engine, &mut out);
-            return out;
-        }
-        let mut inputs: Vec<(&[Limb], &[Limb])> = Vec::with_capacity(w);
-        for warp in lanes.chunks(w) {
-            let term = launch_termination(arena, warp, cx.early);
+        let mut inputs: Vec<(&[Limb], &[Limb])> = Vec::with_capacity(group);
+        for pairs in lanes.chunks(group) {
+            let term = launch_termination(arena, pairs, cx.early);
             inputs.clear();
-            inputs.extend(warp.iter().map(|&(i, j)| (arena.limbs(i), arena.limbs(j))));
-            self.engine.run_warp(&inputs, term, None);
-            harvest_warp(arena, &self.engine, warp, &mut out.findings);
+            inputs.extend(pairs.iter().map(|&(i, j)| (arena.limbs(i), arena.limbs(j))));
+            match self.compaction {
+                Some(cfg) => self.engine.run_queue(&inputs, term, cfg),
+                None => self.engine.run_warp(&inputs, term),
+            }
+            harvest(arena, &self.engine, pairs, &mut out.findings);
             out.warps += 1;
-            Self::accumulate_stats(&self.engine, &mut out);
+            let st = self.engine.session_stats();
+            out.active_lane_iters += st.active_lane_iters;
+            out.resident_lane_iters += st.resident_lane_iters;
+            out.compactions += st.compactions;
+            out.refills += st.refills;
         }
         out
     }
@@ -528,7 +503,7 @@ impl GpuSimExecutor {
             out.active_lane_iters += st.active_lane_iters;
             out.resident_lane_iters += st.resident_lane_iters;
             self.warps.push(work);
-            harvest_warp(arena, &self.engine, warp, &mut out.findings);
+            harvest(arena, &self.engine, warp, &mut out.findings);
         }
         let report = schedule(&self.device, &self.warps);
         out.simulated_seconds = Some(report.seconds);

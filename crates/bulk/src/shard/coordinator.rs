@@ -36,7 +36,9 @@
 
 use crate::arena::ModuliArena;
 use crate::checkpoint::{corpus_fingerprint, ScanJournal};
-use crate::journal::{field, parse_hex_u64, parse_num, Corrupt, Journal};
+use crate::journal::{
+    field, first_mismatch, parse_hex_u64, parse_num, Corrupt, Fnv64, HeaderField, Journal,
+};
 use crate::shard::TilePlan;
 use bulkgcd_core::Algorithm;
 use std::collections::BTreeMap;
@@ -54,16 +56,12 @@ const MAGIC: &str = "bulkgcd-shard-ledger v1";
 /// coordinator uses it to tell harmless duplicate completions from
 /// impossible conflicting ones.
 pub fn tile_fingerprint(journal: &ScanJournal) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
+    let mut h = Fnv64::new();
     for record in journal.records() {
-        for b in record.to_line().bytes().chain(std::iter::once(b'\n')) {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(PRIME);
-        }
+        h.eat(record.to_line().as_bytes());
+        h.eat(b"\n");
     }
-    h
+    h.finish()
 }
 
 /// Why the ledger refused an operation.
@@ -184,6 +182,17 @@ pub struct LedgerHeader {
 }
 
 impl LedgerHeader {
+    /// The fields [`Coordinator::check_compatible`] compares, in order.
+    const FIELDS: [HeaderField<LedgerHeader>; 7] = [
+        ("fingerprint", |h| format!("{:016x}", h.fingerprint)),
+        ("moduli", |h| h.moduli.to_string()),
+        ("launch_pairs", |h| h.launch_pairs.to_string()),
+        ("launches", |h| h.launches.to_string()),
+        ("tiles", |h| h.tiles.to_string()),
+        ("algo", |h| h.algo.clone()),
+        ("early", |h| h.early.to_string()),
+    ];
+
     /// The header binding a ledger to `arena` scanned under `plan`.
     pub fn for_plan(arena: &ModuliArena, algo: Algorithm, early: bool, plan: &TilePlan) -> Self {
         LedgerHeader {
@@ -365,53 +374,9 @@ impl Coordinator {
             self.header = Some(header.clone());
             return Ok(());
         };
-        let mismatch = |field: &'static str, ledger: String, run: String| {
-            Err(LedgerError::Mismatch { field, ledger, run })
-        };
-        if existing.fingerprint != header.fingerprint {
-            return mismatch(
-                "fingerprint",
-                format!("{:016x}", existing.fingerprint),
-                format!("{:016x}", header.fingerprint),
-            );
-        }
-        if existing.moduli != header.moduli {
-            return mismatch(
-                "moduli",
-                existing.moduli.to_string(),
-                header.moduli.to_string(),
-            );
-        }
-        if existing.launch_pairs != header.launch_pairs {
-            return mismatch(
-                "launch_pairs",
-                existing.launch_pairs.to_string(),
-                header.launch_pairs.to_string(),
-            );
-        }
-        if existing.launches != header.launches {
-            return mismatch(
-                "launches",
-                existing.launches.to_string(),
-                header.launches.to_string(),
-            );
-        }
-        if existing.tiles != header.tiles {
-            return mismatch(
-                "tiles",
-                existing.tiles.to_string(),
-                header.tiles.to_string(),
-            );
-        }
-        if existing.algo != header.algo {
-            return mismatch("algo", existing.algo.clone(), header.algo.clone());
-        }
-        if existing.early != header.early {
-            return mismatch(
-                "early",
-                existing.early.to_string(),
-                header.early.to_string(),
-            );
+        if let Some((field, ledger, run)) = first_mismatch(&LedgerHeader::FIELDS, existing, header)
+        {
+            return Err(LedgerError::Mismatch { field, ledger, run });
         }
         Ok(())
     }

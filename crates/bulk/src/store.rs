@@ -47,7 +47,7 @@
 
 use crate::arena::{ArenaError, ModuliArena};
 use crate::checkpoint::corpus_fingerprint;
-use crate::journal::{check_magic, field, parse_hex_u64, parse_num, Corrupt};
+use crate::journal::{check_magic, field, parse_hex_u64, parse_num, Corrupt, Fnv64};
 use crate::scan::backend::{scan_pair, termination_for};
 use crate::scan::report::ScanReport;
 use bulkgcd_bigint::{ops, Limb, Nat};
@@ -309,26 +309,19 @@ impl ArenaSource {
     /// Stream the payload once through the corpus fingerprint and compare
     /// with the header — bounded memory regardless of corpus size.
     fn verify_fingerprint(&mut self, payload_bytes: u64) -> Result<(), StoreError> {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(PRIME);
-            }
-        };
-        eat(&(self.header.m as u64).to_le_bytes());
-        eat(&(self.header.stride as u64).to_le_bytes());
+        let mut h = Fnv64::new();
+        h.eat(&(self.header.m as u64).to_le_bytes());
+        h.eat(&(self.header.stride as u64).to_le_bytes());
         self.file.seek(SeekFrom::Start(self.payload_offset))?;
         let mut remaining = payload_bytes;
         let mut buf = vec![0u8; (1 << 20).min(remaining.max(1) as usize)];
         while remaining > 0 {
             let take = buf.len().min(remaining as usize);
             self.file.read_exact(&mut buf[..take])?;
-            eat(&buf[..take]);
+            h.eat(&buf[..take]);
             remaining -= take as u64;
         }
+        let h = h.finish();
         if h != self.header.fingerprint {
             return Err(StoreError::Fingerprint {
                 stored: self.header.fingerprint,

@@ -6,10 +6,12 @@
 //! original per-engine scan functions on a fixed seeded corpus. A pipeline
 //! change that perturbs launch batching, warp alignment, merge order, or
 //! the measured-WarpWork pricing path shows up here as a flipped f64 bit.
+//! The corpus and tile fingerprints are pinned the same way.
 
 use bulkgcd_bigint::Nat;
 use bulkgcd_bulk::{
-    FaultPlan, FindingKind, GpuSimBackend, LockstepBackend, ModuliArena, ScanJournal, ScanPipeline,
+    corpus_fingerprint, tile_fingerprint, FaultPlan, Finding, FindingKind, GpuSimBackend,
+    JournalHeader, LaunchRecord, LockstepBackend, ModuliArena, ScanJournal, ScanPipeline,
     ScanReport,
 };
 use bulkgcd_core::Algorithm;
@@ -191,4 +193,40 @@ fn metrics_agree_with_pinned_clock() {
     assert!(metrics.total_warps() > 0);
     assert!(metrics.total_warp_instructions() > 0.0);
     assert!(metrics.total_mem_transactions() > 0);
+}
+
+/// The corpus and tile fingerprints are bound into arena, journal and
+/// ledger headers, so a change to either hash would orphan every file
+/// already on disk.
+#[test]
+fn fingerprints_are_pinned() {
+    let arena = ModuliArena::try_from_moduli(&pinned_moduli()).expect("pinned corpus");
+    let corpus = format!("{:016x}", corpus_fingerprint(&arena));
+    let mut journal = ScanJournal::in_memory();
+    journal
+        .check_compatible(&JournalHeader::for_scan(
+            &arena,
+            Algorithm::Approximate,
+            true,
+            16,
+        ))
+        .expect("fresh journal binds");
+    for launch in [0, 3] {
+        journal
+            .record(LaunchRecord {
+                launch,
+                simulated_seconds: 0.1 + 0.2,
+                cpu_fallback: launch == 3,
+                findings: vec![Finding {
+                    i: 0,
+                    j: 2,
+                    kind: FindingKind::SharedPrime,
+                    factor: Nat::from_u64(0xdead_beef),
+                }],
+            })
+            .expect("in-memory record");
+    }
+    let tile = format!("{:016x}", tile_fingerprint(&journal));
+    assert_eq!(corpus, "147dfc3156d166e3");
+    assert_eq!(tile, "4016c6c8b0436981");
 }

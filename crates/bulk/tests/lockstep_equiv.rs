@@ -48,13 +48,16 @@ fn check_warps(pairs: &[(Vec<Limb>, Vec<Limb>)], w: usize, term: Termination) {
             .iter()
             .map(|(a, b)| (a.as_slice(), b.as_slice()))
             .collect();
-        engine.run_warp(&inputs, term, None);
+        engine.run_warp(&inputs, term);
         for (t, (a, b)) in warp.iter().enumerate() {
             let (status, gcd) = scalar_reference(a, b, term);
-            assert_eq!(engine.lane_status(t), status, "lane {t} status");
+            assert_eq!(engine.entry_status(t), status, "lane {t} status");
             if let Some(g) = gcd {
-                assert_eq!(engine.lane_gcd_is_one(t), g.is_one(), "lane {t} is_one");
-                assert_eq!(engine.lane_gcd_nat(t), g, "lane {t} gcd");
+                assert_eq!(engine.entry_gcd_is_one(t), g.is_one(), "lane {t} is_one");
+                match engine.entry_factor(t) {
+                    Some(f) => assert_eq!(*f, g, "lane {t} gcd"),
+                    None => assert!(g.is_one(), "lane {t} lost its factor"),
+                }
                 if term == Termination::Full {
                     let na = Nat::from_limb_slice(a);
                     let nb = Nat::from_limb_slice(b);
@@ -81,20 +84,20 @@ fn check_queue(
         .collect();
     let mut engine = LockstepEngine::new(w);
     engine.run_queue(&inputs, term, cfg);
-    assert_eq!(engine.queue_len(), pairs.len());
+    assert_eq!(engine.entry_count(), pairs.len());
     for (q, (a, b)) in pairs.iter().enumerate() {
         let (status, gcd) = scalar_reference(a, b, term);
-        assert_eq!(engine.queue_status(q), status, "entry {q} status");
+        assert_eq!(engine.entry_status(q), status, "entry {q} status");
         match gcd {
             Some(g) => {
-                assert_eq!(engine.queue_gcd_is_one(q), g.is_one(), "entry {q} is_one");
-                match engine.queue_factor(q) {
+                assert_eq!(engine.entry_gcd_is_one(q), g.is_one(), "entry {q} is_one");
+                match engine.entry_factor(q) {
                     Some(f) => assert_eq!(*f, g, "entry {q} factor"),
                     None => assert!(g.is_one(), "entry {q} lost its factor"),
                 }
             }
             None => assert!(
-                engine.queue_factor(q).is_none(),
+                engine.entry_factor(q).is_none(),
                 "interrupted entry {q} must carry no factor"
             ),
         }
@@ -193,6 +196,73 @@ proptest! {
         cfg in compaction_cfg(),
     ) {
         check_queue(&pairs, w, Termination::Full, cfg);
+    }
+}
+
+/// Run `pairs` (at most `w`) as a fixed warp and as a queue under `cfg`,
+/// traced and untraced, and check the two modes agree: per-entry status
+/// and factor, `rows_per_iter`, `iterations`, `stride` and each entry's
+/// plan trace. Within one warp the service pass only harvests and
+/// repacks; it never refills, so queue mode must be the fixed warp.
+fn check_modes_agree(
+    pairs: &[(Vec<Limb>, Vec<Limb>)],
+    w: usize,
+    term: Termination,
+    cfg: CompactionConfig,
+) {
+    let inputs: Vec<(&[Limb], &[Limb])> = pairs
+        .iter()
+        .map(|(a, b)| (a.as_slice(), b.as_slice()))
+        .collect();
+    let mut warp = LockstepEngine::new(w);
+    let mut queue = LockstepEngine::new(w);
+    let warp_trace = warp.run_warp_traced(&inputs, term);
+    let queue_trace = queue.run_queue_traced(&inputs, term, cfg);
+    assert_eq!(warp_trace.rows_per_iter, queue_trace.rows_per_iter);
+    assert_eq!(warp_trace.iterations, queue_trace.iterations);
+    assert_eq!(warp_trace.stride, queue_trace.stride);
+    assert!(warp_trace.events.is_empty(), "a fixed warp has no service");
+    for q in 0..pairs.len() {
+        assert_eq!(warp.entry_status(q), queue.entry_status(q), "entry {q}");
+        assert_eq!(warp.entry_factor(q), queue.entry_factor(q), "entry {q}");
+        assert_eq!(
+            warp_trace.plan.threads[q].accesses, queue_trace.plan.threads[q].accesses,
+            "entry {q} plan trace"
+        );
+    }
+    let traced: Vec<(GcdStatus, Option<Nat>)> = (0..pairs.len())
+        .map(|q| (warp.entry_status(q), warp.entry_factor(q).cloned()))
+        .collect();
+    warp.run_warp(&inputs, term);
+    queue.run_queue(&inputs, term, cfg);
+    for (q, (status, factor)) in traced.iter().enumerate() {
+        for engine in [&warp, &queue] {
+            assert_eq!(engine.entry_status(q), *status, "untraced entry {q}");
+            assert_eq!(
+                engine.entry_factor(q),
+                factor.as_ref(),
+                "untraced entry {q}"
+            );
+        }
+    }
+}
+
+proptest! {
+    /// The invariant behind the one iteration loop: for at most `W` pairs,
+    /// plain and queue mode run the same iterations over 64–1024-bit
+    /// operands under any compaction tuning, full or early termination.
+    #[test]
+    fn queue_mode_matches_fixed_warp_within_one_warp(
+        pairs in vec((operand(32), operand(32)), 1..=8),
+        (early, threshold_bits) in (any::<bool>(), 1u64..600),
+        cfg in compaction_cfg(),
+    ) {
+        let term = if early {
+            Termination::Early { threshold_bits }
+        } else {
+            Termination::Full
+        };
+        check_modes_agree(&pairs, 8, term, cfg);
     }
 }
 
@@ -358,9 +428,7 @@ fn measured_warp_work_matches_trace_model_bitwise() {
                 .iter()
                 .map(|(a, b)| (a.as_slice(), b.as_slice()))
                 .collect();
-            let measured = engine
-                .run_warp(&inputs, term, Some((&cost, words_per_transaction)))
-                .expect("measurement requested");
+            let measured = engine.run_warp_measured(&inputs, term, &cost, words_per_transaction);
             let modeled = modeled_warp(warp, term, &cost, words_per_transaction);
             assert_eq!(
                 measured.divergent_iterations, modeled.divergent_iterations,

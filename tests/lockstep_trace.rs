@@ -90,10 +90,11 @@ fn check_warp(pairs: &[(Nat, Nat)], term: Termination, label: &str) {
     // Tracing must not perturb results.
     for (t, (a, b)) in pairs.iter().enumerate() {
         let want = a.gcd_reference(b);
-        match engine.lane_status(t) {
-            bulkgcd_core::GcdStatus::Done => {
-                assert_eq!(engine.lane_gcd_nat(t), want, "{label}: lane {t} gcd");
-            }
+        match engine.entry_status(t) {
+            bulkgcd_core::GcdStatus::Done => match engine.entry_factor(t) {
+                Some(f) => assert_eq!(*f, want, "{label}: lane {t} gcd"),
+                None => assert!(want.is_one(), "{label}: lane {t} lost its factor"),
+            },
             bulkgcd_core::GcdStatus::EarlyCoprime => {
                 // Early termination only fires below the coprime threshold.
                 if let Termination::Early { threshold_bits } = term {
@@ -292,11 +293,11 @@ fn queue_vector_pass_stays_uniform_across_compaction_boundaries() {
         for (q, (a, b)) in pairs.iter().enumerate() {
             let want = a.gcd_reference(b);
             assert_eq!(
-                engine.queue_status(q),
+                engine.entry_status(q),
                 bulkgcd_core::GcdStatus::Done,
                 "{label}: entry {q}"
             );
-            match engine.queue_factor(q) {
+            match engine.entry_factor(q) {
                 Some(f) => assert_eq!(*f, want, "{label}: entry {q} factor"),
                 None => assert!(want.is_one(), "{label}: entry {q} lost its factor"),
             }
