@@ -32,6 +32,13 @@
 //!   runs at least 1.3x the full product, whose transform is twice as
 //!   large, and equals the full product reduced mod `β^N − 1`.
 //!
+//! The `ntt` block times one forward plus one inverse transform in ns per
+//! radix-2 butterfly at [`NTT_SIZES`], on every butterfly path this CPU
+//! can run (avx512 / avx2 / portable), and records the `kernel_isa` the
+//! dispatcher picks. Every path must give the same coefficients; under
+//! `--gate-subquadratic` the dispatched path must also run at least 2.0x
+//! the portable one at N = 2¹⁵ when it is not the portable one.
+//!
 //! The `long_rem` rows time the key-service check's reduction, a long
 //! product modulo one 1024-bit key, as [`MontFold::fold`] against Knuth
 //! `Nat::rem`, at the shape of a 4096-key corpus's whole product
@@ -41,16 +48,22 @@
 use bulkgcd_bench::gate::{best_of, median_speedup, round_times};
 use bulkgcd_bench::Options;
 use bulkgcd_bigint::random::random_odd_bits;
-use bulkgcd_bigint::{ntt, thresholds, MontFold, Nat, LIMB_BITS};
+use bulkgcd_bigint::{kernel_isa, ntt, thresholds, KernelIsa, MontFold, Nat, LIMB_BITS};
 use bulkgcd_bulk::{ModuliArena, ProductTreeBackend, ScanPipeline};
 use bulkgcd_rsa::build_corpus;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 use std::hint::black_box;
 
 /// Transform size `N` of the wrapped-product row: the width where the
 /// wrap halves a step's transform (8192 vs the full product's 16384).
 const WRAP_LIMBS: usize = 8192;
+
+/// Transform sizes of the `ntt` rows; the gate reads the 2¹⁵ one.
+const NTT_SIZES: [usize; 4] = [1 << 10, 1 << 13, 1 << 15, 1 << 16];
+
+/// The transform size the dispatched-vs-portable NTT gate judges.
+const NTT_GATE_SIZE: usize = 1 << 15;
 
 /// `(dividend, divisor)` limbs of the `long_rem` rows: the product of 4096
 /// 1024-bit keys, and one `CorpusIndex` segment (1024 limbs), each reduced
@@ -225,6 +238,66 @@ fn main() {
         fail = true;
     }
 
+    // NTT butterflies: forward plus inverse transform on every path the
+    // CPU can run, interleaved, from the same random residues each call.
+    let isas: Vec<KernelIsa> = KernelIsa::ALL
+        .into_iter()
+        .filter(|isa| isa.available())
+        .collect();
+    let dispatched = KernelIsa::detect();
+    let mut ntt_rows = Vec::new();
+    let mut ntt_gate_speedup = None;
+    for n in NTT_SIZES {
+        let tw = ntt::Twiddles::new(0, n);
+        let x: Vec<u64> = (0..n).map(|_| rng.next_u64() % tw.prime()).collect();
+        let iters = (1 << 17) / n;
+        let mut runs: Vec<_> = isas
+            .iter()
+            .map(|&isa| {
+                let (x, tw) = (&x, &tw);
+                let mut buf = vec![0u64; n];
+                move || {
+                    let mut digest = 0usize;
+                    for _ in 0..iters {
+                        buf.copy_from_slice(x);
+                        ntt::transform_on(isa, tw, &mut buf, false);
+                        digest ^= buf[n / 3] as usize;
+                        ntt::transform_on(isa, tw, &mut buf, true);
+                        digest = digest.rotate_left(5) ^ buf[n / 2] as usize;
+                    }
+                    digest
+                }
+            })
+            .collect();
+        let mut fs: Vec<&mut dyn FnMut() -> usize> = runs
+            .iter_mut()
+            .map(|f| f as &mut dyn FnMut() -> usize)
+            .collect();
+        let (times, sinks) = round_times(reps, &mut fs);
+        if sinks.iter().any(|&s| s != sinks[0]) {
+            eprintln!("GATE FAIL: NTT paths disagree at N={n}");
+            fail = true;
+        }
+        let butterflies = (iters * n * n.trailing_zeros() as usize) as f64;
+        let portable = isas.iter().position(|&i| i == KernelIsa::Portable);
+        for (i, isa) in isas.iter().enumerate() {
+            let ns = best_of(&times[i]) * 1e9 / butterflies;
+            let speedup = portable.map_or(1.0, |p| median_speedup(&times[p], &times[i]));
+            eprintln!(
+                "ntt N={n:>6} {:<8}: {ns:.3} ns/butterfly x{speedup:.2} vs portable",
+                isa.name()
+            );
+            if n == NTT_GATE_SIZE && *isa == dispatched {
+                ntt_gate_speedup = Some(speedup);
+            }
+            ntt_rows.push(format!(
+                "    {{\"n\": {n}, \"isa\": \"{}\", \"ns_per_butterfly\": {ns:.4}, \
+                 \"speedup_vs_portable\": {speedup:.4}}}",
+                isa.name()
+            ));
+        }
+    }
+
     // Long remainder: fold vs Knuth at the key-service shapes. The key is
     // a·b and the dividend a multiple of a, so the gcd they must agree on
     // is not 1.
@@ -317,6 +390,7 @@ fn main() {
             "  \"gcd\": [\n{gcd}\n  ],\n",
             "  \"wrap_mul\": {{\"limbs\": {wn}, \"wrap_seconds\": {ws:.9}, \"full_seconds\": {fs:.9},\n",
             "    \"speedup\": {wsp:.4}, \"matches_full\": {wm}}},\n",
+            "  \"ntt\": {{\"kernel_isa\": \"{isa}\", \"rows\": [\n{ntt}\n  ]}},\n",
             "  \"long_rem\": [\n{lr}\n  ],\n",
             "  \"batch_scan\": {{\"m\": {bm}, \"bits\": {bb}, \"findings\": {bf},\n",
             "    \"ladder_seconds\": {bls:.9}, \"legacy_seconds\": {bgs:.9},\n",
@@ -333,6 +407,8 @@ fn main() {
         fs = full_s,
         wsp = wrap_speedup,
         wm = wrap_matches,
+        isa = kernel_isa(),
+        ntt = ntt_rows.join(",\n"),
         lr = long_rem_rows.join(",\n"),
         bm = batch_m,
         bb = batch_bits,
@@ -401,6 +477,15 @@ fn main() {
         wrap_speedup,
         1.3,
     );
+    match ntt_gate_speedup {
+        Some(speedup) if dispatched != KernelIsa::Portable => check(
+            "dispatched NTT vs portable butterflies",
+            &format!("N={NTT_GATE_SIZE} ({})", dispatched.name()),
+            speedup,
+            2.0,
+        ),
+        _ => eprintln!("gate skipped: the NTT runs the portable butterflies on this CPU"),
+    }
     if fail {
         std::process::exit(1);
     }

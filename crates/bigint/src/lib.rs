@@ -16,7 +16,8 @@
 //!   update of paper §IV;
 //! * a width-dispatched multiplication ladder — schoolbook, Karatsuba,
 //!   Toom-Cook-3 ([`toom`]) and a 3-prime CRT NTT ([`ntt`]) — with cutoffs
-//!   in [`thresholds`] (env-overridable for tuning);
+//!   in [`thresholds`] (env-overridable for tuning); the NTT butterflies
+//!   run on the SIMD path [`kernel_isa`] names;
 //! * division by Knuth Algorithm D, switching to Newton–Raphson reciprocal
 //!   division ([`newton`]) for large divisors;
 //! * GCD by binary/Lehmer loops below [`thresholds::HGCD`] limbs and
@@ -34,6 +35,7 @@ pub mod div;
 pub mod extgcd;
 pub mod gcd_ref;
 pub mod hgcd;
+pub mod isa;
 pub mod limb;
 pub mod modular;
 pub mod mul;
@@ -49,6 +51,7 @@ pub mod toom;
 
 pub use barrett::Barrett;
 pub use extgcd::{ext_gcd, ExtGcd, SignedNat};
+pub use isa::{kernel_isa, KernelIsa};
 pub use limb::{Limb, Wide, D, LIMB_BITS};
 pub use modular::{MontFold, Montgomery};
 pub use nat::Nat;

@@ -1,8 +1,8 @@
 //! Multiplication: the dispatch entry of the arithmetic ladder.
 //!
 //! [`mul_dispatch`] routes by the *shorter* operand's width: schoolbook →
-//! Karatsuba → Toom-Cook-3 → 3-prime NTT, with unbalanced products chopped
-//! into balanced chunks first. All cutoffs live in [`crate::thresholds`]
+//! Karatsuba → 3-prime NTT, with Toom-Cook-3 for products past the NTT's
+//! size cap, and unbalanced products chopped into balanced chunks first. All cutoffs live in [`crate::thresholds`]
 //! (env-overridable); correctness never depends on them. Every recursion —
 //! Karatsuba's halves, Toom's pointwise products, the unbalanced chop —
 //! re-enters the dispatcher, so each sub-product independently picks the
@@ -250,9 +250,10 @@ mod tests {
 
     #[test]
     fn dispatch_covers_toom_and_ntt_widths() {
-        // One deterministic product wide enough for each upper rung, checked
-        // against the direct algorithm entries (which the proptests in turn
-        // check against schoolbook).
+        // One deterministic product just past each upper cutoff (both take
+        // the NTT now; Toom-3 only runs past the NTT's size cap), checked
+        // against the direct Toom-3 entry (which the proptests in turn check
+        // against schoolbook).
         let mut state = 0x00dd_ba11_5eed_f00du64;
         let mut next = move || {
             state ^= state << 13;

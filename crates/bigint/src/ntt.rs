@@ -17,10 +17,45 @@
 //! | 1811939329           | 27·2²⁶ + 1    | 13             |
 //! | 2113929217           | 63·2²⁵ + 1    | 5              |
 //!
-//! All butterflies run in Montgomery form (R = 2³²) so the inner loop is
-//! two 64-bit multiplies and a shift — no 128-bit remainder in the hot
-//! path. The occasional CRT/mixed-radix steps use plain `u128` reduction.
+//! **Ordering.** The forward transform is decimation in frequency: natural
+//! order in, bit-reversed order out. The pointwise product works on the
+//! bit-reversed spectra as they are, and the inverse is decimation in
+//! time: bit-reversed order in, natural order out. The inverse runs with
+//! the *forward* twiddles — a forward DFT of a spectrum is `n` times the
+//! inverse DFT read at `−i mod n` — and then reverses `a[1..n]`. So no
+//! pass permutes the data into bit-reversed order, and one twiddle table
+//! per prime and call serves all three transforms ([`Twiddles`]).
+//!
+//! **Arithmetic.** Values are canonical residues in `[0, p)`, and every
+//! multiply is a Montgomery multiply (R = 2³²) by a constant held in
+//! Montgomery form: one 32×32→64 product, a 32-bit low multiply, a second
+//! 32×32→64 product and a shift, with the conditional subtract as a
+//! branchless `min(x, x − p)`. Since a Montgomery-form multiplier
+//! preserves whichever domain the data is in, the transforms run on plain
+//! residues. A limb loads as `redc(x · k)`, with no `%`: `k = R mod p`
+//! loads it plain. `n⁻¹` rides a load constant instead of a pass of its
+//! own: the first factor of a product loads with `k = R²·n⁻¹`, so the
+//! pointwise Montgomery product is already `a·b·n⁻¹`, and a square (one
+//! operand, loaded plain) multiplies its pointwise square by that same
+//! constant. The inverse transform then yields the residues of the
+//! product in normal form. The CRT recombination (`recombine`) runs
+//! Garner's steps on Montgomery constants too, with no `%` per
+//! coefficient.
+//!
+//! **ISA dispatch.** The butterflies have one portable scalar body, which
+//! is the oracle; an AVX2 build of that same body (autovectorized under
+//! `#[target_feature]`); and a hand-written AVX-512F kernel, eight `u64`
+//! lanes per zmm with `vpmuludq` Montgomery products and `vpminuq`
+//! conditional subtracts. Its stages of half-size ≥ 8 stream over the
+//! array two at a time; the three smallest stages run as one in-register
+//! pass over each 8-coefficient block, with lane permutes. The loads,
+//! pointwise products and CRT pass are compiled for the same ISA.
+//! [`crate::kernel_isa`] names the path, picked once per product by the
+//! probe the lockstep vector pass uses, and [`transform_on`] reaches each
+//! path for tests and benches. All paths compute canonical residues, so
+//! their outputs are bitwise-identical.
 
+use crate::isa::KernelIsa;
 use crate::limb::{lo, Limb, LIMB_BITS};
 use crate::ops;
 
@@ -34,7 +69,8 @@ pub const MAX_NTT_TOTAL_LIMBS: usize = 1 << 25;
 /// The (prime, primitive root) triple.
 const PRIMES: [(u64, u64); 3] = [(2_013_265_921, 31), (1_811_939_329, 13), (2_113_929_217, 5)];
 
-/// Montgomery arithmetic mod one NTT prime, R = 2³².
+/// Montgomery arithmetic mod one NTT prime, R = 2³². Every prime is below
+/// 2³¹, so sums of two residues, and `x + p − y`, stay below 2³².
 struct Field {
     p: u64,
     /// `-p⁻¹ mod 2³²`.
@@ -60,14 +96,12 @@ impl Field {
         }
     }
 
-    /// Branchless select: `x − p` if that doesn't underflow, else `x`.
-    /// For `x < 2p` this is exactly `x mod p`. Compiled as mask-and-add
-    /// ALU ops — on random transform data the equivalent branch is a coin
-    /// flip, and the mispredicts dominate the whole NTT.
+    /// `x mod p` for `x < 2p`: `x − p` wraps above `x` exactly when
+    /// `x < p`, so the smaller of the two is the residue. Branchless — on
+    /// random transform data a compare-branch is a coin flip.
     #[inline(always)]
     fn reduce_once(&self, x: u64) -> u64 {
-        let d = x.wrapping_sub(self.p);
-        d.wrapping_add(self.p & (((d as i64) >> 63) as u64))
+        x.min(x.wrapping_sub(self.p))
     }
 
     /// Montgomery reduction of `t < p·2³²`: returns `t·R⁻¹ mod p`.
@@ -76,14 +110,16 @@ impl Field {
         // m = (t mod R)·(-p⁻¹) mod R; then (t + m·p) is divisible by R.
         // t < p·2³² < 2⁶³ and m·p < 2³²·p < 2⁶³, so the sum cannot wrap.
         let m = lo(t).wrapping_mul(self.ninv32) as u64;
-        self.reduce_once((t + m * self.p) >> LIMB_BITS)
+        self.reduce_once((t + m * lo(self.p) as u64) >> LIMB_BITS)
     }
 
-    /// Product of two Montgomery-form values.
+    /// `x·y·R⁻¹ mod p` for `x < 2³²` and `y < p`. Both factors are read
+    /// as 32-bit words, which is what lets the autovectorizer use one
+    /// 32×32→64 lane multiply.
     #[inline(always)]
-    fn mul(&self, a: u64, b: u64) -> u64 {
-        debug_assert!(a < self.p && b < self.p);
-        self.redc(a * b)
+    fn mul(&self, x: u64, y: u64) -> u64 {
+        debug_assert!(x >> LIMB_BITS == 0 && y < self.p);
+        self.redc(lo(x) as u64 * lo(y) as u64)
     }
 
     #[inline(always)]
@@ -93,9 +129,7 @@ impl Field {
 
     #[inline(always)]
     fn sub(&self, a: u64, b: u64) -> u64 {
-        // a − b ∈ (−p, p); the same mask-select folds the negative case.
-        let d = a.wrapping_sub(b);
-        d.wrapping_add(self.p & (((d as i64) >> 63) as u64))
+        self.reduce_once(a + self.p - b)
     }
 
     /// `1` in Montgomery form (`R mod p`).
@@ -104,14 +138,14 @@ impl Field {
         self.redc(self.r2)
     }
 
-    /// Enter Montgomery form.
+    /// Enter Montgomery form (`x < 2³²`).
     #[inline]
     fn to_mont(&self, x: u64) -> u64 {
-        self.redc((x % self.p) * self.r2)
+        self.redc(x * self.r2)
     }
 
     /// Leave Montgomery form.
-    #[inline]
+    #[cfg(test)]
     fn unmont(&self, x: u64) -> u64 {
         self.redc(x)
     }
@@ -130,178 +164,518 @@ impl Field {
     }
 }
 
-/// In-place bit-reversal permutation.
-fn bit_reverse(a: &mut [u64]) {
-    let n = a.len();
-    let mut j = 0usize;
-    for i in 1..n {
-        let mut bit = n >> 1;
-        while j & bit != 0 {
-            j ^= bit;
-            bit >>= 1;
-        }
-        j |= bit;
-        if i < j {
-            a.swap(i, j);
-        }
-    }
+/// Consecutive powers the twiddle build computes by a serial chain before
+/// it steps whole blocks by `w^TW_BLOCK`.
+const TW_BLOCK: usize = 8;
+
+/// The forward twiddles of one NTT prime for an `n`-point transform, in
+/// Montgomery form. The segment for the stage with half-size `h`
+/// (h = 1, 2, 4, ..., n/2) starts at offset `h − 1` and holds
+/// `(w^{n/2h})^j` for `j < h`. The top segment is built from a serial
+/// chain of [`TW_BLOCK`] powers, then block by block as `w^TW_BLOCK` times
+/// the block before (independent chains, no n/2-long dependency); every
+/// smaller segment is a stride-2 subsample of the one above. Built per
+/// call and dropped after it: nothing is cached across products.
+#[doc(hidden)]
+pub struct Twiddles {
+    field: Field,
+    table: Vec<u64>,
 }
 
-/// Flat per-level twiddle tables for a size-`n` transform with root `root`
-/// (Montgomery form): the segment for the level with half-size `h`
-/// (h = 1, 2, 4, ..., n/2) starts at offset `h - 1` and holds
-/// `(w^{n/2h})^i` for `i < h`. Only the top segment is computed by a
-/// serial product chain; every smaller level is a stride-2 subsample of
-/// the level above, so the build is O(n) with a single length-n/2
-/// dependency chain.
-fn twiddles(field: &Field, root: u64, n: usize) -> Vec<u64> {
-    let top = (n / 2).max(1);
-    let mut flat = vec![0u64; 2 * top - 1];
-    flat[top - 1] = field.one();
-    for i in 1..top {
-        flat[top - 1 + i] = field.mul(flat[top - 2 + i], root);
-    }
-    let mut h = top / 2;
-    while h >= 1 {
-        for i in 0..h {
-            flat[h - 1 + i] = flat[2 * h - 1 + 2 * i];
+impl Twiddles {
+    /// The table of prime `prime` (0, 1 or 2) for `n`-point transforms;
+    /// `n` a power of two in `2..=MAX_NTT_TOTAL_LIMBS`. Inlined, so that
+    /// the block steps vectorize for the caller's ISA.
+    #[inline(always)]
+    pub fn new(prime: usize, n: usize) -> Twiddles {
+        assert!(
+            n >= 2 && n.is_power_of_two() && n <= MAX_NTT_TOTAL_LIMBS,
+            "{n} is not a supported transform size"
+        );
+        let (p, g) = PRIMES[prime];
+        let field = Field::new(p);
+        let root = field.pow(field.to_mont(g), (p - 1) / n as u64);
+        let top = n / 2;
+        let mut table = vec![0u64; n - 1];
+        let seg = &mut table[top - 1..];
+        seg[0] = field.one();
+        for j in 1..TW_BLOCK.min(top) {
+            seg[j] = field.mul(seg[j - 1], root);
         }
-        h /= 2;
-    }
-    flat
-}
-
-/// Iterative radix-2 Cooley-Tukey NTT over `field`, values in Montgomery
-/// form, with the precomputed twiddle tables of [`twiddles`] (built for
-/// the matching root and direction). The butterfly loop runs over
-/// disjoint sub-slices so it compiles without bounds checks.
-fn transform(field: &Field, a: &mut [u64], tw: &[u64]) {
-    let n = a.len();
-    debug_assert!(n.is_power_of_two());
-    debug_assert!(tw.len() >= n - 1);
-    bit_reverse(a);
-    let mut half = 1usize;
-    while half < n {
-        let seg = &tw[half - 1..2 * half - 1];
-        for chunk in a.chunks_exact_mut(2 * half) {
-            let (us, vs) = chunk.split_at_mut(half);
-            for ((u, v), &w) in us.iter_mut().zip(vs.iter_mut()).zip(seg) {
-                let t = field.mul(*v, w);
-                let x = *u;
-                *u = field.add(x, t);
-                *v = field.sub(x, t);
+        if top > TW_BLOCK {
+            let step = field.mul(seg[TW_BLOCK - 1], root);
+            for b in 1..top / TW_BLOCK {
+                let (done, rest) = seg.split_at_mut(b * TW_BLOCK);
+                let prev = &done[(b - 1) * TW_BLOCK..];
+                for (t, &w) in rest[..TW_BLOCK].iter_mut().zip(prev) {
+                    *t = field.mul(w, step);
+                }
             }
         }
-        half <<= 1;
-    }
-}
-
-/// Plain (non-Montgomery) modular helpers for the CRT recombination.
-#[inline]
-fn mulmod(a: u64, b: u64, m: u64) -> u64 {
-    ((a as u128 * b as u128) % m as u128) as u64
-}
-
-fn powmod(mut base: u64, mut e: u64, m: u64) -> u64 {
-    let mut acc = 1u64 % m;
-    base %= m;
-    while e > 0 {
-        if e & 1 == 1 {
-            acc = mulmod(acc, base, m);
+        let mut h = top / 2;
+        while h >= 1 {
+            let (lower, upper) = table.split_at_mut(2 * h - 1);
+            for (t, &w) in lower[h - 1..].iter_mut().zip(upper.iter().step_by(2)) {
+                *t = w;
+            }
+            h /= 2;
         }
-        base = mulmod(base, base, m);
-        e >>= 1;
+        Twiddles { field, table }
     }
-    acc
+
+    /// The transform size `n` the table serves.
+    pub fn points(&self) -> usize {
+        self.table.len() + 1
+    }
+
+    /// The prime the table works modulo.
+    pub fn prime(&self) -> u64 {
+        self.field.p
+    }
 }
 
-/// Residues of one pointwise-product vector for all three primes.
-struct Residues {
-    per_prime: [Vec<u64>; 3],
+/// Run one transform of `a` (residues below `tw.prime()`, `a.len() ==
+/// tw.points()`) on the given implementation: forward (natural order in,
+/// bit-reversed out) or, with `inverse`, the forward transform of a
+/// bit-reversed spectrum read back in natural order — `n` times the
+/// inverse DFT, since `n⁻¹` is folded into the load constants. Returns
+/// `false`, with nothing touched, when this CPU cannot run `isa`, which
+/// is how tests reach each path and skip the ones the host lacks.
+#[doc(hidden)]
+pub fn transform_on(isa: KernelIsa, tw: &Twiddles, a: &mut [u64], inverse: bool) -> bool {
+    assert_eq!(
+        a.len(),
+        tw.points(),
+        "transform length differs from the table"
+    );
+    debug_assert!(a.iter().all(|&x| x < tw.field.p));
+    if !isa.available() {
+        return false;
+    }
+    let (f, t) = (&tw.field, &tw.table[..]);
+    match isa {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `available()` confirmed AVX-512F above.
+        KernelIsa::Avx512 if a.len() >= 8 => unsafe { avx512::transform(f, a, t, inverse) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `available()` confirmed AVX2 above.
+        KernelIsa::Avx2 => unsafe { transform_avx2(f, a, t, inverse) },
+        _ => transform_portable(f, a, t, inverse),
+    }
+    true
+}
+
+/// The portable transform body, and the oracle for the other paths.
+/// Each stage runs over disjoint sub-slices, so it compiles without bounds
+/// checks.
+#[inline(always)]
+fn transform_portable(f: &Field, a: &mut [u64], tw: &[u64], inverse: bool) {
+    let n = a.len();
+    if inverse {
+        // Decimation in time: u, v ← u + w·v, u − w·v.
+        let mut half = 1;
+        while half < n {
+            let seg = &tw[half - 1..2 * half - 1];
+            for chunk in a.chunks_exact_mut(2 * half) {
+                let (us, vs) = chunk.split_at_mut(half);
+                for ((u, v), &w) in us.iter_mut().zip(vs.iter_mut()).zip(seg) {
+                    let (x, t) = (*u, f.mul(*v, w));
+                    *u = f.add(x, t);
+                    *v = f.sub(x, t);
+                }
+            }
+            half *= 2;
+        }
+        a[1..].reverse();
+    } else {
+        // Decimation in frequency: u, v ← u + v, w·(u − v).
+        let mut half = n / 2;
+        while half >= 1 {
+            let seg = &tw[half - 1..2 * half - 1];
+            for chunk in a.chunks_exact_mut(2 * half) {
+                let (us, vs) = chunk.split_at_mut(half);
+                for ((u, v), &w) in us.iter_mut().zip(vs.iter_mut()).zip(seg) {
+                    let (x, y) = (*u, *v);
+                    *u = f.add(x, y);
+                    *v = f.mul(x + f.p - y, w);
+                }
+            }
+            half /= 2;
+        }
+    }
+}
+
+/// The portable body compiled for AVX2: the target feature only licenses
+/// the compiler to autovectorize the inlined body with AVX2 instructions.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn transform_avx2(f: &Field, a: &mut [u64], tw: &[u64], inverse: bool) {
+    transform_portable(f, a, tw, inverse);
+}
+
+/// The hand-written AVX-512F transform: eight `u64` lanes of canonical
+/// residues per zmm, so `vpmuludq` reads each lane's value whole. All
+/// indexing is bounds-checked slicing; the only raw accesses are the
+/// eight-lane loads and stores of `load8` and `store8`, each on a slice of
+/// exactly eight `u64`s.
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use super::Field;
+    use std::arch::x86_64::*;
+
+    /// Lanes `s[j..j + 8]`.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn load8(s: &[u64], j: usize) -> __m512i {
+        let s = &s[j..j + 8];
+        // SAFETY: `s` is exactly eight `u64`s, one zmm.
+        unsafe { _mm512_loadu_si512(s.as_ptr().cast()) }
+    }
+
+    /// Store `x` to `s[j..j + 8]`.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn store8(s: &mut [u64], j: usize, x: __m512i) {
+        let s = &mut s[j..j + 8];
+        // SAFETY: `s` is exactly eight `u64`s, one zmm.
+        unsafe { _mm512_storeu_si512(s.as_mut_ptr().cast(), x) }
+    }
+
+    /// The broadcast prime and Montgomery constant.
+    #[derive(Clone, Copy)]
+    struct Mod {
+        p: __m512i,
+        ninv: __m512i,
+    }
+
+    impl Mod {
+        #[target_feature(enable = "avx512f")]
+        fn new(f: &Field) -> Mod {
+            Mod {
+                p: _mm512_set1_epi64(f.p as i64),
+                ninv: _mm512_set1_epi64(f.ninv32 as i64),
+            }
+        }
+
+        /// `x mod p` for lanes `x < 2p`.
+        #[target_feature(enable = "avx512f")]
+        #[inline]
+        fn reduce(self, x: __m512i) -> __m512i {
+            _mm512_min_epu64(x, _mm512_sub_epi64(x, self.p))
+        }
+
+        /// [`Field::mul`] per lane: `x < 2³²`, `y < p`.
+        #[target_feature(enable = "avx512f")]
+        #[inline]
+        fn mul(self, x: __m512i, y: __m512i) -> __m512i {
+            let t = _mm512_mul_epu32(x, y);
+            // `vpmuludq` reads the low word of `m`: m mod R, as in `redc`.
+            let m = _mm512_mul_epu32(t, self.ninv);
+            let s = _mm512_add_epi64(t, _mm512_mul_epu32(m, self.p));
+            self.reduce(_mm512_srli_epi64::<32>(s))
+        }
+
+        #[target_feature(enable = "avx512f")]
+        #[inline]
+        fn add(self, x: __m512i, y: __m512i) -> __m512i {
+            self.reduce(_mm512_add_epi64(x, y))
+        }
+
+        /// `x + p − y`, below 2p and not yet reduced.
+        #[target_feature(enable = "avx512f")]
+        #[inline]
+        fn diff(self, x: __m512i, y: __m512i) -> __m512i {
+            _mm512_sub_epi64(_mm512_add_epi64(x, self.p), y)
+        }
+
+        /// The DIF butterfly `(u + v, w·(u − v))`.
+        #[target_feature(enable = "avx512f")]
+        #[inline]
+        fn dif(self, u: __m512i, v: __m512i, w: __m512i) -> (__m512i, __m512i) {
+            (self.add(u, v), self.mul(self.diff(u, v), w))
+        }
+
+        /// The DIT butterfly `(u + w·v, u − w·v)`.
+        #[target_feature(enable = "avx512f")]
+        #[inline]
+        fn dit(self, u: __m512i, v: __m512i, w: __m512i) -> (__m512i, __m512i) {
+            let t = self.mul(v, w);
+            (self.add(u, t), self.reduce(self.diff(u, t)))
+        }
+    }
+
+    /// One stage of the in-register block pass on an 8-lane block `x`:
+    /// lane `l` pairs with lane `l ^ h`. `lo`/`hi` gather each pair's lower
+    /// and upper element into every lane, `w` holds each pair's twiddle
+    /// (`None` for h = 1, whose twiddle is 1), and `upper` marks the lanes
+    /// that take the pair's second output.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn block_stage(
+        k: Mod,
+        x: __m512i,
+        [lo, hi]: [__m512i; 2],
+        w: Option<__m512i>,
+        upper: __mmask8,
+        inverse: bool,
+    ) -> __m512i {
+        let (u, v) = (
+            _mm512_permutexvar_epi64(lo, x),
+            _mm512_permutexvar_epi64(hi, x),
+        );
+        let (s, d) = match (w, inverse) {
+            (Some(w), false) => k.dif(u, v, w),
+            (Some(w), true) => k.dit(u, v, w),
+            (None, _) => (k.add(u, v), k.reduce(k.diff(u, v))),
+        };
+        _mm512_mask_blend_epi64(upper, s, d)
+    }
+
+    /// The lane indices of stage `h`'s lower and upper pair elements.
+    #[target_feature(enable = "avx512f")]
+    fn pair_lanes(h: i64) -> [__m512i; 2] {
+        let lane = |l: i64, bit: i64| (l & !h) | bit;
+        let idx = |bit: i64| {
+            _mm512_setr_epi64(
+                lane(0, bit),
+                lane(1, bit),
+                lane(2, bit),
+                lane(3, bit),
+                lane(4, bit),
+                lane(5, bit),
+                lane(6, bit),
+                lane(7, bit),
+            )
+        };
+        [idx(0), idx(h)]
+    }
+
+    /// Stage `h`'s twiddle for every lane, `seg[l mod h]`.
+    #[target_feature(enable = "avx512f")]
+    fn lane_twiddles(seg: &[u64]) -> __m512i {
+        let h = seg.len();
+        let w = |l: usize| seg[l % h] as i64;
+        _mm512_setr_epi64(w(0), w(1), w(2), w(3), w(4), w(5), w(6), w(7))
+    }
+
+    /// Stage `half`'s twiddle segment.
+    fn segment(tw: &[u64], half: usize) -> &[u64] {
+        &tw[half - 1..2 * half - 1]
+    }
+
+    /// One streamed stage, half-size `half ≥ 8`: DIF, or DIT for `inverse`.
+    #[target_feature(enable = "avx512f")]
+    fn stage(k: Mod, a: &mut [u64], tw: &[u64], half: usize, inverse: bool) {
+        let seg = segment(tw, half);
+        for chunk in a.chunks_exact_mut(2 * half) {
+            let (us, vs) = chunk.split_at_mut(half);
+            for j in (0..half).step_by(8) {
+                let (u, v, w) = (load8(us, j), load8(vs, j), load8(seg, j));
+                let (x, y) = if inverse {
+                    k.dit(u, v, w)
+                } else {
+                    k.dif(u, v, w)
+                };
+                store8(us, j, x);
+                store8(vs, j, y);
+            }
+        }
+    }
+
+    /// Two streamed stages in one sweep, the radix-2 butterflies of stages
+    /// `2q` and `q` (`q ≥ 8`) on each quartet `a[j + {0, q, 2q, 3q}]` held
+    /// in registers: DIF runs stage `2q` first, DIT (`inverse`) stage `q`
+    /// first. The arithmetic is that of two [`stage`] calls.
+    #[target_feature(enable = "avx512f")]
+    fn stage_pair(k: Mod, a: &mut [u64], tw: &[u64], q: usize, inverse: bool) {
+        let (outer, inner) = (segment(tw, 2 * q), segment(tw, q));
+        for chunk in a.chunks_exact_mut(4 * q) {
+            let (lo, hi) = chunk.split_at_mut(2 * q);
+            let (s0, s1) = lo.split_at_mut(q);
+            let (s2, s3) = hi.split_at_mut(q);
+            for j in (0..q).step_by(8) {
+                let x = [load8(s0, j), load8(s1, j), load8(s2, j), load8(s3, j)];
+                let (wa, wb, wi) = (load8(outer, j), load8(outer, j + q), load8(inner, j));
+                let z = if inverse {
+                    let (y0, y1) = k.dit(x[0], x[1], wi);
+                    let (y2, y3) = k.dit(x[2], x[3], wi);
+                    let (z0, z2) = k.dit(y0, y2, wa);
+                    let (z1, z3) = k.dit(y1, y3, wb);
+                    [z0, z1, z2, z3]
+                } else {
+                    let (y0, y2) = k.dif(x[0], x[2], wa);
+                    let (y1, y3) = k.dif(x[1], x[3], wb);
+                    let (z0, z1) = k.dif(y0, y1, wi);
+                    let (z2, z3) = k.dif(y2, y3, wi);
+                    [z0, z1, z2, z3]
+                };
+                store8(s0, j, z[0]);
+                store8(s1, j, z[1]);
+                store8(s2, j, z[2]);
+                store8(s3, j, z[3]);
+            }
+        }
+    }
+
+    /// The three smallest stages (h = 4, 2, 1) of every 8-coefficient
+    /// block, in registers.
+    #[target_feature(enable = "avx512f")]
+    fn block_pass(k: Mod, a: &mut [u64], tw: &[u64], inverse: bool) {
+        let stages = [
+            (pair_lanes(4), Some(lane_twiddles(segment(tw, 4))), 0xf0),
+            (pair_lanes(2), Some(lane_twiddles(segment(tw, 2))), 0xcc),
+            (pair_lanes(1), None, 0xaa),
+        ];
+        for j in (0..a.len()).step_by(8) {
+            let mut x = load8(a, j);
+            if inverse {
+                for &(idx, w, upper) in stages.iter().rev() {
+                    x = block_stage(k, x, idx, w, upper, true);
+                }
+            } else {
+                for &(idx, w, upper) in &stages {
+                    x = block_stage(k, x, idx, w, upper, false);
+                }
+            }
+            store8(a, j, x);
+        }
+    }
+
+    /// The transform of [`super::transform_portable`], bit for bit, for a
+    /// power-of-two `a.len() ≥ 8` and its twiddle table `tw`. Stages of
+    /// half-size ≥ 8 stream in pairs ([`stage_pair`]), the three smallest
+    /// run in registers ([`block_pass`]).
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn transform(f: &Field, a: &mut [u64], tw: &[u64], inverse: bool) {
+        let n = a.len();
+        let k = Mod::new(f);
+        if inverse {
+            block_pass(k, a, tw, true);
+            let mut half = 8;
+            while 4 * half <= n {
+                stage_pair(k, a, tw, half, true);
+                half *= 4;
+            }
+            if half < n {
+                stage(k, a, tw, half, true);
+            }
+            a[1..].reverse();
+        } else {
+            let mut half = n / 2;
+            while half >= 16 {
+                stage_pair(k, a, tw, half / 2, false);
+                half /= 4;
+            }
+            if half == 8 {
+                stage(k, a, tw, half, false);
+            }
+            block_pass(k, a, tw, false);
+        }
+    }
+}
+
+/// Load `x` into `v` as an `n`-point vector of residues `redc(x_i · k)`,
+/// zero-padded.
+#[inline(always)]
+fn load(f: &Field, x: &[Limb], k: u64, n: usize, v: &mut Vec<u64>) {
+    v.clear();
+    v.resize(n, 0);
+    for (v, &w) in v.iter_mut().zip(x) {
+        *v = f.mul(w as u64, k);
+    }
+}
+
+/// One prime's residue vector of the product, in normal form: forward-
+/// transform the operand(s) on one twiddle table, multiply pointwise (or
+/// square when `b` is `None`, saving the second forward transform), and
+/// transform back. `n⁻¹` is folded into the load of `a`, or into the
+/// pointwise constant of a square (see the module docs). `fb` is the
+/// second operand's buffer, shared by the three primes.
+#[inline(always)]
+fn residues_mod_prime(
+    isa: KernelIsa,
+    k: usize,
+    a: &[Limb],
+    b: Option<&[Limb]>,
     n: usize,
-}
-
-/// One prime's residue vector of the product: forward-transform the
-/// operand(s) sharing one forward twiddle table, pointwise-multiply (or
-/// square when `b` is `None`, saving the second forward transform),
-/// inverse-transform with the conjugate table, and scale by `n⁻¹` folded
-/// into the Montgomery exit — the result is in normal form.
-fn residues_mod_prime(k: usize, a: &[Limb], b: Option<&[Limb]>, n: usize) -> Vec<u64> {
-    let (p, g) = PRIMES[k];
-    let field = Field::new(p);
-    let load = |x: &[Limb]| {
-        let mut f = vec![0u64; n];
-        for (f, &w) in f.iter_mut().zip(x.iter()) {
-            *f = field.to_mont(w as u64);
-        }
-        f
+    fb: &mut Vec<u64>,
+) -> Vec<u64> {
+    let tw = Twiddles::new(k, n);
+    let f = &tw.field;
+    // R²·n⁻¹ mod p: `n⁻¹` in Montgomery form, times R once more.
+    let scaled = f.mul(f.pow(f.to_mont(n as u64), f.p - 2), f.r2);
+    let transform = |v: &mut [u64], inverse: bool| {
+        let ran = transform_on(isa, &tw, v, inverse);
+        debug_assert!(ran, "the caller checked the kernel ISA");
     };
-    let root = field.pow(field.to_mont(g), (p - 1) / n as u64);
-    let fwd = twiddles(&field, root, n);
-    let mut fa = load(a);
-    transform(&field, &mut fa, &fwd);
+    let mut fa = Vec::new();
     match b {
         Some(b) => {
-            let mut fb = load(b);
-            transform(&field, &mut fb, &fwd);
-            for (x, y) in fa.iter_mut().zip(fb) {
-                *x = field.mul(*x, y);
+            load(f, a, scaled, n, &mut fa);
+            load(f, b, f.one(), n, fb);
+            transform(&mut fa, false);
+            transform(fb, false);
+            for (x, &y) in fa.iter_mut().zip(fb.iter()) {
+                *x = f.mul(*x, y);
             }
         }
         None => {
+            load(f, a, f.one(), n, &mut fa);
+            transform(&mut fa, false);
             for x in fa.iter_mut() {
-                *x = field.mul(*x, *x);
+                *x = f.mul(f.mul(*x, *x), scaled);
             }
         }
     }
-    let inv = twiddles(&field, field.pow(root, p - 2), n);
-    transform(&field, &mut fa, &inv);
-    let n_inv = field.pow(field.to_mont(n as u64), p - 2);
-    for x in fa.iter_mut() {
-        *x = field.unmont(field.mul(*x, n_inv));
-    }
+    transform(&mut fa, true);
     fa
 }
 
-/// CRT-recombine the residues and propagate carries, writing the low
-/// `out.len()` limbs of the product into `out`. An acyclic product must
-/// fit `out` exactly (the final carry is debug-asserted zero); a `wrap`
-/// (cyclic) product has `out.len() == res.n` and folds its final carry
-/// back in at limb 0, since `β^n ≡ 1 (mod β^n − 1)`.
-fn recombine(res: &Residues, out: &mut [Limb], wrap: bool) {
+/// CRT-recombine the three primes' residue vectors and propagate carries,
+/// writing the low `out.len()` limbs of the product into `out`. An acyclic
+/// product must fit `out` exactly (the final carry is debug-asserted
+/// zero); a `wrap` (cyclic) product has `out.len() == n` and folds its
+/// final carry back in at limb 0, since `β^n ≡ 1 (mod β^n − 1)`.
+///
+/// Garner's mixed-radix CRT, `v = r1 + p1·t2 + p1·p2·t3`, runs as one
+/// pass that is independent per coefficient (so it vectorizes) and leaves
+/// `r1 + p1·t2` and `t3` in place; a serial pass then adds up the carries.
+#[inline(always)]
+fn recombine(res: [Vec<u64>; 3], out: &mut [Limb], wrap: bool) {
     let [p1, p2, p3] = [PRIMES[0].0, PRIMES[1].0, PRIMES[2].0];
-    let inv_p1_mod_p2 = powmod(p1, p2 - 2, p2);
-    let p1p2 = p1 * p2; // < 2⁶², exact in u64
-    let inv_p1p2_mod_p3 = powmod(p1p2, p3 - 2, p3);
-    let [r1v, r2v, r3v] = &res.per_prime;
+    let (f2, f3) = (Field::new(p2), Field::new(p3));
+    // p₁p₂ < 2⁶², exact in u64. Garner's constants are in Montgomery form
+    // so that one `mul` applies each: p₁⁻¹ mod p₂, p₁ mod p₃ and
+    // (p₁p₂)⁻¹ mod p₃.
+    let p1p2 = p1 * p2;
+    let inv_p1 = f2.pow(f2.to_mont(p1 - p2), p2 - 2);
+    let p1_mod_p3 = f3.to_mont(p1);
+    let inv_p1p2 = f3.pow(f3.to_mont(p1p2 % p3), p3 - 2);
+    let [mut v12s, r2v, mut t3s] = res;
+    for ((r1, &r2), r3) in v12s.iter_mut().zip(&r2v).zip(t3s.iter_mut()) {
+        // r1 < p1 < 2·p2 reduces mod p2 with one subtract, and r1 < p1 <
+        // p3 is already reduced mod p3.
+        let t2 = f2.mul(f2.sub(r2, f2.reduce_once(*r1)), inv_p1);
+        let v12m = f3.add(*r1, f3.mul(t2, p1_mod_p3));
+        *r3 = f3.mul(f3.sub(*r3, v12m), inv_p1p2);
+        *r1 += lo(t2) as u64 * lo(p1) as u64; // < p1·p2 < 2⁶²
+    }
 
+    // v < p1·p2·p3 < 2⁹³.
+    let mut coeffs = v12s
+        .iter()
+        .zip(&t3s)
+        .map(|(&v12, &t3)| v12 as u128 + p1p2 as u128 * t3 as u128);
     let mut carry: u128 = 0;
-    for i in 0..res.n {
-        let (r1, r2, r3) = (r1v[i], r2v[i], r3v[i]);
-        // Garner's mixed-radix CRT: v = r1 + p1·t2 + p1·p2·t3.
-        let d2 = if r2 >= r1 % p2 {
-            r2 - r1 % p2
-        } else {
-            r2 + p2 - r1 % p2
-        };
-        let t2 = mulmod(d2, inv_p1_mod_p2, p2);
-        let v12 = r1 + p1 * t2; // < p1·p2 < 2⁶²
-        let v12m = v12 % p3;
-        let d3 = if r3 >= v12m {
-            r3 - v12m
-        } else {
-            r3 + p3 - v12m
-        };
-        let t3 = mulmod(d3, inv_p1p2_mod_p3, p3);
-        let v = v12 as u128 + p1p2 as u128 * t3 as u128; // < p1·p2·p3 < 2⁹³
-
+    for (w, v) in out.iter_mut().zip(coeffs.by_ref()) {
         let acc = carry + v;
-        if i < out.len() {
-            out[i] = lo(acc as u64);
-        } else {
-            debug_assert_eq!(lo(acc as u64), 0, "NTT product overflows result");
-        }
+        *w = lo(acc as u64);
         carry = acc >> LIMB_BITS;
+    }
+    for v in coeffs {
+        carry += v;
+        debug_assert_eq!(lo(carry as u64), 0, "NTT product overflows result");
+        carry >>= LIMB_BITS;
     }
     if !wrap {
         debug_assert_eq!(carry, 0, "NTT carry must be consumed by the result");
@@ -326,14 +700,48 @@ fn recombine(res: &Residues, out: &mut [Limb], wrap: bool) {
     }
 }
 
-/// Residues of `a · b` (or `a²`) modulo `x^n − 1` for all three primes.
-fn residues(a: &[Limb], b: &[Limb], n: usize) -> Residues {
+/// `a · b` (or `a²`, when `b` is `a`) modulo `x^n − 1`, for all three
+/// primes, recombined into `out` as [`recombine`] describes.
+#[inline(always)]
+fn product(isa: KernelIsa, a: &[Limb], b: &[Limb], n: usize, out: &mut [Limb], wrap: bool) {
     let square = core::ptr::eq(a, b) || a == b;
-    let bb = if square { None } else { Some(b) };
-    Residues {
-        per_prime: core::array::from_fn(|k| residues_mod_prime(k, a, bb, n)),
-        n,
+    let b = if square { None } else { Some(b) };
+    let mut fb = Vec::new();
+    let res = core::array::from_fn(|k| residues_mod_prime(isa, k, a, b, n, &mut fb));
+    recombine(res, out, wrap);
+}
+
+/// [`product`] with its linear passes — loads, pointwise products, CRT —
+/// compiled for `isa` as well; the transforms dispatch on it anyway.
+fn product_on(isa: KernelIsa, a: &[Limb], b: &[Limb], n: usize, out: &mut [Limb], wrap: bool) {
+    assert!(
+        isa.available(),
+        "this CPU cannot run the {} kernel",
+        isa.name()
+    );
+    match isa {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: the assert above confirmed AVX-512F.
+        KernelIsa::Avx512 => unsafe { product_avx512(a, b, n, out, wrap) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: the assert above confirmed AVX2.
+        KernelIsa::Avx2 => unsafe { product_avx2(a, b, n, out, wrap) },
+        _ => product(isa, a, b, n, out, wrap),
     }
+}
+
+/// [`product`] compiled for AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn product_avx512(a: &[Limb], b: &[Limb], n: usize, out: &mut [Limb], wrap: bool) {
+    product(KernelIsa::Avx512, a, b, n, out, wrap);
+}
+
+/// [`product`] compiled for AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn product_avx2(a: &[Limb], b: &[Limb], n: usize, out: &mut [Limb], wrap: bool) {
+    product(KernelIsa::Avx2, a, b, n, out, wrap);
 }
 
 /// NTT product `a · b` into `out` (zeroed, `out.len() >= la + lb` where
@@ -341,10 +749,21 @@ fn residues(a: &[Limb], b: &[Limb], n: usize) -> Residues {
 /// exceeds [`MAX_NTT_TOTAL_LIMBS`]; `mul_dispatch` never routes such
 /// operands here.
 pub fn mul_ntt_into(out: &mut [Limb], a: &[Limb], b: &[Limb]) {
+    let ran = mul_ntt_into_on(KernelIsa::detect(), out, a, b);
+    debug_assert!(ran, "the detected kernel ISA is always available");
+}
+
+/// [`mul_ntt_into`] on the given butterfly implementation; `false`, with
+/// nothing touched, when this CPU cannot run it.
+#[doc(hidden)]
+pub fn mul_ntt_into_on(isa: KernelIsa, out: &mut [Limb], a: &[Limb], b: &[Limb]) -> bool {
+    if !isa.available() {
+        return false;
+    }
     let la = ops::normalized_len(a);
     let lb = ops::normalized_len(b);
     if la == 0 || lb == 0 {
-        return;
+        return true;
     }
     let rl = la + lb;
     assert!(
@@ -353,7 +772,8 @@ pub fn mul_ntt_into(out: &mut [Limb], a: &[Limb], b: &[Limb]) {
     );
     debug_assert!(out.len() >= rl);
     let n = rl.next_power_of_two().max(2);
-    recombine(&residues(&a[..la], &b[..lb], n), &mut out[..rl], false);
+    product_on(isa, &a[..la], &b[..lb], n, &mut out[..rl], false);
+    true
 }
 
 /// Wrapped NTT product: `a · b mod (β^N − 1)` into `out`, where
@@ -369,6 +789,17 @@ pub fn mul_ntt_into(out: &mut [Limb], a: &[Limb], b: &[Limb]) {
 /// limbs past `N` fold below `lo` (`la + lb ≤ N + lo`), up to the carry
 /// that the fold adds at limb `lo` (at most 2).
 pub fn mul_wrap_into(out: &mut [Limb], a: &[Limb], b: &[Limb]) {
+    let ran = mul_wrap_into_on(KernelIsa::detect(), out, a, b);
+    debug_assert!(ran, "the detected kernel ISA is always available");
+}
+
+/// [`mul_wrap_into`] on the given butterfly implementation; `false`, with
+/// nothing touched, when this CPU cannot run it.
+#[doc(hidden)]
+pub fn mul_wrap_into_on(isa: KernelIsa, out: &mut [Limb], a: &[Limb], b: &[Limb]) -> bool {
+    if !isa.available() {
+        return false;
+    }
     let n = out.len();
     assert!(
         n >= 2 && n.is_power_of_two() && n <= MAX_NTT_TOTAL_LIMBS,
@@ -378,10 +809,10 @@ pub fn mul_wrap_into(out: &mut [Limb], a: &[Limb], b: &[Limb]) {
     let lb = ops::normalized_len(b);
     assert!(la <= n && lb <= n, "wrapped NTT operand exceeds {n} limbs");
     out.fill(0);
-    if la == 0 || lb == 0 {
-        return;
+    if la != 0 && lb != 0 {
+        product_on(isa, &a[..la], &b[..lb], n, out, true);
     }
-    recombine(&residues(&a[..la], &b[..lb], n), out, true);
+    true
 }
 
 /// Allocating wrapper around [`mul_wrap_into`]: `a · b mod (β^n − 1)` as
@@ -494,52 +925,6 @@ mod tests {
         let a = [3u32, 0, 0, 0];
         let b = [5u32, 7, 0];
         assert_eq!(mul_ntt(&a, &b), schoolbook(&a[..1], &b[..2]));
-    }
-
-    #[test]
-    #[ignore = "manual timing probe"]
-    fn timing_probe() {
-        use std::time::Instant;
-        let n = 16384usize;
-        let field = Field::new(PRIMES[0].0);
-        let mut v: Vec<u64> = (0..n)
-            .map(|i| (i as u64).wrapping_mul(2654435761) % field.p)
-            .collect();
-        let root = field.pow(field.to_mont(PRIMES[0].1), (field.p - 1) / n as u64);
-        let tw = twiddles(&field, root, n);
-        let t0 = Instant::now();
-        for _ in 0..100 {
-            transform(&field, &mut v, &tw);
-            std::hint::black_box(&v);
-        }
-        eprintln!("transform n={n}: {:?}/iter", t0.elapsed() / 100);
-
-        // Pseudorandom operands: constant fill transforms to a near-delta
-        // vector, which makes every data-dependent path look artificially
-        // cheap and once hid a 2.5x gap to real workloads.
-        let mut s = 0x9e37_79b9_7f4a_7c15u64;
-        let mut rnd = || {
-            s = s
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (s >> 32) as u32
-        };
-        let a: Vec<Limb> = (0..8192).map(|_| rnd()).collect();
-        let b: Vec<Limb> = (0..8191).map(|_| rnd()).collect();
-        let t0 = Instant::now();
-        for _ in 0..20 {
-            std::hint::black_box(mul_ntt(&a, &b));
-        }
-        eprintln!("mul_ntt 8192x8191: {:?}/iter", t0.elapsed() / 20);
-
-        let res = residues(&a, &a, n);
-        let mut out = vec![0u32; 16384];
-        let t0 = Instant::now();
-        for _ in 0..100 {
-            recombine(&res, &mut out, false);
-            std::hint::black_box(&out);
-        }
-        eprintln!("recombine n={n}: {:?}/iter", t0.elapsed() / 100);
     }
 
     /// `x mod (β^n − 1)` by folding `n`-limb chunks, canonical, `n` limbs.

@@ -7,23 +7,27 @@
 //! | routine | below cutoff          | at/above cutoff          |
 //! |---------|-----------------------|--------------------------|
 //! | mul     | schoolbook            | Karatsuba (`karatsuba`)  |
-//! | mul     | Karatsuba             | Toom-Cook-3 (`toom3`)    |
-//! | mul     | Toom-Cook-3           | 3-prime NTT (`ntt`)      |
+//! | mul     | Karatsuba             | 3-prime NTT (`ntt`)      |
+//! | mul     | past the NTT's size cap | Toom-Cook-3 (`toom3`)  |
 //! | div     | Knuth Algorithm D     | Newton reciprocal (`newton_div`) |
 //! | gcd     | binary GCD            | half-GCD (`hgcd`)        |
 //!
 //! Defaults were tuned on the bench host from `BENCH_bigint.json` sweeps
-//! (`bigint_bench`; ladder-vs-legacy medians per width). Measured
-//! crossovers on the 1-core reference box: balanced mul beats Karatsuba
-//! via NTT from ~1024 limbs (×1.2 at 1024, ×2.8 at 8192) while Toom-3 is
-//! only at parity in the 256–512 window, so its rung opens at 512; Newton
-//! division crosses Knuth between divisor 1024 (×0.75) and 2048 (×1.31),
-//! so it opens at 1536; half-GCD beats binary GCD already at 192 limbs
-//! (×1.16, growing to ×3.5 at 1536). Each cutoff can be overridden
-//! for a sweep via its environment variable (read once, on first use), or
-//! programmatically via `set()` — the latter is what the perf gate uses to
-//! pit the new ladder against the legacy Karatsuba/Knuth-only configuration
-//! inside one process. Correctness never depends on the values.
+//! (`bigint_bench`; ladder-vs-legacy medians per width). With the
+//! vectorized NTT (AVX-512 butterflies, 2-vCPU bench host), balanced mul
+//! beats Karatsuba via NTT from 128 limbs (×0.83 at 96, ×1.03 at 112,
+//! ×1.16–1.39 at 128, ×1.31 at 192, ×2.5–3.1 at 512), and Toom-3, at
+//! parity with Karatsuba below 512 limbs and 2.4× slower than the NTT at
+//! 512–1023, keeps no window: its rung opens where the NTT's does, so it
+//! only takes products past `ntt::MAX_NTT_TOTAL_LIMBS`. On the 1-core
+//! reference box, Newton division crossed Knuth between divisor 1024
+//! (×0.75) and 2048 (×1.31), so it opens at 1536; half-GCD beats binary
+//! GCD already at 192 limbs (×1.16, growing to ×3.5 at 1536). Each cutoff
+//! can be overridden for a sweep via its environment variable (read once,
+//! on first use), or programmatically via `set()` — the latter is what the
+//! perf gate uses to pit the new ladder against the legacy
+//! Karatsuba/Knuth-only configuration inside one process. Correctness
+//! never depends on the values.
 
 use core::sync::atomic::{AtomicUsize, Ordering};
 
@@ -89,17 +93,19 @@ impl Threshold {
 /// Karatsuba. Applied to the *shorter* operand of a balanced product.
 pub static KARATSUBA: Threshold = Threshold::new("BULKGCD_KARATSUBA_CUTOFF", 32);
 
-/// Shorter-operand length (limbs) at which a balanced product switches
-/// Karatsuba → Toom-Cook-3. The window is narrow on this host (the NTT
-/// takes over at 1024), and below 512 Toom's evaluation overhead loses
-/// 7–14% to Karatsuba's power-of-two-friendly splits.
-pub static TOOM3: Threshold = Threshold::new("BULKGCD_TOOM3_CUTOFF", 512);
+/// Shorter-operand length (limbs) from which a balanced product the NTT
+/// cannot take (past `ntt::MAX_NTT_TOTAL_LIMBS`) runs Toom-Cook-3 instead
+/// of Karatsuba. It equals [`NTT`], so Toom-3 holds no window below the
+/// NTT: there it lost to the NTT at every width benched, and below 512
+/// limbs its evaluation overhead loses 7–14% to Karatsuba's
+/// power-of-two-friendly splits.
+pub static TOOM3: Threshold = Threshold::new("BULKGCD_TOOM3_CUTOFF", 128);
 
 /// Shorter-operand length (limbs) at which a balanced product switches
-/// Toom-Cook-3 → the 3-prime CRT NTT. The NTT's cost is a step function
+/// Karatsuba → the 3-prime CRT NTT. The NTT's cost is a step function
 /// of `next_power_of_two(la + lb)`, so the crossover sits just above the
-/// width where a 2048-point transform's flat cost undercuts Karatsuba.
-pub static NTT: Threshold = Threshold::new("BULKGCD_NTT_CUTOFF", 1024);
+/// width where a 256-point transform's flat cost undercuts Karatsuba.
+pub static NTT: Threshold = Threshold::new("BULKGCD_NTT_CUTOFF", 128);
 
 /// Divisor length (limbs) at which division switches Knuth Algorithm D →
 /// Newton reciprocal (the quotient must also be at least half this many
@@ -144,9 +150,10 @@ mod tests {
 
     #[test]
     fn defaults_are_ordered() {
-        // The mul ladder must be monotone: schoolbook < karatsuba < toom < ntt.
-        assert!(KARATSUBA.default_value() < TOOM3.default_value());
-        assert!(TOOM3.default_value() < NTT.default_value());
+        // The mul ladder must be monotone: schoolbook < karatsuba < ntt,
+        // with Toom-3 opening no window below the NTT.
+        assert!(KARATSUBA.default_value() < NTT.default_value());
+        assert!(NTT.default_value() <= TOOM3.default_value());
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! (by 2 and 3 — the Bodrato/Zanoni sequence).
 //!
 //! Asymptotically O(n^log3(5)) ≈ O(n^1.465) versus Karatsuba's
-//! O(n^1.585); the crossover is recorded in [`crate::thresholds::TOOM3`].
+//! O(n^1.585). The NTT undercuts it at every width it can take, so
+//! `mul_dispatch` only routes products past the NTT's size cap here (see
+//! [`crate::thresholds::TOOM3`]).
 //! Correct for any operand shapes (including empty parts when the shorter
 //! operand does not reach the third split), but `mul_dispatch` only routes
 //! near-balanced operands here — unbalanced products are chopped into

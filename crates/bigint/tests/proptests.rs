@@ -301,3 +301,113 @@ fn dispatcher_routes_above_default_cutoffs() {
     assert_eq!(got, x.gcd_reference(&y));
     assert!(got.rem(&g).is_zero());
 }
+
+// ---- NTT kernels: every ISA path against the portable oracle ----
+
+use bulkgcd_bigint::KernelIsa;
+
+/// xorshift64 stream for the deterministic kernel sweeps.
+fn xorshift(mut state: u64) -> impl FnMut() -> u64 {
+    move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    }
+}
+
+/// The ISA paths this host can run besides the portable oracle; the rest
+/// are reported as skipped, not failed.
+fn vector_isas() -> Vec<KernelIsa> {
+    [KernelIsa::Avx512, KernelIsa::Avx2]
+        .into_iter()
+        .filter(|isa| {
+            let ok = isa.available();
+            if !ok {
+                eprintln!("skipped: this CPU cannot run the {} kernel", isa.name());
+            }
+            ok
+        })
+        .collect()
+}
+
+/// Forward and inverse transforms at n = 2…2¹⁶, for every prime, bit for
+/// bit against the portable body — including n = 2, 4 and 8, below or at
+/// the AVX-512 block pass, and n = 16, one streamed stage above it — and
+/// inverse(forward(x)) = n·x, the scale the load constants later remove.
+#[test]
+fn ntt_transform_isa_paths_match_portable() {
+    let mut next = xorshift(0x0ddb_a11c_afe5_eed5);
+    for isa in vector_isas() {
+        for log_n in 1..=16 {
+            let n = 1usize << log_n;
+            for prime in 0..3 {
+                let tw = ntt::Twiddles::new(prime, n);
+                let p = tw.prime();
+                let x: Vec<u64> = (0..n).map(|_| next() % p).collect();
+                let at = format!("{} n={n} prime={p}", isa.name());
+                let (mut got, mut want) = (x.clone(), x.clone());
+                assert!(ntt::transform_on(isa, &tw, &mut got, false));
+                assert!(ntt::transform_on(
+                    KernelIsa::Portable,
+                    &tw,
+                    &mut want,
+                    false
+                ));
+                assert_eq!(got, want, "{at}: forward differs from portable");
+                assert!(ntt::transform_on(isa, &tw, &mut got, true));
+                assert!(ntt::transform_on(KernelIsa::Portable, &tw, &mut want, true));
+                assert_eq!(got, want, "{at}: inverse differs from portable");
+                let scaled: Vec<u64> = x
+                    .iter()
+                    .map(|&v| ((v as u128 * n as u128) % p as u128) as u64)
+                    .collect();
+                assert_eq!(got, scaled, "{at}: inverse(forward(x)) != n·x");
+            }
+        }
+    }
+}
+
+/// `mul_ntt` and `mul_wrap` on every ISA path equal the schoolbook
+/// product: random operands and the all-`0xffffffff` operands that
+/// maximize every CRT coefficient.
+#[test]
+fn ntt_products_match_schoolbook_on_every_isa() {
+    let mut next = xorshift(0x5eed_0fc0_ffee);
+    let mut isas = vector_isas();
+    isas.push(KernelIsa::Portable);
+    for isa in isas {
+        for (la, lb) in [
+            (1, 1),
+            (3, 2),
+            (5, 4),
+            (9, 8),
+            (33, 31),
+            (300, 200),
+            (2048, 2048),
+        ] {
+            let random = |next: &mut dyn FnMut() -> u64, len| -> Vec<Limb> {
+                (0..len).map(|_| next() as Limb).collect()
+            };
+            for (a, b) in [
+                (random(&mut next, la), random(&mut next, lb)),
+                (vec![Limb::MAX; la], vec![Limb::MAX; lb]),
+            ] {
+                let at = format!("{} la={la} lb={lb}", isa.name());
+                let want = schoolbook_mul(&a, &b);
+                let mut full = vec![0; la + lb];
+                assert!(ntt::mul_ntt_into_on(isa, &mut full, &a, &b));
+                full.truncate(ops::normalized_len(&full));
+                assert_eq!(full, want, "{at}: mul_ntt");
+
+                // Wrapped: the full product folded mod β^n − 1.
+                let n = la.max(lb).next_power_of_two().max(2);
+                let mut wrapped = vec![0; n];
+                assert!(ntt::mul_wrap_into_on(isa, &mut wrapped, &a, &b));
+                let modulus = Nat::one().shl(n as u64 * 32).sub(&Nat::one());
+                let folded = Nat::from_limbs(&want).rem(&modulus);
+                assert_eq!(Nat::from_limbs(&wrapped), folded, "{at}: mul_wrap");
+            }
+        }
+    }
+}

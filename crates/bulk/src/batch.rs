@@ -52,6 +52,7 @@ use bulkgcd_bigint::div::DivScratch;
 use bulkgcd_bigint::hgcd::gcd_into;
 use bulkgcd_bigint::mul::mul_dispatch;
 use bulkgcd_bigint::{ntt, ops, thresholds, Limb, Nat, LIMB_BITS};
+use bulkgcd_core::{run_in_place, Algorithm, GcdPair, NoProbe, Termination};
 use core::mem;
 use rayon::prelude::*;
 
@@ -121,7 +122,9 @@ struct StepScratch {
     r: Nat,
     /// Knuth division working memory for the seed.
     div: DivScratch,
-    /// Binary-GCD scratch for the leaf step.
+    /// Approximate Euclid operands for the leaf step.
+    pair: GcdPair,
+    /// Binary-GCD scratch for a leaf with an even modulus.
     gx: Vec<Limb>,
     /// Second binary-GCD scratch buffer.
     gy: Vec<Limb>,
@@ -305,15 +308,34 @@ fn round_quotient(y: &Nat, p: usize, n: &Nat, st: &mut StepScratch) -> bool {
 }
 
 /// The leaf step for modulus `n` with fraction `y` of `p` limbs:
-/// `out = gcd((P/n) mod n, n)`. Returns `true` when the rounding margin was
-/// under ¼ and the quotient was recomputed exactly as
-/// `(root mod n²) / n` instead.
+/// `out = gcd((P/n) mod n, n)`, by the paper's Approximate Euclid. Returns
+/// `true` when the rounding margin was under ¼ and the quotient was
+/// recomputed exactly as `(root mod n²) / n` instead.
 fn leaf_gcd(y: &Nat, p: usize, n: &Nat, root: &Nat, st: &mut StepScratch, out: &mut Nat) -> bool {
     let exact = !round_quotient(y, p, n, st);
     if exact {
         st.q = root.rem(&n.square()).div(n);
     }
-    gcd_into(&st.q, n, &mut st.gx, &mut st.gy, out);
+    if n.is_even() {
+        // Approximate Euclid takes odd operands only.
+        gcd_into(&st.q, n, &mut st.gx, &mut st.gy, out);
+    } else if st.q.is_zero() {
+        out.assign_limbs(n.limbs());
+    } else {
+        // gcd(q, n) = gcd(q / 2^k, n) for odd n.
+        let q = &mut st.prod;
+        q.clear();
+        q.extend_from_slice(st.q.limbs());
+        let (len, _) = ops::rshift_in_place(q);
+        st.pair.load_from_limbs(&q[..len], n.limbs());
+        run_in_place(
+            Algorithm::Approximate,
+            &mut st.pair,
+            Termination::Full,
+            &mut NoProbe,
+        );
+        out.assign_limbs(st.pair.x());
+    }
     exact
 }
 

@@ -39,6 +39,13 @@ pub struct GcdPair {
     scratch: Vec<Limb>,
 }
 
+impl Default for GcdPair {
+    /// An empty pair; the buffers grow on the first load.
+    fn default() -> Self {
+        Self::with_capacity(0)
+    }
+}
+
 impl GcdPair {
     /// Allocate a pair able to hold operands of `capacity_limbs` words.
     pub fn with_capacity(capacity_limbs: usize) -> Self {
