@@ -18,9 +18,8 @@
 //! holding every interesting **site** (branches, short-circuits, indexing,
 //! early exits, allocating calls, file-write/sync effects, and call sites
 //! with per-argument origin masks) plus the basic-block CFG the
-//! crash-consistency dataflow walks. Summaries are plain data — they
-//! serialize into the incremental cache and are all the global passes
-//! ever look at.
+//! crash-consistency dataflow walks. Summaries are plain data, and all
+//! the global passes ever look at.
 
 use crate::cfg::{self, FnDecl, Stmt};
 use crate::lexer::{Tok, TokKind};

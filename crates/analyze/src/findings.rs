@@ -47,8 +47,6 @@ pub struct Report {
     pub allows_consumed: usize,
     /// Findings suppressed by the checked-in baseline file.
     pub baselined: usize,
-    /// Files whose analysis came from the incremental cache.
-    pub cache_hits: usize,
 }
 
 impl Report {
@@ -69,12 +67,8 @@ impl Report {
         let _ = write!(
             s,
             "  \"cf_covered_fns\": {},\n  \"journal_fns\": {},\n  \"zero_alloc_roots\": {},\n  \
-             \"baselined\": {},\n  \"cache_hits\": {},\n",
-            self.cf_covered_fns,
-            self.journal_fns,
-            self.zero_alloc_roots,
-            self.baselined,
-            self.cache_hits
+             \"baselined\": {},\n",
+            self.cf_covered_fns, self.journal_fns, self.zero_alloc_roots, self.baselined
         );
         s.push_str("  \"findings\": [");
         for (i, f) in self.findings.iter().enumerate() {

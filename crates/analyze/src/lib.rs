@@ -30,16 +30,15 @@
 //!    code, `// SAFETY:` above every `unsafe`, no debug prints in library
 //!    crates, no bare `as Limb` truncation in bigint limb arithmetic.
 //!
-//! Analysis is two-phase: a cacheable per-file pass ([`lints::analyze_file`],
-//! memoized by [`cache`] under `target/analyze-cache/`) and a global pass
-//! ([`lints::finish`]) that runs the call-graph lints, then resolves
-//! `allow` pragmas and the checked-in baseline (`analyze.baseline`).
+//! Analysis is two-phase: a per-file pass ([`lints::analyze_file`], run
+//! fresh on every file every time) and a global pass ([`lints::finish`])
+//! that runs the call-graph lints, then resolves `allow` pragmas and the
+//! checked-in baseline (`analyze.baseline`). Nothing is written to disk.
 //!
 //! The `analyze` binary (same crate) runs everything over the workspace
 //! and gates `scripts/check.sh`. Everything here is itself library code,
 //! so the analyzer must pass its own lints — it is written panic-free.
 
-pub mod cache;
 pub mod callgraph;
 pub mod cfg;
 pub mod constant_flow;
@@ -64,9 +63,6 @@ pub const BASELINE_FILE: &str = "analyze.baseline";
 /// Options for a workspace run.
 #[derive(Debug, Clone, Default)]
 pub struct RunOptions {
-    /// Skip the incremental cache entirely (always analyze fresh, write
-    /// nothing).
-    pub no_cache: bool,
     /// Override the baseline path (default: `<root>/analyze.baseline`;
     /// a missing file is an empty baseline, not an error).
     pub baseline: Option<std::path::PathBuf>,
@@ -81,21 +77,9 @@ pub fn analyze_workspace(root: &Path) -> io::Result<Report> {
 pub fn analyze_workspace_with(root: &Path, opts: &RunOptions) -> io::Result<Report> {
     let files = workspace::collect_files(root)?;
     let mut analyses = Vec::with_capacity(files.len());
-    let mut cache_hits = 0usize;
     for (path, ctx) in files {
         let src = fs::read_to_string(&path)?;
-        let fp = cache::fingerprint(&src);
-        let fa = if opts.no_cache {
-            lints::analyze_file(&src, &ctx)
-        } else if let Some(hit) = cache::load(root, &ctx.path, fp) {
-            cache_hits += 1;
-            hit
-        } else {
-            let fresh = lints::analyze_file(&src, &ctx);
-            cache::store(root, &ctx.path, fp, &fresh);
-            fresh
-        };
-        analyses.push(fa);
+        analyses.push(lints::analyze_file(&src, &ctx));
     }
 
     let baseline_path = opts
@@ -121,7 +105,6 @@ pub fn analyze_workspace_with(root: &Path, opts: &RunOptions) -> io::Result<Repo
         });
     }
     report.files_scanned = analyses.len();
-    report.cache_hits = cache_hits;
     report.sort();
     Ok(report)
 }

@@ -1,15 +1,14 @@
 //! Per-file analysis, the global finish phase, and allow/baseline
 //! resolution.
 //!
-//! The engine runs in two phases so the incremental cache has a clean
-//! boundary:
+//! The engine runs in two phases, so a global lint sees every file's
+//! summaries at once:
 //!
 //! 1. [`analyze_file`] — everything derivable from one file alone: lex,
 //!    parse pragmas, build [`crate::dataflow`] summaries for every fn,
 //!    run the token-level invariant lints (no-panic, safety-comment,
 //!    truncating-cast, debug prints). The result — a
-//!    [`FileAnalysis`] — is plain data, serialized by [`crate::cache`]
-//!    and keyed by a fingerprint of the source text.
+//!    [`FileAnalysis`] — is plain data.
 //! 2. [`finish`] — the global passes over all summaries: interprocedural
 //!    constant-flow ([`crate::callgraph`]), crash-consistency
 //!    ([`crate::durability`]), zero-alloc reachability, then per-file
@@ -66,7 +65,7 @@ pub struct FileOutcome {
     pub allows_consumed: usize,
 }
 
-/// One `allow` gate, in cacheable form.
+/// One `allow` gate, as phase 1 records it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GateSpec {
     /// Line of the pragma comment.
@@ -75,8 +74,8 @@ pub struct GateSpec {
     pub lint: String,
 }
 
-/// Everything phase 1 learns about one file. Plain data: this is exactly
-/// what the incremental cache stores.
+/// Everything phase 1 learns about one file. Plain data: this is all the
+/// global phase sees of the file.
 #[derive(Debug, Clone)]
 pub struct FileAnalysis {
     /// Workspace-relative path.
@@ -159,12 +158,6 @@ pub const LINTS: &[(&str, &str)] = &[
         "baseline entry that matched no current finding",
     ),
 ];
-
-/// Look a lint name up in the catalog, returning its `'static` name.
-/// Used by the cache deserializer to recover `&'static str` lint tags.
-pub fn lint_tag(name: &str) -> Option<&'static str> {
-    LINTS.iter().find(|(n, _)| *n == name).map(|(n, _)| *n)
-}
 
 /// Macros that abort in library code.
 const PANIC_MACROS: &[&str] = &["panic", "todo", "unimplemented"];

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cargo run -p analyze [--release] -- [--root PATH] [--json PATH] \
-//!     [--sarif PATH] [--baseline PATH] [--no-cache] [--list-lints]
+//!     [--sarif PATH] [--baseline PATH] [--list-lints]
 //! ```
 //!
 //! Exit codes: 0 clean, 1 findings, 2 usage or I/O error.
@@ -15,7 +15,7 @@ use std::process::ExitCode;
 
 fn usage() -> &'static str {
     "usage: analyze [--root PATH] [--json PATH] [--sarif PATH] [--baseline PATH]\n\
-     \x20              [--no-cache] [--list-lints]\n\
+     \x20              [--list-lints]\n\
      \n\
      Runs the constant-flow, crash-consistency, zero-alloc, and workspace\n\
      invariant lints over every Rust source file in the workspace.\n\
@@ -24,7 +24,6 @@ fn usage() -> &'static str {
      --json PATH      also write the report as JSON to PATH\n\
      --sarif PATH     also write the report as SARIF 2.1.0 to PATH\n\
      --baseline PATH  baseline file (default: <root>/analyze.baseline)\n\
-     --no-cache       skip the incremental cache under target/analyze-cache\n\
      --list-lints     print the lint catalog and exit\n"
 }
 
@@ -49,7 +48,6 @@ fn main() -> ExitCode {
                     _ => opts.baseline = Some(p),
                 }
             }
-            "--no-cache" => opts.no_cache = true,
             "--list-lints" => {
                 for (name, desc) in analyze::LINTS {
                     println!("{name:20} {desc}");
@@ -99,11 +97,10 @@ fn main() -> ExitCode {
         println!("{}", f.render());
     }
     println!(
-        "analyze: {} file(s) ({} cached), {} cf root(s) covering {} fn(s), \
+        "analyze: {} file(s), {} cf root(s) covering {} fn(s), \
          {} journal fn(s), {} zero-alloc root(s), {} allow(s) consumed, \
          {} baselined, {} finding(s)",
         report.files_scanned,
-        report.cache_hits,
         report.constant_flow_fns,
         report.cf_covered_fns,
         report.journal_fns,

@@ -1,7 +1,7 @@
 //! Criterion micro-benchmarks for the arithmetic substrate: the fused
 //! multiply-subtract-shift (the AEA inner loop), full division (the Fast
 //! Euclid inner loop), multiplication, Montgomery modpow, and the
-//! subquadratic dispatch ladder (Toom-3/NTT multiply, Newton division,
+//! subquadratic dispatch ladder (NTT multiply, Newton division,
 //! half-GCD) against the legacy schoolbook/Karatsuba/Knuth/binary paths.
 
 use bulkgcd_bigint::random::random_odd_bits;

@@ -1,6 +1,6 @@
 //! Machine-readable arithmetic-ladder benchmark: `BENCH_bigint.json`.
 //!
-//! Times the width-dispatched ladder (Karatsuba → Toom-3 → 3-prime NTT
+//! Times the width-dispatched ladder (Karatsuba → 3-prime NTT
 //! multiplication, Newton-reciprocal division, half-GCD) against the
 //! legacy quadratic configuration (Karatsuba + Knuth + binary GCD) over a
 //! width sweep, plus the end-to-end product-tree batch scan at the largest

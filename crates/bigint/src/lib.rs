@@ -14,8 +14,8 @@
 //! * [`ops`] — slice-level kernels shared with the fixed-buffer GCD operands
 //!   of `bulkgcd-core`, including the fused `X ← rshift(X − α·Y)` single-pass
 //!   update of paper §IV;
-//! * a width-dispatched multiplication ladder — schoolbook, Karatsuba,
-//!   Toom-Cook-3 ([`toom`]) and a 3-prime CRT NTT ([`ntt`]) — with cutoffs
+//! * a width-dispatched multiplication ladder — schoolbook, Karatsuba
+//!   and a 3-prime CRT NTT ([`ntt`]) — with cutoffs
 //!   in [`thresholds`] (env-overridable for tuning); the NTT butterflies
 //!   run on the SIMD path [`kernel_isa`] names;
 //! * division by Knuth Algorithm D, switching to Newton–Raphson reciprocal
@@ -47,7 +47,6 @@ pub mod prime;
 pub mod random;
 pub mod square;
 pub mod thresholds;
-pub mod toom;
 
 pub use barrett::Barrett;
 pub use extgcd::{ext_gcd, ExtGcd, SignedNat};

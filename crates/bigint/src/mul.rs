@@ -1,19 +1,18 @@
 //! Multiplication: the dispatch entry of the arithmetic ladder.
 //!
 //! [`mul_dispatch`] routes by the *shorter* operand's width: schoolbook →
-//! Karatsuba → 3-prime NTT, with Toom-Cook-3 for products past the NTT's
-//! size cap, and unbalanced products chopped into balanced chunks first. All cutoffs live in [`crate::thresholds`]
-//! (env-overridable); correctness never depends on them. Every recursion —
-//! Karatsuba's halves, Toom's pointwise products, the unbalanced chop —
-//! re-enters the dispatcher, so each sub-product independently picks the
-//! right rung for its own width.
+//! Karatsuba → 3-prime NTT, with Karatsuba again for products past the
+//! NTT's size cap, and unbalanced products chopped into balanced chunks
+//! first. All cutoffs live in [`crate::thresholds`] (env-overridable);
+//! correctness never depends on them. Every recursion — Karatsuba's
+//! halves, the unbalanced chop — re-enters the dispatcher, so each
+//! sub-product independently picks the right rung for its own width.
 
 use crate::limb::{mac, Limb};
 use crate::nat::Nat;
 use crate::ntt;
 use crate::ops;
 use crate::thresholds;
-use crate::toom;
 
 /// Schoolbook product `a * b` into `out`. `out` must be zeroed and have
 /// length at least `a.len() + b.len()`.
@@ -78,10 +77,6 @@ pub fn mul_dispatch(out: &mut [Limb], a: &[Limb], b: &[Limb]) {
     }
     if b.len() >= thresholds::NTT.get() && a.len() + b.len() <= ntt::MAX_NTT_TOTAL_LIMBS {
         ntt::mul_ntt_into(out, a, b);
-        return;
-    }
-    if b.len() >= thresholds::TOOM3.get() {
-        toom::mul_toom3_into(out, a, b);
         return;
     }
     mul_karatsuba(out, a, b);
@@ -249,11 +244,9 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_covers_toom_and_ntt_widths() {
-        // One deterministic product just past each upper cutoff (both take
-        // the NTT now; Toom-3 only runs past the NTT's size cap), checked
-        // against the direct Toom-3 entry (which the proptests in turn check
-        // against schoolbook).
+    fn dispatch_covers_karatsuba_and_ntt_widths() {
+        // One deterministic product just past each cutoff, checked against
+        // schoolbook.
         let mut state = 0x00dd_ba11_5eed_f00du64;
         let mut next = move || {
             state ^= state << 13;
@@ -262,12 +255,15 @@ mod tests {
             state
         };
         for n in [
-            thresholds::TOOM3.default_value() + 5,
+            thresholds::KARATSUBA.default_value() + 5,
             thresholds::NTT.default_value() + 9,
         ] {
             let a: Vec<Limb> = (0..n).map(|_| crate::limb::lo(next())).collect();
             let b: Vec<Limb> = (0..n - 3).map(|_| crate::limb::lo(next())).collect();
-            assert_eq!(mul_slices(&a, &b), toom::mul_toom3(&a, &b), "n={n}");
+            let mut expect = vec![0; a.len() + b.len()];
+            mul_schoolbook(&mut expect, &a, &b);
+            expect.truncate(ops::normalized_len(&expect));
+            assert_eq!(mul_slices(&a, &b), expect, "n={n}");
         }
     }
 

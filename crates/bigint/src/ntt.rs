@@ -62,8 +62,8 @@ use crate::ops;
 /// Largest supported `a.len() + b.len()` (limbs): the transform size
 /// `next_power_of_two(la + lb)` must not exceed the smallest 2-adicity
 /// (2²⁵) of the prime triple. 2²⁵ limbs is a gigabit-scale product — far
-/// beyond anything the product tree builds today; `mul_dispatch` routes
-/// larger requests to Toom-Cook-3 instead.
+/// beyond anything the product tree builds today; `mul_dispatch` splits
+/// larger requests with Karatsuba, whose halves fit.
 pub const MAX_NTT_TOTAL_LIMBS: usize = 1 << 25;
 
 /// The (prime, primitive root) triple.

@@ -8,7 +8,6 @@
 //! |---------|-----------------------|--------------------------|
 //! | mul     | schoolbook            | Karatsuba (`karatsuba`)  |
 //! | mul     | Karatsuba             | 3-prime NTT (`ntt`)      |
-//! | mul     | past the NTT's size cap | Toom-Cook-3 (`toom3`)  |
 //! | div     | Knuth Algorithm D     | Newton reciprocal (`newton_div`) |
 //! | gcd     | binary GCD            | half-GCD (`hgcd`)        |
 //!
@@ -16,10 +15,9 @@
 //! (`bigint_bench`; ladder-vs-legacy medians per width). With the
 //! vectorized NTT (AVX-512 butterflies, 2-vCPU bench host), balanced mul
 //! beats Karatsuba via NTT from 128 limbs (×0.83 at 96, ×1.03 at 112,
-//! ×1.16–1.39 at 128, ×1.31 at 192, ×2.5–3.1 at 512), and Toom-3, at
-//! parity with Karatsuba below 512 limbs and 2.4× slower than the NTT at
-//! 512–1023, keeps no window: its rung opens where the NTT's does, so it
-//! only takes products past `ntt::MAX_NTT_TOTAL_LIMBS`. On the 1-core
+//! ×1.16–1.39 at 128, ×1.31 at 192, ×2.5–3.1 at 512). A balanced product
+//! past `ntt::MAX_NTT_TOTAL_LIMBS` runs Karatsuba, whose halves re-enter
+//! the NTT. On the 1-core
 //! reference box, Newton division crossed Knuth between divisor 1024
 //! (×0.75) and 2048 (×1.31), so it opens at 1536; half-GCD beats binary
 //! GCD already at 192 limbs (×1.16, growing to ×3.5 at 1536). Each cutoff
@@ -93,14 +91,6 @@ impl Threshold {
 /// Karatsuba. Applied to the *shorter* operand of a balanced product.
 pub static KARATSUBA: Threshold = Threshold::new("BULKGCD_KARATSUBA_CUTOFF", 32);
 
-/// Shorter-operand length (limbs) from which a balanced product the NTT
-/// cannot take (past `ntt::MAX_NTT_TOTAL_LIMBS`) runs Toom-Cook-3 instead
-/// of Karatsuba. It equals [`NTT`], so Toom-3 holds no window below the
-/// NTT: there it lost to the NTT at every width benched, and below 512
-/// limbs its evaluation overhead loses 7–14% to Karatsuba's
-/// power-of-two-friendly splits.
-pub static TOOM3: Threshold = Threshold::new("BULKGCD_TOOM3_CUTOFF", 128);
-
 /// Shorter-operand length (limbs) at which a balanced product switches
 /// Karatsuba → the 3-prime CRT NTT. The NTT's cost is a step function
 /// of `next_power_of_two(la + lb)`, so the crossover sits just above the
@@ -117,10 +107,9 @@ pub static NEWTON_DIV: Threshold = Threshold::new("BULKGCD_NEWTON_DIV_CUTOFF", 1
 pub static HGCD: Threshold = Threshold::new("BULKGCD_HGCD_CUTOFF", 192);
 
 /// Snapshot of the whole ladder, for bench reports.
-pub fn snapshot() -> [(&'static str, usize); 5] {
+pub fn snapshot() -> [(&'static str, usize); 4] {
     [
         ("karatsuba", KARATSUBA.get()),
-        ("toom3", TOOM3.get()),
         ("ntt", NTT.get()),
         ("newton_div", NEWTON_DIV.get()),
         ("hgcd", HGCD.get()),
@@ -130,7 +119,6 @@ pub fn snapshot() -> [(&'static str, usize); 5] {
 /// Disable every subquadratic rung (Karatsuba and Knuth remain), restoring
 /// the pre-ladder behaviour. Used by the perf gate's legacy arm.
 pub fn set_legacy_ladder() {
-    TOOM3.set(usize::MAX);
     NTT.set(usize::MAX);
     NEWTON_DIV.set(usize::MAX);
     HGCD.set(usize::MAX);
@@ -138,7 +126,7 @@ pub fn set_legacy_ladder() {
 
 /// Restore every rung to its default (or env-overridden) value.
 pub fn reset_ladder() {
-    for t in [&KARATSUBA, &TOOM3, &NTT, &NEWTON_DIV, &HGCD] {
+    for t in [&KARATSUBA, &NTT, &NEWTON_DIV, &HGCD] {
         t.cached.store(0, Ordering::Relaxed);
         t.get();
     }
@@ -150,10 +138,8 @@ mod tests {
 
     #[test]
     fn defaults_are_ordered() {
-        // The mul ladder must be monotone: schoolbook < karatsuba < ntt,
-        // with Toom-3 opening no window below the NTT.
+        // The mul ladder must be monotone: schoolbook < karatsuba < ntt.
         assert!(KARATSUBA.default_value() < NTT.default_value());
-        assert!(NTT.default_value() <= TOOM3.default_value());
     }
 
     #[test]

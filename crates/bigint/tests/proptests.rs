@@ -190,14 +190,14 @@ proptest! {
 
 // ---- arithmetic dispatch ladder cross-checks ----
 //
-// The subquadratic rungs (Toom-3, NTT, Newton division, half-GCD) are
+// The subquadratic rungs (NTT, Newton division, half-GCD) are
 // checked against the quadratic oracles over operand shapes that straddle
 // the default cutoffs, including unbalanced widths and unnormalized
 // zero-limb tails. Tests call the algorithm entries directly (and
 // `gcd_with_cutoff` with a tiny cutoff) rather than mutating the global
 // threshold ladder, which would race concurrently running tests.
 
-use bulkgcd_bigint::{div, hgcd, mul, newton, ntt, square, toom};
+use bulkgcd_bigint::{div, hgcd, mul, newton, ntt, square};
 
 /// Schoolbook oracle over raw (possibly unnormalized) limb slices.
 fn schoolbook_mul(a: &[Limb], b: &[Limb]) -> Vec<Limb> {
@@ -221,20 +221,13 @@ proptest! {
     fn dispatch_mul_matches_schoolbook(
         a in limbs_with_tail(140), b in limbs_with_tail(140)
     ) {
-        // 0..140 limbs straddles the Karatsuba (32) and Toom-3 (96) rungs.
+        // 0..140 limbs straddles the Karatsuba (32) and NTT (128) rungs.
         prop_assert_eq!(mul::mul_slices(&a, &b), schoolbook_mul(&a, &b));
     }
 
     #[test]
     fn dispatch_square_matches_schoolbook(a in limbs_with_tail(140)) {
         prop_assert_eq!(square::square_slices(&a), schoolbook_mul(&a, &a));
-    }
-
-    #[test]
-    fn toom3_matches_schoolbook_any_shape(
-        a in limbs_with_tail(200), b in limbs_with_tail(120)
-    ) {
-        prop_assert_eq!(toom::mul_toom3(&a, &b), schoolbook_mul(&a, &b));
     }
 
     #[test]

@@ -9,16 +9,12 @@
 //! never allocates.
 //!
 //! The backing buffer is **row-wise** in the sense of paper Fig. 3
-//! ([`Layout::RowWise`]): modulus `j`'s limb `i` lives at `j · stride + i`,
-//! the natural host layout for handing out per-modulus slices. For a
-//! device-style upload the arena can also emit the paper's **column-wise**
-//! arrangement (`i · m + j`, [`Layout::ColumnWise`]), the coalescing-friendly
-//! ordering of `bulkgcd_umm`.
+//! (`bulkgcd_umm::Layout::RowWise`): modulus `j`'s limb `i` lives at
+//! `j · stride + i`, the natural host layout for handing out per-modulus
+//! slices.
 
 use bulkgcd_bigint::{ops, Limb, Nat};
-use bulkgcd_umm::Layout;
 use std::fmt;
-use std::sync::OnceLock;
 
 /// Why a [`ModuliArena`] could not be built from a corpus.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,7 +53,7 @@ impl fmt::Display for ArenaError {
 impl std::error::Error for ArenaError {}
 
 /// A corpus of moduli packed into one fixed-stride limb buffer.
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ModuliArena {
     /// Row-wise backing store: modulus `j` at `j * stride .. (j + 1) * stride`.
     limbs: Vec<Limb>,
@@ -68,37 +64,7 @@ pub struct ModuliArena {
     /// Cached significant-bit counts, one per modulus (drives the §V
     /// early-termination threshold without touching the limb data).
     bit_lens: Vec<u64>,
-    /// Lazily built column-wise transpose of the backing store, shared by
-    /// every [`column_wise`](Self::column_wise) caller. Invalidated (taken)
-    /// by [`set_modulus`](Self::set_modulus).
-    columns: OnceLock<Vec<Limb>>,
 }
-
-// The column cache is a derived view: two arenas holding the same corpus
-// are equal whether or not either has materialised it, and a clone starts
-// with a cold cache instead of duplicating the transpose.
-impl Clone for ModuliArena {
-    fn clone(&self) -> Self {
-        ModuliArena {
-            limbs: self.limbs.clone(),
-            stride: self.stride,
-            m: self.m,
-            bit_lens: self.bit_lens.clone(),
-            columns: OnceLock::new(),
-        }
-    }
-}
-
-impl PartialEq for ModuliArena {
-    fn eq(&self, other: &Self) -> bool {
-        self.limbs == other.limbs
-            && self.stride == other.stride
-            && self.m == other.m
-            && self.bit_lens == other.bit_lens
-    }
-}
-
-impl Eq for ModuliArena {}
 
 impl ModuliArena {
     /// The most limbs one arena buffer may hold (the allocator's hard
@@ -144,7 +110,6 @@ impl ModuliArena {
             stride,
             m: moduli.len(),
             bit_lens: moduli.iter().map(Nat::bit_len).collect(),
-            columns: OnceLock::new(),
         })
     }
 
@@ -199,73 +164,13 @@ impl ModuliArena {
     pub fn as_limbs(&self) -> &[Limb] {
         &self.limbs
     }
-
-    /// The corpus re-arranged column-wise (paper Fig. 3): limb `i` of
-    /// modulus `j` at address `i · m + j`, the coalescing-friendly ordering
-    /// a real device upload would use.
-    ///
-    /// The transpose is built **once** on first call and cached; later
-    /// calls borrow the same buffer (no per-call allocation — the simulated
-    /// upload path may ask for it per launch). Mutating the arena through
-    /// [`set_modulus`](Self::set_modulus) invalidates the cache.
-    pub fn column_wise(&self) -> &[Limb] {
-        self.columns.get_or_init(|| {
-            let mut out = vec![0 as Limb; self.limbs.len()];
-            for j in 0..self.m {
-                let row = self.limbs(j);
-                for (i, &w) in row.iter().enumerate() {
-                    out[Layout::ColumnWise.address(j, i, self.m, self.stride)] = w;
-                }
-            }
-            out
-        })
-    }
-
-    /// Replace modulus `i` with `n` in place (high-zero padding the row),
-    /// invalidating the cached column-wise transpose so the next
-    /// [`column_wise`](Self::column_wise) call rebuilds it from the new
-    /// contents.
-    ///
-    /// # Panics
-    ///
-    /// If `i` is out of range or `n` is wider than the arena's
-    /// [`stride`](Self::stride) (the stride is fixed at construction).
-    pub fn set_modulus(&mut self, i: usize, n: &Nat) {
-        assert!(
-            n.len() <= self.stride,
-            "modulus of {} limbs does not fit stride {}",
-            n.len(),
-            self.stride
-        );
-        let row = &mut self.limbs[i * self.stride..(i + 1) * self.stride];
-        row[..n.len()].copy_from_slice(n.as_limbs());
-        row[n.len()..].fill(0);
-        self.bit_lens[i] = n.bit_len();
-        self.columns.take();
-    }
-
-    /// Limb `offset` of modulus `thread` under `layout`, addressed exactly
-    /// as [`Layout::address`] with `p = m`, `n_words = stride`. Row-wise
-    /// reads hit the backing buffer directly; column-wise answers what the
-    /// transposed upload of [`column_wise`](Self::column_wise) would hold
-    /// at that address's logical coordinates.
-    #[inline]
-    pub fn limb_at(&self, layout: Layout, thread: usize, offset: usize) -> Limb {
-        match layout {
-            Layout::RowWise => {
-                self.limbs[Layout::RowWise.address(thread, offset, self.m, self.stride)]
-            }
-            // Same value, different physical address: the arena stores
-            // row-wise, so resolve the logical coordinates directly.
-            Layout::ColumnWise => self.limbs(thread)[offset],
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use bulkgcd_bigint::ops;
+    use bulkgcd_umm::Layout;
 
     fn nat(v: u128) -> Nat {
         Nat::from_u128(v)
@@ -334,73 +239,8 @@ mod tests {
             for i in 0..arena.stride() {
                 let addr = Layout::RowWise.address(j, i, arena.len(), arena.stride());
                 assert_eq!(arena.as_limbs()[addr], arena.limbs(j)[i]);
-                assert_eq!(arena.limb_at(Layout::RowWise, j, i), arena.limbs(j)[i]);
             }
         }
-    }
-
-    #[test]
-    fn column_wise_is_fig3_transpose() {
-        let moduli = vec![nat(0x1111_2222_3333), nat(0x4444_5555_6666), nat(7)];
-        let arena = ModuliArena::try_from_moduli(&moduli).unwrap();
-        let col = arena.column_wise();
-        assert_eq!(col.len(), arena.as_limbs().len());
-        for j in 0..arena.len() {
-            for i in 0..arena.stride() {
-                assert_eq!(
-                    col[Layout::ColumnWise.address(j, i, arena.len(), arena.stride())],
-                    arena.limbs(j)[i],
-                    "modulus {j} limb {i}"
-                );
-                assert_eq!(arena.limb_at(Layout::ColumnWise, j, i), arena.limbs(j)[i]);
-            }
-        }
-    }
-
-    #[test]
-    fn column_wise_cache_is_stable_and_invalidated_on_mutation() {
-        let moduli = vec![nat(0x1111_2222_3333), nat(0x4444_5555_6666), nat(7)];
-        let mut arena = ModuliArena::try_from_moduli(&moduli).unwrap();
-        // Two calls borrow the same cached buffer.
-        let first = arena.column_wise().as_ptr();
-        let second = arena.column_wise().as_ptr();
-        assert_eq!(first, second, "second call must reuse the cached buffer");
-
-        // Mutation invalidates: the rebuilt transpose reflects the new row.
-        let replacement = nat(0x9999_8888_7777);
-        arena.set_modulus(1, &replacement);
-        assert_eq!(arena.nat(1), replacement);
-        assert_eq!(arena.bit_len(1), replacement.bit_len());
-        let col = arena.column_wise();
-        for i in 0..arena.stride() {
-            assert_eq!(
-                col[Layout::ColumnWise.address(1, i, arena.len(), arena.stride())],
-                arena.limbs(1)[i],
-                "limb {i} after set_modulus"
-            );
-        }
-
-        // Shrinking a row re-pads the high limbs with zeros.
-        arena.set_modulus(1, &nat(5));
-        assert_eq!(arena.nat(1), nat(5));
-        assert_eq!(ops::normalized_len(arena.limbs(1)), 1);
-    }
-
-    #[test]
-    fn clone_and_eq_ignore_the_column_cache() {
-        let moduli = vec![nat(0xabcd_ef01), nat(0x1234)];
-        let a = ModuliArena::try_from_moduli(&moduli).unwrap();
-        let _ = a.column_wise(); // warm a's cache
-        let b = a.clone();
-        assert_eq!(a, b, "cache state must not affect equality");
-        assert_eq!(a.column_wise(), b.column_wise());
-    }
-
-    #[test]
-    #[should_panic(expected = "does not fit stride")]
-    fn set_modulus_refuses_wider_than_stride() {
-        let mut arena = ModuliArena::try_from_moduli(&[nat(5), nat(7)]).unwrap();
-        arena.set_modulus(0, &nat(1u128 << 100));
     }
 
     #[test]

@@ -43,7 +43,7 @@
 //! no bound slip can return a silently wrong answer.
 //!
 //! The tree arithmetic rides the `bulkgcd-bigint` dispatch ladder
-//! (Toom-3/NTT multiply, half-GCD), and [`batch_gcd_into`] threads a
+//! (NTT multiply, half-GCD), and [`batch_gcd_into`] threads a
 //! [`BatchScratch`] through every node so the steady state performs no
 //! allocations below the subquadratic cutoffs (pinned by
 //! `tests/alloc_steady_state.rs`).

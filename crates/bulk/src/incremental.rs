@@ -157,7 +157,7 @@ impl CorpusIndex {
             // primes — the duplicate-modulus case.
             return Ok(n.clone());
         }
-        Ok(r.gcd_reference(n))
+        Ok(r.gcd(n))
     }
 
     /// Register a new modulus, visible to every later check. It is

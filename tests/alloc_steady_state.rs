@@ -99,8 +99,8 @@ fn steady_state_scan_hot_loop_allocates_nothing() {
     // `BatchScratch` every node buffer, division scratch and gcd workspace
     // is reused, so repeat batches over same-shaped corpora are heap-free.
     // The corpus stays at 64-bit moduli so every node is below the
-    // subquadratic cutoffs — the Toom/NTT rungs allocate internally by
-    // design and are gated out by width here.
+    // subquadratic cutoffs — the NTT rung allocates internally by design
+    // and is gated out by width here.
     let mut rng = StdRng::seed_from_u64(7);
     let batch_corpus = build_corpus(&mut rng, 16, 64, 0);
     let batch_moduli = batch_corpus.moduli();

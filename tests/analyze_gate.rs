@@ -116,17 +116,4 @@ fn workspace_is_clean() {
         report.findings.len(),
         rendered.join("\n")
     );
-
-    // A second run must be served entirely by the incremental cache and
-    // reach the same verdict.
-    let again = analyze_workspace(&root).expect("cached rescan must not error");
-    assert_eq!(
-        again.cache_hits, again.files_scanned,
-        "second run should be fully cached"
-    );
-    assert!(
-        again.findings.is_empty(),
-        "cached rescan disagreed: {} finding(s)",
-        again.findings.len()
-    );
 }
