@@ -32,7 +32,6 @@ pub mod barrett;
 pub mod bytes;
 pub mod convert;
 pub mod div;
-pub mod extgcd;
 pub mod gcd_ref;
 pub mod hgcd;
 pub mod isa;
@@ -49,7 +48,6 @@ pub mod square;
 pub mod thresholds;
 
 pub use barrett::Barrett;
-pub use extgcd::{ext_gcd, ExtGcd, SignedNat};
 pub use isa::{kernel_isa, KernelIsa};
 pub use limb::{Limb, Wide, D, LIMB_BITS};
 pub use modular::{MontFold, Montgomery};

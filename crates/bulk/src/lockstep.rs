@@ -7,22 +7,30 @@
 //! paper's Fig. 3 column-wise arrangement — and executes Approximate
 //! Euclid one shared instruction at a time across all lanes:
 //!
-//! 1. **Plan** (per lane, O(1) words): terminate lanes whose `Y` ran out,
-//!    gather the four head words, and classify the iteration via
-//!    [`plan_lane`](bulkgcd_core::plan_lane) into the fused β = 0 update or
-//!    one of the rare divergent paths.
+//! 1. **Plan** (per lane, O(1) words, from registers): every lane keeps
+//!    its lengths and the four §IV head words in per-lane registers
+//!    ([`LaneHeads`](bulkgcd_core::LaneHeads)), so one branch-free
+//!    [`plan_lanes`](bulkgcd_core::plan_lanes) pass over them terminates
+//!    lanes whose `Y` ran out or fell below the early-termination
+//!    threshold and classifies every other lane into the fused β = 0
+//!    update or one of the rare divergent paths (those through the scalar
+//!    oracle [`plan_lane`](bulkgcd_core::plan_lane)).
 //! 2. **Vector pass** (shared): one [`fused_submul_rshift_columns_prefix`]
 //!    call applies `X ← rshift(X − α·Y)` to every fused lane, limb-row
 //!    innermost so the compiler vectorizes across lanes. Masked lanes
 //!    (terminated, or queued for a divergent path) ride along as exact
 //!    identities with `α = 0` — the SIMT analogue of inactive lanes
-//!    burning the issue slot.
-//! 3. **Fixups** (per diverged lane): the β > 0 update, the two-pass deep
-//!    shift, and the 64-bit Case 1 tail execute scalar, serialized — which
-//!    is precisely what a real warp does with divergent branches.
-//! 4. **Epilogue** (per lane): renormalize `lX`, compare `X < Y`, and swap
-//!    by flipping the lane's plane-selector mask — a pointer swap with no
+//!    burning the issue slot. As it writes each row, the pass also
+//!    reports per lane the new `lX`, the `X < Y` verdict and the new head
+//!    words ([`PassOut`]).
+//! 3. **Epilogue** (per fused lane, branch-free): take the pass's report
+//!    into the registers, and where `X < Y` flip the lane's plane-selector
+//!    mask and swap its `X` and `Y` registers — a pointer swap with no
 //!    copying, exactly like [`GcdPair::swap`](bulkgcd_core::GcdPair::swap).
+//! 4. **Fixups** (per diverged lane): the β > 0 update, the two-pass deep
+//!    shift, and the 64-bit Case 1 tail execute scalar, serialized — which
+//!    is precisely what a real warp does with divergent branches — and
+//!    each one re-reads its lane's head words and compares `X < Y` itself.
 //!
 //! One private loop runs these four steps for every entry point. A fixed
 //! warp ([`LockstepEngine::run_warp`]) is that loop with no service pass:
@@ -46,8 +54,9 @@
 
 use bulkgcd_bigint::{ops, Limb, Nat, LIMB_BITS};
 use bulkgcd_core::{
-    copy_lane_columns, fused_submul_rshift_columns_prefix, plan_lane, zero_lane_columns, GcdPair,
-    GcdStatus, LanePlan, StepKind, Termination,
+    copy_lane_columns, fused_submul_rshift_columns_prefix, head_words, plan_lanes,
+    zero_lane_columns, GcdPair, GcdStatus, LaneHeads, LanePlan, LanePlans, LaneState, PassOut,
+    StepKind, Termination,
 };
 use bulkgcd_gpu::{CostModel, WarpWork, WarpWorkAccumulator};
 use bulkgcd_umm::gcd_trace::IterDesc;
@@ -187,13 +196,6 @@ fn pad_to_steps(tr: &mut BulkTrace) {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LaneState {
-    Running,
-    Done,
-    Early,
-}
-
 /// What the one iteration loop ([`LockstepEngine::run_lanes`]) reports to:
 /// nothing (`()`), the warp's cost ([`Measure`]) or its address trace
 /// ([`LockstepTrace`]).
@@ -280,19 +282,14 @@ pub struct LockstepEngine {
     v: Vec<Limb>,
     /// Per-lane plane selector: 0 = X in plane A, all-ones = X in plane B.
     sel: Vec<Limb>,
-    /// Per-lane fused multiplier for the current iteration (0 = masked).
-    alpha: Vec<Limb>,
-    /// Per-lane fused shift for the current iteration.
-    rs: Vec<u32>,
-    lx: Vec<usize>,
-    ly: Vec<usize>,
+    /// Per-lane lengths and head words, kept current every iteration.
+    heads: LaneHeads,
     state: Vec<LaneState>,
-    // Vector-pass scratch rows.
-    carry: Vec<u64>,
-    prev: Vec<Limb>,
-    dcur: Vec<Limb>,
+    /// The current iteration's plan (fused `α`/`rs`, fixups, trip count).
+    plans: LanePlans,
+    /// The vector pass's per-lane report and scratch rows.
+    out: PassOut,
     // Divergent-path scratch.
-    fixups: Vec<(usize, LanePlan)>,
     xg: Vec<Limb>,
     yg: Vec<Limb>,
     pair: GcdPair,
@@ -318,15 +315,10 @@ impl LockstepEngine {
             u: Vec::new(),
             v: Vec::new(),
             sel: vec![0; w],
-            alpha: vec![0; w],
-            rs: vec![0; w],
-            lx: vec![0; w],
-            ly: vec![0; w],
+            heads: LaneHeads::new(w),
             state: vec![LaneState::Done; w],
-            carry: vec![0; w],
-            prev: vec![0; w],
-            dcur: vec![0; w],
-            fixups: Vec::with_capacity(w),
+            plans: LanePlans::new(w),
+            out: PassOut::new(w),
             xg: Vec::new(),
             yg: Vec::new(),
             pair: GcdPair::with_capacity(1),
@@ -468,7 +460,7 @@ impl LockstepEngine {
     /// entries, no harvest, repack or refill between iterations, and one
     /// harvest at the end. `Some(cfg)` runs the compaction/refill service
     /// pass after every iteration.
-    // analyze: constant-flow(public = "w, n, stride, term, service, max_iters, fused_rows")
+    // analyze: constant-flow(public = "w, n, stride, term, service, max_iters, rows")
     // analyze: zero-alloc
     fn run_lanes<O: Observer>(
         &mut self,
@@ -500,7 +492,7 @@ impl LockstepEngine {
         loop {
             // analyze: allow(cf-branch, reason = "loop exit: the run continues until every entry terminates; the iteration count is operand-dependent and is the documented residual leak (rows_per_iter in the UMM trace model)")
             if self.plan_iteration(term, O::LIVE) {
-                let rows = self.fused_rows();
+                let rows = self.plans.rows;
                 obs.on_iteration(self, rows);
                 if rows > 0 {
                     fused_submul_rshift_columns_prefix(
@@ -510,19 +502,17 @@ impl LockstepEngine {
                         self.n,
                         rows,
                         &self.sel,
-                        &self.alpha,
-                        &self.rs,
-                        &mut self.carry,
-                        &mut self.prev,
-                        &mut self.dcur,
+                        &self.plans.alpha,
+                        &self.plans.rs,
+                        &mut self.out,
                     );
+                    self.epilogue();
                 }
-                for fi in 0..self.fixups.len() {
-                    let (t, plan) = self.fixups[fi];
+                for fi in 0..self.plans.fixups.len() {
+                    let (t, plan) = self.plans.fixups[fi];
                     // analyze: allow(cf-reach, reason = "serialized scalar-fixup region: diverged lanes already left the vector pass; this is the documented divergence point")
                     self.apply_fixup(t, plan);
                 }
-                self.epilogue();
                 iter += 1;
                 assert!(
                     iter <= max_iters,
@@ -577,8 +567,8 @@ impl LockstepEngine {
         }
         for t in 0..w {
             self.sel[t] = 0;
-            self.lx[t] = 0;
-            self.ly[t] = 0;
+            self.heads.set_x(t, 0, (0, 0));
+            self.heads.set_y(t, 0, (0, 0));
             self.state[t] = LaneState::Done;
             self.owner[t] = usize::MAX;
         }
@@ -596,7 +586,7 @@ impl LockstepEngine {
     /// Load entry `q` into column `t`: zero the column's rows in both
     /// planes, scatter the pair with the same larger-to-X (ties: `a`)
     /// ordering rule as `GcdPair::load_from_limbs` (X starts in plane A),
-    /// and mark the lane running.
+    /// set the lane's head registers, and mark it running.
     fn load_column(&mut self, t: usize, q: usize, a: &[Limb], b: &[Limb]) {
         let w = self.w;
         zero_lane_columns(&mut self.u, &mut self.v, w, self.stride, t);
@@ -614,8 +604,8 @@ impl LockstepEngine {
             self.v[k * w + t] = limb;
         }
         self.sel[t] = 0;
-        self.lx[t] = lhi;
-        self.ly[t] = llo;
+        self.heads.set_x(t, lhi, head_words(lhi, |k| hi[k]));
+        self.heads.set_y(t, llo, head_words(llo, |k| lo[k]));
         self.state[t] = LaneState::Running;
         self.owner[t] = q;
     }
@@ -665,7 +655,10 @@ impl LockstepEngine {
             let ceiling = if self.n == 0 {
                 self.stride
             } else {
-                (0..self.n).map(|t| self.lx[t]).max().unwrap_or(self.stride)
+                self.heads.lx[..self.n]
+                    .iter()
+                    .max()
+                    .map_or(self.stride, |&l| l as usize)
             };
             while self.n < self.w && *next < inputs.len() {
                 let (a, b) = inputs[*next];
@@ -698,10 +691,11 @@ impl LockstepEngine {
                 continue;
             }
             let xp = self.x_plane(t);
-            let gcd_is_one = status == GcdStatus::Done && self.lx[t] == 1 && xp[t] == 1;
+            let lx = self.heads.lx[t] as usize;
+            let gcd_is_one = status == GcdStatus::Done && lx == 1 && xp[t] == 1;
             let factor = if status == GcdStatus::Done && !gcd_is_one {
                 // analyze: allow(za-alloc, reason = "allocates only for an actual finding (gcd > 1) — the rare path harvest exists to record")
-                let limbs: Vec<Limb> = (0..self.lx[t]).map(|k| xp[k * self.w + t]).collect();
+                let limbs: Vec<Limb> = (0..lx).map(|k| xp[k * self.w + t]).collect();
                 Some(Nat::from_limbs(&limbs))
             } else {
                 None
@@ -721,8 +715,8 @@ impl LockstepEngine {
     /// the **last** live column, so a death costs one lane move (not a
     /// shift of every survivor — lane order inside the warp is free, the
     /// `owner` registers track entry identity). Pure plane/register copies
-    /// — lane values are untouched (α/rs are per-iteration and already
-    /// consumed).
+    /// — lane values and their head registers move together (α/rs are
+    /// per-iteration and already consumed).
     fn repack(&mut self) {
         let w = self.w;
         let mut n = self.n;
@@ -739,8 +733,7 @@ impl LockstepEngine {
             let src = n - 1;
             copy_lane_columns(&mut self.u, &mut self.v, w, self.stride, src, t);
             self.sel[t] = self.sel[src];
-            self.lx[t] = self.lx[src];
-            self.ly[t] = self.ly[src];
+            self.heads.copy_lane(src, t);
             self.state[t] = LaneState::Running;
             self.owner[t] = self.owner[src];
             self.state[src] = LaneState::Done;
@@ -798,7 +791,7 @@ impl LockstepEngine {
     /// One running lane's 8 planning-phase head-read slots.
     fn record_lane_plan_reads(&self, t: usize, th: &mut ThreadTrace) {
         let stride = self.stride;
-        let (lx, ly) = (self.lx[t], self.ly[t]);
+        let (lx, ly) = (self.heads.lx[t] as usize, self.heads.ly[t] as usize);
         // Plane-A offsets are 0..stride, plane-B offsets follow.
         let x_base = if self.sel[t] == 0 { 0 } else { stride };
         let y_base = stride - x_base;
@@ -847,103 +840,38 @@ impl LockstepEngine {
         }
     }
 
+    /// Lane `t`'s `(X, Y)` planes.
     #[inline]
-    fn y_bits(&self, t: usize) -> u64 {
-        let ly = self.ly[t];
-        if ly == 0 {
-            return 0;
+    fn planes(&self, t: usize) -> (&[Limb], &[Limb]) {
+        if self.sel[t] == 0 {
+            (&self.u, &self.v)
+        } else {
+            (&self.v, &self.u)
         }
-        let yp = if self.sel[t] == 0 { &self.v } else { &self.u };
-        let top = yp[(ly - 1) * self.w + t];
-        (ly as u64 - 1) * LIMB_BITS as u64 + (LIMB_BITS - top.leading_zeros()) as u64
     }
 
     /// Terminate finished lanes, then classify every still-running lane for
-    /// this iteration. Returns false when no lane remains (loop exit).
-    // analyze: constant-flow(public = "w, n, state, lx, ly, sel, stride, term, record, live, fixups")
+    /// this iteration from its head registers. Returns false when no lane
+    /// remains (loop exit).
+    // analyze: constant-flow(public = "w, n, state, sel, stride, term, record, live, running")
     fn plan_iteration(&mut self, term: Termination, record: bool) -> bool {
-        let w = self.w;
-        self.live.clear();
-        self.fixups.clear();
-        // Only the resident prefix is ever read downstream (the prefix
-        // kernel, `fused_rows`, and the epilogue all stop at `n`).
-        self.alpha[..self.n].fill(0);
-        self.rs[..self.n].fill(0);
-        let mut running = 0usize;
-        for t in 0..self.n {
-            if self.state[t] != LaneState::Running {
-                continue;
-            }
-            // Same check order as the scalar loop's `finished()`: Y == 0
-            // first, then the early-termination bit threshold.
-            if self.ly[t] == 0 {
-                self.state[t] = LaneState::Done;
-                continue;
-            }
-            if let Termination::Early { threshold_bits } = term {
-                // analyze: allow(cf-branch, reason = "early termination compares the live bit length of Y; terminated lanes mask off — the paper's documented data-dependent exit")
-                // analyze: allow(cf-reach, reason = "the bit-length probe is an O(1) head-word read; the length it returns is public in the semi-oblivious model (the documented early-exit leak)")
-                if self.y_bits(t) < threshold_bits {
-                    self.state[t] = LaneState::Early;
-                    continue;
-                }
-            }
-            running += 1;
-            let (lx, ly) = (self.lx[t], self.ly[t]);
-            let (xp, yp) = if self.sel[t] == 0 {
-                (&self.u, &self.v)
-            } else {
-                (&self.v, &self.u)
-            };
-            // The §IV head accesses: top two and bottom two words per
-            // operand, gathered with strided reads from the columns.
-            let x_top = if lx >= 2 {
-                (xp[(lx - 1) * w + t] as u64) << LIMB_BITS | xp[(lx - 2) * w + t] as u64
-            } else {
-                xp[t] as u64
-            };
-            let y_top = if ly >= 2 {
-                (yp[(ly - 1) * w + t] as u64) << LIMB_BITS | yp[(ly - 2) * w + t] as u64
-            } else {
-                yp[t] as u64
-            };
-            let row1 = if self.stride >= 2 { w + t } else { t };
-            let x_lo = if self.stride >= 2 {
-                (xp[row1] as u64) << LIMB_BITS | xp[t] as u64
-            } else {
-                xp[t] as u64
-            };
-            let y_lo = if self.stride >= 2 {
-                (yp[row1] as u64) << LIMB_BITS | yp[t] as u64
-            } else {
-                yp[t] as u64
-            };
-            let (plan, _, _, _) = plan_lane(x_top, x_lo, lx, y_top, y_lo, ly);
-            if record {
-                // analyze: allow(cf-branch, reason = "measurement only: the recorded step kind feeds the same accumulator as the replay model")
-                let kind = if plan.is_beta_positive() {
-                    StepKind::ApproxBetaPositive
-                } else {
-                    StepKind::ApproxBetaZero
-                };
-                // analyze: allow(za-alloc, reason = "live/fixups are cleared each iteration and keep their capacity: a push after warmup reuses the allocation")
-                self.live.push(IterDesc {
-                    kind,
-                    lx,
-                    ly,
-                    x_in_a: self.sel[t] == 0,
-                });
-            }
-            // analyze: allow(cf-branch, reason = "the fused/divergent dispatch is the documented warp-divergence point: diverged lanes queue for serialized scalar fixups")
-            match plan {
-                LanePlan::Fused { alpha, rs } => {
-                    self.alpha[t] = alpha;
-                    self.rs[t] = rs;
-                }
-                // analyze: allow(za-alloc, reason = "live/fixups are cleared each iteration and keep their capacity: a push after warmup reuses the allocation")
-                other => self.fixups.push((t, other)),
-            }
+        #[cfg(debug_assertions)]
+        self.check_heads();
+        let threshold_bits = match term {
+            Termination::Early { threshold_bits } => threshold_bits,
+            Termination::Full => 0,
+        };
+        plan_lanes(
+            &self.heads,
+            &mut self.state,
+            self.n,
+            threshold_bits,
+            &mut self.plans,
+        );
+        if record {
+            self.record_live();
         }
+        let running = self.plans.running;
         if running > 0 {
             self.stats.active_lane_iters += running as u64;
             self.stats.resident_lane_iters += self.n as u64;
@@ -951,23 +879,79 @@ impl LockstepEngine {
         running > 0
     }
 
-    /// Max `lX` over this iteration's fused lanes (the vector-pass trip
-    /// count); 0 when this iteration ran only fixups (or nothing).
-    fn fused_rows(&self) -> usize {
-        (0..self.n)
-            .filter(|&t| self.alpha[t] != 0)
-            .map(|t| self.lx[t])
-            .max()
-            .unwrap_or(0)
+    /// Every running lane's head registers against a fresh strided gather
+    /// of its columns, and its lengths against the padding: the check that
+    /// the registers never drift from the planes they stand for.
+    #[cfg(debug_assertions)]
+    // analyze: constant-flow(public = "w, n, state, sel, stride, lx, ly")
+    fn check_heads(&self) {
+        let w = self.w;
+        let h = &self.heads;
+        let check = |plane: &[Limb], t: usize, l: usize, regs: (u64, u64), name: &str| {
+            let limb = |k: usize| plane[k * w + t];
+            assert_eq!(
+                head_words(l, limb),
+                regs,
+                "lane {t}: {name} head registers out of step with the planes"
+            );
+            let top = if l == 0 { 1 } else { limb(l - 1) };
+            let above = if l == self.stride { 0 } else { limb(l) };
+            assert!(
+                top != 0 && above == 0,
+                "lane {t}: {name} length register {l} is not the column's length"
+            );
+        };
+        for t in 0..self.n {
+            if self.state[t] != LaneState::Running {
+                continue;
+            }
+            let (xp, yp) = if self.sel[t] == 0 {
+                (&self.u, &self.v)
+            } else {
+                (&self.v, &self.u)
+            };
+            check(xp, t, h.lx[t] as usize, (h.xt[t], h.xl[t]), "X");
+            check(yp, t, h.ly[t] as usize, (h.yt[t], h.yl[t]), "Y");
+        }
+    }
+
+    /// The measured observer's view of this iteration: one descriptor per
+    /// running lane, in lane order.
+    // analyze: constant-flow(public = "n, state, sel, lx, ly, fixups, live")
+    fn record_live(&mut self) {
+        self.live.clear();
+        let mut fixups = self.plans.fixups.iter().peekable();
+        for t in 0..self.n {
+            if self.state[t] != LaneState::Running {
+                continue;
+            }
+            let beta_positive = match fixups.next_if(|&&(f, _)| f == t) {
+                Some((_, plan)) => plan.is_beta_positive(),
+                None => false,
+            };
+            let kind = if beta_positive {
+                StepKind::ApproxBetaPositive
+            } else {
+                StepKind::ApproxBetaZero
+            };
+            // analyze: allow(za-alloc, reason = "live/fixups are cleared each iteration and keep their capacity: a push after warmup reuses the allocation")
+            self.live.push(IterDesc {
+                kind,
+                lx: self.heads.lx[t] as usize,
+                ly: self.heads.ly[t] as usize,
+                x_in_a: self.sel[t] == 0,
+            });
+        }
     }
 
     /// Serialized scalar execution of one diverged lane, via the same
     /// `GcdPair` updates the scalar algorithm uses — identical values by
-    /// construction.
+    /// construction — then the lane's own head re-read, `X < Y` compare and
+    /// swap.
     fn apply_fixup(&mut self, t: usize, plan: LanePlan) {
         let w = self.w;
-        let old_lx = self.lx[t];
-        let ly = self.ly[t];
+        let old_lx = self.heads.lx[t] as usize;
+        let ly = self.heads.ly[t] as usize;
         {
             let (xp, yp) = if self.sel[t] == 0 {
                 (&self.u, &self.v)
@@ -1026,7 +1010,28 @@ impl LockstepEngine {
             }
             LanePlan::Fused { .. } => unreachable!("fused lanes run in the vector pass"),
         }
-        self.lx[t] = new_lx;
+        let (xp, yp) = self.planes(t);
+        let x_heads = head_words(new_lx, |k| xp[k * w + t]);
+        let less = match new_lx.cmp(&ly) {
+            core::cmp::Ordering::Less => true,
+            core::cmp::Ordering::Greater => false,
+            core::cmp::Ordering::Equal => {
+                let mut less = false;
+                for k in (0..new_lx).rev() {
+                    let (xv, yv) = (xp[k * w + t], yp[k * w + t]);
+                    if xv != yv {
+                        less = xv < yv;
+                        break;
+                    }
+                }
+                less
+            }
+        };
+        self.heads.set_x(t, new_lx, x_heads);
+        if less {
+            self.sel[t] ^= Limb::MAX;
+            self.heads.swap_xy(t);
+        }
     }
 
     /// Write the fixup pair's X back into the lane's column, restoring the
@@ -1049,59 +1054,15 @@ impl LockstepEngine {
         new_lx
     }
 
-    /// Per-lane iteration tail: renormalize `lX` after the vector pass and
-    /// restore `X ≥ Y` by flipping the selector mask (the pointer swap).
-    // analyze: constant-flow(public = "w, n, state, lx, ly, sel")
+    /// Per-lane iteration tail after the vector pass, branch-free over the
+    /// resident prefix: each fused lane takes the pass's new `lX` and head
+    /// words into its registers, and where the pass found `X < Y` it flips
+    /// the selector mask (the pointer swap) and swaps its `X` and `Y`
+    /// registers. Every other lane keeps its registers: α = 0 masks it out.
+    // analyze: constant-flow(public = "w, n")
     fn epilogue(&mut self) {
-        let w = self.w;
-        for t in 0..self.n {
-            if self.state[t] != LaneState::Running {
-                continue;
-            }
-            // analyze: allow(cf-branch, reason = "which lanes took the fused path this iteration is operand-derived; renormalization only applies to them")
-            if self.alpha[t] != 0 {
-                // Vector lanes: the pass preserves padding, so scanning down
-                // from the old length is the strided normalized_len.
-                let xp = if self.sel[t] == 0 { &self.u } else { &self.v };
-                let mut l = self.lx[t];
-                // analyze: allow(cf-branch, reason = "renormalization scans the lane's own column for the new length; lengths are public in the semi-oblivious model")
-                // analyze: allow(cf-short-circuit, reason = "same scan: the zero-test is the loop condition")
-                while l > 0 && xp[(l - 1) * w + t] == 0 {
-                    l -= 1;
-                }
-                self.lx[t] = l;
-            }
-            let (lx, ly) = (self.lx[t], self.ly[t]);
-            let less = {
-                let (xp, yp) = if self.sel[t] == 0 {
-                    (&self.u, &self.v)
-                } else {
-                    (&self.v, &self.u)
-                };
-                match lx.cmp(&ly) {
-                    core::cmp::Ordering::Less => true,
-                    core::cmp::Ordering::Greater => false,
-                    core::cmp::Ordering::Equal => {
-                        let mut less = false;
-                        for k in (0..lx).rev() {
-                            let (xv, yv) = (xp[k * w + t], yp[k * w + t]);
-                            // analyze: allow(cf-branch, reason = "equal-length X<Y compare reads operand words; the outcome only flips a selector mask, the address sequence is unchanged")
-                            if xv != yv {
-                                less = xv < yv;
-                                break;
-                            }
-                        }
-                        less
-                    }
-                }
-            };
-            // analyze: allow(cf-branch, reason = "the swap is a branchless-in-memory mask flip; the branch only guards three register writes")
-            if less {
-                self.sel[t] ^= Limb::MAX;
-                self.lx[t] = ly;
-                self.ly[t] = lx;
-            }
-        }
+        self.heads
+            .take_pass(self.n, &self.plans.alpha, &self.out, &mut self.sel);
     }
 }
 

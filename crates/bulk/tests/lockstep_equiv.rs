@@ -27,7 +27,7 @@ use bulkgcd_umm::gcd_trace::{IterDesc, IterProbe};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// Scalar reference for one pair: terminal status and (for Done) the GCD.
 fn scalar_reference(a: &[Limb], b: &[Limb], term: Termination) -> (GcdStatus, Option<Nat>) {
@@ -127,7 +127,31 @@ fn operand(max_limbs: usize) -> impl Strategy<Value = Vec<Limb>> {
     })
 }
 
+/// An **odd** operand of exactly `limbs` limbs (top limb nonzero).
+fn full_operand(limbs: usize) -> impl Strategy<Value = Vec<Limb>> {
+    (vec(any::<Limb>(), limbs..=limbs), 1..=Limb::MAX).prop_map(|(mut v, top)| {
+        let last = v.len() - 1;
+        v[last] = top;
+        v[0] |= 1;
+        v
+    })
+}
+
 proptest! {
+    /// 64-limb operands, the 2048-bit shape the scans run, through fixed
+    /// warps and through an early-terminated queue: every lane matches the
+    /// scalar loop, while the debug build checks each lane's head
+    /// registers against its columns on every iteration.
+    #[test]
+    fn lockstep_matches_scalar_on_64_limb_operands(
+        pairs in vec((full_operand(64), full_operand(64)), 1..6),
+        w in prop_oneof![Just(2usize), Just(4)],
+    ) {
+        check_warps(&pairs, w, Termination::Full);
+        let term = Termination::Early { threshold_bits: 1024 };
+        check_queue(&pairs, w, term, CompactionConfig::default());
+    }
+
     /// Ragged warps of arbitrary fill over mixed-width operands: every
     /// lane matches the scalar loop and the schoolbook GCD.
     #[test]
@@ -197,6 +221,57 @@ proptest! {
     ) {
         check_queue(&pairs, w, Termination::Full, cfg);
     }
+}
+
+/// A queue whose short entries terminate within a few iterations while
+/// 64-limb ones run on, so survivors are repacked and pending pairs are
+/// refilled into freed columns next to them, mid-flight. Every entry
+/// still matches the scalar loop (the debug build checks the head
+/// registers of every lane, moved ones included, on every iteration), and
+/// the traced run shows both moves after the first iteration.
+#[test]
+fn queue_repacks_and_refills_mid_flight() {
+    let mut rng = StdRng::seed_from_u64(21);
+    let mut odd = |limbs: usize| -> Vec<Limb> {
+        let mut v: Vec<Limb> = (0..limbs).map(|_| rng.gen()).collect();
+        v[0] |= 1;
+        v[limbs - 1] |= 1 << 31;
+        v
+    };
+    let pairs: Vec<(Vec<Limb>, Vec<Limb>)> = (0..24)
+        .map(|q| {
+            let limbs = if q % 3 == 0 { 64 } else { 1 + q % 5 };
+            (odd(limbs), odd(limbs))
+        })
+        .collect();
+    let cfg = CompactionConfig {
+        min_active_fraction: 1.0,
+        refill: true,
+        ..CompactionConfig::default()
+    };
+    for term in [Termination::Full, Termination::Early { threshold_bits: 48 }] {
+        check_queue(&pairs, 4, term, cfg);
+    }
+    let inputs: Vec<(&[Limb], &[Limb])> = pairs
+        .iter()
+        .map(|(a, b)| (a.as_slice(), b.as_slice()))
+        .collect();
+    let trace = LockstepEngine::new(4).run_queue_traced(&inputs, Termination::Full, cfg);
+    let mid_flight = |e: &&bulkgcd_bulk::CompactionEvent| e.iteration > 0;
+    assert!(
+        trace.events.iter().filter(mid_flight).any(|e| e.repacked),
+        "no mid-flight repack: {:?}",
+        trace.events
+    );
+    assert!(
+        trace
+            .events
+            .iter()
+            .filter(mid_flight)
+            .any(|e| e.refilled > 0 && e.width_after > e.refilled),
+        "no mid-flight refill next to survivors: {:?}",
+        trace.events
+    );
 }
 
 /// Run `pairs` (at most `w`) as a fixed warp and as a queue under `cfg`,
