@@ -679,8 +679,10 @@ pub const AUTO_PRODUCT_TREE_MIN_MODULI: usize = 2048;
 
 /// Minimum operand width (bits) below which compacted lockstep still loses
 /// to the scalar scan on the bench matrix and the selector picks scalar.
-/// Calibrated against `BENCH_scan.json` (`scan_bench --gate-compaction`).
-pub const AUTO_LOCKSTEP_MIN_BITS: usize = 512;
+/// Calibrated against `BENCH_scan.json` (`scan_bench --gate-compaction`):
+/// on one worker compacted lockstep runs ×0.78–0.96 of scalar at 64 bits
+/// and ×1.4–1.6 at 128 bits.
+pub const AUTO_LOCKSTEP_MIN_BITS: usize = 128;
 
 /// Probe-measured β > 0 iteration fraction above which warp divergence
 /// (serialized scalar fixups) vetoes the lockstep engine. §V measures
