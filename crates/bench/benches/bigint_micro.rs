@@ -5,7 +5,7 @@
 //! half-GCD) against the legacy schoolbook/Karatsuba/Knuth/binary paths.
 
 use bulkgcd_bigint::random::random_odd_bits;
-use bulkgcd_bigint::{ops, thresholds, Barrett, Montgomery};
+use bulkgcd_bigint::{ops, thresholds, Montgomery};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -61,15 +61,11 @@ fn bench_substrate(c: &mut Criterion) {
         let base = random_odd_bits(&mut rng, bits - 1);
         let e = random_odd_bits(&mut rng, bits);
         let mont = Montgomery::new(&m);
-        let barrett = Barrett::new(&m);
         group.bench_function(BenchmarkId::new("montgomery_window", bits), |b| {
             b.iter(|| black_box(mont.pow_window(&base, &e)))
         });
         group.bench_function(BenchmarkId::new("montgomery_binary", bits), |b| {
             b.iter(|| black_box(mont.pow_binary(&base, &e)))
-        });
-        group.bench_function(BenchmarkId::new("barrett", bits), |b| {
-            b.iter(|| black_box(barrett.pow(&base, &e)))
         });
         group.bench_function(BenchmarkId::new("naive", bits), |b| {
             b.iter(|| black_box(base.modpow_naive(&e, &m)))

@@ -37,7 +37,10 @@
 //! can run (avx512 / avx2 / portable), and records the `kernel_isa` the
 //! dispatcher picks. Every path must give the same coefficients; under
 //! `--gate-subquadratic` the dispatched path must also run at least 2.0x
-//! the portable one at N = 2¹⁵ when it is not the portable one.
+//! the portable one at N = 2¹⁵ when it is not the portable one, and once
+//! a product twice the largest size has grown the shared twiddle tables,
+//! every path's full and wrapped products at each size, read from those
+//! tables' prefixes, must still agree.
 //!
 //! The `long_rem` rows time the key-service check's reduction, a long
 //! product modulo one 1024-bit key, as [`MontFold::fold`] against Knuth
@@ -296,6 +299,47 @@ fn main() {
                 isa.name()
             ));
         }
+    }
+
+    // The products read prefixes of one twiddle table per prime, shared
+    // by the process and grown by the widest transform so far. Under the
+    // gate, grow the tables past every NTT size first; then the full and
+    // wrapped products at each size must agree across every path.
+    if gate {
+        let top = NTT_SIZES[NTT_SIZES.len() - 1];
+        let warm = nat_of_limbs(&mut rng, top);
+        black_box(ntt::mul_ntt(warm.limbs(), warm.limbs()));
+        let mut agree = true;
+        for n in NTT_SIZES {
+            let (a, b) = (nat_of_limbs(&mut rng, n / 2), nat_of_limbs(&mut rng, n / 2));
+            let products: Vec<_> = isas
+                .iter()
+                .map(|&isa| {
+                    let (mut full, mut wrapped) = (vec![0; n], vec![0; n / 2]);
+                    assert!(ntt::mul_ntt_into_on(isa, &mut full, a.limbs(), b.limbs()));
+                    assert!(ntt::mul_wrap_into_on(
+                        isa,
+                        &mut wrapped,
+                        a.limbs(),
+                        b.limbs()
+                    ));
+                    (full, wrapped)
+                })
+                .collect();
+            if products.iter().any(|p| *p != products[0]) {
+                eprintln!(
+                    "GATE FAIL: NTT paths disagree on products at N={n} from the shared tables"
+                );
+                agree = false;
+            }
+        }
+        if agree {
+            eprintln!(
+                "ntt products from the shared tables: every path agrees after a {}-point transform",
+                2 * top
+            );
+        }
+        fail |= !agree;
     }
 
     // Long remainder: fold vs Knuth at the key-service shapes. The key is

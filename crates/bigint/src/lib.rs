@@ -28,7 +28,6 @@
 //! * Miller–Rabin primality testing and random prime generation (replacing
 //!   the paper's use of the OpenSSL toolkit to produce RSA moduli).
 
-pub mod barrett;
 pub mod bytes;
 pub mod convert;
 pub mod div;
@@ -47,7 +46,6 @@ pub mod random;
 pub mod square;
 pub mod thresholds;
 
-pub use barrett::Barrett;
 pub use isa::{kernel_isa, KernelIsa};
 pub use limb::{Limb, Wide, D, LIMB_BITS};
 pub use modular::{MontFold, Montgomery};

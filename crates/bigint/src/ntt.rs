@@ -24,7 +24,17 @@
 //! the *forward* twiddles — a forward DFT of a spectrum is `n` times the
 //! inverse DFT read at `−i mod n` — and then reverses `a[1..n]`. So no
 //! pass permutes the data into bit-reversed order, and one twiddle table
-//! per prime and call serves all three transforms ([`Twiddles`]).
+//! per prime serves all three transforms ([`Twiddles`]).
+//!
+//! **Setup, paid once.** The stage with half-size `h` reads
+//! `(w^{n/2h})^j`, which does not depend on `n`, so the first `n' − 1`
+//! entries of the `n`-point table are the whole `n'`-point table. Each
+//! prime therefore has one table for the process, shared by every thread:
+//! it is rebuilt only when a larger transform arrives, and every smaller
+//! one reads its prefix. The entries are stored as `u32` (every prime is
+//! below 2³¹), which halves the table's memory and cache footprint. The
+//! working vectors of a product are kept per thread and reused, so a
+//! product in the steady state allocates nothing.
 //!
 //! **Arithmetic.** Values are canonical residues in `[0, p)`, and every
 //! multiply is a Montgomery multiply (R = 2³²) by a constant held in
@@ -38,9 +48,10 @@
 //! pointwise Montgomery product is already `a·b·n⁻¹`, and a square (one
 //! operand, loaded plain) multiplies its pointwise square by that same
 //! constant. The inverse transform then yields the residues of the
-//! product in normal form. The CRT recombination (`recombine`) runs
-//! Garner's steps on Montgomery constants too, with no `%` per
-//! coefficient.
+//! product in normal form. The CRT recombination runs Garner's steps on
+//! Montgomery constants too, with no `%` per coefficient, and folds each
+//! prime in as soon as its residues exist (`garner_fold`, `recombine`), so
+//! three `n`-point vectors are live per product instead of four.
 //!
 //! **ISA dispatch.** The butterflies have one portable scalar body, which
 //! is the oracle; an AVX2 build of that same body (autovectorized under
@@ -56,8 +67,10 @@
 //! their outputs are bitwise-identical.
 
 use crate::isa::KernelIsa;
-use crate::limb::{lo, Limb, LIMB_BITS};
+use crate::limb::{hi, lo, Limb, LIMB_BITS};
 use crate::ops;
+use std::cell::Cell;
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// Largest supported `a.len() + b.len()` (limbs): the transform size
 /// `next_power_of_two(la + lb)` must not exceed the smallest 2-adicity
@@ -174,19 +187,19 @@ const TW_BLOCK: usize = 8;
 /// `(w^{n/2h})^j` for `j < h`. The top segment is built from a serial
 /// chain of [`TW_BLOCK`] powers, then block by block as `w^TW_BLOCK` times
 /// the block before (independent chains, no n/2-long dependency); every
-/// smaller segment is a stride-2 subsample of the one above. Built per
-/// call and dropped after it: nothing is cached across products.
+/// smaller segment is a stride-2 subsample of the one above. Since no
+/// segment depends on `n`, the first `n' − 1` entries are the `n'`-point
+/// table for every `n' ≤ n`: the products read prefixes of one shared
+/// table per prime (`shared_twiddles`).
 #[doc(hidden)]
 pub struct Twiddles {
     field: Field,
-    table: Vec<u64>,
+    table: Vec<u32>,
 }
 
 impl Twiddles {
     /// The table of prime `prime` (0, 1 or 2) for `n`-point transforms;
-    /// `n` a power of two in `2..=MAX_NTT_TOTAL_LIMBS`. Inlined, so that
-    /// the block steps vectorize for the caller's ISA.
-    #[inline(always)]
+    /// `n` a power of two in `2..=MAX_NTT_TOTAL_LIMBS`.
     pub fn new(prime: usize, n: usize) -> Twiddles {
         assert!(
             n >= 2 && n.is_power_of_two() && n <= MAX_NTT_TOTAL_LIMBS,
@@ -196,19 +209,19 @@ impl Twiddles {
         let field = Field::new(p);
         let root = field.pow(field.to_mont(g), (p - 1) / n as u64);
         let top = n / 2;
-        let mut table = vec![0u64; n - 1];
+        let mut table = vec![0u32; n - 1];
         let seg = &mut table[top - 1..];
-        seg[0] = field.one();
+        seg[0] = lo(field.one());
         for j in 1..TW_BLOCK.min(top) {
-            seg[j] = field.mul(seg[j - 1], root);
+            seg[j] = lo(field.mul(seg[j - 1] as u64, root));
         }
         if top > TW_BLOCK {
-            let step = field.mul(seg[TW_BLOCK - 1], root);
+            let step = field.mul(seg[TW_BLOCK - 1] as u64, root);
             for b in 1..top / TW_BLOCK {
                 let (done, rest) = seg.split_at_mut(b * TW_BLOCK);
                 let prev = &done[(b - 1) * TW_BLOCK..];
                 for (t, &w) in rest[..TW_BLOCK].iter_mut().zip(prev) {
-                    *t = field.mul(w, step);
+                    *t = lo(field.mul(w as u64, step));
                 }
             }
         }
@@ -223,7 +236,8 @@ impl Twiddles {
         Twiddles { field, table }
     }
 
-    /// The transform size `n` the table serves.
+    /// The transform size `n` the table was built for; its prefixes serve
+    /// every smaller one.
     pub fn points(&self) -> usize {
         self.table.len() + 1
     }
@@ -231,6 +245,31 @@ impl Twiddles {
     /// The prime the table works modulo.
     pub fn prime(&self) -> u64 {
         self.field.p
+    }
+}
+
+/// The process-wide twiddle table of each prime, sized for the largest
+/// transform run so far. Readers hold an `Arc`, so a table that grows
+/// while a product runs on another thread stays alive until it finishes.
+static SHARED_TWIDDLES: [RwLock<Option<Arc<Twiddles>>>; 3] = [const { RwLock::new(None) }; 3];
+
+/// A table of prime `prime` that serves `n`-point transforms: the shared
+/// one, rebuilt for `n` when it is smaller.
+fn shared_twiddles(prime: usize, n: usize) -> Arc<Twiddles> {
+    let slot = &SHARED_TWIDDLES[prime];
+    if let Some(tw) = slot.read().unwrap_or_else(PoisonError::into_inner).as_ref() {
+        if tw.points() >= n {
+            return Arc::clone(tw);
+        }
+    }
+    let mut slot = slot.write().unwrap_or_else(PoisonError::into_inner);
+    match slot.as_ref() {
+        Some(tw) if tw.points() >= n => Arc::clone(tw),
+        _ => {
+            let tw = Arc::new(Twiddles::new(prime, n));
+            *slot = Some(Arc::clone(&tw));
+            tw
+        }
     }
 }
 
@@ -252,24 +291,32 @@ pub fn transform_on(isa: KernelIsa, tw: &Twiddles, a: &mut [u64], inverse: bool)
     if !isa.available() {
         return false;
     }
-    let (f, t) = (&tw.field, &tw.table[..]);
+    transform(isa, &tw.field, &tw.table, a, inverse);
+    true
+}
+
+/// One transform of `a` on `isa`, which the caller has checked. `tw` is
+/// the table of any size `≥ a.len()`: only its first `a.len() − 1`
+/// entries, the `a.len()`-point table, are read.
+#[inline(always)]
+fn transform(isa: KernelIsa, f: &Field, tw: &[u32], a: &mut [u64], inverse: bool) {
+    debug_assert!(tw.len() + 1 >= a.len());
     match isa {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `available()` confirmed AVX-512F above.
-        KernelIsa::Avx512 if a.len() >= 8 => unsafe { avx512::transform(f, a, t, inverse) },
+        // SAFETY: every caller checked `isa.available()`, here AVX-512F.
+        KernelIsa::Avx512 if a.len() >= 8 => unsafe { avx512::transform(f, a, tw, inverse) },
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `available()` confirmed AVX2 above.
-        KernelIsa::Avx2 => unsafe { transform_avx2(f, a, t, inverse) },
-        _ => transform_portable(f, a, t, inverse),
+        // SAFETY: every caller checked `isa.available()`, here AVX2.
+        KernelIsa::Avx2 => unsafe { transform_avx2(f, a, tw, inverse) },
+        _ => transform_portable(f, a, tw, inverse),
     }
-    true
 }
 
 /// The portable transform body, and the oracle for the other paths.
 /// Each stage runs over disjoint sub-slices, so it compiles without bounds
 /// checks.
 #[inline(always)]
-fn transform_portable(f: &Field, a: &mut [u64], tw: &[u64], inverse: bool) {
+fn transform_portable(f: &Field, a: &mut [u64], tw: &[u32], inverse: bool) {
     let n = a.len();
     if inverse {
         // Decimation in time: u, v ← u + w·v, u − w·v.
@@ -279,7 +326,7 @@ fn transform_portable(f: &Field, a: &mut [u64], tw: &[u64], inverse: bool) {
             for chunk in a.chunks_exact_mut(2 * half) {
                 let (us, vs) = chunk.split_at_mut(half);
                 for ((u, v), &w) in us.iter_mut().zip(vs.iter_mut()).zip(seg) {
-                    let (x, t) = (*u, f.mul(*v, w));
+                    let (x, t) = (*u, f.mul(*v, w as u64));
                     *u = f.add(x, t);
                     *v = f.sub(x, t);
                 }
@@ -297,7 +344,7 @@ fn transform_portable(f: &Field, a: &mut [u64], tw: &[u64], inverse: bool) {
                 for ((u, v), &w) in us.iter_mut().zip(vs.iter_mut()).zip(seg) {
                     let (x, y) = (*u, *v);
                     *u = f.add(x, y);
-                    *v = f.mul(x + f.p - y, w);
+                    *v = f.mul(x + f.p - y, w as u64);
                 }
             }
             half /= 2;
@@ -309,15 +356,16 @@ fn transform_portable(f: &Field, a: &mut [u64], tw: &[u64], inverse: bool) {
 /// the compiler to autovectorize the inlined body with AVX2 instructions.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn transform_avx2(f: &Field, a: &mut [u64], tw: &[u64], inverse: bool) {
+fn transform_avx2(f: &Field, a: &mut [u64], tw: &[u32], inverse: bool) {
     transform_portable(f, a, tw, inverse);
 }
 
 /// The hand-written AVX-512F transform: eight `u64` lanes of canonical
 /// residues per zmm, so `vpmuludq` reads each lane's value whole. All
 /// indexing is bounds-checked slicing; the only raw accesses are the
-/// eight-lane loads and stores of `load8` and `store8`, each on a slice of
-/// exactly eight `u64`s.
+/// eight-lane loads and stores of `load8`, `load8w` and `store8`, each on
+/// a slice of exactly eight words. The twiddles are stored as `u32` and
+/// zero-extended on load.
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
     use super::Field;
@@ -330,6 +378,15 @@ mod avx512 {
         let s = &s[j..j + 8];
         // SAFETY: `s` is exactly eight `u64`s, one zmm.
         unsafe { _mm512_loadu_si512(s.as_ptr().cast()) }
+    }
+
+    /// Twiddles `s[j..j + 8]`, zero-extended to `u64` lanes.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn load8w(s: &[u32], j: usize) -> __m512i {
+        let s = &s[j..j + 8];
+        // SAFETY: `s` is exactly eight `u32`s, one ymm.
+        _mm512_cvtepu32_epi64(unsafe { _mm256_loadu_si256(s.as_ptr().cast()) })
     }
 
     /// Store `x` to `s[j..j + 8]`.
@@ -452,25 +509,25 @@ mod avx512 {
 
     /// Stage `h`'s twiddle for every lane, `seg[l mod h]`.
     #[target_feature(enable = "avx512f")]
-    fn lane_twiddles(seg: &[u64]) -> __m512i {
+    fn lane_twiddles(seg: &[u32]) -> __m512i {
         let h = seg.len();
         let w = |l: usize| seg[l % h] as i64;
         _mm512_setr_epi64(w(0), w(1), w(2), w(3), w(4), w(5), w(6), w(7))
     }
 
     /// Stage `half`'s twiddle segment.
-    fn segment(tw: &[u64], half: usize) -> &[u64] {
+    fn segment(tw: &[u32], half: usize) -> &[u32] {
         &tw[half - 1..2 * half - 1]
     }
 
     /// One streamed stage, half-size `half ≥ 8`: DIF, or DIT for `inverse`.
     #[target_feature(enable = "avx512f")]
-    fn stage(k: Mod, a: &mut [u64], tw: &[u64], half: usize, inverse: bool) {
+    fn stage(k: Mod, a: &mut [u64], tw: &[u32], half: usize, inverse: bool) {
         let seg = segment(tw, half);
         for chunk in a.chunks_exact_mut(2 * half) {
             let (us, vs) = chunk.split_at_mut(half);
             for j in (0..half).step_by(8) {
-                let (u, v, w) = (load8(us, j), load8(vs, j), load8(seg, j));
+                let (u, v, w) = (load8(us, j), load8(vs, j), load8w(seg, j));
                 let (x, y) = if inverse {
                     k.dit(u, v, w)
                 } else {
@@ -487,7 +544,7 @@ mod avx512 {
     /// in registers: DIF runs stage `2q` first, DIT (`inverse`) stage `q`
     /// first. The arithmetic is that of two [`stage`] calls.
     #[target_feature(enable = "avx512f")]
-    fn stage_pair(k: Mod, a: &mut [u64], tw: &[u64], q: usize, inverse: bool) {
+    fn stage_pair(k: Mod, a: &mut [u64], tw: &[u32], q: usize, inverse: bool) {
         let (outer, inner) = (segment(tw, 2 * q), segment(tw, q));
         for chunk in a.chunks_exact_mut(4 * q) {
             let (lo, hi) = chunk.split_at_mut(2 * q);
@@ -495,7 +552,7 @@ mod avx512 {
             let (s2, s3) = hi.split_at_mut(q);
             for j in (0..q).step_by(8) {
                 let x = [load8(s0, j), load8(s1, j), load8(s2, j), load8(s3, j)];
-                let (wa, wb, wi) = (load8(outer, j), load8(outer, j + q), load8(inner, j));
+                let (wa, wb, wi) = (load8w(outer, j), load8w(outer, j + q), load8w(inner, j));
                 let z = if inverse {
                     let (y0, y1) = k.dit(x[0], x[1], wi);
                     let (y2, y3) = k.dit(x[2], x[3], wi);
@@ -520,7 +577,7 @@ mod avx512 {
     /// The three smallest stages (h = 4, 2, 1) of every 8-coefficient
     /// block, in registers.
     #[target_feature(enable = "avx512f")]
-    fn block_pass(k: Mod, a: &mut [u64], tw: &[u64], inverse: bool) {
+    fn block_pass(k: Mod, a: &mut [u64], tw: &[u32], inverse: bool) {
         let stages = [
             (pair_lanes(4), Some(lane_twiddles(segment(tw, 4))), 0xf0),
             (pair_lanes(2), Some(lane_twiddles(segment(tw, 2))), 0xcc),
@@ -542,11 +599,12 @@ mod avx512 {
     }
 
     /// The transform of [`super::transform_portable`], bit for bit, for a
-    /// power-of-two `a.len() ≥ 8` and its twiddle table `tw`. Stages of
+    /// power-of-two `a.len() ≥ 8` and a twiddle table `tw` of at least
+    /// that size. Stages of
     /// half-size ≥ 8 stream in pairs ([`stage_pair`]), the three smallest
     /// run in registers ([`block_pass`]).
     #[target_feature(enable = "avx512f")]
-    pub(super) fn transform(f: &Field, a: &mut [u64], tw: &[u64], inverse: bool) {
+    pub(super) fn transform(f: &Field, a: &mut [u64], tw: &[u32], inverse: bool) {
         let n = a.len();
         let k = Mod::new(f);
         if inverse {
@@ -578,93 +636,103 @@ mod avx512 {
 /// zero-padded.
 #[inline(always)]
 fn load(f: &Field, x: &[Limb], k: u64, n: usize, v: &mut Vec<u64>) {
-    v.clear();
     v.resize(n, 0);
-    for (v, &w) in v.iter_mut().zip(x) {
+    let (head, tail) = v.split_at_mut(x.len());
+    for (v, &w) in head.iter_mut().zip(x) {
         *v = f.mul(w as u64, k);
     }
+    tail.fill(0);
 }
 
-/// One prime's residue vector of the product, in normal form: forward-
-/// transform the operand(s) on one twiddle table, multiply pointwise (or
-/// square when `b` is `None`, saving the second forward transform), and
-/// transform back. `n⁻¹` is folded into the load of `a`, or into the
-/// pointwise constant of a square (see the module docs). `fb` is the
-/// second operand's buffer, shared by the three primes.
+/// Prime `k`'s residue vector of the product, in normal form, into `fa`:
+/// forward-transform the operand(s) on the prime's table, multiply
+/// pointwise (or square when `b` is `None`, saving the second forward
+/// transform), and transform back. `n⁻¹` is folded into the load of `a`,
+/// or into the pointwise constant of a square (see the module docs). `fb`
+/// holds the second operand's spectrum.
 #[inline(always)]
-fn residues_mod_prime(
+fn residues(
     isa: KernelIsa,
     k: usize,
     a: &[Limb],
     b: Option<&[Limb]>,
     n: usize,
+    fa: &mut Vec<u64>,
     fb: &mut Vec<u64>,
-) -> Vec<u64> {
-    let tw = Twiddles::new(k, n);
+) {
+    let tw = shared_twiddles(k, n);
     let f = &tw.field;
     // R²·n⁻¹ mod p: `n⁻¹` in Montgomery form, times R once more.
     let scaled = f.mul(f.pow(f.to_mont(n as u64), f.p - 2), f.r2);
-    let transform = |v: &mut [u64], inverse: bool| {
-        let ran = transform_on(isa, &tw, v, inverse);
-        debug_assert!(ran, "the caller checked the kernel ISA");
-    };
-    let mut fa = Vec::new();
     match b {
         Some(b) => {
-            load(f, a, scaled, n, &mut fa);
+            load(f, a, scaled, n, fa);
             load(f, b, f.one(), n, fb);
-            transform(&mut fa, false);
-            transform(fb, false);
+            transform(isa, f, &tw.table, fa, false);
+            transform(isa, f, &tw.table, fb, false);
             for (x, &y) in fa.iter_mut().zip(fb.iter()) {
                 *x = f.mul(*x, y);
             }
         }
         None => {
-            load(f, a, f.one(), n, &mut fa);
-            transform(&mut fa, false);
+            load(f, a, f.one(), n, fa);
+            transform(isa, f, &tw.table, fa, false);
             for x in fa.iter_mut() {
                 *x = f.mul(f.mul(*x, *x), scaled);
             }
         }
     }
-    transform(&mut fa, true);
-    fa
+    transform(isa, f, &tw.table, fa, true);
 }
 
-/// CRT-recombine the three primes' residue vectors and propagate carries,
-/// writing the low `out.len()` limbs of the product into `out`. An acyclic
-/// product must fit `out` exactly (the final carry is debug-asserted
-/// zero); a `wrap` (cyclic) product has `out.len() == n` and folds its
-/// final carry back in at limb 0, since `β^n ≡ 1 (mod β^n − 1)`.
-///
-/// Garner's mixed-radix CRT, `v = r1 + p1·t2 + p1·p2·t3`, runs as one
-/// pass that is independent per coefficient (so it vectorizes) and leaves
-/// `r1 + p1·t2` and `t3` in place; a serial pass then adds up the carries.
+/// Garner's first step, folded in as soon as the second prime's residues
+/// `r2` exist: `t2 = (r2 − r1)·p₁⁻¹ mod p₂`, packed next to `r1` as
+/// `r1 | t2 << 32` (both are below 2³¹). The mixed-radix value is
+/// `v = r1 + p₁·t2 + p₁p₂·t3`.
 #[inline(always)]
-fn recombine(res: [Vec<u64>; 3], out: &mut [Limb], wrap: bool) {
-    let [p1, p2, p3] = [PRIMES[0].0, PRIMES[1].0, PRIMES[2].0];
-    let (f2, f3) = (Field::new(p2), Field::new(p3));
-    // p₁p₂ < 2⁶², exact in u64. Garner's constants are in Montgomery form
-    // so that one `mul` applies each: p₁⁻¹ mod p₂, p₁ mod p₃ and
-    // (p₁p₂)⁻¹ mod p₃.
-    let p1p2 = p1 * p2;
+fn garner_fold(r1t2: &mut [u64], r2: &[u64]) {
+    let [p1, p2] = [PRIMES[0].0, PRIMES[1].0];
+    let f2 = Field::new(p2);
+    // p₁⁻¹ mod p₂ in Montgomery form, so that one `mul` applies it.
     let inv_p1 = f2.pow(f2.to_mont(p1 - p2), p2 - 2);
+    for (r1, &r2) in r1t2.iter_mut().zip(r2) {
+        // r1 < p1 < 2·p2 reduces mod p2 with one subtract.
+        let t2 = f2.mul(f2.sub(r2, f2.reduce_once(*r1)), inv_p1);
+        *r1 |= t2 << LIMB_BITS;
+    }
+}
+
+/// Finish the CRT from the packed `r1 | t2 << 32` vector and the third
+/// prime's residues `r3`, and propagate carries, writing the low
+/// `out.len()` limbs of the product into `out`. An acyclic product must
+/// fit `out` exactly (the final carry is debug-asserted zero); a `wrap`
+/// (cyclic) product has `out.len() == n` and folds its final carry back
+/// in at limb 0, since `β^n ≡ 1 (mod β^n − 1)`.
+///
+/// The last Garner step is one pass that is independent per coefficient
+/// (so it vectorizes) and leaves `r1 + p₁·t2` and `t3` in place; a serial
+/// pass then adds up the carries.
+#[inline(always)]
+fn recombine(r1t2: &mut [u64], r3: &mut [u64], out: &mut [Limb], wrap: bool) {
+    let [p1, p2, p3] = [PRIMES[0].0, PRIMES[1].0, PRIMES[2].0];
+    let f3 = Field::new(p3);
+    // p₁p₂ < 2⁶², exact in u64. Garner's constants are in Montgomery form
+    // so that one `mul` applies each: p₁ mod p₃ and (p₁p₂)⁻¹ mod p₃.
+    let p1p2 = p1 * p2;
     let p1_mod_p3 = f3.to_mont(p1);
     let inv_p1p2 = f3.pow(f3.to_mont(p1p2 % p3), p3 - 2);
-    let [mut v12s, r2v, mut t3s] = res;
-    for ((r1, &r2), r3) in v12s.iter_mut().zip(&r2v).zip(t3s.iter_mut()) {
-        // r1 < p1 < 2·p2 reduces mod p2 with one subtract, and r1 < p1 <
-        // p3 is already reduced mod p3.
-        let t2 = f2.mul(f2.sub(r2, f2.reduce_once(*r1)), inv_p1);
-        let v12m = f3.add(*r1, f3.mul(t2, p1_mod_p3));
+    for (v12, r3) in r1t2.iter_mut().zip(r3.iter_mut()) {
+        // r1 < p1 < p3 is already reduced mod p3.
+        let (r1, t2) = (lo(*v12) as u64, hi(*v12) as u64);
+        let v12m = f3.add(r1, f3.mul(t2, p1_mod_p3));
         *r3 = f3.mul(f3.sub(*r3, v12m), inv_p1p2);
-        *r1 += lo(t2) as u64 * lo(p1) as u64; // < p1·p2 < 2⁶²
+        *v12 = r1 + t2 * p1; // < p1·p2 < 2⁶²
     }
 
     // v < p1·p2·p3 < 2⁹³.
-    let mut coeffs = v12s
+    let mut coeffs = r1t2
         .iter()
-        .zip(&t3s)
+        .zip(r3.iter())
         .map(|(&v12, &t3)| v12 as u128 + p1p2 as u128 * t3 as u128);
     let mut carry: u128 = 0;
     for (w, v) in out.iter_mut().zip(coeffs.by_ref()) {
@@ -700,48 +768,101 @@ fn recombine(res: [Vec<u64>; 3], out: &mut [Limb], wrap: bool) {
     }
 }
 
+/// The three `n`-point working vectors of a product: the packed Garner
+/// accumulator, the current prime's residues and the second operand's
+/// spectrum.
+#[derive(Default)]
+struct Buffers {
+    acc: Vec<u64>,
+    fa: Vec<u64>,
+    fb: Vec<u64>,
+}
+
+thread_local! {
+    /// This thread's [`Buffers`], taken for the length of one product and
+    /// put back after it: vectors that have grown to a size keep it, so
+    /// products in the steady state allocate nothing.
+    static BUFFERS: Cell<Buffers> = const {
+        Cell::new(Buffers {
+            acc: Vec::new(),
+            fa: Vec::new(),
+            fb: Vec::new(),
+        })
+    };
+}
+
 /// `a · b` (or `a²`, when `b` is `a`) modulo `x^n − 1`, for all three
 /// primes, recombined into `out` as [`recombine`] describes.
 #[inline(always)]
-fn product(isa: KernelIsa, a: &[Limb], b: &[Limb], n: usize, out: &mut [Limb], wrap: bool) {
+fn product(
+    isa: KernelIsa,
+    a: &[Limb],
+    b: &[Limb],
+    n: usize,
+    out: &mut [Limb],
+    wrap: bool,
+    bufs: &mut Buffers,
+) {
     let square = core::ptr::eq(a, b) || a == b;
     let b = if square { None } else { Some(b) };
-    let mut fb = Vec::new();
-    let res = core::array::from_fn(|k| residues_mod_prime(isa, k, a, b, n, &mut fb));
-    recombine(res, out, wrap);
+    let Buffers { acc, fa, fb } = bufs;
+    residues(isa, 0, a, b, n, acc, fb);
+    residues(isa, 1, a, b, n, fa, fb);
+    garner_fold(acc, fa);
+    residues(isa, 2, a, b, n, fa, fb);
+    recombine(acc, fa, out, wrap);
 }
 
 /// [`product`] with its linear passes — loads, pointwise products, CRT —
-/// compiled for `isa` as well; the transforms dispatch on it anyway.
+/// compiled for `isa` as well; the transforms dispatch on it anyway. Runs
+/// on this thread's reused [`Buffers`].
 fn product_on(isa: KernelIsa, a: &[Limb], b: &[Limb], n: usize, out: &mut [Limb], wrap: bool) {
     assert!(
         isa.available(),
         "this CPU cannot run the {} kernel",
         isa.name()
     );
+    // Taken, not borrowed: a product that re-entered this one would start
+    // from empty vectors instead of aliasing these.
+    let mut bufs = BUFFERS.take();
     match isa {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: the assert above confirmed AVX-512F.
-        KernelIsa::Avx512 => unsafe { product_avx512(a, b, n, out, wrap) },
+        KernelIsa::Avx512 => unsafe { product_avx512(a, b, n, out, wrap, &mut bufs) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: the assert above confirmed AVX2.
-        KernelIsa::Avx2 => unsafe { product_avx2(a, b, n, out, wrap) },
-        _ => product(isa, a, b, n, out, wrap),
+        KernelIsa::Avx2 => unsafe { product_avx2(a, b, n, out, wrap, &mut bufs) },
+        _ => product(isa, a, b, n, out, wrap, &mut bufs),
     }
+    BUFFERS.set(bufs);
 }
 
 /// [`product`] compiled for AVX-512F.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-fn product_avx512(a: &[Limb], b: &[Limb], n: usize, out: &mut [Limb], wrap: bool) {
-    product(KernelIsa::Avx512, a, b, n, out, wrap);
+fn product_avx512(
+    a: &[Limb],
+    b: &[Limb],
+    n: usize,
+    out: &mut [Limb],
+    wrap: bool,
+    bufs: &mut Buffers,
+) {
+    product(KernelIsa::Avx512, a, b, n, out, wrap, bufs);
 }
 
 /// [`product`] compiled for AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn product_avx2(a: &[Limb], b: &[Limb], n: usize, out: &mut [Limb], wrap: bool) {
-    product(KernelIsa::Avx2, a, b, n, out, wrap);
+fn product_avx2(
+    a: &[Limb],
+    b: &[Limb],
+    n: usize,
+    out: &mut [Limb],
+    wrap: bool,
+    bufs: &mut Buffers,
+) {
+    product(KernelIsa::Avx2, a, b, n, out, wrap, bufs);
 }
 
 /// NTT product `a · b` into `out` (zeroed, `out.len() >= la + lb` where
@@ -874,6 +995,26 @@ mod tests {
             // The 2^25-th root of unity exists and squares down correctly.
             let w = field.pow(gm, (p - 1) / (1 << 25));
             assert_eq!(field.unmont(field.pow(w, 1 << 24)), p - 1);
+        }
+    }
+
+    #[test]
+    fn smaller_tables_are_prefixes_of_larger_ones() {
+        // The shared tables serve every smaller transform from their
+        // prefix: the n-point table must be exactly the first n − 1
+        // entries of the 2n-point one, for every prime.
+        for prime in 0..3 {
+            let mut larger = Twiddles::new(prime, 2);
+            for log_n in 1..16 {
+                let n = 1usize << log_n;
+                let table = larger;
+                larger = Twiddles::new(prime, 2 * n);
+                assert_eq!(
+                    table.table[..],
+                    larger.table[..n - 1],
+                    "prime {prime}, n = {n}"
+                );
+            }
         }
     }
 

@@ -404,3 +404,73 @@ fn ntt_products_match_schoolbook_on_every_isa() {
         }
     }
 }
+
+/// `x mod (β^n − 1)` as exactly `n` canonical limbs, by folding `n`-limb
+/// chunks: the oracle of a wrapped product.
+fn fold_mod(x: &[Limb], n: usize) -> Vec<Limb> {
+    let mut acc = Nat::from_limbs(x);
+    while acc.len() > n {
+        let (low, high) = acc.limbs().split_at(n);
+        acc = Nat::from_limbs(low).add(&Nat::from_limbs(high));
+    }
+    let mut out = acc.limbs().to_vec();
+    out.resize(n, 0);
+    if out.iter().all(|&w| w == Limb::MAX) {
+        out.fill(0);
+    }
+    out
+}
+
+/// `mul_ntt_into_on` and `mul_wrap_into_on` of every pair in `operands`,
+/// on every ISA path in turn, against the schoolbook products `want`.
+fn check_interleaved(isas: &[KernelIsa], operands: &[(Vec<Limb>, Vec<Limb>)], want: &[Vec<Limb>]) {
+    for &isa in isas {
+        for ((a, b), want) in operands.iter().zip(want) {
+            let at = format!("{} {}x{}", isa.name(), a.len(), b.len());
+            let mut full = vec![0; a.len() + b.len()];
+            assert!(ntt::mul_ntt_into_on(isa, &mut full, a, b));
+            full.truncate(ops::normalized_len(&full));
+            assert_eq!(&full, want, "{at}: mul_ntt");
+            let n = a.len().max(b.len()).next_power_of_two().max(2);
+            let mut wrapped = vec![0; n];
+            assert!(ntt::mul_wrap_into_on(isa, &mut wrapped, a, b));
+            assert_eq!(wrapped, fold_mod(want, n), "{at}: mul_wrap");
+        }
+    }
+}
+
+proptest! {
+    /// Products at interleaved sizes — large, small, then larger again —
+    /// on every ISA path, from two threads at once: the shared twiddle
+    /// tables grow under one size and serve the others from their prefix,
+    /// and the per-thread working vectors shrink and regrow between calls.
+    /// Every product must equal the schoolbook one bit for bit.
+    #[test]
+    fn ntt_interleaved_sizes_on_two_threads_match_schoolbook(
+        sizes in vec((150usize..500, 1usize..40, 300usize..700), 2),
+        seed in any::<u64>()
+    ) {
+        let mut isas = vector_isas();
+        isas.push(KernelIsa::Portable);
+        let cases: Vec<_> = sizes
+            .iter()
+            .enumerate()
+            .map(|(t, &(big, small, bigger))| {
+                let mut next = xorshift(seed.rotate_left(17 * t as u32) | 1);
+                let mut limbs = |len: usize| -> Vec<Limb> { (0..len).map(|_| next() as Limb).collect() };
+                let operands: Vec<_> = [(big, big / 2 + 1), (small, small / 2 + 1), (bigger, bigger)]
+                    .iter()
+                    .map(|&(la, lb)| (limbs(la), limbs(lb)))
+                    .collect();
+                let want: Vec<_> = operands.iter().map(|(a, b)| schoolbook_mul(a, b)).collect();
+                (operands, want)
+            })
+            .collect();
+        std::thread::scope(|s| {
+            let (first, second) = (&cases[0], &cases[1]);
+            let isas = &isas;
+            s.spawn(move || check_interleaved(isas, &second.0, &second.1));
+            check_interleaved(isas, &first.0, &first.1);
+        });
+    }
+}

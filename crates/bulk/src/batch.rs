@@ -42,17 +42,27 @@
 //! margin is nevertheless under ¼ is recomputed exactly from the root, so
 //! no bound slip can return a silently wrong answer.
 //!
+//! **Leaf step.** The leaves run the paper's bulk engine: every leaf's
+//! quotient is rounded first, and the odd moduli with a nonzero quotient
+//! queue `(q / 2^k, n)` for one [`LockstepEngine::run_queue`] batch of
+//! full Approximate Euclid GCDs, on an engine as wide as the compacted
+//! scan backend's. Even moduli, zero quotients and the margin fallbacks
+//! take the scalar path (`leaf_gcd`). Both drivers share the stage
+//! (`leaf_stage`); the parallel one runs one queue per worker.
+//!
 //! The tree arithmetic rides the `bulkgcd-bigint` dispatch ladder
 //! (NTT multiply, half-GCD), and [`batch_gcd_into`] threads a
 //! [`BatchScratch`] through every node so the steady state performs no
 //! allocations below the subquadratic cutoffs (pinned by
 //! `tests/alloc_steady_state.rs`).
 
+use crate::lockstep::{CompactionConfig, LockstepEngine};
+use crate::scan::LockstepBackend;
 use bulkgcd_bigint::div::DivScratch;
 use bulkgcd_bigint::hgcd::gcd_into;
 use bulkgcd_bigint::mul::mul_dispatch;
 use bulkgcd_bigint::{ntt, ops, thresholds, Limb, Nat, LIMB_BITS};
-use bulkgcd_core::{run_in_place, Algorithm, GcdPair, NoProbe, Termination};
+use bulkgcd_core::{run_in_place, Algorithm, GcdPair, GcdStatus, NoProbe, Termination};
 use core::mem;
 use rayon::prelude::*;
 
@@ -65,8 +75,8 @@ pub struct ProductTree {
 }
 
 impl ProductTree {
-    /// Build the tree. Empty input yields a single level `[1]`... no:
-    /// empty input is rejected (no meaningful product).
+    /// Build the tree. Panics on empty input, which has no meaningful
+    /// product.
     pub fn build(moduli: &[Nat]) -> ProductTree {
         assert!(!moduli.is_empty(), "product tree of nothing");
         let mut prev = moduli.to_vec();
@@ -131,10 +141,11 @@ struct StepScratch {
 }
 
 /// Working memory for [`batch_gcd_into`]: the product-tree levels, their
-/// precisions, the two fraction-level ping-pong buffers and the per-node
-/// step scratch. A warm scratch makes repeated batches over same-shaped
-/// corpora allocation-free in the steady state (below the subquadratic
-/// cutoffs, whose algorithms allocate internally by design).
+/// precisions, the two fraction-level ping-pong buffers, the per-node
+/// step scratch and the leaf stage's lockstep engine. A warm scratch
+/// makes repeated batches over same-shaped corpora allocation-free in the
+/// steady state (below the subquadratic cutoffs, whose algorithms
+/// allocate internally by design).
 #[derive(Default)]
 pub struct BatchScratch {
     /// Computed product-tree levels, pairwise-up from the moduli
@@ -148,6 +159,8 @@ pub struct BatchScratch {
     next: Vec<Nat>,
     /// Per-node temporaries.
     step: StepScratch,
+    /// The leaf stage's quotient queue and lockstep engine.
+    leaves: LeafScratch,
 }
 
 impl BatchScratch {
@@ -339,6 +352,104 @@ fn leaf_gcd(y: &Nat, p: usize, n: &Nat, root: &Nat, st: &mut StepScratch, out: &
     exact
 }
 
+/// Working memory of the leaf stage ([`leaf_stage`]): the queued leaves'
+/// odd quotients and the lockstep engine that runs their GCDs. One per
+/// serial batch, one per rayon worker in the parallel one.
+struct LeafScratch {
+    /// The queued quotients `q / 2^k`, back to back.
+    quotients: Vec<Limb>,
+    /// Per queued leaf: its index in the stage's slice and the end of its
+    /// quotient in `quotients` (each starts where the previous ends).
+    queued: Vec<(usize, usize)>,
+    /// The engine's input pairs. Empty between calls: it only keeps its
+    /// allocation, see [`recycle`].
+    inputs: Vec<(&'static [Limb], &'static [Limb])>,
+    /// A compacting engine as wide as the compacted scan backend's.
+    engine: LockstepEngine,
+}
+
+impl Default for LeafScratch {
+    fn default() -> Self {
+        let width = LockstepBackend::default().warp_width * CompactionConfig::default().pool_warps;
+        LeafScratch {
+            quotients: Vec::new(),
+            queued: Vec::new(),
+            inputs: Vec::new(),
+            engine: LockstepEngine::new(width),
+        }
+    }
+}
+
+/// An empty `Vec` of borrowed pairs, on the allocation of `v`: the
+/// in-place `collect` of a `Vec`'s own iterator into a same-layout element
+/// type keeps its buffer, so the pair list of every leaf stage reuses the
+/// last one's memory whatever the borrows' lifetimes.
+fn recycle<'b>(mut v: Vec<(&[Limb], &[Limb])>) -> Vec<(&'b [Limb], &'b [Limb])> {
+    v.clear();
+    v.into_iter()
+        .map(|_| unreachable!("the vector is empty"))
+        .collect()
+}
+
+/// The leaf step for every modulus of `moduli`, whose fractions are `ys`
+/// with precisions `prec`, into `out`. Each leaf's quotient is rounded
+/// first; an odd modulus with a nonzero quotient then queues
+/// `(q / 2^k, n)`, and the whole queue runs through the compacting
+/// lockstep engine as one batch of full Approximate Euclid GCDs — the
+/// sequence `leaf_gcd` runs per leaf, so the results are the same. Even
+/// moduli, zero quotients and leaves whose rounding margin fails take
+/// [`leaf_gcd`]'s scalar path.
+fn leaf_stage(
+    moduli: &[Nat],
+    ys: &[Nat],
+    prec: &[usize],
+    root: &Nat,
+    st: &mut StepScratch,
+    leaves: &mut LeafScratch,
+    out: &mut [Nat],
+) {
+    let LeafScratch {
+        quotients,
+        queued,
+        inputs,
+        engine,
+    } = leaves;
+    quotients.clear();
+    queued.clear();
+    for (i, n) in moduli.iter().enumerate() {
+        if n.is_even() || !round_quotient(&ys[i], prec[i], n, st) {
+            leaf_gcd(&ys[i], prec[i], n, root, st, &mut out[i]);
+        } else if st.q.is_zero() {
+            out[i].assign_limbs(n.limbs());
+        } else {
+            // gcd(q, n) = gcd(q / 2^k, n) for odd n.
+            let start = quotients.len();
+            quotients.extend_from_slice(st.q.limbs());
+            let (len, _) = ops::rshift_in_place(&mut quotients[start..]);
+            quotients.truncate(start + len);
+            queued.push((i, quotients.len()));
+        }
+    }
+    if queued.is_empty() {
+        return;
+    }
+    let mut pairs = recycle(mem::take(inputs));
+    let mut start = 0;
+    for &(i, end) in queued.iter() {
+        pairs.push((&quotients[start..end], moduli[i].limbs()));
+        start = end;
+    }
+    engine.run_queue(&pairs, Termination::Full, CompactionConfig::default());
+    *inputs = recycle(pairs);
+    for (e, &(i, _)) in queued.iter().enumerate() {
+        debug_assert_eq!(engine.entry_status(e), GcdStatus::Done);
+        match engine.entry_factor(e) {
+            Some(g) => out[i].assign_limbs(g.limbs()),
+            None => out[i].assign_limbs(&[1]),
+        }
+    }
+}
+
 /// For every modulus, compute `gcd(n_i, (P mod n_i²)/n_i)` by descending
 /// a scaled remainder tree. The result is > 1 exactly for moduli sharing
 /// a prime with some other modulus (or appearing twice).
@@ -381,6 +492,7 @@ pub fn batch_gcd_into(moduli: &[Nat], scratch: &mut BatchScratch, out: &mut Vec<
         ys,
         next,
         step,
+        leaves,
     } = scratch;
 
     // Product tree, bottom-up. `levels[0]` pairs the moduli themselves, so
@@ -430,9 +542,7 @@ pub fn batch_gcd_into(moduli: &[Nat], scratch: &mut BatchScratch, out: &mut Vec<
         }
         mem::swap(ys, next);
     }
-    for (i, n) in moduli.iter().enumerate() {
-        leaf_gcd(&ys[i], prec[0][i], n, root, step, &mut out[i]);
-    }
+    leaf_stage(moduli, &ys[..m], &prec[0], root, step, leaves, out);
     // Hand the ping-pong buffers back in their starting roles, so a repeat
     // call of the same shape refills every slot with a value of the size
     // it held before: no slot has to grow in the steady state.
@@ -495,14 +605,21 @@ pub fn batch_gcd_parallel(moduli: &[Nat]) -> Vec<Nat> {
             })
             .collect();
     }
+    // One leaf queue per worker: the engine's compaction pays off over a
+    // long queue, so the leaves split into as many chunks as threads.
+    let chunk = moduli.len().div_ceil(rayon::current_num_threads());
     moduli
-        .par_iter()
-        .zip(ys.iter().zip(&prec[0]))
-        .map_init(StepScratch::default, |st, (n, (y, &p))| {
-            let mut g = Nat::default();
-            leaf_gcd(y, p, n, root, st, &mut g);
-            g
-        })
+        .par_chunks(chunk)
+        .zip(ys.chunks(chunk).zip(prec[0].chunks(chunk)))
+        .map_init(
+            || (StepScratch::default(), LeafScratch::default()),
+            |(st, leaves), (moduli, (ys, prec))| {
+                let mut out = vec![Nat::default(); moduli.len()];
+                leaf_stage(moduli, ys, prec, root, st, leaves, &mut out);
+                out
+            },
+        )
+        .flatten()
         .collect()
 }
 
@@ -739,6 +856,80 @@ mod tests {
         let modulus = Nat::one().shl(32 * p_c as u64);
         let diff = y_c.add(&modulus).sub(&exact).rem(&modulus);
         assert!(diff.to_u128().is_some_and(|d| d <= 2), "off by {diff:?}");
+    }
+
+    /// A corpus for the leaf stage's routing: odd moduli with shared
+    /// primes, a device batch of five moduli on one prime, even moduli, a
+    /// duplicate, and `n = a·b` with `a` and `b` each in another modulus,
+    /// whose quotient `(P/n) mod n` is 0.
+    fn leaf_routing_corpus() -> Vec<Nat> {
+        let mut rng = StdRng::seed_from_u64(23);
+        let mut prime = || random_rsa_prime(&mut rng, 64);
+        let (shared, device, a, b) = (prime(), prime(), prime(), prime());
+        let mut moduli: Vec<Nat> = (0..24).map(|_| prime().mul(&prime())).collect();
+        moduli.push(shared.mul(&prime()));
+        moduli.push(shared.mul(&prime()));
+        moduli.extend((0..5).map(|_| device.mul(&prime())));
+        moduli.push(Nat::from_u64(2).mul(&prime()));
+        moduli.push(Nat::from_u64(4).mul(&shared));
+        moduli.push(moduli[3].clone());
+        moduli.push(a.mul(&prime()));
+        moduli.push(b.mul(&prime()));
+        moduli.push(a.mul(&b));
+        moduli
+    }
+
+    #[test]
+    fn lockstep_leaves_match_the_oracle_on_a_hostile_corpus() {
+        let moduli = leaf_routing_corpus();
+        let expect = oracle(&moduli);
+        let zero_quotient = moduli.len() - 1;
+        assert_eq!(expect[zero_quotient], moduli[zero_quotient]);
+        assert_eq!(expect[3], moduli[3], "the duplicate reports itself");
+        assert_eq!(batch_gcd(&moduli), expect);
+        assert_eq!(batch_gcd_parallel(&moduli), expect);
+        // Three workers split the leaves into uneven queues.
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(3)
+            .build()
+            .expect("thread pool");
+        assert_eq!(pool.install(|| batch_gcd_parallel(&moduli)), expect);
+    }
+
+    #[test]
+    fn leaf_stage_queues_only_odd_moduli_with_a_sound_nonzero_quotient() {
+        // Exact leaf fractions, a third of them moved by 1/(2n) so that
+        // its rounding margin fails and the leaf recomputes its quotient
+        // on the scalar path; the results must still be the oracle's.
+        let moduli = leaf_routing_corpus();
+        let expect = oracle(&moduli);
+        let root = ProductTree::build(&moduli).root().clone();
+        let prec: Vec<usize> = moduli.iter().map(|n| n.len() + 1).collect();
+        let ys: Vec<Nat> = moduli
+            .iter()
+            .zip(&prec)
+            .enumerate()
+            .map(|(i, (n, &p))| {
+                let y = exact_leaf_fraction(&root, n, p);
+                if i % 3 == 1 {
+                    y.add(&Nat::one().shl(32 * p as u64).div(&n.shl(1)))
+                } else {
+                    y
+                }
+            })
+            .collect();
+        let (mut st, mut leaves) = (StepScratch::default(), LeafScratch::default());
+        let mut out = vec![Nat::default(); moduli.len()];
+        leaf_stage(&moduli, &ys, &prec, &root, &mut st, &mut leaves, &mut out);
+        assert_eq!(out, expect);
+        // Modulus 3, its duplicate and the last modulus have quotient 0.
+        let zero_quotients = [3, moduli.len() - 4, moduli.len() - 1];
+        assert_eq!(moduli[zero_quotients[1]], moduli[3]);
+        let queued: Vec<usize> = leaves.queued.iter().map(|&(i, _)| i).collect();
+        let want: Vec<usize> = (0..moduli.len())
+            .filter(|&i| i % 3 != 1 && moduli[i].is_odd() && !zero_quotients.contains(&i))
+            .collect();
+        assert_eq!(queued, want);
     }
 
     #[test]

@@ -690,11 +690,12 @@ pub const AUTO_LOCKSTEP_MIN_BITS: usize = 128;
 /// adversarially for the fused path.
 pub const AUTO_MAX_BETA_FRACTION: f64 = 0.05;
 
-/// How many leading bits of the operands the divergence probe actually
-/// consumes per sampled pair: the probe early-terminates once a pair has
-/// shaved this many bits (a few dozen AEA iterations — plenty to estimate
-/// the per-iteration β > 0 fraction), so probing costs a small fraction of
-/// one full GCD per sampled pair instead of a whole one.
+/// The most leading bits of the operands the divergence probe consumes
+/// per sampled pair: the probe early-terminates once a pair has shaved
+/// this many bits, or a sixteenth of the operand width when that is fewer
+/// (a few dozen AEA iterations at most — plenty to estimate the
+/// per-iteration β > 0 fraction), so probing costs a small fraction of
+/// one full GCD per sampled pair instead of a whole one at every width.
 pub const AUTO_PROBE_DEPTH_BITS: u64 = 64;
 
 /// How many adjacent-index pairs the divergence probe runs.
@@ -772,11 +773,13 @@ impl AutoBackend {
             // pairs through the scalar AEA with a StatsProbe and measure
             // the β > 0 fraction. Each sampled pair is probed shallowly —
             // early-terminated after [`AUTO_PROBE_DEPTH_BITS`] bits of
-            // reduction — so the probe costs a small fraction of a full
-            // GCD per pair and stays negligible next to the scan itself.
+            // reduction, or a sixteenth of the width on narrow operands —
+            // so the probe costs a small fraction of a full GCD per pair
+            // and stays negligible next to the scan itself.
             let width_bits = (arena.stride() * LIMB_BITS as usize) as u64;
+            let probe_bits = AUTO_PROBE_DEPTH_BITS.min(width_bits / 16);
             let depth = Termination::Early {
-                threshold_bits: width_bits.saturating_sub(AUTO_PROBE_DEPTH_BITS).max(1),
+                threshold_bits: width_bits.saturating_sub(probe_bits).max(1),
             };
             let mut probe = StatsProbe::default();
             let mut pair = GcdPair::with_capacity(arena.stride());

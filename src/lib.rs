@@ -41,7 +41,7 @@ pub use bulkgcd_umm as umm;
 
 /// One-stop imports for examples and downstream users.
 pub mod prelude {
-    pub use bulkgcd_bigint::{Barrett, Montgomery, Nat};
+    pub use bulkgcd_bigint::{Montgomery, Nat};
     pub use bulkgcd_bulk::{
         batch_gcd, batch_gcd_parallel, break_weak_keys, estimate_full_scan, group_size_for,
         merge_tiles, run_sharded, tile_fingerprint, write_arena, ArenaError, ArenaHeader,

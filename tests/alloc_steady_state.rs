@@ -96,11 +96,11 @@ fn steady_state_scan_hot_loop_allocates_nothing() {
     }
 
     // Batch GCD (product tree + remainder tree): with a caller-held
-    // `BatchScratch` every node buffer, division scratch and gcd workspace
-    // is reused, so repeat batches over same-shaped corpora are heap-free.
-    // The corpus stays at 64-bit moduli so every node is below the
-    // subquadratic cutoffs — the NTT rung allocates internally by design
-    // and is gated out by width here.
+    // `BatchScratch` every node buffer, division scratch, gcd workspace and
+    // the leaf stage's lockstep engine is reused, so repeat batches over
+    // same-shaped corpora are heap-free. The corpus stays at 64-bit moduli
+    // so every node is below the subquadratic cutoffs, whose Newton and
+    // half-GCD rungs allocate internally by design.
     let mut rng = StdRng::seed_from_u64(7);
     let batch_corpus = build_corpus(&mut rng, 16, 64, 0);
     let batch_moduli = batch_corpus.moduli();
@@ -121,6 +121,36 @@ fn steady_state_scan_hot_loop_allocates_nothing() {
         after - before,
         0,
         "steady-state batch_gcd_into allocated on a warmed scratch"
+    );
+
+    // NTT products: the twiddle tables are shared per prime and the
+    // transform vectors are kept per thread, so a repeated wrapped product
+    // at a transform size already seen allocates nothing.
+    let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+    let mut limbs = |len: usize| -> Vec<u32> {
+        (0..len)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state >> 32) as u32
+            })
+            .collect()
+    };
+    let (a, b) = (limbs(4000), limbs(2048));
+    let mut wrapped = vec![0u32; 4096];
+    bulkgcd_bigint::ntt::mul_wrap_into(&mut wrapped, &a, &b);
+    let expected = wrapped.clone();
+    let before = allocations();
+    for _ in 0..3 {
+        bulkgcd_bigint::ntt::mul_wrap_into(&mut wrapped, &a, &b);
+    }
+    let after = allocations();
+    assert_eq!(wrapped, expected);
+    assert_eq!(
+        after - before,
+        0,
+        "steady-state NTT mul_wrap_into allocated after its warm-up call"
     );
 
     // Retry path: failed attempts never reach the simulator, so a launch
