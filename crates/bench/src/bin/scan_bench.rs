@@ -16,10 +16,10 @@
 //! identity asserted — up to `--batch-scalar-cap` keys.
 //!
 //! A `vector_pass` section times the lockstep vector pass alone
-//! (`fused_submul_rshift_columns_prefix`, 64 limb rows of a 128-wide warp
-//! at two live prefixes) on every ISA path this CPU can run, interleaved,
-//! in ns per lane-row; each grid row records the `kernel_isa` the lockstep
-//! scans dispatched to.
+//! (`fused_submul_rshift_columns_prefix` with its register tail, 64 limb
+//! rows of a 128-wide warp at two live prefixes) on every ISA path this
+//! CPU can run, interleaved, in ns per lane-row; each grid row records the
+//! `kernel_isa` the lockstep scans dispatched to.
 //!
 //! Run: `cargo run --release -p bulkgcd-bench --bin scan_bench --
 //!       [--sizes 16,32,64] [--bits 128,1024] [--reps 3] [--warp-width 32]
@@ -75,7 +75,7 @@ use bulkgcd_bulk::{
     GpuSimBackend, GroupedPairs, LockstepBackend, LockstepEngine, ModuliArena, ProductTreeBackend,
     ScanError, ScanJournal, ScanPipeline, ShardConfig, ShardFaultPlan, TilePlan,
 };
-use bulkgcd_core::lanes::{columns_on, KernelIsa, PassOut};
+use bulkgcd_core::lanes::{columns_on, KernelIsa, LaneHeads, PassScratch};
 use bulkgcd_core::{kernel_isa, Algorithm, Termination};
 use bulkgcd_gpu::{CostModel, DeviceConfig, RetryPolicy};
 use bulkgcd_rsa::build_corpus;
@@ -183,9 +183,11 @@ fn json_f64(x: f64) -> String {
 /// The lockstep vector pass alone, on every ISA path this CPU can run:
 /// `CALLS` passes over 64 limb rows of a 128-wide warp per sample, at a
 /// full and a 32-lane live prefix, with the paths interleaved round by
-/// round. Rows report best-of-rounds ns per lane-row and the median
-/// per-round speedup over the portable body; every path's planes must end
-/// bitwise equal to the portable body's.
+/// round. Each pass includes its register tail, which updates the lane
+/// registers (lengths, head words, selectors) that the next pass reads.
+/// Rows report best-of-rounds ns per lane-row and the median per-round
+/// speedup over the portable body; every path's planes, registers and
+/// selectors must end bitwise equal to the portable body's.
 fn bench_vector_pass(reps: usize) -> Vec<String> {
     const W: usize = 128;
     const ROWS: usize = 64;
@@ -199,23 +201,37 @@ fn bench_vector_pass(reps: usize) -> Vec<String> {
         let mut rng = StdRng::seed_from_u64(0x7ec7 ^ lanes as u64);
         let mut limbs = |n: usize| -> Vec<Limb> { (0..n).map(|_| rng.gen::<u32>()).collect() };
         let (u0, v0) = (limbs(ROWS * W), limbs(ROWS * W));
-        let sel: Vec<Limb> = limbs(W).iter().map(|&r| (r & 1).wrapping_neg()).collect();
         let alpha: Vec<Limb> = limbs(W).iter().map(|&r| r | 1).collect();
         let rs: Vec<u32> = limbs(W).iter().map(|&r| 1 + r % 31).collect();
-        let pass = |isa: KernelIsa, u: &mut Vec<Limb>, v: &mut Vec<Limb>| {
-            let mut out = PassOut::new(W);
+        let mut heads0 = LaneHeads::new(W);
+        heads0.sel = limbs(W).iter().map(|&r| (r & 1).wrapping_neg()).collect();
+        heads0.lx.fill(ROWS as u32);
+        heads0.ly = limbs(W).iter().map(|&r| ROWS as u32 - r % 2).collect();
+        for h in [
+            &mut heads0.xt,
+            &mut heads0.xl,
+            &mut heads0.yt,
+            &mut heads0.yl,
+        ] {
+            *h = limbs(2 * W)
+                .chunks(2)
+                .map(|p| (p[0] as u64) << 32 | p[1] as u64)
+                .collect();
+        }
+        let pass = |isa: KernelIsa, (u, v, heads): &mut (Vec<Limb>, Vec<Limb>, LaneHeads)| {
+            let mut scratch = PassScratch::new(W);
             for _ in 0..CALLS {
-                columns_on(isa, u, v, W, lanes, ROWS, &sel, &alpha, &rs, &mut out);
+                columns_on(isa, u, v, W, lanes, ROWS, &alpha, &rs, heads, &mut scratch);
             }
         };
-        let mut planes: Vec<(Vec<Limb>, Vec<Limb>)> =
-            isas.iter().map(|_| (u0.clone(), v0.clone())).collect();
+        let start = || (u0.clone(), v0.clone(), heads0.clone());
+        let mut states: Vec<_> = isas.iter().map(|_| start()).collect();
         let mut runs: Vec<_> = isas
             .iter()
-            .zip(planes.iter_mut())
-            .map(|(&isa, (u, v))| {
+            .zip(states.iter_mut())
+            .map(|(&isa, state)| {
                 move || {
-                    pass(isa, u, v);
+                    pass(isa, state);
                     lanes
                 }
             })
@@ -223,12 +239,12 @@ fn bench_vector_pass(reps: usize) -> Vec<String> {
         let mut contestants: Vec<&mut dyn FnMut() -> usize> =
             runs.iter_mut().map(|f| f as _).collect();
         let (times, _) = round_times(reps, &mut contestants);
-        let results: Vec<(Vec<Limb>, Vec<Limb>)> = isas
+        let results: Vec<_> = isas
             .iter()
             .map(|&isa| {
-                let (mut u, mut v) = (u0.clone(), v0.clone());
-                pass(isa, &mut u, &mut v);
-                (u, v)
+                let mut state = start();
+                pass(isa, &mut state);
+                state
             })
             .collect();
         let portable = isas.len() - 1;
@@ -236,7 +252,8 @@ fn bench_vector_pass(reps: usize) -> Vec<String> {
         for (i, isa) in isas.iter().enumerate() {
             assert!(
                 results[i] == results[portable],
-                "{} vector pass differs from the portable body at lanes={lanes}",
+                "{} vector pass (planes, registers or selectors) differs from the portable \
+                 body at lanes={lanes}",
                 isa.name()
             );
             let ns = best_of(&times[i]) * 1e9 / lane_rows;
@@ -1181,7 +1198,7 @@ fn main() {
             // 128-bit gate pins, at the issue-level ≥1.15× margin. Wall
             // clock only gets a no-regression floor there: on the host
             // SIMD kernels a masked lane costs almost nothing (slots are
-            // quantized in 16- or 8-lane vectors and plan/epilogue skip dead
+            // quantized in 16- or 8-lane vectors and plan/tail skip dead
             // lanes), so reclaimed slots translate to a few percent of
             // wall clock, not the issue-bound speedup a real SIMT device
             // would see. DESIGN.md ("Compaction and refill") documents the

@@ -54,9 +54,9 @@ pub mod smallword;
 pub use algorithms::{gcd_nat, run, run_in_place, Algorithm, GcdOutcome, GcdStatus, Termination};
 pub use approx::{approx, approx_top_words, Approx, ApproxCase};
 pub use lanes::{
-    copy_lane_columns, fused_submul_rshift_columns, fused_submul_rshift_columns_prefix, head_words,
-    kernel_isa, plan_lane, plan_lanes, zero_lane_columns, LaneHeads, LanePlan, LanePlans,
-    LaneState, PassOut,
+    copy_lane_columns, fused_submul_rshift_columns_prefix, head_words, kernel_isa,
+    load_lane_column, plan_lane, plan_lanes, LaneHeads, LanePlan, LanePlans, LaneState,
+    PassScratch,
 };
 pub use lehmer::{lehmer_euclid, lehmer_gcd_nat};
 pub use operand::GcdPair;
