@@ -224,10 +224,14 @@ fn queue_vector_pass_stays_uniform_across_compaction_boundaries() {
                 "{label}: refilling config never refilled"
             );
         } else {
-            assert!(
-                trace.events.iter().any(|e| e.repacked),
-                "{label}: compact-only config never repacked"
-            );
+            // Some service pass shrank the resident prefix: a repack.
+            let mut width = inputs.len().min(WARP);
+            let mut shrank = false;
+            for e in &trace.events {
+                shrank |= e.width_after < width;
+                width = e.width_after;
+            }
+            assert!(shrank, "{label}: compact-only config never repacked");
         }
         for e in &trace.events {
             assert!(e.width_after <= WARP, "{label}: width grew past the warp");
