@@ -656,10 +656,6 @@ fn main() {
     let out: String = opts.get("out", "BENCH_scan.json".to_string());
     let launch_pairs: usize = opts.get("launch-pairs", 256);
     let warp_width: usize = opts.get("warp-width", 32);
-    let compact_frac: f64 = opts.get(
-        "compact-frac",
-        CompactionConfig::default().min_active_fraction,
-    );
     let gate_lockstep = opts.has("gate-lockstep");
     let gate_pipeline = opts.has("gate-pipeline");
     let gate_compaction = opts.has("gate-compaction");
@@ -685,10 +681,6 @@ fn main() {
                 ModuliArena::try_from_moduli(&moduli).expect("bench corpus is non-degenerate");
             let pairs = (m * (m - 1) / 2) as f64;
 
-            let compact_cfg = CompactionConfig {
-                min_active_fraction: compact_frac,
-                ..CompactionConfig::default()
-            };
             let auto_backend = || AutoBackend::new(warp_width);
 
             // The four contestants of the gated ratios run interleaved so
@@ -713,7 +705,10 @@ fn main() {
             };
             let mut run_cls = || {
                 ScanPipeline::new(&arena)
-                    .backend(LockstepBackend::new(warp_width).with_compaction(compact_cfg))
+                    .backend(
+                        LockstepBackend::new(warp_width)
+                            .with_compaction(CompactionConfig::default()),
+                    )
                     .run()
                     .expect("compacted lockstep pipeline scan")
                     .scan
@@ -808,8 +803,9 @@ fn main() {
                 )
             };
             let (ls_occ, _, _) = occupancy_of(LockstepBackend::new(warp_width));
-            let (cls_occ, cls_compactions, cls_refills) =
-                occupancy_of(LockstepBackend::new(warp_width).with_compaction(compact_cfg));
+            let (cls_occ, cls_compactions, cls_refills) = occupancy_of(
+                LockstepBackend::new(warp_width).with_compaction(CompactionConfig::default()),
+            );
 
             let gpu_pipeline = |serial: bool| {
                 ScanPipeline::new(&arena)

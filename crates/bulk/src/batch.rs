@@ -56,7 +56,7 @@
 //! allocations below the subquadratic cutoffs (pinned by
 //! `tests/alloc_steady_state.rs`).
 
-use crate::lockstep::{CompactionConfig, LockstepEngine};
+use crate::lockstep::{LockstepEngine, POOL_WARPS};
 use crate::scan::LockstepBackend;
 use bulkgcd_bigint::div::DivScratch;
 use bulkgcd_bigint::hgcd::gcd_into;
@@ -370,7 +370,7 @@ struct LeafScratch {
 
 impl Default for LeafScratch {
     fn default() -> Self {
-        let width = LockstepBackend::default().warp_width * CompactionConfig::default().pool_warps;
+        let width = LockstepBackend::default().warp_width * POOL_WARPS;
         LeafScratch {
             quotients: Vec::new(),
             queued: Vec::new(),
@@ -439,7 +439,7 @@ fn leaf_stage(
         pairs.push((&quotients[start..end], moduli[i].limbs()));
         start = end;
     }
-    engine.run_queue(&pairs, Termination::Full, CompactionConfig::default());
+    engine.run_queue(&pairs, Termination::Full);
     *inputs = recycle(pairs);
     for (e, &(i, _)) in queued.iter().enumerate() {
         debug_assert_eq!(engine.entry_status(e), GcdStatus::Done);

@@ -66,8 +66,7 @@ pub use scan::{
     combine_terminations, AutoBackend, ExecCtx, FaultStats, Finding, FindingKind, GpuSimBackend,
     LaunchExecutor, LaunchMetrics, LaunchOutput, LockstepBackend, NoSimulatedClock, PipelineReport,
     ProductTreeBackend, ScalarBackend, ScanBackend, ScanError, ScanMetrics, ScanPipeline,
-    ScanReport, AUTO_LOCKSTEP_MIN_BITS, AUTO_MAX_BETA_FRACTION, AUTO_PRODUCT_TREE_MIN_MODULI,
-    DEFAULT_LAUNCH_PAIRS,
+    ScanReport, AUTO_LOCKSTEP_MIN_BITS, AUTO_PRODUCT_TREE_MIN_MODULI, DEFAULT_LAUNCH_PAIRS,
 };
 pub use shard::{
     merge_tiles, run_sharded, tile_fingerprint, Coordinator, MergeError, ShardConfig, ShardError,

@@ -120,50 +120,22 @@ pub struct CompactionEvent {
     pub width_after: usize,
 }
 
-/// Tuning knobs for queue-mode compaction/refill
-/// ([`LockstepEngine::run_queue`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CompactionConfig {
-    /// Refill once the resident width (dense survivor prefix) drains below
-    /// this fraction of the warp width. Refill is **generational**: the
-    /// warp is topped back up to full width in one batch, so freshly
-    /// loaded full-width operands — which pin the fused row count at the
-    /// full stride — arrive in cohorts instead of trickling in every
-    /// iteration. `1.0` refills on any death (maximum occupancy, maximum
-    /// row inflation); `0.0` only when the warp is empty (sequential
-    /// batches, like plain warps but with tail compaction).
-    ///
-    /// Refill is additionally **width-gated**: while survivors are
-    /// resident, a pending pair is admitted only if its operand length
-    /// fits under the current live row ceiling (max `lX` over survivors),
-    /// so topping up never re-inflates a vector pass that had already
-    /// shrunk below the full stride. A drained warp admits anything. On
-    /// uniform corpora the gate turns continuous refill into generational
-    /// refill automatically once operands start shrinking.
-    pub min_active_fraction: f64,
-    /// Reload free columns with pending pairs from the launch queue. When
-    /// `false`, the service pass only repacks survivors (pure compaction;
-    /// a fully drained warp still reloads the next batch).
-    pub refill: bool,
-    /// Resident-arena multiplier used by the scan backend: queue mode runs
-    /// over `pool_warps` warps' worth of columns in one column arena
-    /// (modeling concurrent resident warps on a streaming multiprocessor),
-    /// amortizing per-iteration host overheads that a single 32-lane warp
-    /// cannot. `0` and `1` both mean a single warp. The engine itself is
-    /// width-agnostic — this knob is consumed by `LockstepBackend` when
-    /// sizing the queue engine.
-    pub pool_warps: usize,
-}
+/// Selects queue-mode compaction/refill for
+/// [`LockstepBackend::with_compaction`](crate::LockstepBackend::with_compaction).
+/// The policy is fixed, so the marker carries nothing: a service pass runs
+/// after every iteration in which a lane terminated, refills the free
+/// columns (width-gated, see [`LockstepEngine::run_queue`]) and repacks the
+/// survivors into a dense prefix. Spelled `CompactionConfig::default()`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[non_exhaustive]
+pub struct CompactionConfig;
 
-impl Default for CompactionConfig {
-    fn default() -> Self {
-        CompactionConfig {
-            min_active_fraction: 1.0,
-            refill: true,
-            pool_warps: 4,
-        }
-    }
-}
+/// Warps' worth of columns a queue-mode engine holds resident: the scan
+/// backend and the product tree's leaf stage both size their compacting
+/// engine at `POOL_WARPS × warp width` (modeling concurrent resident warps
+/// on a streaming multiprocessor), amortizing per-iteration host overheads
+/// that a single 32-lane warp cannot.
+pub(crate) const POOL_WARPS: usize = 4;
 
 /// Occupancy and service-event counters for the engine's most recent run
 /// (either mode), reset on every load.
@@ -358,7 +330,7 @@ impl LockstepEngine {
     /// [`entry_factor`](Self::entry_factor), indexed by position in
     /// `inputs`.
     pub fn run_warp(&mut self, inputs: &[(&[Limb], &[Limb])], term: Termination) {
-        self.run_lanes(inputs, term, None, &mut ());
+        self.run_lanes(inputs, term, false, &mut ());
     }
 
     /// [`run_warp`](Self::run_warp) that also accumulates the warp's
@@ -372,7 +344,7 @@ impl LockstepEngine {
         words_per_transaction: u64,
     ) -> WarpWork {
         self.acc.reset(words_per_transaction);
-        self.run_lanes(inputs, term, None, &mut Measure(cost));
+        self.run_lanes(inputs, term, false, &mut Measure(cost));
         self.acc.take()
     }
 
@@ -394,7 +366,7 @@ impl LockstepEngine {
         inputs: &[(&[Limb], &[Limb])],
         term: Termination,
     ) -> LockstepTrace {
-        self.run_traced(inputs, term, None)
+        self.run_traced(inputs, term, false)
     }
 
     /// Execute an arbitrarily long queue of pairs through one warp with
@@ -402,25 +374,27 @@ impl LockstepEngine {
     ///
     /// The engine loads the first `width()` entries, then after every
     /// lockstep iteration in which a lane terminated runs a **service
-    /// pass**: terminated lanes are harvested
-    /// into the per-entry result store (freeing their columns), and when
-    /// the running-lane fraction drops below `cfg.min_active_fraction` dead
-    /// columns are refilled with pending entries and/or the survivors are
-    /// repacked into a dense column prefix so the shared vector pass stops
-    /// issuing masked slots. Lane values are untouched by either move —
-    /// lanes are completely value-independent, and the per-lane iteration
-    /// sequence is identical to [`run_warp`](Self::run_warp) — so findings
-    /// and statuses match the uncompacted engine bit for bit.
+    /// pass**: terminated lanes are harvested into the per-entry result
+    /// store (freeing their columns), free columns are refilled with
+    /// pending entries, and the survivors are repacked into a dense column
+    /// prefix so the shared vector pass stops issuing masked slots.
+    ///
+    /// Refill is **width-gated**: while survivors are resident, a pending
+    /// pair is admitted only if its operand length fits under the live row
+    /// ceiling (max `lX` over survivors), so topping up never re-inflates a
+    /// vector pass that had already shrunk below the full stride; a drained
+    /// warp admits anything. On uniform corpora the gate turns continuous
+    /// refill into generational refill once operands start shrinking.
+    ///
+    /// Lane values are untouched by either move — lanes are completely
+    /// value-independent, and the per-lane iteration sequence is identical
+    /// to [`run_warp`](Self::run_warp) — so findings and statuses match the
+    /// uncompacted engine bit for bit.
     ///
     /// Results are read exactly as after [`run_warp`](Self::run_warp),
     /// indexed by queue entry.
-    pub fn run_queue(
-        &mut self,
-        inputs: &[(&[Limb], &[Limb])],
-        term: Termination,
-        cfg: CompactionConfig,
-    ) {
-        self.run_lanes(inputs, term, Some(cfg), &mut ());
+    pub fn run_queue(&mut self, inputs: &[(&[Limb], &[Limb])], term: Termination) {
+        self.run_lanes(inputs, term, true, &mut ());
     }
 
     /// [`run_queue`](Self::run_queue) recording every queue entry's address
@@ -438,16 +412,15 @@ impl LockstepEngine {
         &mut self,
         inputs: &[(&[Limb], &[Limb])],
         term: Termination,
-        cfg: CompactionConfig,
     ) -> LockstepTrace {
-        self.run_traced(inputs, term, Some(cfg))
+        self.run_traced(inputs, term, true)
     }
 
     fn run_traced(
         &mut self,
         inputs: &[(&[Limb], &[Limb])],
         term: Termination,
-        service: Option<CompactionConfig>,
+        queue: bool,
     ) -> LockstepTrace {
         let mut trace = LockstepTrace {
             plan: BulkTrace::with_threads(inputs.len()),
@@ -457,7 +430,7 @@ impl LockstepEngine {
             iterations: 0,
             events: Vec::new(),
         };
-        self.run_lanes(inputs, term, service, &mut trace);
+        self.run_lanes(inputs, term, queue, &mut trace);
         trace.stride = self.stride;
         trace.iterations = trace.rows_per_iter.len();
         trace
@@ -467,21 +440,21 @@ impl LockstepEngine {
     /// its register tail, and the serialized fixups, until every entry
     /// terminates.
     ///
-    /// `service: None` is the paper's fixed warp: at most `width()`
-    /// entries, no harvest, repack or refill between iterations, and one
-    /// harvest at the end. `Some(cfg)` runs the compaction/refill service
-    /// pass after every iteration in which a lane terminated.
-    // analyze: constant-flow(public = "w, n, stride, term, service, max_iters, rows")
+    /// `queue: false` is the paper's fixed warp: at most `width()` entries,
+    /// no harvest, repack or refill between iterations, and one harvest at
+    /// the end. `queue: true` runs the compaction/refill service pass after
+    /// every iteration in which a lane terminated.
+    // analyze: constant-flow(public = "w, n, stride, term, queue, max_iters, rows")
     // analyze: zero-alloc
     fn run_lanes<O: Observer>(
         &mut self,
         inputs: &[(&[Limb], &[Limb])],
         term: Termination,
-        service: Option<CompactionConfig>,
+        queue: bool,
         obs: &mut O,
     ) {
         let w = self.w;
-        if service.is_none() {
+        if !queue {
             assert!(inputs.len() <= w, "warp overfilled: {} > {w}", inputs.len());
         }
         // analyze: allow(cf-reach, reason = "one-time load/scatter before lockstep begins: operand placement is per-pair setup, not part of the iteration kernel")
@@ -493,11 +466,7 @@ impl LockstepEngine {
         // matches the scalar sequence exactly. A queue scales it by its
         // length, since each entry holds a column for at most its own
         // scalar iteration count.
-        let entries = if service.is_some() {
-            inputs.len().max(1)
-        } else {
-            1
-        };
+        let entries = if queue { inputs.len().max(1) } else { 1 };
         let max_iters = 4096 + 64 * LIMB_BITS as usize * self.stride * entries;
         let mut iter = 0usize;
         loop {
@@ -528,12 +497,12 @@ impl LockstepEngine {
                     iter <= max_iters,
                     "lockstep engine exceeded {max_iters} iterations"
                 );
-            } else if service.is_none() {
+            } else if !queue {
                 // analyze: allow(cf-reach, reason = "end-of-run harvest: reads each terminated lane's result once, after the last iteration")
                 self.harvest();
                 break;
             }
-            if let Some(cfg) = service {
+            if queue {
                 // Lanes terminate only in planning, so after an iteration
                 // in which every resident lane still runs, the service has
                 // nothing to harvest or repack and its width gate still
@@ -541,7 +510,7 @@ impl LockstepEngine {
                 // analyze: allow(cf-branch, reason = "loop exit: the run continues until every entry terminates; the iteration count is operand-dependent and is the documented residual leak (rows_per_iter in the UMM trace model)")
                 if self.lane_terminated() {
                     // analyze: allow(cf-reach, reason = "harvest/repack/refill service pass between vector iterations: compaction is the documented serialized region")
-                    let refilled = self.queue_service(inputs, &mut next, cfg);
+                    let refilled = self.queue_service(inputs, &mut next);
                     obs.on_service(CompactionEvent {
                         iteration: iter,
                         refilled,
@@ -550,7 +519,7 @@ impl LockstepEngine {
                 } else {
                     // analyze: allow(cf-reach, reason = "harvest/repack/refill service pass between vector iterations: compaction is the documented serialized region")
                     #[cfg(debug_assertions)]
-                    self.check_idle_service(inputs, next, cfg);
+                    self.check_idle_service(inputs, next);
                 }
                 if self.n == 0 {
                     break;
@@ -630,27 +599,19 @@ impl LockstepEngine {
     }
 
     /// Queue-mode service pass, run after an iteration in which a lane
-    /// terminated: harvest terminated lanes into the result store, and —
-    /// once the survivors have drained below `min_active_fraction` of the
-    /// warp width — **batch-refill** free columns from the pending queue,
-    /// the dead columns first and then the columns past the prefix; then
-    /// **repack** the survivors into a dense column prefix, so the shared
-    /// vector pass stops issuing masked slots for the dead columns no
-    /// pending pair took (repacking is a handful of plane copies and
-    /// strictly cheaper than the slots it retires). Refilling in
-    /// generations keeps freshly loaded full-width operands (which pin the
-    /// fused row count at the full stride) from trickling in next to
-    /// almost-finished survivors every iteration.
+    /// terminated: harvest terminated lanes into the result store,
+    /// **refill** free columns from the pending queue (the dead columns
+    /// first, then the columns past the prefix) up to the warp width, the
+    /// queue's end or the width gate; then **repack** the survivors into a
+    /// dense column prefix, so the shared vector pass stops issuing masked
+    /// slots for the dead columns no pending pair took (repacking is a
+    /// handful of plane copies and strictly cheaper than the slots it
+    /// retires).
     ///
     /// Every decision here derives from the termination structure (which
     /// lanes have terminated), never from operand values. Returns the
     /// number of columns refilled.
-    fn queue_service(
-        &mut self,
-        inputs: &[(&[Limb], &[Limb])],
-        next: &mut usize,
-        cfg: CompactionConfig,
-    ) -> usize {
+    fn queue_service(&mut self, inputs: &[(&[Limb], &[Limb])], next: &mut usize) -> usize {
         let dead = self.plans.ended.len();
         debug_assert_eq!(
             dead,
@@ -662,35 +623,32 @@ impl LockstepEngine {
         }
         let survivors = self.n - dead;
         let mut refilled = 0usize;
-        if self.refill_open(survivors, cfg) {
-            // Width gate: while survivors are resident, admit a pending
-            // pair only if it fits under the live row ceiling, so a top-up
-            // never re-inflates a vector pass that had already shrunk
-            // below the full stride. A drained warp admits anything.
-            // Lengths are public in the semi-oblivious model, so the gate
-            // derives from the per-iteration structure, not operand values.
-            // The ceiling is taken once a pair is offered, before any load.
-            let mut ceiling = None;
-            while survivors + refilled < self.w && *next < inputs.len() {
-                let (a, b) = inputs[*next];
-                if survivors > 0
-                    && pair_len(a, b) > *ceiling.get_or_insert_with(|| self.row_ceiling())
-                {
-                    break;
-                }
-                // The dead columns first, in lane order, then the columns
-                // past the prefix.
-                let t = match self.plans.ended.get(refilled) {
-                    Some(&t) => t,
-                    None => {
-                        self.n += 1;
-                        self.n - 1
-                    }
-                };
-                self.load_column(t, *next, a, b);
-                *next += 1;
-                refilled += 1;
+        // Width gate: while survivors are resident, admit a pending pair
+        // only if it fits under the live row ceiling, so a top-up never
+        // re-inflates a vector pass that had already shrunk below the full
+        // stride. A drained warp admits anything. Lengths are public in the
+        // semi-oblivious model, so the gate derives from the per-iteration
+        // structure, not operand values. The ceiling is taken once a pair
+        // is offered, before any load.
+        let mut ceiling = None;
+        while survivors + refilled < self.w && *next < inputs.len() {
+            let (a, b) = inputs[*next];
+            if survivors > 0 && pair_len(a, b) > *ceiling.get_or_insert_with(|| self.row_ceiling())
+            {
+                break;
             }
+            // The dead columns first, in lane order, then the columns past
+            // the prefix.
+            let t = match self.plans.ended.get(refilled) {
+                Some(&t) => t,
+                None => {
+                    self.n += 1;
+                    self.n - 1
+                }
+            };
+            self.load_column(t, *next, a, b);
+            *next += 1;
+            refilled += 1;
         }
         if survivors + refilled < self.n {
             self.repack();
@@ -698,18 +656,6 @@ impl LockstepEngine {
         self.stats.compactions += 1;
         self.stats.refills += refilled as u64;
         refilled
-    }
-
-    /// Whether the service's refill step runs with `survivors` lanes
-    /// resident: they have drained below `min_active_fraction` of the warp
-    /// (with `refill` on), or the warp is empty. A drained warp always
-    /// reloads the next batch: `refill: false` only disables mid-flight
-    /// top-ups (sequential batches with tail compaction), never forward
-    /// progress through the queue.
-    fn refill_open(&self, survivors: usize, cfg: CompactionConfig) -> bool {
-        let frac = cfg.min_active_fraction.clamp(0.0, 1.0);
-        let threshold = ((frac * self.w as f64).ceil() as usize).clamp(1, self.w);
-        (cfg.refill && survivors < threshold) || survivors == 0
     }
 
     /// The refill width gate's ceiling: the largest `lX` over the running
@@ -728,20 +674,14 @@ impl LockstepEngine {
     /// last service already stopped its refill at the width, the queue's
     /// end or the gate, whose ceiling can only have fallen since.
     #[cfg(debug_assertions)]
-    fn check_idle_service(
-        &self,
-        inputs: &[(&[Limb], &[Limb])],
-        next: usize,
-        cfg: CompactionConfig,
-    ) {
+    fn check_idle_service(&self, inputs: &[(&[Limb], &[Limb])], next: usize) {
         assert!(
             self.state[..self.n]
                 .iter()
                 .all(|&s| s == LaneState::Running),
             "skipped a service with a terminated lane resident"
         );
-        let would_load = self.refill_open(self.n, cfg)
-            && self.n < self.w
+        let would_load = self.n < self.w
             && next < inputs.len()
             && (self.n == 0 || pair_len(inputs[next].0, inputs[next].1) <= self.row_ceiling());
         assert!(!would_load, "skipped a service that would refill");

@@ -14,12 +14,10 @@
 //! opt out of the launch driver entirely.
 
 use crate::arena::ModuliArena;
-use crate::lockstep::{CompactionConfig, LockstepEngine};
+use crate::lockstep::{CompactionConfig, LockstepEngine, POOL_WARPS};
 use crate::scan::report::{Finding, FindingKind};
 use bulkgcd_bigint::{ops, Limb, Nat, LIMB_BITS};
-use bulkgcd_core::{
-    run_in_place, Algorithm, GcdOutcome, GcdPair, GcdStatus, NoProbe, StatsProbe, Termination,
-};
+use bulkgcd_core::{run_in_place, Algorithm, GcdOutcome, GcdPair, GcdStatus, NoProbe, Termination};
 use bulkgcd_gpu::{schedule, simulate_bulk_gcd, CostModel, DeviceConfig, WarpWork};
 use std::collections::HashMap;
 use std::sync::OnceLock;
@@ -337,20 +335,20 @@ impl ScanBackend for ScalarBackend {
 ///
 /// Without compaction, each warp applies the conservative per-launch
 /// termination fold of its lanes (see [`combine_terminations`]), exactly
-/// like a simulated kernel launch of the same width. With
-/// `compaction: Some(cfg)`, the whole launch becomes one pending queue
-/// feeding a single compacting warp ([`LockstepEngine::run_queue`]):
-/// terminated lanes are harvested and their columns refilled with pending
-/// pairs (and/or survivors repacked into a dense prefix), and the
-/// termination fold is taken over the launch — the same launch-level fold
-/// the simulated-GPU backend applies, still conservative, never missing a
-/// factor.
+/// like a simulated kernel launch of the same width. With compaction,
+/// the whole launch becomes one pending queue feeding a single compacting
+/// engine of four warps' worth of columns
+/// ([`LockstepEngine::run_queue`]): terminated lanes are harvested, their
+/// columns refilled with pending pairs and the survivors repacked into a
+/// dense prefix, and the termination fold is taken over the launch — the
+/// same launch-level fold the simulated-GPU backend applies, still
+/// conservative, never missing a factor.
 #[derive(Debug, Clone, Copy)]
 pub struct LockstepBackend {
     /// Lanes per warp (clamped to ≥ 1).
     pub warp_width: usize,
-    /// Compaction/refill tuning; `None` runs plain fixed warps.
-    pub compaction: Option<CompactionConfig>,
+    /// Run each launch as one compacting queue instead of fixed warps.
+    pub compaction: bool,
 }
 
 impl LockstepBackend {
@@ -358,13 +356,13 @@ impl LockstepBackend {
     pub fn new(warp_width: usize) -> Self {
         LockstepBackend {
             warp_width,
-            compaction: None,
+            compaction: false,
         }
     }
 
-    /// Builder: enable queue-mode compaction/refill with `cfg`.
-    pub fn with_compaction(mut self, cfg: CompactionConfig) -> Self {
-        self.compaction = Some(cfg);
+    /// Builder: enable queue-mode compaction/refill.
+    pub fn with_compaction(mut self, _: CompactionConfig) -> Self {
+        self.compaction = true;
         self
     }
 
@@ -382,7 +380,7 @@ impl Default for LockstepBackend {
 
 struct LockstepExecutor {
     engine: LockstepEngine,
-    compaction: Option<CompactionConfig>,
+    compaction: bool,
 }
 
 impl LaunchExecutor for LockstepExecutor {
@@ -391,9 +389,10 @@ impl LaunchExecutor for LockstepExecutor {
         // Queue mode runs the whole launch as one pending queue through a
         // single compacting warp; plain mode runs fixed warps of `width()`
         // lanes. Each group runs under its own termination fold.
-        let group = match self.compaction {
-            Some(_) => lanes.len().max(1),
-            None => self.engine.width(),
+        let group = if self.compaction {
+            lanes.len().max(1)
+        } else {
+            self.engine.width()
         };
         let mut out = LaunchOutput::default();
         let mut inputs: Vec<(&[Limb], &[Limb])> = Vec::with_capacity(group);
@@ -401,9 +400,10 @@ impl LaunchExecutor for LockstepExecutor {
             let term = launch_termination(arena, pairs, cx.early);
             inputs.clear();
             inputs.extend(pairs.iter().map(|&(i, j)| (arena.limbs(i), arena.limbs(j))));
-            match self.compaction {
-                Some(cfg) => self.engine.run_queue(&inputs, term, cfg),
-                None => self.engine.run_warp(&inputs, term),
+            if self.compaction {
+                self.engine.run_queue(&inputs, term);
+            } else {
+                self.engine.run_warp(&inputs, term);
             }
             harvest(arena, &self.engine, pairs, &mut out.findings);
             out.warps += 1;
@@ -419,7 +419,7 @@ impl LaunchExecutor for LockstepExecutor {
 
 impl ScanBackend for LockstepBackend {
     fn name(&self) -> &'static str {
-        if self.compaction.is_some() {
+        if self.compaction {
             "lockstep-compact"
         } else {
             "lockstep"
@@ -436,13 +436,13 @@ impl ScanBackend for LockstepBackend {
     }
 
     fn executor(&self, _cx: &ExecCtx<'_>) -> Box<dyn LaunchExecutor + Send> {
-        // Queue mode hosts a pooled resident arena of `pool_warps` warps'
-        // worth of columns (modeling concurrent resident warps on an SM),
-        // amortizing per-iteration host overheads; plain mode stays at the
-        // paper-faithful single warp.
-        let width = match self.compaction {
-            Some(cfg) => self.width().saturating_mul(cfg.pool_warps.max(1)),
-            None => self.width(),
+        // Queue mode hosts a pooled resident arena of `POOL_WARPS` warps'
+        // worth of columns; plain mode stays at the paper-faithful single
+        // warp.
+        let width = if self.compaction {
+            self.width().saturating_mul(POOL_WARPS)
+        } else {
+            self.width()
         };
         Box::new(LockstepExecutor {
             engine: LockstepEngine::new(width),
@@ -666,7 +666,7 @@ fn product_tree_findings(cx: &ExecCtx<'_>, parallel: bool) -> Vec<Finding> {
 }
 
 // ---------------------------------------------------------------------------
-// AutoBackend — probe the corpus, pick the fastest strategy.
+// AutoBackend — pick the fastest strategy from the corpus shape.
 // ---------------------------------------------------------------------------
 
 /// Corpus sizes at/above this many moduli resolve to the product-tree
@@ -684,23 +684,6 @@ pub const AUTO_PRODUCT_TREE_MIN_MODULI: usize = 2048;
 /// and ×1.4–1.6 at 128 bits.
 pub const AUTO_LOCKSTEP_MIN_BITS: usize = 128;
 
-/// Probe-measured β > 0 iteration fraction above which warp divergence
-/// (serialized scalar fixups) vetoes the lockstep engine. §V measures
-/// < 10⁻⁸ on random RSA moduli, so any corpus tripping this is shaped
-/// adversarially for the fused path.
-pub const AUTO_MAX_BETA_FRACTION: f64 = 0.05;
-
-/// The most leading bits of the operands the divergence probe consumes
-/// per sampled pair: the probe early-terminates once a pair has shaved
-/// this many bits, or a sixteenth of the operand width when that is fewer
-/// (a few dozen AEA iterations at most — plenty to estimate the
-/// per-iteration β > 0 fraction), so probing costs a small fraction of
-/// one full GCD per sampled pair instead of a whole one at every width.
-pub const AUTO_PROBE_DEPTH_BITS: u64 = 64;
-
-/// How many adjacent-index pairs the divergence probe runs.
-const AUTO_PROBE_PAIRS: usize = 64;
-
 /// The strategy [`AutoBackend`] resolved to for its corpus.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum AutoChoice {
@@ -709,20 +692,19 @@ enum AutoChoice {
     ProductTree,
 }
 
-/// The auto-tuning selector: probes the corpus once (size, operand width,
-/// and a [`StatsProbe`] divergence sample over a deterministic pair
-/// prefix) and resolves to the fastest fixed strategy for that corpus:
+/// The auto-tuning selector: resolves to the fastest fixed strategy from
+/// the corpus shape alone (size, operand width and the algorithm):
 ///
 /// 1. **Product tree** when the corpus has at least
 ///    [`AUTO_PRODUCT_TREE_MIN_MODULI`] moduli — quasi-linear beats any
 ///    pairwise scan at scale.
-/// 2. **Scalar** when operands are narrower than
-///    [`AUTO_LOCKSTEP_MIN_BITS`], when the algorithm is not Approximate
-///    Euclid (the lockstep engine is AEA-only), or when the shallow probe
-///    sees a β > 0 fraction above [`AUTO_MAX_BETA_FRACTION`] (divergence
-///    serialization would dominate).
-/// 3. **Lockstep with compaction/refill** (the default
-///    [`CompactionConfig`]) otherwise.
+/// 2. **Scalar** when the algorithm is not Approximate Euclid (the
+///    lockstep engine is AEA-only) or the operands are narrower than
+///    [`AUTO_LOCKSTEP_MIN_BITS`].
+/// 3. **Lockstep with compaction/refill** otherwise. AEA's β > 0 path is
+///    rare (§V measures < 10⁻⁸ on random RSA moduli) and the engine
+///    serializes it as scalar fixups, so no corpus shape needs a
+///    divergence veto.
 ///
 /// The decision is cached per backend instance, so construct one
 /// `AutoBackend` per corpus. In launch-driven (layered/journaled) runs a product-tree
@@ -757,43 +739,11 @@ impl AutoBackend {
     fn decide(&self, cx: &ExecCtx<'_>) -> AutoChoice {
         *self.choice.get_or_init(|| {
             let arena = cx.arena;
-            let m = arena.len();
-            if m >= AUTO_PRODUCT_TREE_MIN_MODULI {
-                return AutoChoice::ProductTree;
-            }
-            if cx.algo != Algorithm::Approximate {
-                // The lockstep engine executes AEA only; other variants
-                // run scalar.
-                return AutoChoice::Scalar;
-            }
-            if arena.stride() * (LIMB_BITS as usize) < AUTO_LOCKSTEP_MIN_BITS {
-                return AutoChoice::Scalar;
-            }
-            // Divergence probe: run a deterministic prefix of adjacent
-            // pairs through the scalar AEA with a StatsProbe and measure
-            // the β > 0 fraction. Each sampled pair is probed shallowly —
-            // early-terminated after [`AUTO_PROBE_DEPTH_BITS`] bits of
-            // reduction, or a sixteenth of the width on narrow operands —
-            // so the probe costs a small fraction of a full GCD per pair
-            // and stays negligible next to the scan itself.
-            let width_bits = (arena.stride() * LIMB_BITS as usize) as u64;
-            let probe_bits = AUTO_PROBE_DEPTH_BITS.min(width_bits / 16);
-            let depth = Termination::Early {
-                threshold_bits: width_bits.saturating_sub(probe_bits).max(1),
-            };
-            let mut probe = StatsProbe::default();
-            let mut pair = GcdPair::with_capacity(arena.stride());
-            for i in 0..m.saturating_sub(1).min(AUTO_PROBE_PAIRS) {
-                pair.load_from_limbs(arena.limbs(i), arena.limbs(i + 1));
-                run_in_place(Algorithm::Approximate, &mut pair, depth, &mut probe);
-            }
-            let s = &probe.stats;
-            let beta_frac = if s.iterations == 0 {
-                0.0
-            } else {
-                s.beta_nonzero as f64 / s.iterations as f64
-            };
-            if beta_frac > AUTO_MAX_BETA_FRACTION {
+            if arena.len() >= AUTO_PRODUCT_TREE_MIN_MODULI {
+                AutoChoice::ProductTree
+            } else if cx.algo != Algorithm::Approximate
+                || arena.stride() * (LIMB_BITS as usize) < AUTO_LOCKSTEP_MIN_BITS
+            {
                 AutoChoice::Scalar
             } else {
                 AutoChoice::Lockstep

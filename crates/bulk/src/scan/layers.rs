@@ -6,26 +6,15 @@
 //! retry-with-backoff under a [`RetryPolicy`] wrap the backend executor,
 //! and a launch that exhausts its retries degrades to the CPU path. The
 //! result is a journal record, which the pipeline commits to its
-//! [`ScanJournal`] (a file, a caller-held journal, or an in-memory one),
-//! plus the launch's metrics row.
+//! [`ScanJournal`](crate::checkpoint::ScanJournal) (a caller-held journal
+//! or an in-memory one), plus the launch's metrics row.
 
-use crate::checkpoint::{LaunchRecord, ScanJournal};
+use crate::checkpoint::LaunchRecord;
 use crate::fault::FaultPlan;
 use crate::scan::backend::{launch_termination, scalar_fallback, ExecCtx, LaunchExecutor};
 use crate::scan::report::LaunchMetrics;
 use bulkgcd_gpu::{retry_launch, RetryPolicy};
-use std::path::PathBuf;
 use std::time::Instant;
-
-/// Journal a scan commits completed launches to: a path the pipeline opens
-/// (and owns) itself, or a caller-held journal handle (what the kill/resume
-/// tests use to inspect the journal between runs).
-pub(crate) enum CheckpointLayer<'j> {
-    /// Open (or resume) the journal file at this path.
-    Path(PathBuf),
-    /// Use a journal the caller already holds.
-    Journal(&'j mut ScanJournal),
-}
 
 /// One launch's result: the journal record the pipeline commits plus the
 /// metrics row (also the source of the run's

@@ -9,12 +9,12 @@
 //!   (per-pair `run_in_place`), [`LockstepBackend`] (column-major SIMT
 //!   warps), [`GpuSimBackend`] (launches priced on the simulated device),
 //!   [`ProductTreeBackend`] (the batch-GCD baseline), [`AutoBackend`]
-//!   (probes the corpus and picks one);
+//!   (picks one from the corpus shape);
 //! * the [`ScanPipeline`] builder drives every launch-driven scan through
 //!   one loop: each launch runs under a fault plan and retry policy
 //!   ([`faults`](ScanPipeline::faults), [`retry`](ScanPipeline::retry)),
-//!   commits to a scan journal ([`checkpoint`](ScanPipeline::checkpoint),
-//!   [`journal`](ScanPipeline::journal), or an in-memory one), and the
+//!   commits to a scan journal (a caller-held one via
+//!   [`journal`](ScanPipeline::journal), else an in-memory one), and the
 //!   report is folded from the journal's records in launch order, with
 //!   per-launch [`metrics`](ScanPipeline::metrics) on request.
 //!
@@ -47,7 +47,7 @@ pub mod report;
 pub use backend::{
     combine_terminations, AutoBackend, ExecCtx, GpuSimBackend, LaunchExecutor, LaunchOutput,
     LockstepBackend, ProductTreeBackend, ScalarBackend, ScanBackend, AUTO_LOCKSTEP_MIN_BITS,
-    AUTO_MAX_BETA_FRACTION, AUTO_PRODUCT_TREE_MIN_MODULI,
+    AUTO_PRODUCT_TREE_MIN_MODULI,
 };
 pub use report::{
     FaultStats, Finding, FindingKind, LaunchMetrics, NoSimulatedClock, PipelineReport, ScanError,
@@ -61,9 +61,8 @@ use crate::pairing::{group_size_for, GroupedPairs};
 use crate::shard::Tile;
 use bulkgcd_core::Algorithm;
 use bulkgcd_gpu::RetryPolicy;
-use layers::{run_layered_launch, CheckpointLayer, LayeredLaunch};
+use layers::{run_layered_launch, LayeredLaunch};
 use rayon::prelude::*;
-use std::path::PathBuf;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -89,7 +88,7 @@ pub struct ScanPipeline<'a> {
     launch_pairs: Option<usize>,
     serial: bool,
     tile: Option<Tile>,
-    checkpoint: Option<CheckpointLayer<'a>>,
+    journal: Option<&'a mut ScanJournal>,
     faults: Option<&'a FaultPlan>,
     retry: RetryPolicy,
     metrics: bool,
@@ -108,7 +107,7 @@ impl<'a> ScanPipeline<'a> {
             launch_pairs: None,
             serial: false,
             tile: None,
-            checkpoint: None,
+            journal: None,
             faults: None,
             retry: RetryPolicy::default(),
             metrics: false,
@@ -160,17 +159,12 @@ impl<'a> ScanPipeline<'a> {
         self
     }
 
-    /// Commit completed launches to the journal file at `path` (created if
-    /// absent, resumed if it holds a compatible partial scan).
-    pub fn checkpoint(mut self, path: impl Into<PathBuf>) -> Self {
-        self.checkpoint = Some(CheckpointLayer::Path(path.into()));
-        self
-    }
-
-    /// Commit completed launches to a journal the caller already holds
-    /// (the kill/resume tests inspect it between runs).
+    /// Commit completed launches to `journal`: a file opened with
+    /// [`ScanJournal::open`] (created if absent, resumed if it holds a
+    /// compatible partial scan) or an in-memory one the caller inspects
+    /// between runs.
     pub fn journal(mut self, journal: &'a mut ScanJournal) -> Self {
-        self.checkpoint = Some(CheckpointLayer::Journal(journal));
+        self.journal = Some(journal);
         self
     }
 
@@ -212,14 +206,14 @@ impl<'a> ScanPipeline<'a> {
             launch_pairs,
             serial,
             tile,
-            checkpoint,
+            journal,
             faults,
             retry,
             metrics,
         } = self;
         let cx = ExecCtx { arena, algo, early };
         let backend = &*backend;
-        let layered = checkpoint.is_some() || faults.is_some();
+        let layered = journal.is_some() || faults.is_some();
         let prices = backend.prices_launches();
         let m = arena.len();
 
@@ -246,16 +240,12 @@ impl<'a> ScanPipeline<'a> {
             }
         }
 
-        let mut owned_journal;
-        let journal: &mut ScanJournal = match checkpoint {
-            Some(CheckpointLayer::Journal(j)) => j,
-            Some(CheckpointLayer::Path(path)) => {
-                owned_journal = ScanJournal::open(&path)?;
-                &mut owned_journal
-            }
+        let mut in_memory;
+        let journal: &mut ScanJournal = match journal {
+            Some(j) => j,
             None => {
-                owned_journal = ScanJournal::in_memory();
-                &mut owned_journal
+                in_memory = ScanJournal::in_memory();
+                &mut in_memory
             }
         };
         let none_plan = FaultPlan::none();
@@ -929,7 +919,6 @@ mod tests {
         // The closest in-process analogue to a real crash: the killed run's
         // journal handle is dropped, and the resume replays the journal
         // from disk — nothing survives in memory between the two runs.
-        // Exercises the pipeline's own path-opening checkpoint layer too.
         let mut rng = StdRng::seed_from_u64(16);
         let corpus = build_corpus(&mut rng, 10, 128, 2);
         let arena = ModuliArena::try_from_moduli(&corpus.moduli()).unwrap();
@@ -944,10 +933,11 @@ mod tests {
 
         {
             let plan = FaultPlan::none().with_kill(kill_at);
+            let mut journal = ScanJournal::open(&path).unwrap();
             match ScanPipeline::new(&arena)
                 .backend(gpu_backend())
                 .launch_pairs(launch_pairs)
-                .checkpoint(&path)
+                .journal(&mut journal)
                 .faults(&plan)
                 .run()
             {

@@ -18,7 +18,7 @@
 use bulkgcd_bigint::{Limb, Nat};
 use bulkgcd_bulk::{
     AutoBackend, CompactionConfig, Finding, LockstepBackend, LockstepEngine, LockstepStats,
-    ModuliArena, ScanBackend, ScanPipeline,
+    ModuliArena, ScalarBackend, ScanBackend, ScanPipeline, AUTO_PRODUCT_TREE_MIN_MODULI,
 };
 use bulkgcd_core::{run_in_place, Algorithm, GcdPair, GcdStatus, NoProbe, StepKind, Termination};
 use bulkgcd_gpu::{execute_warp, CostModel, DeviceConfig, WarpWork};
@@ -72,18 +72,13 @@ fn check_warps(pairs: &[(Vec<Limb>, Vec<Limb>)], w: usize, term: Termination) {
 /// check every queue entry against the scalar loop under the same
 /// (launch-level) termination — compaction and refill must be invisible
 /// in statuses and factors.
-fn check_queue(
-    pairs: &[(Vec<Limb>, Vec<Limb>)],
-    w: usize,
-    term: Termination,
-    cfg: CompactionConfig,
-) {
+fn check_queue(pairs: &[(Vec<Limb>, Vec<Limb>)], w: usize, term: Termination) {
     let inputs: Vec<(&[Limb], &[Limb])> = pairs
         .iter()
         .map(|(a, b)| (a.as_slice(), b.as_slice()))
         .collect();
     let mut engine = LockstepEngine::new(w);
-    engine.run_queue(&inputs, term, cfg);
+    engine.run_queue(&inputs, term);
     assert_eq!(engine.entry_count(), pairs.len());
     for (q, (a, b)) in pairs.iter().enumerate() {
         let (status, gcd) = scalar_reference(a, b, term);
@@ -102,16 +97,6 @@ fn check_queue(
             ),
         }
     }
-}
-
-/// Compaction tunings spanning never-compact, always-compact, and
-/// fractional thresholds, with and without refill.
-fn compaction_cfg() -> impl Strategy<Value = CompactionConfig> {
-    (0.0f64..=1.0, any::<bool>()).prop_map(|(min_active_fraction, refill)| CompactionConfig {
-        min_active_fraction,
-        refill,
-        ..CompactionConfig::default()
-    })
 }
 
 /// An **odd** operand of 1..=`max_limbs` limbs (top limb forced nonzero).
@@ -149,7 +134,7 @@ proptest! {
     ) {
         check_warps(&pairs, w, Termination::Full);
         let term = Termination::Early { threshold_bits: 1024 };
-        check_queue(&pairs, w, term, CompactionConfig::default());
+        check_queue(&pairs, w, term);
     }
 
     /// Ragged warps of arbitrary fill over mixed-width operands: every
@@ -185,16 +170,15 @@ proptest! {
         check_warps(&pairs, w, Termination::Full);
     }
 
-    /// Queue mode over ragged queues (entries ≫ columns, arbitrary
-    /// compaction tuning): every entry matches the scalar loop exactly —
+    /// Queue mode over ragged queues (entries ≫ columns): every entry
+    /// matches the scalar loop exactly —
     /// repacking survivors and refilling dead columns changes nothing.
     #[test]
     fn queue_matches_scalar_on_ragged_queues(
         pairs in vec((operand(8), operand(8)), 1..24),
         w in prop_oneof![Just(1usize), Just(3), Just(8), Just(16)],
-        cfg in compaction_cfg(),
     ) {
-        check_queue(&pairs, w, Termination::Full, cfg);
+        check_queue(&pairs, w, Termination::Full);
     }
 
     /// Queue mode under early termination: lanes die at different
@@ -205,9 +189,8 @@ proptest! {
         pairs in vec((operand(8), operand(8)), 1..16),
         threshold_bits in 1u64..200,
         w in prop_oneof![Just(1usize), Just(4), Just(8)],
-        cfg in compaction_cfg(),
     ) {
-        check_queue(&pairs, w, Termination::Early { threshold_bits }, cfg);
+        check_queue(&pairs, w, Termination::Early { threshold_bits });
     }
 
     /// Queue mode on β>0-forcing shapes: the serialized divergent fixups
@@ -217,9 +200,8 @@ proptest! {
     fn queue_matches_scalar_on_beta_positive_shapes(
         pairs in vec((operand(12), operand(2)), 1..12),
         w in prop_oneof![Just(2usize), Just(8)],
-        cfg in compaction_cfg(),
     ) {
-        check_queue(&pairs, w, Termination::Full, cfg);
+        check_queue(&pairs, w, Termination::Full);
     }
 }
 
@@ -244,19 +226,14 @@ fn queue_repacks_and_refills_mid_flight() {
             (odd(limbs), odd(limbs))
         })
         .collect();
-    let cfg = CompactionConfig {
-        min_active_fraction: 1.0,
-        refill: true,
-        ..CompactionConfig::default()
-    };
     for term in [Termination::Full, Termination::Early { threshold_bits: 48 }] {
-        check_queue(&pairs, 4, term, cfg);
+        check_queue(&pairs, 4, term);
     }
     let inputs: Vec<(&[Limb], &[Limb])> = pairs
         .iter()
         .map(|(a, b)| (a.as_slice(), b.as_slice()))
         .collect();
-    let trace = LockstepEngine::new(4).run_queue_traced(&inputs, Termination::Full, cfg);
+    let trace = LockstepEngine::new(4).run_queue_traced(&inputs, Termination::Full);
     let mid_flight = |e: &&bulkgcd_bulk::CompactionEvent| e.iteration > 0;
     // A repack: a mid-flight service pass that left the resident prefix
     // narrower than the one before it.
@@ -318,7 +295,7 @@ fn queue_service_counters_are_pinned_on_a_2048_bit_queue() {
         ),
     ];
     for (term, [active, resident, compactions, refills]) in runs {
-        engine.run_queue(&inputs, term, CompactionConfig::default());
+        engine.run_queue(&inputs, term);
         assert_eq!(
             engine.session_stats(),
             LockstepStats {
@@ -332,17 +309,12 @@ fn queue_service_counters_are_pinned_on_a_2048_bit_queue() {
     }
 }
 
-/// Run `pairs` (at most `w`) as a fixed warp and as a queue under `cfg`,
+/// Run `pairs` (at most `w`) as a fixed warp and as a queue,
 /// traced and untraced, and check the two modes agree: per-entry status
 /// and factor, `rows_per_iter`, `iterations`, `stride` and each entry's
 /// plan trace. Within one warp the service pass only harvests and
 /// repacks; it never refills, so queue mode must be the fixed warp.
-fn check_modes_agree(
-    pairs: &[(Vec<Limb>, Vec<Limb>)],
-    w: usize,
-    term: Termination,
-    cfg: CompactionConfig,
-) {
+fn check_modes_agree(pairs: &[(Vec<Limb>, Vec<Limb>)], w: usize, term: Termination) {
     let inputs: Vec<(&[Limb], &[Limb])> = pairs
         .iter()
         .map(|(a, b)| (a.as_slice(), b.as_slice()))
@@ -350,7 +322,7 @@ fn check_modes_agree(
     let mut warp = LockstepEngine::new(w);
     let mut queue = LockstepEngine::new(w);
     let warp_trace = warp.run_warp_traced(&inputs, term);
-    let queue_trace = queue.run_queue_traced(&inputs, term, cfg);
+    let queue_trace = queue.run_queue_traced(&inputs, term);
     assert_eq!(warp_trace.rows_per_iter, queue_trace.rows_per_iter);
     assert_eq!(warp_trace.iterations, queue_trace.iterations);
     assert_eq!(warp_trace.stride, queue_trace.stride);
@@ -367,7 +339,7 @@ fn check_modes_agree(
         .map(|q| (warp.entry_status(q), warp.entry_factor(q).cloned()))
         .collect();
     warp.run_warp(&inputs, term);
-    queue.run_queue(&inputs, term, cfg);
+    queue.run_queue(&inputs, term);
     for (q, (status, factor)) in traced.iter().enumerate() {
         for engine in [&warp, &queue] {
             assert_eq!(engine.entry_status(q), *status, "untraced entry {q}");
@@ -383,19 +355,18 @@ fn check_modes_agree(
 proptest! {
     /// The invariant behind the one iteration loop: for at most `W` pairs,
     /// plain and queue mode run the same iterations over 64–1024-bit
-    /// operands under any compaction tuning, full or early termination.
+    /// operands, full or early termination.
     #[test]
     fn queue_mode_matches_fixed_warp_within_one_warp(
         pairs in vec((operand(32), operand(32)), 1..=8),
         (early, threshold_bits) in (any::<bool>(), 1u64..600),
-        cfg in compaction_cfg(),
     ) {
         let term = if early {
             Termination::Early { threshold_bits }
         } else {
             Termination::Full
         };
-        check_modes_agree(&pairs, 8, term, cfg);
+        check_modes_agree(&pairs, 8, term);
     }
 }
 
@@ -441,6 +412,67 @@ fn compacted_and_auto_backends_match_scalar_findings() {
             assert_eq!(got, reference, "{name} findings diverge at {bits} bits");
         }
     }
+}
+
+/// Auto's decision table, read back through the metrics layer's backend
+/// name: the corpus size, the algorithm and the operand width decide it,
+/// and the compacted lockstep resolution keeps the scalar findings.
+#[test]
+fn auto_resolves_from_corpus_shape() {
+    let resolve = |arena: &ModuliArena, algo: Algorithm| {
+        let rep = ScanPipeline::new(arena)
+            .algorithm(algo)
+            .backend(AutoBackend::new(32))
+            .metrics()
+            .run()
+            .expect("auto scan");
+        (
+            rep.metrics.expect("metrics requested").backend,
+            rep.scan.findings,
+        )
+    };
+
+    // ≥ AUTO_PRODUCT_TREE_MIN_MODULI small odd primes: the product tree.
+    let primes: Vec<Nat> = (3u64..)
+        .step_by(2)
+        .filter(|&n| {
+            (3..)
+                .step_by(2)
+                .take_while(|d| d * d <= n)
+                .all(|d| n % d != 0)
+        })
+        .take(AUTO_PRODUCT_TREE_MIN_MODULI)
+        .map(Nat::from_u64)
+        .collect();
+    let arena = ModuliArena::try_from_moduli(&primes).expect("non-degenerate corpus");
+    let (name, findings) = resolve(&arena, Algorithm::Approximate);
+    assert_eq!(name, "auto:product-tree");
+    assert!(findings.is_empty(), "distinct primes share nothing");
+
+    // An interleaved 256/512-bit corpus: compacted lockstep under AEA,
+    // scalar under any other variant; the findings match the scalar scan.
+    let mut rng = StdRng::seed_from_u64(0xa070);
+    let narrow = build_corpus(&mut rng, 12, 256, 2).moduli();
+    let wide = build_corpus(&mut rng, 12, 512, 2).moduli();
+    let mixed: Vec<Nat> = narrow
+        .into_iter()
+        .zip(wide)
+        .flat_map(|(a, b)| [a, b])
+        .collect();
+    let arena = ModuliArena::try_from_moduli(&mixed).expect("non-degenerate corpus");
+    let reference = findings_with(&arena, ScalarBackend);
+    assert!(!reference.is_empty(), "corpus plants shared primes");
+    let (name, findings) = resolve(&arena, Algorithm::Approximate);
+    assert_eq!(name, "auto:lockstep-compact");
+    assert_eq!(findings, reference);
+    let (name, _) = resolve(&arena, Algorithm::Binary);
+    assert_eq!(name, "auto:scalar");
+
+    // Operands narrower than AUTO_LOCKSTEP_MIN_BITS: scalar.
+    let narrow = build_corpus(&mut rng, 12, 96, 2).moduli();
+    let arena = ModuliArena::try_from_moduli(&narrow).expect("non-degenerate corpus");
+    let (name, _) = resolve(&arena, Algorithm::Approximate);
+    assert_eq!(name, "auto:scalar");
 }
 
 /// The metrics layer surfaces queue-mode occupancy and compaction/refill

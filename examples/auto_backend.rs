@@ -2,8 +2,8 @@
 //!
 //! The same corpus scanned four ways — scalar arena loop, plain lockstep
 //! warps, queue-mode compacted lockstep, and `AutoBackend`, which
-//! probes the corpus (size, operand width, a shallow divergence pilot)
-//! and picks the fastest strategy itself. Findings are identical in
+//! reads the corpus shape (size, operand width, algorithm) and picks the
+//! fastest strategy itself. Findings are identical in
 //! every case; the metrics layer reports which backend auto chose.
 //!
 //! Run with: `cargo run --release --example auto_backend`

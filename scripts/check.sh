@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Offline-friendly pre-merge gate: formatting, lints, and the tier-1 tests.
+# Offline-friendly pre-merge gate: formatting, lints, the tier-1 tests, the
+# end-to-end benchmark's build and unit tests, and the perf gates.
 # All dependencies are vendored under vendor/, so no network is needed.
 #
 # Usage: scripts/check.sh [--no-clippy] [--no-fmt] [--no-analyze] [--analyze-only]
@@ -65,6 +66,9 @@ fi
 echo "== tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
+
+echo "== e2e benchmark: builds against the workspace crates and passes its unit tests"
+cargo test --release --offline -q --manifest-path e2e_bench/Cargo.toml
 
 if [ "$run_analyze" = 1 ]; then
     analyze_gate

@@ -23,7 +23,7 @@
 
 use bulkgcd_bigint::random::random_odd_bits;
 use bulkgcd_bigint::{Limb, Nat};
-use bulkgcd_bulk::{CompactionConfig, LockstepEngine, LockstepTrace};
+use bulkgcd_bulk::{LockstepEngine, LockstepTrace};
 use bulkgcd_core::Termination;
 use bulkgcd_umm::oblivious;
 use bulkgcd_umm::trace::Access;
@@ -192,119 +192,87 @@ fn queue_vector_pass_stays_uniform_across_compaction_boundaries() {
         .map(|(a, b)| (a.as_limbs(), b.as_limbs()))
         .collect();
 
-    for (ci, cfg) in [
-        CompactionConfig::default(),
-        CompactionConfig {
-            min_active_fraction: 0.5,
-            refill: true,
-            ..CompactionConfig::default()
-        },
-        CompactionConfig {
-            min_active_fraction: 1.0,
-            refill: false,
-            ..CompactionConfig::default()
-        },
-    ]
-    .into_iter()
-    .enumerate()
-    {
-        let label = format!("cfg {ci}");
-        let mut engine = LockstepEngine::new(WARP);
-        let trace = engine.run_queue_traced(&inputs, Termination::Full, cfg);
+    let mut engine = LockstepEngine::new(WARP);
+    let trace = engine.run_queue_traced(&inputs, Termination::Full);
 
-        // The boundaries exist: a 41-entry queue through an 8-wide warp
-        // cannot finish without service events.
-        assert!(
-            !trace.events.is_empty(),
-            "{label}: queue run recorded no compaction/refill events"
-        );
-        if cfg.refill {
-            assert!(
-                trace.events.iter().any(|e| e.refilled > 0),
-                "{label}: refilling config never refilled"
-            );
-        } else {
-            // Some service pass shrank the resident prefix: a repack.
-            let mut width = inputs.len().min(WARP);
-            let mut shrank = false;
-            for e in &trace.events {
-                shrank |= e.width_after < width;
-                width = e.width_after;
-            }
-            assert!(shrank, "{label}: compact-only config never repacked");
-        }
-        for e in &trace.events {
-            assert!(e.width_after <= WARP, "{label}: width grew past the warp");
-            assert!(
-                e.iteration <= trace.iterations,
-                "{label}: event off the end"
-            );
-        }
+    // The boundaries exist: a 41-entry queue through an 8-wide warp
+    // cannot finish without service events, some of which refill.
+    assert!(
+        !trace.events.is_empty(),
+        "queue run recorded no compaction/refill events"
+    );
+    assert!(
+        trace.events.iter().any(|e| e.refilled > 0),
+        "queue run never refilled"
+    );
+    // Some service pass shrank the resident prefix: a repack.
+    let mut width = inputs.len().min(WARP);
+    let mut shrank = false;
+    for e in &trace.events {
+        shrank |= e.width_after < width;
+        width = e.width_after;
+    }
+    assert!(shrank, "queue run never repacked");
+    for e in &trace.events {
+        assert!(e.width_after <= WARP, "width grew past the warp");
+        assert!(e.iteration <= trace.iterations, "event off the end");
+    }
 
-        // Dynamic constant-flow: the whole vector trace scores perfectly
-        // uniform — compaction moved lanes between columns without ever
-        // desynchronizing a step.
-        let report = oblivious::analyze(&trace.vector);
-        assert_eq!(
-            report.uniform_fraction(),
-            1.0,
-            "{label}: queue vector pass must stay uniform: {report:?}"
-        );
+    // Dynamic constant-flow: the whole vector trace scores perfectly
+    // uniform — compaction moved lanes between columns without ever
+    // desynchronizing a step.
+    let report = oblivious::analyze(&trace.vector);
+    assert_eq!(
+        report.uniform_fraction(),
+        1.0,
+        "queue vector pass must stay uniform: {report:?}"
+    );
 
-        // Per-entry: every non-idle window is the pure row sweep of its
-        // iteration — addresses derive from (rows_per_iter, stride) alone.
-        let steps = 3 * trace.rows_per_iter.iter().sum::<usize>();
-        let mut base = 0usize;
-        for &rows in &trace.rows_per_iter {
-            for (q, th) in trace.vector.threads.iter().enumerate() {
-                assert_eq!(th.accesses.len(), steps, "{label}: entry {q} unpadded");
-                for k in 0..rows {
-                    let win = &th.accesses[base + 3 * k..base + 3 * k + 3];
-                    if win[0].is_none() {
-                        assert!(
-                            win.iter().all(Option::is_none),
-                            "{label}: entry {q} partial sweep at row {k}"
-                        );
-                    } else {
-                        assert_eq!(win[0], Some(Access::Read(k)), "{label}: entry {q}");
-                        assert_eq!(
-                            win[1],
-                            Some(Access::Read(trace.stride + k)),
-                            "{label}: entry {q}"
-                        );
-                        assert_eq!(win[2], Some(Access::Write(k)), "{label}: entry {q}");
-                    }
+    // Per-entry: every non-idle window is the pure row sweep of its
+    // iteration — addresses derive from (rows_per_iter, stride) alone.
+    let steps = 3 * trace.rows_per_iter.iter().sum::<usize>();
+    let mut base = 0usize;
+    for &rows in &trace.rows_per_iter {
+        for (q, th) in trace.vector.threads.iter().enumerate() {
+            assert_eq!(th.accesses.len(), steps, "entry {q} unpadded");
+            for k in 0..rows {
+                let win = &th.accesses[base + 3 * k..base + 3 * k + 3];
+                if win[0].is_none() {
+                    assert!(
+                        win.iter().all(Option::is_none),
+                        "entry {q} partial sweep at row {k}"
+                    );
+                } else {
+                    assert_eq!(win[0], Some(Access::Read(k)), "entry {q}");
+                    assert_eq!(win[1], Some(Access::Read(trace.stride + k)), "entry {q}");
+                    assert_eq!(win[2], Some(Access::Write(k)), "entry {q}");
                 }
             }
-            base += 3 * rows;
         }
+        base += 3 * rows;
+    }
 
-        // Planning phase stays step-aligned through service boundaries and
-        // inside the operand planes.
-        for (q, th) in trace.plan.threads.iter().enumerate() {
-            assert_eq!(
-                th.len(),
-                trace.iterations * 8,
-                "{label}: entry {q} plan slots"
-            );
-        }
-        assert!(
-            trace.plan.words_required() <= 2 * trace.stride,
-            "{label}: plan reads escaped the operand planes"
+    // Planning phase stays step-aligned through service boundaries and
+    // inside the operand planes.
+    for (q, th) in trace.plan.threads.iter().enumerate() {
+        assert_eq!(th.len(), trace.iterations * 8, "entry {q} plan slots");
+    }
+    assert!(
+        trace.plan.words_required() <= 2 * trace.stride,
+        "plan reads escaped the operand planes"
+    );
+
+    // Tracing and compaction must not perturb results.
+    for (q, (a, b)) in pairs.iter().enumerate() {
+        let want = a.gcd_reference(b);
+        assert_eq!(
+            engine.entry_status(q),
+            bulkgcd_core::GcdStatus::Done,
+            "entry {q}"
         );
-
-        // Tracing and compaction must not perturb results.
-        for (q, (a, b)) in pairs.iter().enumerate() {
-            let want = a.gcd_reference(b);
-            assert_eq!(
-                engine.entry_status(q),
-                bulkgcd_core::GcdStatus::Done,
-                "{label}: entry {q}"
-            );
-            match engine.entry_factor(q) {
-                Some(f) => assert_eq!(*f, want, "{label}: entry {q} factor"),
-                None => assert!(want.is_one(), "{label}: entry {q} lost its factor"),
-            }
+        match engine.entry_factor(q) {
+            Some(f) => assert_eq!(*f, want, "entry {q} factor"),
+            None => assert!(want.is_one(), "entry {q} lost its factor"),
         }
     }
 }
