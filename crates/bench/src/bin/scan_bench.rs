@@ -19,7 +19,9 @@
 //! (`fused_submul_rshift_columns_prefix` with its register tail, 64 limb
 //! rows of a 128-wide warp at two live prefixes) on every ISA path this
 //! CPU can run, interleaved, in ns per lane-row; each grid row records the
-//! `kernel_isa` the lockstep scans dispatched to.
+//! `kernel_isa` the lockstep scans dispatched to. A `plan_lanes` section
+//! times the lockstep planner alone the same way, in ns per lane, on
+//! mid-run heads of a 128-wide warp at two live prefixes.
 //!
 //! Run: `cargo run --release -p bulkgcd-bench --bin scan_bench --
 //!       [--sizes 16,32,64] [--bits 128,1024] [--reps 3] [--warp-width 32]
@@ -75,7 +77,9 @@ use bulkgcd_bulk::{
     GpuSimBackend, GroupedPairs, LockstepBackend, LockstepEngine, ModuliArena, ProductTreeBackend,
     ScanError, ScanJournal, ScanPipeline, ShardConfig, ShardFaultPlan, TilePlan,
 };
-use bulkgcd_core::lanes::{columns_on, KernelIsa, LaneHeads, PassScratch};
+use bulkgcd_core::lanes::{
+    columns_on, head_words, plan_lanes_on, KernelIsa, LaneHeads, LanePlans, LaneState, PassScratch,
+};
 use bulkgcd_core::{kernel_isa, Algorithm, Termination};
 use bulkgcd_gpu::{CostModel, DeviceConfig, RetryPolicy};
 use bulkgcd_rsa::build_corpus;
@@ -266,6 +270,103 @@ fn bench_vector_pass(reps: usize) -> Vec<String> {
             out.push(format!(
                 "    {{\"isa\": \"{}\", \"width\": {W}, \"lanes\": {lanes}, \"rows\": {ROWS}, \
                  \"ns_per_lane_row\": {}, \"vs_portable\": {}}}",
+                isa.name(),
+                json_f64(ns),
+                json_f64(speedup),
+            ));
+        }
+    }
+    out
+}
+
+/// The lockstep planner alone, on every build this CPU can run: `CALLS`
+/// plans of a 128-wide warp's registers per sample, at a full and a
+/// 32-lane resident prefix, with the builds interleaved round by round.
+/// The heads are mid-run ones: `lY` in 17..=64 limbs, `lX` equal to `lY`
+/// or one longer, and about 2% of the lanes on the β > 0 path (Case 4-A
+/// with `lX = lY + 1`); the rest plan fused and none terminates. Rows
+/// report best-of-rounds ns per lane and the median per-round speedup
+/// over the portable build; every build's `alpha`, `rs`, `fixups`,
+/// `ended`, `rows` and `running` must equal the portable build's.
+fn bench_plan_lanes(reps: usize) -> Vec<String> {
+    const W: usize = 128;
+    const CALLS: usize = 4096;
+    // Below every `Y` here (at least 17 limbs), so no lane terminates.
+    const THRESHOLD_BITS: u64 = 512;
+    let mut out = Vec::new();
+    for lanes in [W, 32] {
+        let mut rng = StdRng::seed_from_u64(0x91a7 ^ lanes as u64);
+        let mut heads = LaneHeads::new(W);
+        for t in 0..W {
+            let ly = rng.gen_range(17..=64usize);
+            let lx = ly + rng.gen_range(0..2usize);
+            let mut x: Vec<Limb> = (0..lx).map(|_| rng.gen()).collect();
+            let mut y: Vec<Limb> = (0..ly).map(|_| rng.gen()).collect();
+            (x[lx - 1], y[ly - 1]) = (x[lx - 1].max(1), y[ly - 1].max(1));
+            if lx > ly {
+                // x12 ≤ y12 is Case 4-B (β = 0); above it, 4-A with β = 1.
+                let y12 = (y[ly - 1] as u64) << 32 | y[ly - 2] as u64;
+                let x12 = if rng.gen_range(0..25) == 0 && y12 < u64::MAX {
+                    rng.gen_range(y12 + 1..=u64::MAX)
+                } else {
+                    rng.gen_range(1 << 32..=y12)
+                };
+                (x[lx - 1], x[lx - 2]) = ((x12 >> 32) as Limb, x12 as Limb);
+            } else if x.iter().rev().lt(y.iter().rev()) {
+                std::mem::swap(&mut x, &mut y);
+            }
+            heads.set_x(t, lx, head_words(lx, |k| x[k]));
+            heads.set_y(t, ly, head_words(ly, |k| y[k]));
+        }
+        let plan = |isa: KernelIsa, plans: &mut LanePlans| {
+            let mut state = vec![LaneState::Running; W];
+            (0..CALLS).all(|_| plan_lanes_on(isa, &heads, &mut state, lanes, THRESHOLD_BITS, plans))
+        };
+        let isas: Vec<KernelIsa> = [KernelIsa::Avx512, KernelIsa::Avx2, KernelIsa::Portable]
+            .into_iter()
+            .filter(|&isa| plan(isa, &mut LanePlans::new(W)))
+            .collect();
+        let mut plans: Vec<LanePlans> = isas.iter().map(|_| LanePlans::new(W)).collect();
+        let mut runs: Vec<_> = isas
+            .iter()
+            .zip(plans.iter_mut())
+            .map(|(&isa, plans)| {
+                move || {
+                    plan(isa, plans);
+                    plans.rows
+                }
+            })
+            .collect();
+        let mut contestants: Vec<&mut dyn FnMut() -> usize> =
+            runs.iter_mut().map(|f| f as _).collect();
+        let (times, _) = round_times(reps, &mut contestants);
+        let outputs = |p: &LanePlans| {
+            (
+                p.alpha.clone(),
+                p.rs.clone(),
+                p.fixups.clone(),
+                p.ended.clone(),
+                p.rows,
+                p.running,
+            )
+        };
+        let portable = isas.len() - 1;
+        let per_lane = (CALLS * lanes) as f64;
+        for (i, isa) in isas.iter().enumerate() {
+            assert!(
+                outputs(&plans[i]) == outputs(&plans[portable]),
+                "{} planner differs from the portable build at lanes={lanes}",
+                isa.name()
+            );
+            let ns = best_of(&times[i]) * 1e9 / per_lane;
+            let speedup = median_speedup(&times[portable], &times[i]);
+            eprintln!(
+                "plan_lanes {lanes}/{W} lanes: {} {ns:.3} ns/lane (x{speedup:.2} vs portable)",
+                isa.name()
+            );
+            out.push(format!(
+                "    {{\"isa\": \"{}\", \"width\": {W}, \"lanes\": {lanes}, \
+                 \"ns_per_lane\": {}, \"vs_portable\": {}}}",
                 isa.name(),
                 json_f64(ns),
                 json_f64(speedup),
@@ -1011,6 +1112,7 @@ fn main() {
     }
 
     let vector_rows = bench_vector_pass(reps);
+    let plan_rows = bench_plan_lanes(reps);
 
     // Ingest throughput: the streaming sanitizer (owned rows, fingerprint
     // dedup, rank/select acceptance index) against borrowed-mode
@@ -1043,6 +1145,7 @@ fn main() {
             "  \"rows\": [\n{rows}\n  ],\n",
             "  \"batch_tree\": [\n{brows}\n  ],\n",
             "  \"vector_pass\": [\n{vrows}\n  ],\n",
+            "  \"plan_lanes\": [\n{prows}\n  ],\n",
             "  \"ingest\": {{\"m\": {im}, \"bits\": {ibits}, \"accepted\": {iacc}, \"rejected\": {irej},\n",
             "    \"streaming_seconds\": {is_s}, \"streaming_keys_per_sec\": {is_tp},\n",
             "    \"borrowed_seconds\": {ib_s}, \"borrowed_keys_per_sec\": {ib_tp},\n",
@@ -1061,6 +1164,7 @@ fn main() {
         rows = rows.join(",\n"),
         brows = batch_rows.join(",\n"),
         vrows = vector_rows.join(",\n"),
+        prows = plan_rows.join(",\n"),
         im = ingest.m,
         ibits = ingest.bits,
         iacc = ingest.accepted,

@@ -171,6 +171,24 @@ pub(crate) fn termination_for(bits_i: u64, bits_j: u64, early: bool) -> Terminat
     }
 }
 
+/// The §V reporting rule, applied to every backend's findings where they
+/// enter the pipeline: under early termination a finding stays exactly
+/// when its factor has at least `min(bits_i, bits_j)/2` bits, the pair's
+/// own [`termination_for`] threshold. The per-pair scan stops before any
+/// smaller factor, but a launch under a folded, smaller threshold
+/// ([`combine_terminations`]) and the product tree, which has no
+/// termination at all, can reach one; the rule makes every engine report
+/// what the per-pair scan does. A full scan reports every factor.
+pub(crate) fn retain_reportable(cx: &ExecCtx<'_>, findings: &mut Vec<Finding>) {
+    findings.retain(|f| {
+        let (bits_i, bits_j) = (cx.arena.bit_len(f.i), cx.arena.bit_len(f.j));
+        match termination_for(bits_i, bits_j, cx.early) {
+            Termination::Early { threshold_bits } => f.factor.bit_len() >= threshold_bits,
+            Termination::Full => true,
+        }
+    });
+}
+
 /// Fold per-pair termination settings into the single setting a simulated
 /// kernel launch applies to every lane.
 ///

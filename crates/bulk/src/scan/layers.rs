@@ -4,14 +4,17 @@
 //! [`run_layered_launch`]: fault injection from a
 //! [`FaultPlan`] ([`FaultPlan::none`] unless the caller set one) and
 //! retry-with-backoff under a [`RetryPolicy`] wrap the backend executor,
-//! and a launch that exhausts its retries degrades to the CPU path. The
+//! and a launch that exhausts its retries degrades to the CPU path. Its
+//! findings pass the §V reporting rule (`retain_reportable`), and the
 //! result is a journal record, which the pipeline commits to its
 //! [`ScanJournal`](crate::checkpoint::ScanJournal) (a caller-held journal
 //! or an in-memory one), plus the launch's metrics row.
 
 use crate::checkpoint::LaunchRecord;
 use crate::fault::FaultPlan;
-use crate::scan::backend::{launch_termination, scalar_fallback, ExecCtx, LaunchExecutor};
+use crate::scan::backend::{
+    launch_termination, retain_reportable, scalar_fallback, ExecCtx, LaunchExecutor,
+};
 use crate::scan::report::LaunchMetrics;
 use bulkgcd_gpu::{retry_launch, RetryPolicy};
 use std::time::Instant;
@@ -38,7 +41,7 @@ pub(crate) fn run_layered_launch(
 ) -> LayeredLaunch {
     let t0 = Instant::now();
     let (result, outcome) = retry_launch(launch, plan, policy, || executor.execute(cx, lanes));
-    let (record, metrics) = match result {
+    let (mut record, metrics) = match result {
         Ok(out) => (
             LaunchRecord {
                 launch,
@@ -98,5 +101,6 @@ pub(crate) fn run_layered_launch(
             )
         }
     };
+    retain_reportable(cx, &mut record.findings);
     LayeredLaunch { record, metrics }
 }

@@ -59,6 +59,7 @@ use crate::checkpoint::{JournalError, JournalHeader, ScanJournal};
 use crate::fault::FaultPlan;
 use crate::pairing::{group_size_for, GroupedPairs};
 use crate::shard::Tile;
+use backend::retain_reportable;
 use bulkgcd_core::Algorithm;
 use bulkgcd_gpu::RetryPolicy;
 use layers::{run_layered_launch, LayeredLaunch};
@@ -235,7 +236,8 @@ impl<'a> ScanPipeline<'a> {
             }
         }
         if !layered && tile.is_none() && m >= 2 {
-            if let Some(findings) = backend.run_whole(&cx) {
+            if let Some(mut findings) = backend.run_whole(&cx) {
+                retain_reportable(&cx, &mut findings);
                 return Ok(whole_corpus_report(start, backend, m, &findings, metrics));
             }
         }

@@ -8,10 +8,12 @@
 //! 1. a **planning step** ([`plan_lanes`]) over the warp's per-lane head
 //!    registers ([`LaneHeads`]: the lengths plus the paper's §IV head words,
 //!    the top two and bottom two words of `X` and `Y`). One branch-free
-//!    pass applies the termination tests and plans the overwhelmingly
-//!    common fused update; the few lanes it cannot plan that way (short
-//!    operands, β > 0, deep shifts) go through the scalar oracle
-//!    [`plan_lane`] onto one of the rare scalar paths, and
+//!    pass (a hand-written AVX-512 kernel, or the portable body) plans the
+//!    overwhelmingly common fused update and marks every other running
+//!    lane in a bitmask; a scalar pass over its set bits applies the
+//!    termination tests and sends the few lanes left (short operands,
+//!    β > 0, deep shifts) through the scalar oracle [`plan_lane`] onto one
+//!    of the rare scalar paths, and
 //! 2. a **shared vector pass** ([`fused_submul_rshift_columns_prefix`])
 //!    that applies `X ← rshift(X − α·Y)` to every fused lane at once over
 //!    column-major operand planes and, once per lane block after its rows,
@@ -302,9 +304,10 @@ pub struct LanePlans {
     pub running: usize,
     /// The lanes this iteration's termination tests ended, in lane order.
     pub ended: Vec<usize>,
-    /// Per lane: 1 when the branch-free pass left the lane to the scalar
-    /// path (termination or [`plan_lane`]).
-    rare: Vec<u8>,
+    /// The lanes the branch-free pass left to the scalar pass (termination
+    /// or [`plan_lane`]): lane `t` is bit `t % 64` of word `t / 64`, and
+    /// the bits past the planned prefix are 0.
+    rare: Vec<u64>,
 }
 
 impl LanePlans {
@@ -317,7 +320,7 @@ impl LanePlans {
             ended: Vec::with_capacity(w),
             rows: 0,
             running: 0,
-            rare: vec![0; w],
+            rare: vec![0; w.div_ceil(64)],
         }
     }
 }
@@ -327,29 +330,50 @@ impl LanePlans {
 /// it never exceeds the true quotient and falls short of it by at most 1,
 /// then one exact correction upward.
 ///
-/// Below 2³² the estimate's relative error (three roundings, ≤ 3·2⁻⁵³)
-/// is under 2⁻¹⁹ in absolute terms, so rounding `n/d − ½ − 2⁻¹⁸` to the
-/// nearest integer gives `⌊n/d⌋ − 1` or `⌊n/d⌋`, and `n − q·d` cannot wrap.
-/// The conversions are the exponent-bias kind (2⁵² and 2⁸⁴ magic
-/// numbers): plain integer and float operations that vectorize on every
-/// ISA, where a hardware 64-bit division does not.
+/// Below 2³² the estimate's relative error (three roundings: the two
+/// hardware u64 → f64 conversions and the division, ≤ 3·2⁻⁵³) is under
+/// 2⁻¹⁹ in absolute terms, so rounding `n/d − ½ − 2⁻¹⁸` to the nearest
+/// integer gives `⌊n/d⌋ − 1` or `⌊n/d⌋`, and `n − q·d` cannot wrap.
 #[inline(always)]
 fn div_below_2_32(n: u64, d: u64) -> u64 {
     const M52: f64 = (1u64 << 52) as f64;
-    const M84: f64 = M52 * (1u64 << 32) as f64;
-    // u64 → f64 as (high half · 2³²) + low half, each half placed in the
-    // mantissa of a 2⁸⁴ / 2⁵² float: exact until the one rounding add.
-    let to_f64 = |v: u64| {
-        let lo = f64::from_bits((v & 0xffff_ffff) | M52.to_bits()) - M52;
-        let hi = f64::from_bits((v >> 32) | M84.to_bits()) - M84;
-        hi + lo
-    };
-    let est = (to_f64(n) / to_f64(d) - (0.5 + 1.0 / (1u64 << 18) as f64)).max(0.0);
+    let est = (n as f64 / d as f64 - (0.5 + 1.0 / (1u64 << 18) as f64)).max(0.0);
     // Adding 2⁵² rounds to the nearest integer and leaves it in the low
     // mantissa bits.
     let q = (est + M52).to_bits() & ((1u64 << 52) - 1);
     let r = n.wrapping_sub(q.wrapping_mul(d));
     q.wrapping_add((r >= d) as u64)
+}
+
+/// `⌊n/d⌋` on eight `u64` lanes, read off the f64 quotient, plus the
+/// lanes where that may be wrong: the ones whose quotient lies within
+/// 2⁻¹⁶ of an integer.
+///
+/// The f64 quotient of the hardware-converted operands carries three
+/// roundings (relative error ≤ 3·2⁻⁵³), under 2⁻¹⁸ in absolute terms
+/// while `n/d < 2³³`. So where it lies at least 2⁻¹⁶ from an integer the
+/// true quotient lies in the same unit interval, and its truncation is
+/// exact; a quotient of 2³³ or more reads at least 2³². The flagged
+/// lanes, about one in 2¹⁵ for quotients with a uniform fraction (and
+/// every exact multiple), are for the caller to settle another way.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F and DQ.
+// SAFETY: register arithmetic only; the contract above is the features.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq")]
+#[inline]
+unsafe fn floor_quotient_x8(
+    n: std::arch::x86_64::__m512i,
+    d: std::arch::x86_64::__m512i,
+) -> (std::arch::x86_64::__m512i, u8) {
+    use std::arch::x86_64::*;
+    let est = _mm512_div_pd(_mm512_cvtepu64_pd(n), _mm512_cvtepu64_pd(d));
+    // `est − round(est)`: the distance to the nearest integer.
+    let off = _mm512_abs_pd(_mm512_reduce_pd::<{ _MM_FROUND_TO_NEAREST_INT }>(est));
+    let near = _mm512_cmp_pd_mask::<_CMP_LT_OQ>(off, _mm512_set1_pd(1.0 / (1u64 << 16) as f64));
+    (_mm512_cvttpd_epu64(est), near)
 }
 
 /// Plan one lockstep iteration for the resident prefix `0..lanes`.
@@ -364,15 +388,20 @@ fn div_below_2_32(n: u64, d: u64) -> u64 {
 ///
 /// One branch-free pass plans the common lane: both operands longer than
 /// two words (the paper's Case 4) with β = 0 and a shift below one word.
-/// Its quotient is [`div_below_2_32`] (Case 4's β = 0 quotients are below
-/// 2³²), not a 64-bit division. The rest — short operands, β > 0, deep
-/// shifts, lanes that terminate — take a scalar pass through the oracle.
+/// Its quotient comes from an f64 estimate, not a 64-bit division (Case
+/// 4's β = 0 quotients are below 2³²), and its shift from the low limb
+/// alone: `rs < 32` exactly when `d0 = x0 − α·y0 mod 2³²` is nonzero, and
+/// then `rs` is `d0`'s trailing-zero count. The pass marks every other
+/// running lane in a bitmask, and a scalar pass walks only its set bits:
+/// the terminations, and [`plan_lane`] for short operands, β > 0 and
+/// deep shifts. It also counts the running lanes; `plans.running` is that
+/// count less the lanes the scalar pass ends.
 ///
-/// The pass is compiled for AVX-512 (F, DQ, VL, CD), where it vectorizes
-/// whole, and for AVX2, where it does in part, and dispatched at run time
-/// like the vector pass. The portable build plans every running lane
-/// through [`plan_lane`]: with only SSE2 the branch-free pass vectorizes
-/// two lanes wide on shuffles and costs more than the per-lane oracle.
+/// The branch-free pass is a hand-written AVX-512 kernel
+/// (`plan_avx512`), the portable body autovectorized for AVX2, or, on
+/// the portable build, skipped: with only SSE2 it vectorizes two lanes
+/// wide on shuffles and costs more than [`plan_lane`] per lane, so that
+/// build marks every running lane rare.
 pub fn plan_lanes(
     heads: &LaneHeads,
     state: &mut [LaneState],
@@ -388,23 +417,27 @@ pub fn plan_lanes(
     debug_assert!(ran, "the chosen planner build is available");
 }
 
-/// Whether this CPU runs the planner build for `isa`: the AVX-512 one also
-/// needs DQ (64-bit multiplies), VL and CD (leading-zero counts).
+/// Whether this CPU runs the planner build for `isa`: the AVX-512 kernel
+/// also needs DQ (the u64 ↔ f64 conversions), CD (leading-zero counts),
+/// BW with VL (the state bytes) and POPCNT (the running count).
 fn planner_available(isa: KernelIsa) -> bool {
     match isa {
         #[cfg(target_arch = "x86_64")]
         KernelIsa::Avx512 => {
             isa.available()
                 && std::arch::is_x86_feature_detected!("avx512dq")
-                && std::arch::is_x86_feature_detected!("avx512vl")
                 && std::arch::is_x86_feature_detected!("avx512cd")
+                && std::arch::is_x86_feature_detected!("avx512bw")
+                && std::arch::is_x86_feature_detected!("avx512vl")
+                && std::arch::is_x86_feature_detected!("popcnt")
         }
         _ => isa.available(),
     }
 }
 
 /// [`plan_lanes`] on the given build. Returns `false`, with nothing
-/// touched, when this CPU cannot run it — how tests reach each build.
+/// touched, when this CPU cannot run it — how tests reach each build. The
+/// length checks here are what the AVX-512 kernel's raw accesses rely on.
 #[doc(hidden)]
 pub fn plan_lanes_on(
     isa: KernelIsa,
@@ -414,34 +447,27 @@ pub fn plan_lanes_on(
     threshold_bits: u64,
     plans: &mut LanePlans,
 ) -> bool {
+    assert!(heads.lanes() >= lanes);
+    assert!(state.len() >= lanes);
+    assert!(plans.alpha.len() >= lanes);
+    assert!(plans.rs.len() >= lanes);
+    assert!(plans.rare.len() >= lanes.div_ceil(64));
     if !planner_available(isa) {
         return false;
     }
-    match isa {
+    let (rows, live) = match isa {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `planner_available` confirmed every feature the build
-        // enables.
+        // SAFETY: `planner_available` confirmed every feature the kernel
+        // enables, and the asserts above are its slice bounds.
         KernelIsa::Avx512 => unsafe { plan_avx512(heads, state, lanes, threshold_bits, plans) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `planner_available` confirmed AVX2.
         KernelIsa::Avx2 => unsafe { plan_avx2(heads, state, lanes, threshold_bits, plans) },
         _ => plan_body(heads, state, lanes, threshold_bits, plans, false),
-    }
+    };
+    plan_rare(heads, state, lanes, threshold_bits, plans, rows);
+    plans.running = live - plans.ended.len();
     true
-}
-
-// SAFETY: callers must only invoke this when the CPU supports every
-// enabled feature; the body holds no intrinsics and no raw pointers.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512dq,avx512vl,avx512cd")]
-unsafe fn plan_avx512(
-    heads: &LaneHeads,
-    state: &mut [LaneState],
-    lanes: usize,
-    threshold_bits: u64,
-    plans: &mut LanePlans,
-) {
-    plan_body(heads, state, lanes, threshold_bits, plans, true);
 }
 
 // SAFETY: callers must only invoke this when the CPU supports AVX2; the
@@ -450,111 +476,277 @@ unsafe fn plan_avx512(
 #[target_feature(enable = "avx2")]
 unsafe fn plan_avx2(
     heads: &LaneHeads,
-    state: &mut [LaneState],
+    state: &[LaneState],
     lanes: usize,
     threshold_bits: u64,
     plans: &mut LanePlans,
-) {
-    plan_body(heads, state, lanes, threshold_bits, plans, true);
+) -> (u32, usize) {
+    plan_body(heads, state, lanes, threshold_bits, plans, true)
 }
 
-/// The planner body; `inline(always)` so each build's target features
-/// cover it. Without `branch_free` no lane fuses in the first pass, so
-/// every running lane takes the scalar pass.
-// analyze: constant-flow(public = "lanes, lx, ly, state, threshold_bits, branch_free, rows, running, fixups")
+/// The branch-free planning pass, portable form, and the oracle of
+/// [`plan_avx512`]; `inline(always)` so the AVX2 build's target features
+/// cover it. Writes every lane's fused `(α, rs)` (0 when not fused) and
+/// the rare bitmask, and returns the largest fused `lX` and the number of
+/// running lanes. Without `branch_free` no lane fuses, so every running
+/// lane is rare.
+// analyze: constant-flow(public = "lanes, lx, ly, state, threshold_bits, branch_free, rows, live")
 #[inline(always)]
 fn plan_body(
+    heads: &LaneHeads,
+    state: &[LaneState],
+    lanes: usize,
+    threshold_bits: u64,
+    plans: &mut LanePlans,
+    branch_free: bool,
+) -> (u32, usize) {
+    let (lx, ly) = (&heads.lx[..lanes], &heads.ly[..lanes]);
+    let (xt, xl) = (&heads.xt[..lanes], &heads.xl[..lanes]);
+    let (yt, yl) = (&heads.yt[..lanes], &heads.yl[..lanes]);
+    let state = &state[..lanes];
+    let alpha = &mut plans.alpha[..lanes];
+    let rs = &mut plans.rs[..lanes];
+    let mut rows = 0u32;
+    let mut live = 0usize;
+    for c in 0..lanes.div_ceil(64) {
+        let mut rare = 0u64;
+        for t in 64 * c..lanes.min(64 * c + 64) {
+            let (lxt, lyt) = (lx[t], ly[t]);
+            let (x12, y12) = (xt[t], yt[t]);
+            let running = state[t] == LaneState::Running;
+            live += running as usize;
+            // Y's bit length: its top word sits in the high half of `y12`.
+            let ybits = (LIMB_BITS as u64 * lyt as u64).wrapping_sub(y12.leading_zeros() as u64);
+            let stays = (lyt != 0) & (ybits >= threshold_bits);
+            // Case 4 at β = 0: 4-A with lX = lY (α = x12/(y12+1)), 4-B with
+            // lX = lY + 1 (α = x12/(y1+1)), 4-C (α = 1).
+            let gt = x12 > y12;
+            let beta0 = (lxt == lyt) | ((lxt == lyt + 1) & !gt);
+            let gt_mask = (gt as u64).wrapping_neg();
+            let d = (y12.wrapping_add(1) & gt_mask) | (((y12 >> LIMB_BITS) + 1) & !gt_mask);
+            let one = ((lxt == lyt) & !gt) as u64;
+            let q = div_below_2_32(x12, d) * (1 - one) + one;
+            let a = force_odd(q);
+            // The low limb of X − α·Y: nonzero exactly when rs < 32.
+            let d0 = (xl[t] as Limb).wrapping_sub((a as Limb).wrapping_mul(yl[t] as Limb));
+            let fused = branch_free
+                & running
+                & stays
+                & (lxt > 2)
+                & (lyt > 2)
+                & beta0
+                & (a <= Limb::MAX as u64)
+                & (d0 != 0);
+            let mask = (fused as Limb).wrapping_neg();
+            alpha[t] = a as Limb & mask;
+            rs[t] = d0.trailing_zeros() & mask;
+            rows = rows.max(lxt & mask);
+            rare |= ((running & !fused) as u64) << (t % 64);
+        }
+        plans.rare[c] = rare;
+    }
+    (rows, live)
+}
+
+/// The AVX-512 planning pass: [`plan_body`]'s branch-free pass, 16 lanes
+/// per block. Lengths, `α`, `rs`, `Y`'s bit length and the state tests
+/// live in 32-bit lanes and k-masks; only the head words and the quotient
+/// use 64-bit halves (lanes 0..8 and 8..16 of the block), and the even
+/// and odd 32-bit words of a pair of halves are one permute away. The
+/// trip count is a running `max` in a register, the running lanes a
+/// count of mask bits, and each block's rare lanes 16 bits of the
+/// bitmask.
+///
+/// The kernel may leave more lanes to the scalar pass than [`plan_body`]
+/// does, never fewer, and the scalar pass plans them exactly: the lanes
+/// whose quotient [`floor_quotient_x8`] cannot settle, and those whose `Y`
+/// has `2²⁶ + 3` limbs or more, where its bit length would overflow the
+/// 32-bit lane it is computed in.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512 F, DQ, CD, BW, VL and POPCNT, and the
+/// slices must pass the checks of [`plan_lanes_on`]: `heads` rows,
+/// `state`, `plans.alpha` and `plans.rs` of at least `lanes` entries and
+/// `plans.rare` of at least `lanes.div_ceil(64)` words.
+// SAFETY: every raw access below relies on the contract above.
+// analyze: constant-flow(public = "lanes, threshold_bits")
+// analyze: zero-alloc
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq,avx512cd,avx512bw,avx512vl,popcnt")]
+unsafe fn plan_avx512(
+    heads: &LaneHeads,
+    state: &[LaneState],
+    lanes: usize,
+    threshold_bits: u64,
+    plans: &mut LanePlans,
+) -> (u32, usize) {
+    use std::arch::x86_64::*;
+    const LONG_Y: i32 = 1 << 26;
+    let even = _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30);
+    let odd = _mm512_setr_epi32(1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23, 25, 27, 29, 31);
+    let (one32, one64) = (_mm512_set1_epi32(1), _mm512_set1_epi64(1));
+    let (three, k31) = (_mm512_set1_epi32(3), _mm512_set1_epi32(31));
+    let long_y = _mm512_set1_epi32(LONG_Y);
+    // Clamped to u32: a larger threshold exceeds every `ybits` below, as
+    // the clamped one does.
+    let thr = _mm512_set1_epi32(threshold_bits.min(u32::MAX as u64) as u32 as i32);
+    let running = _mm_set1_epi8(LaneState::Running as i8);
+    let zero = _mm512_setzero_si512();
+    // Per 32-bit lane: the largest fused `lX`.
+    let mut rows = zero;
+    let mut live = 0u32;
+    let words64 = lanes.div_ceil(64);
+    if words64 > 0 {
+        // The bits past the prefix; the blocks below store the rest.
+        plans.rare[words64 - 1] = 0;
+    }
+    // Block b's 16 bits are the b-th u16 of the little-endian bitmask.
+    let rare = plans.rare.as_mut_ptr().cast::<u16>();
+    for b in 0..lanes.div_ceil(16) {
+        let t = 16 * b;
+        let k = (u32::MAX >> (32 - (lanes - t).min(16))) as u16;
+        let half = [k as u8, (k >> 8) as u8];
+        // Lanes t..t+16 of a register row.
+        let row32 = |r: &[u32]| {
+            // SAFETY: the masked load reads only the lanes `k` admits, all
+            // below `lanes ≤ r.len()`.
+            unsafe { _mm512_maskz_loadu_epi32(k, r.as_ptr().add(t).cast()) }
+        };
+        let row64 = |r: &[u64]| {
+            let p = r.as_ptr().wrapping_add(t);
+            // SAFETY: as `row32`, for each half; `wrapping_add` because a
+            // short tail's second half may start past the end.
+            unsafe {
+                [
+                    _mm512_maskz_loadu_epi64(half[0], p.cast()),
+                    _mm512_maskz_loadu_epi64(half[1], p.wrapping_add(8).cast()),
+                ]
+            }
+        };
+        // The even (low) or odd (high) 32-bit words of 16 head words.
+        let words = |v: [__m512i; 2], idx: __m512i| _mm512_permutex2var_epi32(v[0], idx, v[1]);
+        // SAFETY: a masked load of lanes t..t+16 below `lanes`; `LaneState`
+        // is one byte.
+        let st = unsafe { _mm_maskz_loadu_epi8(k, state.as_ptr().add(t).cast()) };
+        let live_k = _mm_mask_cmpeq_epi8_mask(k, st, running);
+        let (lx, ly) = (row32(&heads.lx), row32(&heads.ly));
+        let (xt, yt) = (row64(&heads.xt), row64(&heads.yt));
+        let (xl, yl) = (row64(&heads.xl), row64(&heads.yl));
+        // Y's bit length from its top limb; 3 ≤ lY < 2²⁶ + 3.
+        let ybits = _mm512_sub_epi32(
+            _mm512_slli_epi32::<5>(ly),
+            _mm512_lzcnt_epi32(words(yt, odd)),
+        );
+        let long = _mm512_mask_cmplt_epu32_mask(live_k, _mm512_sub_epi32(ly, three), long_y);
+        let stays = _mm512_mask_cmpge_epu32_mask(long, ybits, thr);
+        // Case 4 at β = 0, as in `plan_body`: 4-A (x12 > y12) and 4-C
+        // with lX = lY, 4-B with lX = lY + 1; `le` is x12 ≤ y12.
+        let le = [0, 1].map(|h| _mm512_cmple_epu64_mask(xt[h], yt[h]));
+        let le16 = le[0] as u16 | (le[1] as u16) << 8;
+        let same = _mm512_mask_cmpeq_epi32_mask(stays, lx, ly);
+        let next = _mm512_mask_cmpeq_epi32_mask(stays & le16, lx, _mm512_add_epi32(ly, one32));
+        let case_c = same & le16;
+        let q = [0, 1].map(|h| {
+            let y = yt[h];
+            // y12 + 1 for 4-A, y1 + 1 for 4-B.
+            let top = _mm512_mask_srli_epi64::<32>(y, le[h], y);
+            // SAFETY: the kernel's features include F and DQ.
+            unsafe { floor_quotient_x8(xt[h], _mm512_add_epi64(top, one64)) }
+        });
+        let near = q[0].1 as u16 | (q[1].1 as u16) << 8;
+        let q = [q[0].0, q[1].0];
+        // A quotient of 2³² or more, or one the estimate cannot settle,
+        // leaves the lane to the scalar pass; 4-C needs none.
+        let settled =
+            _mm512_mask_testn_epi32_mask((same | next) & !near, words(q, odd), words(q, odd));
+        let q = _mm512_mask_mov_epi32(words(q, even), case_c, one32);
+        // Forced odd: `q − 1` when even.
+        let alpha = _mm512_sub_epi32(q, _mm512_andnot_si512(q, one32));
+        let d0 = _mm512_sub_epi32(words(xl, even), _mm512_mullo_epi32(alpha, words(yl, even)));
+        let fused = _mm512_mask_test_epi32_mask(case_c | settled, d0, d0);
+        // tz(d0) = 31 − lzcnt(d0 & −d0).
+        let lowest = _mm512_and_si512(d0, _mm512_sub_epi32(zero, d0));
+        let rs = _mm512_sub_epi32(k31, _mm512_lzcnt_epi32(lowest));
+        // SAFETY: masked stores of lanes t..t+16 below `lanes`.
+        unsafe {
+            let (ap, rp) = (
+                plans.alpha.as_mut_ptr().add(t),
+                plans.rs.as_mut_ptr().add(t),
+            );
+            _mm512_mask_storeu_epi32(ap.cast(), k, _mm512_maskz_mov_epi32(fused, alpha));
+            _mm512_mask_storeu_epi32(rp.cast(), k, _mm512_maskz_mov_epi32(fused, rs));
+        }
+        rows = _mm512_mask_max_epu32(rows, fused, rows, lx);
+        live += live_k.count_ones();
+        // SAFETY: u16 b lies in word b/4 < lanes.div_ceil(64), inside the
+        // checked `plans.rare`.
+        unsafe { rare.add(b).write(live_k & !fused) };
+    }
+    (_mm512_reduce_max_epu32(rows), live as usize)
+}
+
+/// The scalar pass over the lanes a branch-free pass left rare, in lane
+/// order: the same termination tests as the scalar loop's `finished()`,
+/// then [`plan_lane`] for the lanes that keep running. Sets
+/// `plans.fixups`, `plans.ended` and `plans.rows` (the largest of `rows`
+/// and the `lX` of every lane `plan_lane` fuses).
+// analyze: constant-flow(public = "lanes, lx, ly, state, threshold_bits, rows, fixups, rare, bits, t")
+// analyze: zero-alloc
+fn plan_rare(
     heads: &LaneHeads,
     state: &mut [LaneState],
     lanes: usize,
     threshold_bits: u64,
     plans: &mut LanePlans,
-    branch_free: bool,
+    mut rows: u32,
 ) {
-    let (lx, ly) = (&heads.lx[..lanes], &heads.ly[..lanes]);
-    let (xt, xl) = (&heads.xt[..lanes], &heads.xl[..lanes]);
-    let (yt, yl) = (&heads.yt[..lanes], &heads.yl[..lanes]);
-    let state = &mut state[..lanes];
-    let alpha = &mut plans.alpha[..lanes];
-    let rs = &mut plans.rs[..lanes];
-    let rare = &mut plans.rare[..lanes];
-    let mut rows = 0u32;
-    let mut running = 0usize;
-    for t in 0..lanes {
-        let (lxt, lyt) = (lx[t], ly[t]);
-        let (x12, y12) = (xt[t], yt[t]);
-        let live = state[t] == LaneState::Running;
-        // Y's bit length: its top word sits in the high half of `y12`.
-        let ybits = (LIMB_BITS as u64 * lyt as u64).wrapping_sub(y12.leading_zeros() as u64);
-        let stays = (lyt != 0) & (ybits >= threshold_bits);
-        running += (live & stays) as usize;
-        // Case 4 at β = 0: 4-A with lX = lY (α = x12/(y12+1)), 4-B with
-        // lX = lY + 1 (α = x12/(y1+1)), 4-C (α = 1).
-        let gt = x12 > y12;
-        let beta0 = (lxt == lyt) | ((lxt == lyt + 1) & !gt);
-        let gt_mask = (gt as u64).wrapping_neg();
-        let d = (y12.wrapping_add(1) & gt_mask) | (((y12 >> LIMB_BITS) + 1) & !gt_mask);
-        let one = ((lxt == lyt) & !gt) as u64;
-        let q = div_below_2_32(x12, d) * (1 - one) + one;
-        let a = force_odd(q);
-        let low = low_diff64(xl[t], yl[t], 2, a as Limb);
-        let tz = low.trailing_zeros();
-        let fused = branch_free
-            & live
-            & stays
-            & (lxt > 2)
-            & (lyt > 2)
-            & beta0
-            & (a <= Limb::MAX as u64)
-            & (tz < LIMB_BITS);
-        let mask = (fused as Limb).wrapping_neg();
-        alpha[t] = a as Limb & mask;
-        rs[t] = tz & mask;
-        rows = rows.max(lxt & mask);
-        rare[t] = (live & !fused) as u8;
-    }
+    let (xt, xl) = (&heads.xt, &heads.xl);
+    let (yt, yl) = (&heads.yt, &heads.yl);
     plans.fixups.clear();
     plans.ended.clear();
-    for t in 0..lanes {
-        // analyze: allow(cf-branch, reason = "the fused/divergent dispatch is the documented warp-divergence point: diverged lanes queue for serialized scalar fixups")
-        if rare[t] == 0 {
-            continue;
-        }
-        let (lxl, lyl) = (lx[t] as usize, ly[t] as usize);
-        // Same check order as the scalar loop's `finished()`: Y == 0
-        // first, then the early-termination bit threshold.
-        if lyl == 0 {
-            state[t] = LaneState::Done;
-            // analyze: allow(za-alloc, reason = "live/fixups are cleared each iteration and keep their capacity: a push after warmup reuses the allocation")
-            plans.ended.push(t);
-            continue;
-        }
-        let ybits = (LIMB_BITS as usize * lyl) as u64 - yt[t].leading_zeros() as u64;
-        // analyze: allow(cf-branch, reason = "early termination compares the live bit length of Y; terminated lanes mask off — the paper's documented data-dependent exit")
-        if ybits < threshold_bits {
-            state[t] = LaneState::Early;
-            // analyze: allow(za-alloc, reason = "live/fixups are cleared each iteration and keep their capacity: a push after warmup reuses the allocation")
-            plans.ended.push(t);
-            continue;
-        }
-        // Up to two limbs the whole value is the low register.
-        let whole = |l: usize, top: u64, low: u64| if l <= 2 { low } else { top };
-        let (x_top, x_lo) = (whole(lxl, xt[t], xl[t]), xl[t]);
-        let (y_top, y_lo) = (whole(lyl, yt[t], yl[t]), yl[t]);
-        let (plan, _, _, _) = plan_lane(x_top, x_lo, lxl, y_top, y_lo, lyl);
-        // analyze: allow(cf-branch, reason = "the fused/divergent dispatch is the documented warp-divergence point: diverged lanes queue for serialized scalar fixups")
-        match plan {
-            LanePlan::Fused { alpha: a, rs: r } => {
-                alpha[t] = a;
-                rs[t] = r;
-                rows = rows.max(lxl as u32);
+    for c in 0..lanes.div_ceil(64) {
+        // The rare set is the iteration's divergence structure, as public
+        // as the fixups it produces.
+        let mut bits = plans.rare[c];
+        while bits != 0 {
+            let t = 64 * c + bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            let (lxl, lyl) = (heads.lx[t] as usize, heads.ly[t] as usize);
+            // Same check order as the scalar loop's `finished()`: Y == 0
+            // first, then the early-termination bit threshold.
+            if lyl == 0 {
+                state[t] = LaneState::Done;
+                // analyze: allow(za-alloc, reason = "live/fixups are cleared each iteration and keep their capacity: a push after warmup reuses the allocation")
+                plans.ended.push(t);
+                continue;
             }
-            // analyze: allow(za-alloc, reason = "live/fixups are cleared each iteration and keep their capacity: a push after warmup reuses the allocation")
-            other => plans.fixups.push((t, other)),
+            let ybits = (LIMB_BITS as usize * lyl) as u64 - yt[t].leading_zeros() as u64;
+            // analyze: allow(cf-branch, reason = "early termination compares the live bit length of Y; terminated lanes mask off — the paper's documented data-dependent exit")
+            if ybits < threshold_bits {
+                state[t] = LaneState::Early;
+                // analyze: allow(za-alloc, reason = "live/fixups are cleared each iteration and keep their capacity: a push after warmup reuses the allocation")
+                plans.ended.push(t);
+                continue;
+            }
+            // Up to two limbs the whole value is the low register.
+            let whole = |l: usize, top: u64, low: u64| if l <= 2 { low } else { top };
+            let (x_top, x_lo) = (whole(lxl, xt[t], xl[t]), xl[t]);
+            let (y_top, y_lo) = (whole(lyl, yt[t], yl[t]), yl[t]);
+            let (plan, _, _, _) = plan_lane(x_top, x_lo, lxl, y_top, y_lo, lyl);
+            // analyze: allow(cf-branch, reason = "the fused/divergent dispatch is the documented warp-divergence point: diverged lanes queue for serialized scalar fixups")
+            match plan {
+                LanePlan::Fused { alpha: a, rs: r } => {
+                    plans.alpha[t] = a;
+                    plans.rs[t] = r;
+                    rows = rows.max(lxl as u32);
+                }
+                // analyze: allow(za-alloc, reason = "live/fixups are cleared each iteration and keep their capacity: a push after warmup reuses the allocation")
+                other => plans.fixups.push((t, other)),
+            }
         }
     }
     plans.rows = rows as usize;
-    plans.running = running;
 }
 
 /// The portable vector-pass body's scratch rows: the carry chain, and the
@@ -1646,9 +1838,14 @@ mod tests {
     }
 
     /// `div_below_2_32` against the hardware division wherever the
-    /// quotient is below 2³², 0 included: exact multiples (where an f64 estimate lands
-    /// on or just past the integer), one below and one short of the next
-    /// multiple, divisors across the whole range.
+    /// quotient is below 2³², 0 included, and the AVX-512 kernel's
+    /// `floor_quotient_x8` against it on the same pairs: exact or flagged
+    /// below 2³³, at least 2³² or flagged from there up. The pairs are
+    /// exact multiples (where an f64 estimate lands on or just past the
+    /// integer), one below and one short of the next multiple, with
+    /// divisors across the whole range. On uniformly random pairs the
+    /// kernel must flag almost nothing: a flagged lane costs a scalar
+    /// plan.
     #[test]
     fn f64_quotient_is_exact_below_2_32() {
         let mut state = 0x5851_f42d_4c95_7f2du64;
@@ -1667,6 +1864,7 @@ mod tests {
             (1 << 32) + 1,
             u64::MAX / 3,
         ];
+        let mut pairs = Vec::new();
         for round in 0..20_000 {
             let d = match round % 4 {
                 0 => ds[round / 4 % ds.len()],
@@ -1675,7 +1873,7 @@ mod tests {
                 _ => (next() >> 31).max(1),
             }
             .max(1);
-            let qmax = (u64::MAX / d).min(u32::MAX as u64);
+            let qmax = (u64::MAX / d).min(u32::MAX as u64 + 2);
             let q = match round % 3 {
                 0 => qmax,
                 1 => next() % (qmax + 1),
@@ -1690,14 +1888,75 @@ mod tests {
                 if n / d <= u32::MAX as u64 {
                     assert_eq!(div_below_2_32(n, d), n / d, "n={n:#x} d={d:#x}");
                 }
+                pairs.push((n, d));
             }
         }
+        let random: Vec<(u64, u64)> = (0..4096)
+            .map(|_| {
+                let d = (next() >> (next() % 32)).max(1);
+                (next() % d.saturating_mul(1 << 32), d)
+            })
+            .collect();
+        let flagged = kernel_quotients(&pairs).map(|got| {
+            for (&(n, d), (q, near)) in pairs.iter().zip(got) {
+                let want = n / d;
+                assert!(
+                    near || if want < 1 << 33 {
+                        q == want
+                    } else {
+                        q >= 1 << 32
+                    },
+                    "n={n:#x} d={d:#x}: {q:#x}, not flagged"
+                );
+            }
+            let got = kernel_quotients(&random).expect("the same CPU");
+            got.iter().filter(|&&(_, near)| near).count()
+        });
+        if let Some(flagged) = flagged {
+            assert!(flagged <= 4, "{flagged} of 4096 random quotients flagged");
+        }
+    }
+
+    /// `floor_quotient_x8` over `pairs`, eight at a time; `None` when this
+    /// CPU cannot run it.
+    fn kernel_quotients(pairs: &[(u64, u64)]) -> Option<Vec<(u64, bool)>> {
+        #[cfg(target_arch = "x86_64")]
+        if planner_available(KernelIsa::Avx512) {
+            use std::arch::x86_64::*;
+            let mut out = Vec::with_capacity(pairs.len());
+            for chunk in pairs.chunks(8) {
+                let (mut n, mut d) = ([0u64; 8], [1u64; 8]);
+                for (i, &(a, b)) in chunk.iter().enumerate() {
+                    (n[i], d[i]) = (a, b);
+                }
+                let mut q = [0u64; 8];
+                // SAFETY: `planner_available` confirmed AVX-512F and DQ;
+                // the loads and the store cover eight-word arrays.
+                let near = unsafe {
+                    let (qv, near) = floor_quotient_x8(
+                        _mm512_loadu_si512(n.as_ptr().cast()),
+                        _mm512_loadu_si512(d.as_ptr().cast()),
+                    );
+                    _mm512_storeu_si512(q.as_mut_ptr().cast(), qv);
+                    near
+                };
+                out.extend((0..chunk.len()).map(|i| (q[i], near >> i & 1 == 1)));
+            }
+            return Some(out);
+        }
+        let _ = pairs;
+        None
     }
 
     /// One lane's operands for the planner tests, from `shape`: random
     /// words, edge words (0, 1, `u32::MAX`), `Y` repeating `X`'s top two
-    /// words, `Y = X` (a zero low difference), or `X`'s top two words an
-    /// exact multiple of `y12 + 1` (where the f64 quotient must correct).
+    /// words, `Y = X` (a zero low difference), `X`'s top two words an
+    /// exact multiple of `y12 + 1` (where the f64 quotient lands on an
+    /// integer), `y1 = 1`, `X` and `Y` equal but for limb 1 (Case 4-C with
+    /// a zero low limb and a nonzero second limb of the difference:
+    /// DeepShift), Case 4-B with `y1 = u32::MAX` (divisor 2³²; sometimes
+    /// `x12 = y12`, quotient 2³² − 1), Case 4-A with quotient 2³² − 1
+    /// (`x12 = 2⁶⁴ − 1`, `y12 = 2³²`), and Case 1 with quotient 2³².
     fn lane_operands(shape: u8, mut next: impl FnMut() -> u64) -> (Vec<Limb>, Vec<Limb>) {
         const EDGE: [Limb; 4] = [0, 1, Limb::MAX, Limb::MAX - 1];
         let lx = match next() % 3 {
@@ -1722,7 +1981,7 @@ mod tests {
         let mut y: Vec<Limb> = (0..ly).map(|_| word(edge)).collect();
         *x.last_mut().expect("lx >= 1") |= (x[lx - 1] == 0) as Limb;
         *y.last_mut().expect("ly >= 1") |= (y[ly - 1] == 0) as Limb;
-        match shape / 2 % 5 {
+        match shape / 2 % 9 {
             // Y repeats X's top two words.
             1 if ly >= 2 => {
                 y[ly - 1] = x[lx - 1];
@@ -1741,6 +2000,32 @@ mod tests {
             }
             // y1 = 1 (or Y = 1).
             4 => y[ly - 1] = 1,
+            // X = Y but for a larger limb 1.
+            5 if ly >= 4 => {
+                y[1] = y[1].min(Limb::MAX - 1);
+                x = y.clone();
+                x[1] += 1;
+            }
+            // 4-B with y1 = u32::MAX.
+            6 if ly >= 3 => {
+                y[ly - 1] = Limb::MAX;
+                x = (0..=ly).map(|_| word(edge)).collect();
+                x[ly] = x[ly].clamp(1, Limb::MAX - 1);
+                if next() & 1 == 0 {
+                    (x[ly], x[ly - 1]) = (Limb::MAX, y[ly - 2]);
+                }
+            }
+            // 4-A with quotient 2³² − 1.
+            7 if ly >= 3 => {
+                (y[ly - 1], y[ly - 2]) = (1, 0);
+                x = y.clone();
+                (x[ly - 1], x[ly - 2]) = (Limb::MAX, Limb::MAX);
+            }
+            // Case 1 with quotient 2³²: X = y0·2³² + r, r < y0.
+            8 => {
+                let y0 = next() as Limb | 2;
+                (x, y) = (vec![next() as Limb % y0, y0], vec![y0]);
+            }
             _ => {}
         }
         let (lx, ly) = (ops::normalized_len(&x), ops::normalized_len(&y));
@@ -1756,11 +2041,16 @@ mod tests {
         /// loop gives it: the same termination (listed in `ended`), and
         /// `plan_lane`'s plan —
         /// fused `(α, rs)` or the same fixup, in lane order — with the
-        /// same trip count and running count.
+        /// same trip count and running count. Prefixes of up to 130 lanes
+        /// cover 16-lane tails and more than one 64-lane word of the rare
+        /// bitmask; the plan storage is wider than the prefix and starts
+        /// out with garbage, which must not leak into the plan or past
+        /// the prefix. Lanes that are already `Done` or `Early` carry
+        /// garbage registers.
         #[test]
         fn plan_lanes_matches_plan_lane(
             seed in any::<u64>(),
-            lanes in 1usize..96,
+            lanes in 1usize..=130,
             threshold_bits in prop_oneof![Just(0u64), 1u64..2048],
         ) {
             let mut state = seed | 1;
@@ -1778,7 +2068,7 @@ mod tests {
             let (mut expect_fixups, mut expect_ended) = (Vec::new(), Vec::new());
             let (mut expect_rows, mut expect_running) = (0usize, 0usize);
             for t in 0..lanes {
-                let (x, mut y) = lane_operands((next() % 10) as u8, &mut next);
+                let (x, mut y) = lane_operands((next() % 18) as u8, &mut next);
                 if next() % 16 == 0 {
                     y.clear();
                 }
@@ -1792,6 +2082,9 @@ mod tests {
                 };
                 expect_states[t] = states[t];
                 if states[t] != LaneState::Running {
+                    let h = &mut heads;
+                    (h.lx[t], h.ly[t]) = (next() as u32, next() as u32);
+                    (h.xt[t], h.xl[t], h.yt[t], h.yl[t]) = (next(), next(), next(), next());
                     continue;
                 }
                 if ly == 0 {
@@ -1819,17 +2112,19 @@ mod tests {
             }
             // Every build this CPU runs, each from the same starting state.
             for isa in KernelIsa::ALL {
-                let mut plans = LanePlans::new(lanes);
+                let mut plans = LanePlans::new(lanes + 70);
                 plans.alpha.fill(7);
                 plans.rs.fill(7);
+                plans.rare.fill(u64::MAX);
                 let mut got_states = states.clone();
                 if !plan_lanes_on(isa, &heads, &mut got_states, lanes, threshold_bits, &mut plans) {
                     continue;
                 }
                 let at = isa.name();
                 prop_assert_eq!(&got_states, &expect_states, "{}", at);
-                prop_assert_eq!(&plans.alpha, &expect_alpha, "{}", at);
-                prop_assert_eq!(&plans.rs, &expect_rs, "{}", at);
+                prop_assert_eq!(&plans.alpha[..lanes], &expect_alpha[..], "{}", at);
+                prop_assert_eq!(&plans.rs[..lanes], &expect_rs[..], "{}", at);
+                prop_assert!(plans.alpha[lanes..].iter().chain(&plans.rs[lanes..]).all(|&v| v == 7), "{}", at);
                 prop_assert_eq!(&plans.fixups, &expect_fixups, "{}", at);
                 prop_assert_eq!(&plans.ended, &expect_ended, "{}", at);
                 prop_assert_eq!(plans.rows, expect_rows, "{}", at);

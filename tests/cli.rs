@@ -628,3 +628,61 @@ fn check_on_a_corpus_spanning_several_index_segments() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// One §V reporting rule for every engine: under early termination a
+/// finding stays exactly when its factor has at least `min(bits_i,
+/// bits_j)/2` bits. The mixed-width corpus holds two 64-bit moduli sharing
+/// the factor 3 (below their 32-bit threshold), two 256-bit moduli
+/// sharing an 80-bit prime (above the 32-bit threshold a launch folds
+/// from its narrow pairs, below the pair's own 128 bits) and two 256-bit
+/// moduli sharing a 128-bit prime, which every engine reports. Every
+/// engine prints the same stdout; with `--full`, `cpu` and `batch` print
+/// all three pairs.
+#[test]
+fn every_engine_reports_by_the_per_pair_rule_on_a_mixed_width_corpus() {
+    use bulkgcd_bigint::{prime::random_prime, Nat};
+    use rand::{rngs::StdRng, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(25);
+    let mut prime = |bits| random_prime(&mut rng, bits);
+    let three = Nat::from_u64(3);
+    let (small, big) = (prime(80), prime(128));
+    let moduli = [
+        three.mul(&prime(62)),
+        small.mul(&prime(176)),
+        big.mul(&prime(128)),
+        three.mul(&prime(62)),
+        small.mul(&prime(176)),
+        big.mul(&prime(128)),
+    ];
+    let dir = tempdir();
+    let corpus = dir.join("mixed.txt");
+    let text: String = moduli.iter().map(|n| n.to_hex() + "\n").collect();
+    std::fs::write(&corpus, text).unwrap();
+    let scan = |engine: &str, extra: &[&str]| {
+        let out = bulkgcd()
+            .arg("scan")
+            .arg(&corpus)
+            .args(["--engine", engine])
+            .args(extra)
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{engine}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8(out.stdout).unwrap()
+    };
+    let cpu = scan("cpu", &[]);
+    assert_eq!(cpu, format!("2 5 {}\n", big.to_hex()));
+    for engine in ["lockstep", "gpu", "batch", "auto"] {
+        assert_eq!(scan(engine, &[]), cpu, "--engine {engine}");
+    }
+    let full = scan("cpu", &["--full"]);
+    assert_eq!(scan("batch", &["--full"]), full);
+    assert_eq!(
+        full,
+        format!("0 3 3\n1 4 {}\n2 5 {}\n", small.to_hex(), big.to_hex())
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
