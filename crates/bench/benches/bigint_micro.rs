@@ -1,8 +1,8 @@
 //! Criterion micro-benchmarks for the arithmetic substrate: the fused
 //! multiply-subtract-shift (the AEA inner loop), full division (the Fast
 //! Euclid inner loop), multiplication, Montgomery modpow, and the
-//! subquadratic dispatch ladder (NTT multiply, Newton division,
-//! half-GCD) against the legacy schoolbook/Karatsuba/Knuth/binary paths.
+//! subquadratic dispatch ladder (NTT multiply, Newton division) against
+//! the legacy schoolbook/Karatsuba/Knuth paths.
 
 use bulkgcd_bigint::random::random_odd_bits;
 use bulkgcd_bigint::{ops, thresholds, Montgomery};
@@ -123,23 +123,6 @@ fn bench_ladder(c: &mut Criterion) {
         group.bench_function(BenchmarkId::new("legacy", limbs), |b| {
             thresholds::set_legacy_ladder();
             b.iter(|| black_box(x.div_rem(&y)));
-            thresholds::reset_ladder();
-        });
-    }
-    group.finish();
-
-    let mut group = c.benchmark_group("gcd_ladder");
-    group.sample_size(10);
-    for limbs in [384u64, 1536] {
-        let x = random_odd_bits(&mut rng, limbs * 32);
-        let y = random_odd_bits(&mut rng, limbs * 32 - 17);
-        group.bench_function(BenchmarkId::new("ladder", limbs), |b| {
-            thresholds::reset_ladder();
-            b.iter(|| black_box(x.gcd(&y)))
-        });
-        group.bench_function(BenchmarkId::new("legacy", limbs), |b| {
-            thresholds::set_legacy_ladder();
-            b.iter(|| black_box(x.gcd(&y)));
             thresholds::reset_ladder();
         });
     }

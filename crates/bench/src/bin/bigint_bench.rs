@@ -1,18 +1,18 @@
 //! Machine-readable arithmetic-ladder benchmark: `BENCH_bigint.json`.
 //!
 //! Times the width-dispatched ladder (Karatsuba → 3-prime NTT
-//! multiplication, Newton-reciprocal division, half-GCD) against the
-//! legacy quadratic configuration (Karatsuba + Knuth + binary GCD) over a
-//! width sweep, plus the end-to-end product-tree batch scan at the largest
-//! corpus, and writes one JSON report for tooling to diff across commits.
+//! multiplication, Newton-reciprocal division) against the legacy
+//! quadratic configuration (Karatsuba + Knuth) over a width sweep, plus
+//! the end-to-end product-tree batch scan at the largest corpus, and
+//! writes one JSON report for tooling to diff across commits.
 //! The two arms run in one process: the legacy arm flips the global cutoff
 //! ladder via [`thresholds::set_legacy_ladder`] before each sample and the
 //! new arm restores it with [`thresholds::reset_ladder`], so both time the
-//! *same* entry points (`Nat::mul`, `Nat::div_rem`, `Nat::gcd`) and the
+//! *same* entry points (`Nat::mul`, `Nat::div_rem`) and the
 //! dispatch overhead itself is inside the measurement.
 //!
 //! Run: `cargo run --release -p bulkgcd-bench --bin bigint_bench --
-//!       [--mul-limbs 32,64,...] [--div-limbs ...] [--gcd-limbs ...]
+//!       [--mul-limbs 32,64,...] [--div-limbs ...]
 //!       [--reps 3] [--out BENCH_bigint.json] [--gate-subquadratic]`
 //!
 //! `--gate-subquadratic` (used by `scripts/check.sh`) additionally fails
@@ -83,8 +83,8 @@ fn nat_of_limbs(rng: &mut StdRng, limbs: usize) -> Nat {
 /// (ladder_best, legacy_best, speedup) with the best times per single
 /// `op` call and `speedup` the median of per-round legacy/ladder ratios.
 /// Narrow widths pass `iters` large enough that the per-sample ladder
-/// toggle (a handful of atomic stores plus an env lookup) is amortized
-/// out of the measurement.
+/// toggle (a handful of atomic stores) is amortized out of the
+/// measurement.
 fn ladder_vs_legacy(reps: usize, iters: usize, mut op: impl FnMut() -> usize) -> (f64, f64, f64) {
     let iters = iters.max(1);
     let op = core::cell::RefCell::new(&mut op);
@@ -154,7 +154,6 @@ fn main() {
         "div-limbs",
         &[32, 64, 128, 256, 512, 1024, 2048, 4096, 8192],
     );
-    let gcd_limbs = opts.get_list("gcd-limbs", &[48, 96, 192, 384, 768, 1536]);
     let batch_m: usize = opts.get("batch-keys", 256);
     let batch_bits: u64 = opts.get("batch-bits", 1024);
 
@@ -193,23 +192,6 @@ fn main() {
         );
         div_rows.push(Row {
             label: format!("\"dividend_limbs\": {}, \"divisor_limbs\": {n}", 2 * n),
-            ladder_s,
-            legacy_s,
-            speedup,
-        });
-    }
-
-    // GCD: n x n limbs with a planted 16-limb common factor, Nat::gcd.
-    let mut gcd_rows = Vec::new();
-    for &n in &gcd_limbs {
-        let n = n as usize;
-        let g = nat_of_limbs(&mut rng, 16.min(n / 2).max(1));
-        let a = g.mul(&nat_of_limbs(&mut rng, n - g.len()));
-        let b = g.mul(&nat_of_limbs(&mut rng, n - g.len()));
-        let (ladder_s, legacy_s, speedup) = ladder_vs_legacy(reps, 512 / n, || digest(&a.gcd(&b)));
-        eprintln!("gcd {n:>6} limbs: ladder {ladder_s:.3e}s legacy {legacy_s:.3e}s x{speedup:.2}");
-        gcd_rows.push(Row {
-            label: format!("\"limbs\": {n}"),
             ladder_s,
             legacy_s,
             speedup,
@@ -431,7 +413,6 @@ fn main() {
             "  \"thresholds\": {{{ladder}}},\n",
             "  \"mul\": [\n{mul}\n  ],\n",
             "  \"div\": [\n{div}\n  ],\n",
-            "  \"gcd\": [\n{gcd}\n  ],\n",
             "  \"wrap_mul\": {{\"limbs\": {wn}, \"wrap_seconds\": {ws:.9}, \"full_seconds\": {fs:.9},\n",
             "    \"speedup\": {wsp:.4}, \"matches_full\": {wm}}},\n",
             "  \"ntt\": {{\"kernel_isa\": \"{isa}\", \"rows\": [\n{ntt}\n  ]}},\n",
@@ -445,7 +426,6 @@ fn main() {
         ladder = ladder,
         mul = json_rows(&mul_rows),
         div = json_rows(&div_rows),
-        gcd = json_rows(&gcd_rows),
         wn = WRAP_LIMBS,
         ws = wrap_s,
         fs = full_s,
@@ -497,9 +477,6 @@ fn main() {
     }
     if let Some(r) = div_rows.last() {
         check("Newton div vs Knuth", &r.label, r.speedup, WIDE_SPEEDUP);
-    }
-    if let Some(r) = gcd_rows.last() {
-        check("half-GCD vs binary", &r.label, r.speedup, WIDE_SPEEDUP);
     }
     for rows in [&mul_rows, &div_rows] {
         for r in rows

@@ -16,12 +16,11 @@
 //!   update of paper §IV;
 //! * a width-dispatched multiplication ladder — schoolbook, Karatsuba
 //!   and a 3-prime CRT NTT ([`ntt`]) — with cutoffs
-//!   in [`thresholds`] (env-overridable for tuning); the NTT butterflies
-//!   run on the SIMD path [`kernel_isa`] names;
+//!   in [`thresholds`]; the NTT butterflies run on the SIMD path
+//!   [`kernel_isa`] names;
 //! * division by Knuth Algorithm D, switching to Newton–Raphson reciprocal
 //!   division ([`newton`]) for large divisors;
-//! * GCD by binary/Lehmer loops below [`thresholds::HGCD`] limbs and
-//!   subquadratic half-GCD ([`hgcd`]) above it;
+//! * binary GCD ([`gcd`]) at every width;
 //! * Montgomery modular exponentiation and modular inverse (for recovering
 //!   RSA private keys), and a one-word Montgomery fold ([`MontFold`]) for
 //!   reducing long products modulo a short odd modulus;
@@ -31,8 +30,8 @@
 pub mod bytes;
 pub mod convert;
 pub mod div;
+pub mod gcd;
 pub mod gcd_ref;
-pub mod hgcd;
 pub mod isa;
 pub mod limb;
 pub mod modular;

@@ -1,5 +1,5 @@
 //! The arithmetic dispatch ladder: operand-width cutoffs that decide which
-//! algorithm `mul_dispatch`, `div_rem_slices` and `Nat::gcd` route to.
+//! algorithm `mul_dispatch` and `div_rem_slices` route to.
 //!
 //! Every cutoff is a limb count. The ladder (see DESIGN.md, "Arithmetic
 //! dispatch ladder") is, from narrow to wide operands:
@@ -9,7 +9,6 @@
 //! | mul     | schoolbook            | Karatsuba (`karatsuba`)  |
 //! | mul     | Karatsuba             | 3-prime NTT (`ntt`)      |
 //! | div     | Knuth Algorithm D     | Newton reciprocal (`newton_div`) |
-//! | gcd     | binary GCD            | half-GCD (`hgcd`)        |
 //!
 //! Defaults were tuned on the bench host from `BENCH_bigint.json` sweeps
 //! (`bigint_bench`; ladder-vs-legacy medians per width). With the
@@ -19,66 +18,39 @@
 //! past `ntt::MAX_NTT_TOTAL_LIMBS` runs Karatsuba, whose halves re-enter
 //! the NTT. On the 1-core
 //! reference box, Newton division crossed Knuth between divisor 1024
-//! (×0.75) and 2048 (×1.31), so it opens at 1536; half-GCD beats binary
-//! GCD already at 192 limbs (×1.16, growing to ×3.5 at 1536). Each cutoff
-//! can be overridden for a sweep via its environment variable (read once,
-//! on first use), or programmatically via `set()` — the latter is what the
-//! perf gate uses to pit the new ladder against the legacy
-//! Karatsuba/Knuth-only configuration inside one process. Correctness
-//! never depends on the values.
+//! (×0.75) and 2048 (×1.31), so it opens at 1536. A process may override
+//! a cutoff with `set()`: the perf gate does so to pit the ladder against
+//! the legacy Karatsuba/Knuth-only configuration inside one process.
+//! Correctness never depends on the values.
 
 use core::sync::atomic::{AtomicUsize, Ordering};
 
-/// One tunable cutoff: a limb count with an env-var override, cached in an
-/// atomic so the hot dispatch paths pay a single relaxed load.
+/// One cutoff: a limb count in an atomic, so the hot dispatch paths pay a
+/// single relaxed load.
 pub struct Threshold {
-    env: &'static str,
     default: usize,
-    /// Cached value; 0 means "not initialized yet" (no cutoff is ever 0:
-    /// `set` clamps to >= 1, and `usize::MAX` disables a rung entirely).
-    cached: AtomicUsize,
+    value: AtomicUsize,
 }
 
 impl Threshold {
-    const fn new(env: &'static str, default: usize) -> Self {
+    const fn new(default: usize) -> Self {
         Threshold {
-            env,
             default,
-            cached: AtomicUsize::new(0),
+            value: AtomicUsize::new(default),
         }
     }
 
     /// Current cutoff in limbs.
     #[inline]
     pub fn get(&self) -> usize {
-        let v = self.cached.load(Ordering::Relaxed);
-        if v != 0 {
-            return v;
-        }
-        self.init()
-    }
-
-    #[cold]
-    fn init(&self) -> usize {
-        let v = std::env::var(self.env)
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .unwrap_or(self.default)
-            .max(1);
-        self.cached.store(v, Ordering::Relaxed);
-        v
+        self.value.load(Ordering::Relaxed)
     }
 
     /// Override the cutoff for this process (bench sweeps and the
     /// `--gate-subquadratic` legacy-vs-ladder comparison). Values are
     /// clamped to >= 1; `usize::MAX` disables the rung.
     pub fn set(&self, limbs: usize) {
-        self.cached.store(limbs.max(1), Ordering::Relaxed);
-    }
-
-    /// The environment variable consulted on first use.
-    pub fn env_var(&self) -> &'static str {
-        self.env
+        self.value.store(limbs.max(1), Ordering::Relaxed);
     }
 
     /// The built-in default (what `get` returns absent overrides).
@@ -89,30 +61,25 @@ impl Threshold {
 
 /// Operand length (limbs) at which multiplication switches schoolbook →
 /// Karatsuba. Applied to the *shorter* operand of a balanced product.
-pub static KARATSUBA: Threshold = Threshold::new("BULKGCD_KARATSUBA_CUTOFF", 32);
+pub static KARATSUBA: Threshold = Threshold::new(32);
 
 /// Shorter-operand length (limbs) at which a balanced product switches
 /// Karatsuba → the 3-prime CRT NTT. The NTT's cost is a step function
 /// of `next_power_of_two(la + lb)`, so the crossover sits just above the
 /// width where a 256-point transform's flat cost undercuts Karatsuba.
-pub static NTT: Threshold = Threshold::new("BULKGCD_NTT_CUTOFF", 128);
+pub static NTT: Threshold = Threshold::new(128);
 
 /// Divisor length (limbs) at which division switches Knuth Algorithm D →
 /// Newton reciprocal (the quotient must also be at least half this many
 /// limbs; see `div::newton_applies`).
-pub static NEWTON_DIV: Threshold = Threshold::new("BULKGCD_NEWTON_DIV_CUTOFF", 1536);
-
-/// Operand length (limbs) at which `Nat::gcd` switches binary GCD →
-/// the half-GCD driver.
-pub static HGCD: Threshold = Threshold::new("BULKGCD_HGCD_CUTOFF", 192);
+pub static NEWTON_DIV: Threshold = Threshold::new(1536);
 
 /// Snapshot of the whole ladder, for bench reports.
-pub fn snapshot() -> [(&'static str, usize); 4] {
+pub fn snapshot() -> [(&'static str, usize); 3] {
     [
         ("karatsuba", KARATSUBA.get()),
         ("ntt", NTT.get()),
         ("newton_div", NEWTON_DIV.get()),
-        ("hgcd", HGCD.get()),
     ]
 }
 
@@ -121,14 +88,12 @@ pub fn snapshot() -> [(&'static str, usize); 4] {
 pub fn set_legacy_ladder() {
     NTT.set(usize::MAX);
     NEWTON_DIV.set(usize::MAX);
-    HGCD.set(usize::MAX);
 }
 
-/// Restore every rung to its default (or env-overridden) value.
+/// Restore every rung to its default.
 pub fn reset_ladder() {
-    for t in [&KARATSUBA, &NTT, &NEWTON_DIV, &HGCD] {
-        t.cached.store(0, Ordering::Relaxed);
-        t.get();
+    for t in [&KARATSUBA, &NTT, &NEWTON_DIV] {
+        t.set(t.default);
     }
 }
 
@@ -146,12 +111,12 @@ mod tests {
     fn set_and_get_roundtrip() {
         // A private Threshold so we don't perturb the global ladder used by
         // concurrently running tests.
-        static T: Threshold = Threshold::new("BULKGCD_TEST_CUTOFF_UNSET", 17);
+        static T: Threshold = Threshold::new(17);
         assert_eq!(T.get(), 17);
         T.set(99);
         assert_eq!(T.get(), 99);
         T.set(0); // clamped
         assert_eq!(T.get(), 1);
-        assert_eq!(T.env_var(), "BULKGCD_TEST_CUTOFF_UNSET");
+        assert_eq!(T.default_value(), 17);
     }
 }

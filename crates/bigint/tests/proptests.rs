@@ -190,14 +190,13 @@ proptest! {
 
 // ---- arithmetic dispatch ladder cross-checks ----
 //
-// The subquadratic rungs (NTT, Newton division, half-GCD) are
-// checked against the quadratic oracles over operand shapes that straddle
-// the default cutoffs, including unbalanced widths and unnormalized
-// zero-limb tails. Tests call the algorithm entries directly (and
-// `gcd_with_cutoff` with a tiny cutoff) rather than mutating the global
-// threshold ladder, which would race concurrently running tests.
+// The subquadratic rungs (NTT, Newton division) are checked against the
+// quadratic oracles over operand shapes that straddle the default
+// cutoffs, including unbalanced widths and unnormalized zero-limb tails.
+// Tests call the algorithm entries directly rather than mutating the
+// global threshold ladder, which would race concurrently running tests.
 
-use bulkgcd_bigint::{div, hgcd, mul, newton, ntt, square};
+use bulkgcd_bigint::{div, gcd, mul, newton, ntt, square};
 
 /// Schoolbook oracle over raw (possibly unnormalized) limb slices.
 fn schoolbook_mul(a: &[Limb], b: &[Limb]) -> Vec<Limb> {
@@ -250,21 +249,23 @@ proptest! {
     }
 
     #[test]
-    fn hgcd_driver_matches_reference(a in nat(18), b in nat(18)) {
-        // Cutoff 2 forces the half-GCD recursion on operands small enough
-        // for the Euclid reference to stay fast.
-        prop_assert_eq!(hgcd::gcd_with_cutoff(&a, &b, 2), a.gcd_reference(&b));
-    }
-
-    #[test]
     fn nat_gcd_matches_reference(a in nat(12), b in nat(12)) {
-        prop_assert_eq!(a.gcd(&b), a.gcd_reference(&b));
+        let want = a.gcd_reference(&b);
+        prop_assert_eq!(&a.gcd(&b), &want);
+        // `gcd_into` twice through the same scratch: the warm buffers'
+        // leftovers must not leak into the second result.
+        let (mut sa, mut sb, mut out) = (Vec::new(), Vec::new(), Nat::default());
+        for _ in 0..2 {
+            gcd::gcd_into(&a, &b, &mut sa, &mut sb, &mut out);
+            prop_assert_eq!(&out, &want);
+        }
     }
 }
 
 /// Deterministic widths that cross the *real* default cutoffs, so the
 /// dispatcher itself (not just the algorithm entries) is exercised on its
-/// Newton-division and half-GCD rungs under `cargo test`.
+/// Newton-division rung under `cargo test`, and `Nat::gcd` on operands
+/// wider than any modulus the scan sees.
 #[test]
 fn dispatcher_routes_above_default_cutoffs() {
     let mut state = 0x9e37_79b9_7f4a_7c15u64;
@@ -282,7 +283,7 @@ fn dispatcher_routes_above_default_cutoffs() {
     assert_eq!(qd, qk);
     assert_eq!(rd, rk);
 
-    // GCD: operands above HGCD (192) with a planted common factor.
+    // GCD: 200-limb operands (6400 bits) with a planted common factor.
     let g = Nat::from_limbs(&(0..8).map(|_| next() as u32).collect::<Vec<_>>());
     let x = g.mul(&Nat::from_limbs(
         &(0..200).map(|_| next() as u32).collect::<Vec<_>>(),

@@ -51,7 +51,7 @@
 //! (`leaf_stage`); the parallel one runs one queue per worker.
 //!
 //! The tree arithmetic rides the `bulkgcd-bigint` dispatch ladder
-//! (NTT multiply, half-GCD), and [`batch_gcd_into`] threads a
+//! (NTT multiply, Newton division), and [`batch_gcd_into`] threads a
 //! [`BatchScratch`] through every node so the steady state performs no
 //! allocations below the subquadratic cutoffs (pinned by
 //! `tests/alloc_steady_state.rs`).
@@ -59,7 +59,7 @@
 use crate::lockstep::{LockstepEngine, POOL_WARPS};
 use crate::scan::LockstepBackend;
 use bulkgcd_bigint::div::DivScratch;
-use bulkgcd_bigint::hgcd::gcd_into;
+use bulkgcd_bigint::gcd::gcd_into;
 use bulkgcd_bigint::mul::mul_dispatch;
 use bulkgcd_bigint::{ntt, ops, thresholds, Limb, Nat, LIMB_BITS};
 use bulkgcd_core::{run_in_place, Algorithm, GcdPair, GcdStatus, NoProbe, Termination};

@@ -690,9 +690,9 @@ fn product_tree_findings(cx: &ExecCtx<'_>, parallel: bool) -> Vec<Finding> {
 /// Corpus sizes at/above this many moduli resolve to the product-tree
 /// baseline: batch GCD is quasi-linear in the corpus while every pairwise
 /// backend is quadratic, so past this point the tree always wins. The
-/// subquadratic arithmetic ladder (NTT multiply, Newton division,
-/// half-GCD) cut the tree's node costs enough to pull this crossover down
-/// from its pre-ladder 4096 (see `BENCH_scan.json` batch-tree rows).
+/// subquadratic arithmetic ladder (NTT multiply, Newton division) cut the
+/// tree's node costs enough to pull this crossover down from its
+/// pre-ladder 4096 (see `BENCH_scan.json` batch-tree rows).
 pub const AUTO_PRODUCT_TREE_MIN_MODULI: usize = 2048;
 
 /// Minimum operand width (bits) below which compacted lockstep still loses

@@ -1287,14 +1287,16 @@ unsafe fn block_tail<const N: usize>(
         let top = wide(top1[b], top2);
         let low = wide(low1, low0);
         let half = |m: u16, h: usize| (m >> (8 * h)) as u8;
-        // SAFETY: masked loads of the block's fused columns.
+        // SAFETY: masked loads of the block's fused columns; the 64-bit
+        // halves use `wrapping_add` because a short tail's second half may
+        // start past the end.
         let (ly, yt) = unsafe {
             (
                 _mm512_maskz_loadu_epi32(fused, heads.ly.as_ptr().add(col).cast()),
                 [0, 1].map(|h| {
                     _mm512_maskz_loadu_epi64(
                         half(fused, h),
-                        heads.yt.as_ptr().add(col + 8 * h).cast(),
+                        heads.yt.as_ptr().wrapping_add(col + 8 * h).cast(),
                     )
                 }),
             )
@@ -1320,10 +1322,14 @@ unsafe fn block_tail<const N: usize>(
         }
         // Write-back: a swapped lane's X registers take the old Y's and
         // its Y registers the new X's.
-        // SAFETY: masked loads and stores of the block's fused columns.
+        // SAFETY: masked loads and stores of the block's fused columns;
+        // `wrapping_add` for the 64-bit halves, as for `yt` above.
         unsafe {
             let yl = [0, 1].map(|h| {
-                _mm512_maskz_loadu_epi64(half(less, h), heads.yl.as_ptr().add(col + 8 * h).cast())
+                _mm512_maskz_loadu_epi64(
+                    half(less, h),
+                    heads.yl.as_ptr().wrapping_add(col + 8 * h).cast(),
+                )
             });
             let lx_new = _mm512_mask_blend_epi32(less, l[b], ly);
             _mm512_mask_storeu_epi32(heads.lx.as_mut_ptr().add(col).cast(), fused, lx_new);
@@ -1331,12 +1337,12 @@ unsafe fn block_tail<const N: usize>(
             for h in 0..2 {
                 let (f, s) = (half(fused, h), half(less, h));
                 let (xt, xl) = (
-                    heads.xt.as_mut_ptr().add(col + 8 * h),
-                    heads.xl.as_mut_ptr().add(col + 8 * h),
+                    heads.xt.as_mut_ptr().wrapping_add(col + 8 * h),
+                    heads.xl.as_mut_ptr().wrapping_add(col + 8 * h),
                 );
                 let (ytp, ylp) = (
-                    heads.yt.as_mut_ptr().add(col + 8 * h),
-                    heads.yl.as_mut_ptr().add(col + 8 * h),
+                    heads.yt.as_mut_ptr().wrapping_add(col + 8 * h),
+                    heads.yl.as_mut_ptr().wrapping_add(col + 8 * h),
                 );
                 _mm512_mask_storeu_epi64(xt.cast(), f, _mm512_mask_blend_epi64(s, top[h], yt[h]));
                 _mm512_mask_storeu_epi64(xl.cast(), f, _mm512_mask_blend_epi64(s, low[h], yl[h]));

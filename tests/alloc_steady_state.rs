@@ -99,8 +99,8 @@ fn steady_state_scan_hot_loop_allocates_nothing() {
     // `BatchScratch` every node buffer, division scratch, gcd workspace and
     // the leaf stage's lockstep engine is reused, so repeat batches over
     // same-shaped corpora are heap-free. The corpus stays at 64-bit moduli
-    // so every node is below the subquadratic cutoffs, whose Newton and
-    // half-GCD rungs allocate internally by design.
+    // so every node is below the subquadratic cutoffs, whose Newton rung
+    // allocates internally by design.
     let mut rng = StdRng::seed_from_u64(7);
     let batch_corpus = build_corpus(&mut rng, 16, 64, 0);
     let batch_moduli = batch_corpus.moduli();
