@@ -40,7 +40,14 @@
 //! the portable one at N = 2¹⁵ when it is not the portable one, and once
 //! a product twice the largest size has grown the shared twiddle tables,
 //! every path's full and wrapped products at each size, read from those
-//! tables' prefixes, must still agree.
+//! tables' prefixes, must still agree, and every path's wrapped pair
+//! (`ntt::mul_wrap_pair_into_on`) must equal its two wrapped products.
+//!
+//! The `newton_div` rows time Newton division against Knuth, both called
+//! directly, at divisors around the Newton cutoff ([`NEWTON_DIV_LIMBS`])
+//! with dividends 1.5×, 2× and 3× as wide; where the speedup crosses 1 is
+//! where `thresholds::NEWTON_DIV` belongs. Each row checks that both give
+//! the same quotient and remainder; its ratio is reported, not gated.
 //!
 //! The `long_rem` rows time the key-service check's reduction, a long
 //! product modulo one 1024-bit key, as [`MontFold::fold`] against Knuth
@@ -51,7 +58,9 @@
 use bulkgcd_bench::gate::{best_of, median_speedup, round_times};
 use bulkgcd_bench::Options;
 use bulkgcd_bigint::random::random_odd_bits;
-use bulkgcd_bigint::{kernel_isa, ntt, thresholds, KernelIsa, MontFold, Nat, LIMB_BITS};
+use bulkgcd_bigint::{
+    div, kernel_isa, newton, ntt, thresholds, KernelIsa, Limb, MontFold, Nat, LIMB_BITS,
+};
 use bulkgcd_bulk::{ModuliArena, ProductTreeBackend, ScanPipeline};
 use bulkgcd_rsa::build_corpus;
 use rand::rngs::StdRng;
@@ -67,6 +76,15 @@ const NTT_SIZES: [usize; 4] = [1 << 10, 1 << 13, 1 << 15, 1 << 16];
 
 /// The transform size the dispatched-vs-portable NTT gate judges.
 const NTT_GATE_SIZE: usize = 1 << 15;
+
+/// Divisor limbs of the `newton_div` rows, around the Newton cutoff
+/// (`thresholds::NEWTON_DIV`).
+const NEWTON_DIV_LIMBS: [usize; 6] = [384, 512, 768, 1024, 1536, 2048];
+
+/// Dividend widths of the `newton_div` rows, in halves of the divisor's:
+/// 1.5× (the smallest quotient the dispatcher sends to Newton at the
+/// cutoff), 2× and 3× (the tree's seed division).
+const NEWTON_DIV_HALVES: [usize; 3] = [3, 4, 6];
 
 /// `(dividend, divisor)` limbs of the `long_rem` rows: the product of 4096
 /// 1024-bit keys, and one `CorpusIndex` segment (1024 limbs), each reduced
@@ -121,6 +139,11 @@ fn digest(n: &Nat) -> usize {
     })
 }
 
+/// [`digest`] of a division's quotient and remainder limbs.
+fn quotient_digest((q, r): (Vec<Limb>, Vec<Limb>)) -> usize {
+    digest(&Nat::from_vec(q)) ^ digest(&Nat::from_vec(r)).rotate_left(1)
+}
+
 struct Row {
     label: String,
     ladder_s: f64,
@@ -156,6 +179,7 @@ fn main() {
     );
     let batch_m: usize = opts.get("batch-keys", 256);
     let batch_bits: u64 = opts.get("batch-bits", 1024);
+    opts.finish();
 
     let mut rng = StdRng::seed_from_u64(0xb16);
     let mut fail = false;
@@ -196,6 +220,41 @@ fn main() {
             legacy_s,
             speedup,
         });
+    }
+
+    // Newton against Knuth division around the cutoff, both called
+    // directly, so the rows below the cutoff time Newton too: where the
+    // speedup crosses 1 is where `NEWTON_DIV` belongs.
+    let mut newton_rows = Vec::new();
+    for n in NEWTON_DIV_LIMBS {
+        for halves in NEWTON_DIV_HALVES {
+            let la = halves * n / 2;
+            let a = nat_of_limbs(&mut rng, la);
+            let b = nat_of_limbs(&mut rng, n);
+            let (a, b) = (a.limbs(), b.limbs());
+            let (times, sinks) = round_times(
+                reps,
+                &mut [
+                    &mut || quotient_digest(newton::div_rem_newton(a, b)),
+                    &mut || quotient_digest(div::div_rem_knuth(a, b)),
+                ],
+            );
+            if sinks[0] != sinks[1] {
+                eprintln!("GATE FAIL: Newton and Knuth division differ at {la}/{n}");
+                fail = true;
+            }
+            let (newton_s, knuth_s) = (best_of(&times[0]), best_of(&times[1]));
+            let speedup = median_speedup(&times[1], &times[0]);
+            eprintln!(
+                "newton div {la:>6}/{n:<6} limbs: newton {newton_s:.3e}s knuth {knuth_s:.3e}s \
+                 x{speedup:.2}"
+            );
+            newton_rows.push(format!(
+                "    {{\"dividend_limbs\": {la}, \"divisor_limbs\": {n}, \
+                 \"newton_seconds\": {newton_s:.9}, \"knuth_seconds\": {knuth_s:.9}, \
+                 \"speedup\": {speedup:.4}}}"
+            ));
+        }
     }
 
     // Wrapped product at the scaled descent's step shape: a fraction just
@@ -291,9 +350,10 @@ fn main() {
         let top = NTT_SIZES[NTT_SIZES.len() - 1];
         let warm = nat_of_limbs(&mut rng, top);
         black_box(ntt::mul_ntt(warm.limbs(), warm.limbs()));
-        let mut agree = true;
+        let (mut agree, mut pairs_match) = (true, true);
         for n in NTT_SIZES {
             let (a, b) = (nat_of_limbs(&mut rng, n / 2), nat_of_limbs(&mut rng, n / 2));
+            let c = nat_of_limbs(&mut rng, n / 3);
             let products: Vec<_> = isas
                 .iter()
                 .map(|&isa| {
@@ -305,6 +365,27 @@ fn main() {
                         a.limbs(),
                         b.limbs()
                     ));
+                    // A pair sharing `a` must equal the two single products.
+                    let (mut wrapped_c, mut p0, mut p1) = (vec![0; n / 2], vec![0; n / 2], vec![0; n / 2]);
+                    assert!(ntt::mul_wrap_into_on(
+                        isa,
+                        &mut wrapped_c,
+                        a.limbs(),
+                        c.limbs()
+                    ));
+                    assert!(ntt::mul_wrap_pair_into_on(
+                        isa,
+                        [&mut p0, &mut p1],
+                        a.limbs(),
+                        [b.limbs(), c.limbs()]
+                    ));
+                    if (&p0, &p1) != (&wrapped, &wrapped_c) {
+                        eprintln!(
+                            "GATE FAIL: the {} wrapped pair differs from two wrapped products at N={n}",
+                            isa.name()
+                        );
+                        pairs_match = false;
+                    }
                     (full, wrapped)
                 })
                 .collect();
@@ -321,7 +402,10 @@ fn main() {
                 2 * top
             );
         }
-        fail |= !agree;
+        if pairs_match {
+            eprintln!("ntt wrapped pairs: every path equals its two wrapped products");
+        }
+        fail |= !(agree && pairs_match);
     }
 
     // Long remainder: fold vs Knuth at the key-service shapes. The key is
@@ -413,6 +497,7 @@ fn main() {
             "  \"thresholds\": {{{ladder}}},\n",
             "  \"mul\": [\n{mul}\n  ],\n",
             "  \"div\": [\n{div}\n  ],\n",
+            "  \"newton_div\": [\n{nd}\n  ],\n",
             "  \"wrap_mul\": {{\"limbs\": {wn}, \"wrap_seconds\": {ws:.9}, \"full_seconds\": {fs:.9},\n",
             "    \"speedup\": {wsp:.4}, \"matches_full\": {wm}}},\n",
             "  \"ntt\": {{\"kernel_isa\": \"{isa}\", \"rows\": [\n{ntt}\n  ]}},\n",
@@ -426,6 +511,7 @@ fn main() {
         ladder = ladder,
         mul = json_rows(&mul_rows),
         div = json_rows(&div_rows),
+        nd = newton_rows.join(",\n"),
         wn = WRAP_LIMBS,
         ws = wrap_s,
         fs = full_s,

@@ -22,6 +22,9 @@ fn oblivious_bulk(p: usize, steps: usize) -> BulkTrace {
 
 fn main() {
     let opts = Options::from_env();
+    let pairs_n: usize = opts.get("pairs", 128);
+    let bits: u64 = opts.get("bits", 512);
+    opts.finish();
 
     println!("=== Fig. 2 walkthrough: w = 4, l = 5 ===");
     let cfg = UmmConfig::new(4, 5);
@@ -66,8 +69,6 @@ fn main() {
     }
 
     {
-        let pairs_n: usize = opts.get("pairs", 128);
-        let bits: u64 = opts.get("bits", 512);
         println!("\n=== Section VI: bulk GCD traces ({pairs_n} pairs, {bits}-bit, early term) ===");
         println!(
             "{:<14} {:>10} {:>13} {:>13} {:>9} {:>11} {:>13}",

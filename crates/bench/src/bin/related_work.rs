@@ -25,6 +25,7 @@ fn main() {
     // Enough lanes to occupy every simulated device (2 warps per SM on the
     // 30-SM GTX 285); per-GCD time is meaningless on an idle device.
     let pairs_n: usize = opts.get("pairs", 1920);
+    opts.finish();
     let bits = 1024;
     let pairs = rsa_modulus_pairs(pairs_n, bits, 77);
     let term = Termination::Early {

@@ -386,6 +386,7 @@ fn fault_smoke(opts: &Options) {
     // launch boundaries, retried transients and persistent→CPU fallbacks.
     let seed: u64 = opts.get("fault-seed", 7);
     let resume = opts.has("resume");
+    opts.finish();
     let device = DeviceConfig::gtx_780_ti();
     let cost = CostModel::default();
     let policy = RetryPolicy::default();
@@ -473,6 +474,9 @@ fn shard_smoke(opts: &Options) {
     let launch_pairs: usize = opts.get("launch-pairs", 16);
     let shards: usize = opts.get("shards", 4);
     let seed: u64 = opts.get("fault-seed", 7);
+    // Implied: see above.
+    opts.has("resume");
+    opts.finish();
     let algo = Algorithm::Approximate;
     let device = DeviceConfig::gtx_780_ti();
     let cost = CostModel::default();
@@ -554,6 +558,7 @@ fn gate_shards(opts: &Options) {
     let launch_pairs: usize = opts.get("launch-pairs", 126);
     let shards: usize = opts.get("shards", 4);
     let reps: usize = opts.get("reps", 3);
+    opts.finish();
     const EFFICIENCY_FLOOR: f64 = 0.80;
     let algo = Algorithm::Approximate;
     let device = DeviceConfig::gtx_780_ti();
@@ -744,15 +749,7 @@ fn main() {
         return;
     }
     let sizes = opts.get_list("sizes", &[16, 32, 64]);
-    if sizes.is_empty() {
-        eprintln!("error: --sizes needs a comma-separated list of corpus sizes (e.g. 16,32,64)");
-        std::process::exit(2);
-    }
     let bits_list = opts.get_list("bits", &[128, 1024]);
-    if bits_list.is_empty() {
-        eprintln!("error: --bits needs a comma-separated list of modulus widths (e.g. 128,1024)");
-        std::process::exit(2);
-    }
     let reps: usize = opts.get("reps", 3);
     let out: String = opts.get("out", "BENCH_scan.json".to_string());
     let launch_pairs: usize = opts.get("launch-pairs", 256);
@@ -761,6 +758,15 @@ fn main() {
     let gate_pipeline = opts.has("gate-pipeline");
     let gate_compaction = opts.has("gate-compaction");
     let gate_ingest = opts.has("gate-ingest");
+    let batch_sizes = opts.get_list("batch-sizes", &[64, 256, 1024]);
+    let batch_bits: u64 = opts.get(
+        "batch-bits",
+        bits_list.iter().copied().max().unwrap_or(1024),
+    );
+    let batch_scalar_cap: usize = opts.get("batch-scalar-cap", 256);
+    let ingest_m: usize = opts.get("ingest-keys", 65_536);
+    let ingest_bits: u64 = opts.get("ingest-bits", 128);
+    opts.finish();
     let device = DeviceConfig::gtx_780_ti();
     let cost = CostModel::default();
     let algo = Algorithm::Approximate;
@@ -1024,12 +1030,6 @@ fn main() {
     // scalar all-pairs scan as an interleaved reference up to
     // `--batch-scalar-cap` keys and findings identity asserted wherever
     // the reference runs.
-    let batch_sizes = opts.get_list("batch-sizes", &[64, 256, 1024]);
-    let batch_bits: u64 = opts.get(
-        "batch-bits",
-        bits_list.iter().copied().max().unwrap_or(1024),
-    );
-    let batch_scalar_cap: usize = opts.get("batch-scalar-cap", 256);
     let mut batch_rows = Vec::new();
     for &m in &batch_sizes {
         let m = m as usize;
@@ -1117,8 +1117,6 @@ fn main() {
     // Ingest throughput: the streaming sanitizer (owned rows, fingerprint
     // dedup, rank/select acceptance index) against borrowed-mode
     // `sanitize_moduli`, on an m=64k synthetic hostile corpus by default.
-    let ingest_m: usize = opts.get("ingest-keys", 65_536);
-    let ingest_bits: u64 = opts.get("ingest-bits", 128);
     let ingest = bench_ingest(ingest_m, ingest_bits, reps);
     eprintln!(
         "ingest m={} bits={}: streaming {:.0} keys/s, borrowed {:.0} keys/s \

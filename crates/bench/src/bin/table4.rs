@@ -50,6 +50,7 @@ fn main() {
     let opts = Options::from_env();
     let pairs_n: usize = opts.get("pairs", 200);
     let sizes = opts.get_list("bits", &[512, 1024]);
+    opts.finish();
 
     println!("TABLE IV. The number of iterations performed by Euclidean algorithms");
     println!("({pairs_n} random RSA-modulus pairs per size; paper used 10000)");

@@ -47,6 +47,7 @@ fn main() {
     // 134M pairs). Default: two warps per SM.
     let gpu_pairs_n: usize = opts.get("gpu-pairs", pairs_n.max(960));
     let sizes = opts.get_list("bits", &[512, 1024]);
+    opts.finish();
     let device = DeviceConfig::gtx_780_ti();
     let cost = CostModel::default();
     let algos = [

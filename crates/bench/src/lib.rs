@@ -215,44 +215,120 @@ pub mod gate {
     }
 }
 
-/// Parse `--key value` style options from `std::env::args`.
+/// `--key value` style options from `std::env::args`.
+///
+/// Every name the binary asks about is recorded, with whether it takes a
+/// value. A value that is missing or fails to parse stops the process
+/// (exit 2, naming the flag) when it is asked for, and [`Options::finish`],
+/// called once the binary has asked about every option it reads, stops it
+/// on any argument that was never asked about. So a mistyped flag fails
+/// loudly instead of being ignored.
 pub struct Options {
     args: Vec<String>,
+    /// Every name asked about, and whether it takes a value.
+    asked: std::cell::RefCell<Vec<(String, bool)>>,
+}
+
+/// Print `error: {msg}` and exit 2.
+fn die(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2)
 }
 
 impl Options {
     /// Capture the process arguments.
     pub fn from_env() -> Self {
+        Options::from_args(std::env::args().skip(1))
+    }
+
+    /// Options over the given arguments (without the program name).
+    fn from_args(args: impl IntoIterator<Item = String>) -> Self {
         Options {
-            args: std::env::args().skip(1).collect(),
+            args: args.into_iter().collect(),
+            asked: Default::default(),
+        }
+    }
+
+    /// Record `name` as asked about; the raw value of `--name <v>`, if
+    /// the flag is present, and an error if it has no value.
+    fn value_of(&self, name: &str) -> Result<Option<&str>, String> {
+        self.asked.borrow_mut().push((name.to_string(), true));
+        let flag = format!("--{name}");
+        match self.args.iter().position(|a| *a == flag) {
+            None => Ok(None),
+            Some(i) => match self.args.get(i + 1) {
+                Some(v) => Ok(Some(v)),
+                None => Err(format!("{flag} needs a value")),
+            },
+        }
+    }
+
+    /// [`Options::get`], with a missing or unparsable value as an error.
+    fn try_get<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
+        match self.value_of(name)? {
+            None => Ok(default),
+            Some(v) => v
+                .parse()
+                .map_err(|_| format!("--{name}: cannot parse {v:?}")),
         }
     }
 
     /// Value of `--name <v>`, parsed, or `default`.
     pub fn get<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
-        let flag = format!("--{name}");
-        self.args
-            .iter()
-            .position(|a| a == &flag)
-            .and_then(|i| self.args.get(i + 1))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+        self.try_get(name, default).unwrap_or_else(|e| die(&e))
+    }
+
+    /// [`Options::get_list`], with a missing or unparsable value as an
+    /// error.
+    fn try_get_list(&self, name: &str, default: &[u64]) -> Result<Vec<u64>, String> {
+        match self.value_of(name)? {
+            None => Ok(default.to_vec()),
+            Some(v) => v
+                .split(',')
+                .map(|s| {
+                    s.parse()
+                        .map_err(|_| format!("--{name}: cannot parse {s:?} in {v:?}"))
+                })
+                .collect(),
+        }
     }
 
     /// All values of a comma-separated `--name a,b,c` list, or `default`.
     pub fn get_list(&self, name: &str, default: &[u64]) -> Vec<u64> {
-        let flag = format!("--{name}");
-        self.args
-            .iter()
-            .position(|a| a == &flag)
-            .and_then(|i| self.args.get(i + 1))
-            .map(|v| v.split(',').filter_map(|s| s.parse().ok()).collect())
-            .unwrap_or_else(|| default.to_vec())
+        self.try_get_list(name, default).unwrap_or_else(|e| die(&e))
     }
 
     /// Whether the bare flag `--name` is present.
     pub fn has(&self, name: &str) -> bool {
+        self.asked.borrow_mut().push((name.to_string(), false));
         self.args.iter().any(|a| a == &format!("--{name}"))
+    }
+
+    /// An error naming the first argument that is neither a flag asked
+    /// about nor the value of one.
+    fn check_all_asked(&self) -> Result<(), String> {
+        let asked = self.asked.borrow();
+        let mut args = self.args.iter();
+        while let Some(arg) = args.next() {
+            let name = arg
+                .strip_prefix("--")
+                .ok_or_else(|| format!("unexpected argument {arg:?}"))?;
+            match asked.iter().find(|(n, _)| n == name) {
+                None => return Err(format!("unknown flag {arg}")),
+                Some(&(_, true)) => {
+                    args.next();
+                }
+                Some(&(_, false)) => {}
+            }
+        }
+        Ok(())
+    }
+
+    /// Stop the process (exit 2) on any argument the binary did not ask
+    /// about. Call it once every option of the run has been read, before
+    /// the work starts.
+    pub fn finish(&self) {
+        self.check_all_asked().unwrap_or_else(|e| die(&e));
     }
 }
 
@@ -293,6 +369,49 @@ mod tests {
         assert!((w.std() - var.sqrt()).abs() < 1e-12);
         assert!(w.ci95() > 0.0);
         assert_eq!(Welford::default().std(), 0.0);
+    }
+
+    fn options(args: &[&str]) -> Options {
+        Options::from_args(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn options_reject_flags_never_asked_about() {
+        let opts = options(&["--gate-subquadratc", "--reps", "2"]);
+        assert_eq!(opts.try_get("reps", 3usize), Ok(2));
+        assert!(!opts.has("gate-subquadratic"));
+        assert_eq!(
+            opts.check_all_asked(),
+            Err("unknown flag --gate-subquadratc".to_string())
+        );
+        // A stray token that is no flag's value.
+        let opts = options(&["--gate", "extra"]);
+        assert!(opts.has("gate"));
+        assert!(opts.check_all_asked().unwrap_err().contains("\"extra\""));
+        // Every argument asked about, in any order: accepted.
+        let opts = options(&["--out", "x.json", "--gate", "--sizes", "16,32"]);
+        assert!(opts.has("gate"));
+        assert_eq!(opts.try_get_list("sizes", &[]), Ok(vec![16, 32]));
+        assert_eq!(opts.try_get("out", String::new()), Ok("x.json".into()));
+        assert_eq!(opts.check_all_asked(), Ok(()));
+    }
+
+    #[test]
+    fn options_reject_values_that_do_not_parse() {
+        let opts = options(&["--reps", "three", "--sizes", "16,abc", "--out"]);
+        assert_eq!(
+            opts.try_get("reps", 3usize),
+            Err("--reps: cannot parse \"three\"".to_string())
+        );
+        let err = opts.try_get_list("sizes", &[64]).unwrap_err();
+        assert!(err.starts_with("--sizes: cannot parse \"abc\""), "{err}");
+        assert_eq!(
+            opts.try_get("out", String::new()),
+            Err("--out needs a value".to_string())
+        );
+        // Absent flags take their defaults.
+        assert_eq!(opts.try_get("keys", 24usize), Ok(24));
+        assert_eq!(opts.try_get_list("bits", &[128]), Ok(vec![128]));
     }
 
     #[test]

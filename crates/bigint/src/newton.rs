@@ -7,7 +7,7 @@
 //! division rides the same subquadratic multiply ladder as everything
 //! else.
 //!
-//! Three structural choices keep the constant factor low enough to beat
+//! Four structural choices keep the constant factor low enough to beat
 //! Knuth near the crossover:
 //!
 //! * **Implicit leading limb.** `I ∈ [β^n, 2β^n]`, so we store only
@@ -26,6 +26,16 @@
 //!   limbs past a power-of-two width, those limbs are applied as O(n)
 //!   scalar rows and only the power-of-two core goes through the
 //!   dispatched multiply.
+//! * **Wrapped residues.** Three products are needed only through a
+//!   residue known to be a few units of `v` wide: `est·v` in each quotient
+//!   block (the new remainder), `x·v` in the exact fixup and `xh·v` in each
+//!   Newton step (the error terms). Each subtracts its product from a
+//!   known value, so where the NTT runs it and that halves the transform,
+//!   the product is taken modulo `β^N − 1` with `N = next_pow2(n + 3)`
+//!   instead of in full. The residue is exact because it is known to lie
+//!   in `(−β^{n+2}, β^{n+2})`, and `β^{n+2} ≤ β^{N−1}` is far inside half
+//!   the wrap, so the top bit of the wrapped difference is its sign
+//!   (`small_residue`).
 //!
 //! Per quotient digit the estimate `q̂ = R_h + ⌊R_h·x/β^n⌋` (using only
 //! the top `n` limbs of the partial remainder) **never overshoots** the
@@ -36,7 +46,7 @@
 use crate::div::{div_rem_knuth, div_rem_limb};
 use crate::limb::{lo, Limb, LIMB_BITS};
 use crate::mul::mul_slices;
-use crate::ops;
+use crate::{ntt, ops, thresholds};
 use core::cmp::Ordering;
 
 /// Below this divisor width the reciprocal comes straight from Knuth
@@ -154,6 +164,53 @@ fn signed_diff(mut a: Vec<Limb>, b: &[Limb]) -> (bool, Vec<Limb>) {
     }
 }
 
+/// `t − a·b` as `(t < a·b, |t − a·b|)`, normalized, for a residue known
+/// to be small next to the divisor width `n`: `|t − a·b| < β^{n+2}`.
+///
+/// Where the dispatcher would multiply `a·b` on the NTT and
+/// `N = next_pow2(n + 3)` is below that product's transform size, the
+/// product runs wrapped, `a·b mod (β^N − 1)` on an `N`-point transform,
+/// half the full one or less. That is exact: `t mod (β^N − 1)` minus the
+/// wrapped product is congruent to `t − a·b`, and the bound puts
+/// `t − a·b` inside `(−β^{N−1}, β^{N−1})`. Its representative in
+/// `[0, β^N − 1]` therefore has the top bit clear when it is non-negative
+/// and set when it is negative, and then it is `β^N − 1 − |t − a·b|`, the
+/// limbwise complement of the magnitude.
+fn small_residue(t: Vec<Limb>, a: &[Limb], b: &[Limb], n: usize) -> (bool, Vec<Limb>) {
+    let (la, lb) = (ops::normalized_len(a), ops::normalized_len(b));
+    let wrap = (n + 3).next_power_of_two();
+    let full = (la + lb).next_power_of_two();
+    if la.min(lb) < thresholds::NTT.get()
+        || wrap >= full
+        || full > ntt::MAX_NTT_TOTAL_LIMBS
+        || la.max(lb) > wrap
+    {
+        return signed_diff(t, &mul_slices(a, b));
+    }
+    let mut r = vec![0; wrap];
+    ntt::mul_wrap_into(&mut r, a, b);
+    // r = (t mod (β^N − 1)) − r, folding t's chunks with end-around carry.
+    let mut t_mod: Vec<Limb> = vec![0; wrap];
+    for chunk in t.chunks(wrap) {
+        let mut carry = ops::add_assign(&mut t_mod, chunk);
+        while carry != 0 {
+            carry = ops::add_assign(&mut t_mod, &[carry]);
+        }
+    }
+    if ops::sub_assign(&mut t_mod, &r) != 0 {
+        // Wrapped below zero by β^N; the modulus is β^N − 1.
+        let borrow = ops::sub_assign(&mut t_mod, &[1]);
+        debug_assert_eq!(borrow, 0);
+    }
+    let negative = t_mod[wrap - 1] >> (LIMB_BITS - 1) == 1;
+    if negative {
+        t_mod.iter_mut().for_each(|w| *w = !*w);
+    }
+    t_mod.truncate(ops::normalized_len(&t_mod));
+    // All ones is the other representative of zero.
+    (negative && !t_mod.is_empty(), t_mod)
+}
+
 /// Exact base case: `x = ⌊β^{2n}/v⌋ − β^n` by Knuth division, clamped to
 /// all-ones when the true reciprocal is exactly `2β^n`.
 fn invert_knuth(v: &[Limb]) -> Vec<Limb> {
@@ -185,12 +242,11 @@ fn approx_recip(v: &[Limb]) -> Vec<Limb> {
     let xh = approx_recip(&v[n - h..]);
 
     // e = β^{n+h} − (β^h + xh)·v, signed; |e| ≲ 6β^n.
-    let xv = mul_slices(&xh, v);
     let mut acc: Vec<Limb> = vec![0; n + h + 1];
     acc[n + h] = 1;
     let borrow = ops::sub_assign(&mut acc[h..], v);
     debug_assert_eq!(borrow, 0);
-    let (e_neg, e) = signed_diff(acc, &xv);
+    let (e_neg, e) = small_residue(acc, &xh, v, n);
 
     // x = xh·β^{n−h} ± ⌊e_k·(β^h + xh)/β^{3h−n}⌋ with e_k = ⌊|e|/β^{n−h}⌋;
     // dropping e's low limbs perturbs the correction by < β^{n−2h} ≤ β^{−2}.
@@ -234,13 +290,12 @@ fn invert(v: &[Limb]) -> Vec<Limb> {
 
     // Exact residue e = β^{2n} − (β^n + x)·v = (β^n − v)·β^n − x·v,
     // then walk x until 0 ≤ e < v. The approximation error is O(1), so
-    // the loop runs a handful of O(n) steps.
-    let xv = mul_slices(&x, v);
+    // |e| is a few v and the loop runs a handful of O(n) steps.
     let mut acc: Vec<Limb> = vec![0; 2 * n + 1];
     acc[2 * n] = 1;
     let borrow = ops::sub_assign(&mut acc[n..], v);
     debug_assert_eq!(borrow, 0);
-    let (e_neg, mut e) = signed_diff(acc, &xv);
+    let (e_neg, mut e) = small_residue(acc, &x, v, n);
 
     let mut guard = 0usize;
     if e_neg {
@@ -355,11 +410,14 @@ pub fn div_rem_newton(a: &[Limb], b: &[Limb]) -> (Vec<Limb>, Vec<Limb>) {
                 debug_assert_eq!(carry, 0);
             }
             est.truncate(ops::normalized_len(&est));
-            let pb = mul_slices(&est, &v);
-            // q̂ never overshoots, so the subtraction cannot borrow.
-            debug_assert!(pb.len() <= rem.len());
-            let borrow = ops::sub_assign(&mut rem, &pb);
-            debug_assert_eq!(borrow, 0);
+            // q̂ never overshoots and undershoots by a few units, so the
+            // new remainder is in [0, a few v).
+            let (overshot, r) = small_residue(rem, &est, &v, n);
+            if overshot {
+                // Defensive: the estimate bound failed.
+                return div_rem_knuth(a, b);
+            }
+            rem = r;
             qd = est;
         }
         let mut guard = 0usize;
@@ -424,6 +482,38 @@ mod tests {
             assert_eq!(x.len(), n, "n={n}");
             let (q, _r) = div_rem_knuth(&beta2n_of(n), &v);
             assert_eq!(materialize(&x, n), q, "n={n}");
+        }
+    }
+
+    #[test]
+    fn small_residue_is_exact_where_the_wrap_size_flips() {
+        // t = a·b + δ and a·b − δ for |δ| just under β^{n+1}, 1 and 0, at
+        // divisor widths where next_pow2(n + 3) doubles; wide enough for
+        // the NTT, so the product runs wrapped wherever that halves it.
+        let mut state = 0x7e57_5ca1_ab1e_0001u64;
+        for n in [253usize, 254, 255, 256, 257, 509, 510, 512, 513] {
+            let (a, b) = (rand_vec(&mut state, n), rand_vec(&mut state, n));
+            let ab = mul_slices(&a, &b);
+            let mut wide = rand_vec(&mut state, n + 1);
+            wide[n] >>= 1;
+            for delta in [wide, vec![1], Vec::new()] {
+                let delta = &delta[..ops::normalized_len(&delta)];
+                let mut above = ab.clone();
+                above.push(0);
+                ops::add_assign(&mut above, delta);
+                assert_eq!(
+                    small_residue(above, &a, &b, n),
+                    (false, delta.to_vec()),
+                    "n={n} +δ"
+                );
+                let mut below = ab.clone();
+                ops::sub_assign(&mut below, delta);
+                assert_eq!(
+                    small_residue(below, &a, &b, n),
+                    (!delta.is_empty(), delta.to_vec()),
+                    "n={n} −δ"
+                );
+            }
         }
     }
 

@@ -53,6 +53,14 @@
 //! prime in as soon as its residues exist (`garner_fold`, `recombine`), so
 //! three `n`-point vectors are live per product instead of four.
 //!
+//! **Pairs.** [`mul_wrap_pair_into`] computes `a·b₀` and `a·b₁` modulo
+//! `β^N − 1` for one first factor `a`, as the scaled remainder tree's
+//! sibling steps need: each prime transforms `a` once and multiplies its
+//! spectrum into both, 5 transforms per prime where two products take 6.
+//! The second product's Garner accumulator is a fourth live `n`-point
+//! vector, kept with the other three in the thread's reused buffers. The
+//! outputs are bitwise those of two [`mul_wrap_into`] calls.
+//!
 //! **ISA dispatch.** The butterflies have one portable scalar body, which
 //! is the oracle; an AVX2 build of that same body (autovectorized under
 //! `#[target_feature]`); and a hand-written AVX-512F kernel, eight `u64`
@@ -644,45 +652,57 @@ fn load(f: &Field, x: &[Limb], k: u64, n: usize, v: &mut Vec<u64>) {
     tail.fill(0);
 }
 
-/// Prime `k`'s residue vector of the product, in normal form, into `fa`:
-/// forward-transform the operand(s) on the prime's table, multiply
-/// pointwise (or square when `b` is `None`, saving the second forward
-/// transform), and transform back. `n⁻¹` is folded into the load of `a`,
-/// or into the pointwise constant of a square (see the module docs). `fb`
-/// holds the second operand's spectrum.
+/// The spectrum of the first factor `a` on the prime of `tw`, into `fa`:
+/// loaded with `n⁻¹` folded in (see the module docs) and
+/// forward-transformed.
 #[inline(always)]
-fn residues(
-    isa: KernelIsa,
-    k: usize,
-    a: &[Limb],
-    b: Option<&[Limb]>,
-    n: usize,
-    fa: &mut Vec<u64>,
-    fb: &mut Vec<u64>,
-) {
-    let tw = shared_twiddles(k, n);
+fn first_spectrum(isa: KernelIsa, tw: &Twiddles, a: &[Limb], n: usize, fa: &mut Vec<u64>) {
     let f = &tw.field;
-    // R²·n⁻¹ mod p: `n⁻¹` in Montgomery form, times R once more.
-    let scaled = f.mul(f.pow(f.to_mont(n as u64), f.p - 2), f.r2);
-    match b {
-        Some(b) => {
-            load(f, a, scaled, n, fa);
-            load(f, b, f.one(), n, fb);
-            transform(isa, f, &tw.table, fa, false);
-            transform(isa, f, &tw.table, fb, false);
-            for (x, &y) in fa.iter_mut().zip(fb.iter()) {
-                *x = f.mul(*x, y);
-            }
-        }
-        None => {
-            load(f, a, f.one(), n, fa);
-            transform(isa, f, &tw.table, fa, false);
-            for x in fa.iter_mut() {
-                *x = f.mul(f.mul(*x, *x), scaled);
-            }
-        }
+    load(f, a, inv_n_load(f, n), n, fa);
+    transform(isa, f, &tw.table, fa, false);
+}
+
+/// `R²·n⁻¹ mod p`: `n⁻¹` in Montgomery form, times R once more. Loading
+/// the first factor with it scales the product by `n⁻¹`.
+#[inline(always)]
+fn inv_n_load(f: &Field, n: usize) -> u64 {
+    f.mul(f.pow(f.to_mont(n as u64), f.p - 2), f.r2)
+}
+
+/// The residues of `a · b` on the prime of `tw`, in normal form, into
+/// `r`, from `a`'s spectrum `fa` ([`first_spectrum`]): forward-transform
+/// `b`, multiply pointwise and transform back.
+#[inline(always)]
+fn times_spectrum(
+    isa: KernelIsa,
+    tw: &Twiddles,
+    fa: &[u64],
+    b: &[Limb],
+    n: usize,
+    r: &mut Vec<u64>,
+) {
+    let f = &tw.field;
+    load(f, b, f.one(), n, r);
+    transform(isa, f, &tw.table, r, false);
+    for (y, &x) in r.iter_mut().zip(fa) {
+        *y = f.mul(x, *y);
     }
-    transform(isa, f, &tw.table, fa, true);
+    transform(isa, f, &tw.table, r, true);
+}
+
+/// The residues of `a²` on the prime of `tw`, in normal form, into `r`:
+/// one forward transform, a pointwise square times `n⁻¹`, and the
+/// inverse.
+#[inline(always)]
+fn square_residues(isa: KernelIsa, tw: &Twiddles, a: &[Limb], n: usize, r: &mut Vec<u64>) {
+    let f = &tw.field;
+    let scaled = inv_n_load(f, n);
+    load(f, a, f.one(), n, r);
+    transform(isa, f, &tw.table, r, false);
+    for x in r.iter_mut() {
+        *x = f.mul(f.mul(*x, *x), scaled);
+    }
+    transform(isa, f, &tw.table, r, true);
 }
 
 /// Garner's first step, folded in as soon as the second prime's residues
@@ -768,12 +788,14 @@ fn recombine(r1t2: &mut [u64], r3: &mut [u64], out: &mut [Limb], wrap: bool) {
     }
 }
 
-/// The three `n`-point working vectors of a product: the packed Garner
-/// accumulator, the current prime's residues and the second operand's
-/// spectrum.
+/// The `n`-point working vectors of a product: the packed Garner
+/// accumulator of each output, the first factor's spectrum and the
+/// current prime's residues. A single product uses the first accumulator,
+/// so three vectors are live; a pair ([`mul_wrap_pair_into`]) uses both,
+/// four.
 #[derive(Default)]
 struct Buffers {
-    acc: Vec<u64>,
+    acc: [Vec<u64>; 2],
     fa: Vec<u64>,
     fb: Vec<u64>,
 }
@@ -784,39 +806,63 @@ thread_local! {
     /// products in the steady state allocate nothing.
     static BUFFERS: Cell<Buffers> = const {
         Cell::new(Buffers {
-            acc: Vec::new(),
+            acc: [Vec::new(), Vec::new()],
             fa: Vec::new(),
             fb: Vec::new(),
         })
     };
 }
 
-/// `a · b` (or `a²`, when `b` is `a`) modulo `x^n − 1`, for all three
-/// primes, recombined into `out` as [`recombine`] describes.
+/// `a · bs[i]` modulo `x^n − 1` into `outs[i]` (one or two products, or
+/// `a²` when the only factor is `a`), for all three primes, recombined as
+/// [`recombine`] describes. Each prime transforms `a` once for all the
+/// products, and folds its residues into each product's accumulator as
+/// soon as they exist.
 #[inline(always)]
 fn product(
     isa: KernelIsa,
     a: &[Limb],
-    b: &[Limb],
+    bs: &[&[Limb]],
     n: usize,
-    out: &mut [Limb],
+    outs: &mut [&mut [Limb]],
     wrap: bool,
     bufs: &mut Buffers,
 ) {
-    let square = core::ptr::eq(a, b) || a == b;
-    let b = if square { None } else { Some(b) };
+    debug_assert!(bs.len() == outs.len() && bs.len() <= bufs.acc.len());
+    let square = matches!(bs, [b] if core::ptr::eq(a, *b) || a == *b);
     let Buffers { acc, fa, fb } = bufs;
-    residues(isa, 0, a, b, n, acc, fb);
-    residues(isa, 1, a, b, n, fa, fb);
-    garner_fold(acc, fa);
-    residues(isa, 2, a, b, n, fa, fb);
-    recombine(acc, fa, out, wrap);
+    for prime in 0..3 {
+        let tw = shared_twiddles(prime, n);
+        if !square {
+            first_spectrum(isa, &tw, a, n, fa);
+        }
+        for ((&b, acc), out) in bs.iter().zip(acc.iter_mut()).zip(outs.iter_mut()) {
+            let r = if prime == 0 { &mut *acc } else { &mut *fb };
+            if square {
+                square_residues(isa, &tw, a, n, r);
+            } else {
+                times_spectrum(isa, &tw, fa, b, n, r);
+            }
+            match prime {
+                0 => {}
+                1 => garner_fold(acc, fb),
+                _ => recombine(acc, fb, out, wrap),
+            }
+        }
+    }
 }
 
 /// [`product`] with its linear passes — loads, pointwise products, CRT —
 /// compiled for `isa` as well; the transforms dispatch on it anyway. Runs
 /// on this thread's reused [`Buffers`].
-fn product_on(isa: KernelIsa, a: &[Limb], b: &[Limb], n: usize, out: &mut [Limb], wrap: bool) {
+fn product_on(
+    isa: KernelIsa,
+    a: &[Limb],
+    bs: &[&[Limb]],
+    n: usize,
+    outs: &mut [&mut [Limb]],
+    wrap: bool,
+) {
     assert!(
         isa.available(),
         "this CPU cannot run the {} kernel",
@@ -828,11 +874,11 @@ fn product_on(isa: KernelIsa, a: &[Limb], b: &[Limb], n: usize, out: &mut [Limb]
     match isa {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: the assert above confirmed AVX-512F.
-        KernelIsa::Avx512 => unsafe { product_avx512(a, b, n, out, wrap, &mut bufs) },
+        KernelIsa::Avx512 => unsafe { product_avx512(a, bs, n, outs, wrap, &mut bufs) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: the assert above confirmed AVX2.
-        KernelIsa::Avx2 => unsafe { product_avx2(a, b, n, out, wrap, &mut bufs) },
-        _ => product(isa, a, b, n, out, wrap, &mut bufs),
+        KernelIsa::Avx2 => unsafe { product_avx2(a, bs, n, outs, wrap, &mut bufs) },
+        _ => product(isa, a, bs, n, outs, wrap, &mut bufs),
     }
     BUFFERS.set(bufs);
 }
@@ -842,13 +888,13 @@ fn product_on(isa: KernelIsa, a: &[Limb], b: &[Limb], n: usize, out: &mut [Limb]
 #[target_feature(enable = "avx512f")]
 fn product_avx512(
     a: &[Limb],
-    b: &[Limb],
+    bs: &[&[Limb]],
     n: usize,
-    out: &mut [Limb],
+    outs: &mut [&mut [Limb]],
     wrap: bool,
     bufs: &mut Buffers,
 ) {
-    product(KernelIsa::Avx512, a, b, n, out, wrap, bufs);
+    product(KernelIsa::Avx512, a, bs, n, outs, wrap, bufs);
 }
 
 /// [`product`] compiled for AVX2.
@@ -856,13 +902,13 @@ fn product_avx512(
 #[target_feature(enable = "avx2")]
 fn product_avx2(
     a: &[Limb],
-    b: &[Limb],
+    bs: &[&[Limb]],
     n: usize,
-    out: &mut [Limb],
+    outs: &mut [&mut [Limb]],
     wrap: bool,
     bufs: &mut Buffers,
 ) {
-    product(KernelIsa::Avx2, a, b, n, out, wrap, bufs);
+    product(KernelIsa::Avx2, a, bs, n, outs, wrap, bufs);
 }
 
 /// NTT product `a · b` into `out` (zeroed, `out.len() >= la + lb` where
@@ -893,7 +939,7 @@ pub fn mul_ntt_into_on(isa: KernelIsa, out: &mut [Limb], a: &[Limb], b: &[Limb])
     );
     debug_assert!(out.len() >= rl);
     let n = rl.next_power_of_two().max(2);
-    product_on(isa, &a[..la], &b[..lb], n, &mut out[..rl], false);
+    product_on(isa, &a[..la], &[&b[..lb]], n, &mut [&mut out[..rl]], false);
     true
 }
 
@@ -931,8 +977,51 @@ pub fn mul_wrap_into_on(isa: KernelIsa, out: &mut [Limb], a: &[Limb], b: &[Limb]
     assert!(la <= n && lb <= n, "wrapped NTT operand exceeds {n} limbs");
     out.fill(0);
     if la != 0 && lb != 0 {
-        product_on(isa, &a[..la], &b[..lb], n, out, true);
+        product_on(isa, &a[..la], &[&b[..lb]], n, &mut [out], true);
     }
+    true
+}
+
+/// Two wrapped products with one first factor: `a · b₀` and `a · b₁`
+/// modulo `β^N − 1` into `out[0]` and `out[1]`, where
+/// `N = out[0].len() = out[1].len()` and every operand is as for
+/// [`mul_wrap_into`]. The results are bitwise those of the two
+/// [`mul_wrap_into`] calls, but `a` is transformed once per prime and its
+/// spectrum multiplies both: 5 transforms per prime instead of 6. The
+/// price is a fourth live `N`-point vector, the second product's Garner
+/// accumulator.
+pub fn mul_wrap_pair_into(out: [&mut [Limb]; 2], a: &[Limb], b: [&[Limb]; 2]) {
+    let ran = mul_wrap_pair_into_on(KernelIsa::detect(), out, a, b);
+    debug_assert!(ran, "the detected kernel ISA is always available");
+}
+
+/// [`mul_wrap_pair_into`] on the given butterfly implementation; `false`,
+/// with nothing touched, when this CPU cannot run it.
+#[doc(hidden)]
+pub fn mul_wrap_pair_into_on(
+    isa: KernelIsa,
+    mut out: [&mut [Limb]; 2],
+    a: &[Limb],
+    b: [&[Limb]; 2],
+) -> bool {
+    if !isa.available() {
+        return false;
+    }
+    let n = out[0].len();
+    assert!(
+        out[1].len() == n && n >= 2 && n.is_power_of_two() && n <= MAX_NTT_TOTAL_LIMBS,
+        "wrapped NTT pair of {n} and {} limbs is not a supported transform size",
+        out[1].len()
+    );
+    let la = ops::normalized_len(a);
+    let [b0, b1] = b.map(|b| &b[..ops::normalized_len(b)]);
+    assert!(
+        la <= n && b0.len() <= n && b1.len() <= n,
+        "wrapped NTT operand exceeds {n} limbs"
+    );
+    // A zero operand loads as a zero vector, so it needs no special case;
+    // the recombination writes every limb of both outputs.
+    product_on(isa, &a[..la], &[b0, b1], n, &mut out, true);
     true
 }
 

@@ -16,9 +16,11 @@
 //! beats Karatsuba via NTT from 128 limbs (×0.83 at 96, ×1.03 at 112,
 //! ×1.16–1.39 at 128, ×1.31 at 192, ×2.5–3.1 at 512). A balanced product
 //! past `ntt::MAX_NTT_TOTAL_LIMBS` runs Karatsuba, whose halves re-enter
-//! the NTT. On the 1-core
-//! reference box, Newton division crossed Knuth between divisor 1024
-//! (×0.75) and 2048 (×1.31), so it opens at 1536. A process may override
+//! the NTT. Newton division (with its wrapped residues) against Knuth,
+//! `bigint_bench`'s `newton_div` rows: at divisor 512 it wins with 2× and
+//! 3× dividends (×1.70, ×2.34) but loses with 1.5× (×0.70), the smallest
+//! quotient the dispatcher sends it at the cutoff; at 768 it wins all
+//! three (×1.21, ×2.35, ×3.54), so it opens at 768. A process may override
 //! a cutoff with `set()`: the perf gate does so to pit the ladder against
 //! the legacy Karatsuba/Knuth-only configuration inside one process.
 //! Correctness never depends on the values.
@@ -72,7 +74,7 @@ pub static NTT: Threshold = Threshold::new(128);
 /// Divisor length (limbs) at which division switches Knuth Algorithm D →
 /// Newton reciprocal (the quotient must also be at least half this many
 /// limbs; see `div::newton_applies`).
-pub static NEWTON_DIV: Threshold = Threshold::new(1536);
+pub static NEWTON_DIV: Threshold = Threshold::new(768);
 
 /// Snapshot of the whole ladder, for bench reports.
 pub fn snapshot() -> [(&'static str, usize); 3] {

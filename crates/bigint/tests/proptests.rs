@@ -262,6 +262,37 @@ proptest! {
     }
 }
 
+proptest! {
+    /// Newton division with divisors past the NTT rung, where its products
+    /// run on the NTT and the small residues wrap at
+    /// `N = next_pow2(n + 3)`: divisors of 128–1100 limbs, half of them at
+    /// `2^k − 3 … 2^k + 2`, where that wrap size doubles; dividends 1× to
+    /// 3× the divisor; and sometimes the divisor `β^n/2`, whose reciprocal
+    /// `2β^n` does not fit `n` limbs.
+    #[test]
+    fn newton_division_above_the_ntt_rung_matches_knuth(
+        lb in prop_oneof![
+            (8u32..=10, 0usize..6).prop_map(|(k, d)| (1usize << k) + d - 3),
+            128usize..=1100,
+        ],
+        percent in 100usize..=300,
+        edge in 0u8..5,
+        seed in any::<u64>(),
+    ) {
+        let mut next = xorshift(seed | 1);
+        let mut b: Vec<Limb> = (0..lb).map(|_| next() as Limb).collect();
+        if edge == 0 {
+            b.fill(0);
+        }
+        b[lb - 1] |= 0x8000_0000;
+        let a: Vec<Limb> = (0..lb * percent / 100).map(|_| next() as Limb).collect();
+        let (qn, rn) = newton::div_rem_newton(&a, &b);
+        let (qk, rk) = div::div_rem_knuth(&a, &b);
+        prop_assert_eq!(qn, qk);
+        prop_assert_eq!(rn, rk);
+    }
+}
+
 /// Deterministic widths that cross the *real* default cutoffs, so the
 /// dispatcher itself (not just the algorithm entries) is exercised on its
 /// Newton-division rung under `cargo test`, and `Nat::gcd` on operands
@@ -275,7 +306,7 @@ fn dispatcher_routes_above_default_cutoffs() {
         state ^= state << 17;
         state
     };
-    // Division: divisor above NEWTON_DIV (1536), quotient above half of it.
+    // Division: divisor above NEWTON_DIV (768), quotient above half of it.
     let a: Vec<Limb> = (0..2500).map(|_| next() as u32).collect();
     let b: Vec<Limb> = (0..1600).map(|_| next() as u32).collect();
     let (qd, rd) = div::div_rem_slices(&a, &b);
@@ -364,7 +395,8 @@ fn ntt_transform_isa_paths_match_portable() {
 
 /// `mul_ntt` and `mul_wrap` on every ISA path equal the schoolbook
 /// product: random operands and the all-`0xffffffff` operands that
-/// maximize every CRT coefficient.
+/// maximize every CRT coefficient. `mul_wrap_pair` equals two `mul_wrap`
+/// calls, with operands of unequal length, all ones and zero.
 #[test]
 fn ntt_products_match_schoolbook_on_every_isa() {
     let mut next = xorshift(0x5eed_0fc0_ffee);
@@ -401,6 +433,14 @@ fn ntt_products_match_schoolbook_on_every_isa() {
                 let modulus = Nat::one().shl(n as u64 * 32).sub(&Nat::one());
                 let folded = Nat::from_limbs(&want).rem(&modulus);
                 assert_eq!(Nat::from_limbs(&wrapped), folded, "{at}: mul_wrap");
+
+                // Pairs sharing `a`: with an operand of another length, all
+                // ones (β^n − 1, the non-canonical zero) and zero.
+                let other = random(&mut next, la.div_ceil(3));
+                for b1 in [other, vec![Limb::MAX; n], vec![0; lb]] {
+                    check_pair(isa, n, &a, [&b, &b1], &at);
+                }
+                check_pair(isa, n, &[], [&a, &b], &at);
             }
         }
     }
@@ -422,8 +462,36 @@ fn fold_mod(x: &[Limb], n: usize) -> Vec<Limb> {
     out
 }
 
+/// `mul_wrap_pair_into_on(a; b₀, b₁)` on `isa` at `n` limbs, in both
+/// orders of the pair, is bitwise the two `mul_wrap_into_on` products.
+fn check_pair(isa: KernelIsa, n: usize, a: &[Limb], [b0, b1]: [&[Limb]; 2], at: &str) {
+    let single = |b: &[Limb]| {
+        let mut out = vec![0; n];
+        assert!(ntt::mul_wrap_into_on(isa, &mut out, a, b));
+        out
+    };
+    let want = [single(b0), single(b1)];
+    for (order, [x, y]) in [[b0, b1], [b1, b0]].into_iter().enumerate() {
+        // Stale limbs in the outputs must not survive.
+        let (mut p0, mut p1) = (vec![7; n], vec![7; n]);
+        assert!(ntt::mul_wrap_pair_into_on(
+            isa,
+            [&mut p0, &mut p1],
+            a,
+            [x, y]
+        ));
+        let (w0, w1) = if order == 0 {
+            (&want[0], &want[1])
+        } else {
+            (&want[1], &want[0])
+        };
+        assert_eq!((&p0, &p1), (w0, w1), "{at}: mul_wrap_pair, order {order}");
+    }
+}
+
 /// `mul_ntt_into_on` and `mul_wrap_into_on` of every pair in `operands`,
-/// on every ISA path in turn, against the schoolbook products `want`.
+/// on every ISA path in turn, against the schoolbook products `want`, and
+/// `mul_wrap_pair_into_on` of `a` by `b` and by `a` itself.
 fn check_interleaved(isas: &[KernelIsa], operands: &[(Vec<Limb>, Vec<Limb>)], want: &[Vec<Limb>]) {
     for &isa in isas {
         for ((a, b), want) in operands.iter().zip(want) {
@@ -436,6 +504,21 @@ fn check_interleaved(isas: &[KernelIsa], operands: &[(Vec<Limb>, Vec<Limb>)], wa
             let mut wrapped = vec![0; n];
             assert!(ntt::mul_wrap_into_on(isa, &mut wrapped, a, b));
             assert_eq!(wrapped, fold_mod(want, n), "{at}: mul_wrap");
+            // A pair whose second factor is `a` itself: `a·a` through the
+            // shared spectrum, where a single product takes the square path.
+            let (mut p0, mut p1) = (vec![7; n], vec![7; n]);
+            assert!(ntt::mul_wrap_pair_into_on(
+                isa,
+                [&mut p0, &mut p1],
+                a,
+                [b, a]
+            ));
+            assert_eq!(p0, wrapped, "{at}: mul_wrap_pair, first");
+            assert_eq!(
+                p1,
+                fold_mod(&schoolbook_mul(a, a), n),
+                "{at}: mul_wrap_pair, second"
+            );
         }
     }
 }

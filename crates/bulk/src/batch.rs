@@ -25,22 +25,29 @@
 //! multiply of the same width) become one multiply each:
 //!
 //! * **Seed at the root's children.** `frac(P / c²) = (s mod c) / c`, so
-//!   each root child costs one division by `c`. Seeding at `1/P` instead
-//!   would need a reciprocal twice the root's width and the largest
-//!   transforms of the whole run.
+//!   each root child costs one division by `c`, a Newton division whose
+//!   small residues run as wrapped products (`bigint::newton`). Seeding
+//!   at `1/P` instead would need a reciprocal twice the root's width and
+//!   the largest transforms of the whole run. Nothing else needs the root
+//!   `P`, so the product tree stops at its two children and the root
+//!   multiply, the largest of the build, is never made.
 //! * **Wrapped products.** A step only needs the product modulo
 //!   `β^{p_v}` with its low limbs dropped, so wide steps use
 //!   [`ntt::mul_wrap_into`] modulo `β^N − 1`, `N = p_v.next_power_of_two()`:
 //!   half the transform of the full product. The largest transform of the
-//!   descent is thus `next_pow2(p)` at the root's children, no larger than
-//!   the product tree's own root multiply.
+//!   descent is thus `next_pow2(p)` at the root's children. Both children
+//!   of a node multiply the same `y_v` at the same wrap, so where both
+//!   steps wrap, one [`ntt::mul_wrap_pair_into`] transforms `y_v` once for
+//!   the two: 5 transforms per prime instead of 6.
 //! * **Squares on the fly.** `s²` is computed when the step needs it and
 //!   dropped; no squared tree is kept.
 //!
 //! The precision recurrence and the error bound that make the leaf
 //! rounding exact are stated at `node_precision`. A leaf whose rounding
-//! margin is nevertheless under ¼ is recomputed exactly from the root, so
-//! no bound slip can return a silently wrong answer.
+//! margin is nevertheless under ¼ is recomputed exactly as
+//! `(P mod n²) / n`, with `P mod n²` the product of the root's two
+//! children reduced modulo `n²`, so no bound slip can return a silently
+//! wrong answer.
 //!
 //! **Leaf step.** The leaves run the paper's bulk engine: every leaf's
 //! quotient is rounded first, and the odd moduli with a nonzero quotient
@@ -118,14 +125,18 @@ impl ProductTree {
     }
 }
 
-/// Working memory of one node step ([`seed`], [`descend`], [`leaf_gcd`]):
+/// Working memory of one node step ([`seed`], [`children`], [`leaf_gcd`]):
 /// one per serial descent, one per rayon worker in the parallel one.
 #[derive(Default)]
 struct StepScratch {
     /// The sibling's square `s²`, or the seed's shifted dividend.
     sq: Nat,
+    /// The other sibling's square, for a pair of children.
+    sq1: Nat,
     /// Raw product limbs (full or wrapped).
     prod: Vec<Limb>,
+    /// The second child's wrapped product, for a pair of children.
+    prod1: Vec<Limb>,
     /// Seed quotient, then the leaf quotient `q`.
     q: Nat,
     /// Seed remainder (discarded).
@@ -149,7 +160,8 @@ struct StepScratch {
 #[derive(Default)]
 pub struct BatchScratch {
     /// Computed product-tree levels, pairwise-up from the moduli
-    /// (`levels[0]` pairs the inputs; the last built level is the root).
+    /// (`levels[0]` pairs the inputs; the last built level holds the root's
+    /// two children, and two moduli build none).
     levels: Vec<Vec<Nat>>,
     /// Fraction precisions in limbs; `prec[k]` belongs to `tree_level` `k`.
     prec: Vec<Vec<usize>>,
@@ -258,42 +270,79 @@ fn seed(c: &Nat, s: &Nat, p: usize, st: &mut StepScratch, y: &mut Nat) {
     y.assign_limbs(&q[..q.len().min(p)]);
 }
 
-/// One descent step: from the parent's fraction `y_v` (`p_v` limbs) and
-/// the child's sibling `s`, the child's fraction `y_c = frac(y_v · s²)` to
-/// `p_c` limbs — limbs `[p_v − p_c, p_v)` of the product.
-fn descend(y_v: &Nat, p_v: usize, s: &Nat, p_c: usize, st: &mut StepScratch, y_c: &mut Nat) {
-    s.square_into(&mut st.sq);
-    let (a, b) = (y_v.limbs(), st.sq.limbs());
-    let wrap = p_v.next_power_of_two();
-    st.prod.clear();
-    if a.len().min(b.len()) >= thresholds::NTT.get() && wrap <= ntt::MAX_NTT_TOTAL_LIMBS {
-        // The recurrence gives `p_v ≥ p_c + |s²| + 1`, so the limbs past
-        // `wrap` fold back strictly below the kept window.
-        st.prod.resize(wrap, 0);
-        ntt::mul_wrap_into(&mut st.prod, a, b);
-    } else {
-        st.prod.resize(a.len() + b.len(), 0);
-        mul_dispatch(&mut st.prod, a, b);
-    }
-    let hi = p_v.min(st.prod.len());
-    y_c.assign_limbs(st.prod.get(p_v - p_c..hi).unwrap_or(&[]));
+/// Whether a step multiplies `y_v` by the square `s2` wrapped on the NTT:
+/// when both factors reach the NTT cutoff (so `set_legacy_ladder()` turns
+/// it off) and the wrap is a supported transform size. The recurrence
+/// gives `p_v ≥ p_c + |s²| + 1`, so the limbs past the wrap
+/// `p_v.next_power_of_two()` fold back strictly below the kept window.
+fn wraps(y_v: &Nat, s2: &Nat, wrap: usize) -> bool {
+    y_v.len().min(s2.len()) >= thresholds::NTT.get() && wrap <= ntt::MAX_NTT_TOTAL_LIMBS
 }
 
-/// The fraction of node `idx` of tree level `nodes` (precisions `prec`),
-/// from its parent's fraction `y_v` of `p_v` limbs.
-fn child_fraction(
+/// Limbs `[p_v − p_c, p_v)` of a step's product `prod`, into `y_c`.
+fn window(prod: &[Limb], p_v: usize, p_c: usize, y_c: &mut Nat) {
+    let hi = p_v.min(prod.len());
+    y_c.assign_limbs(prod.get(p_v - p_c..hi).unwrap_or(&[]));
+}
+
+/// One descent step: from the parent's fraction `y_v` (`p_v` limbs) and
+/// the square `s2` of the child's sibling, the child's fraction
+/// `y_c = frac(y_v · s²)` to `p_c` limbs — limbs `[p_v − p_c, p_v)` of the
+/// product, computed in `prod`.
+fn step(y_v: &Nat, p_v: usize, s2: &Nat, p_c: usize, prod: &mut Vec<Limb>, y_c: &mut Nat) {
+    let (a, b) = (y_v.limbs(), s2.limbs());
+    let wrap = p_v.next_power_of_two();
+    prod.clear();
+    if wraps(y_v, s2, wrap) {
+        prod.resize(wrap, 0);
+        ntt::mul_wrap_into(prod, a, b);
+    } else {
+        prod.resize(a.len() + b.len(), 0);
+        mul_dispatch(prod, a, b);
+    }
+    window(prod, p_v, p_c, y_c);
+}
+
+/// The fractions of the children of tree node `v` into `ys` (one slot for
+/// a node carried up unpaired, two for a pair), from the node's fraction
+/// `y_v` of `p_v` limbs; the children are nodes `2v` and `2v + 1` of tree
+/// level `nodes` (precisions `prec`). Both children of a pair multiply
+/// `y_v` at the same wrap, so where both steps wrap, one
+/// [`ntt::mul_wrap_pair_into`] transforms `y_v` once for the two.
+fn children(
     nodes: &[Nat],
     prec: &[usize],
-    idx: usize,
+    v: usize,
     y_v: &Nat,
     p_v: usize,
     st: &mut StepScratch,
-    y_c: &mut Nat,
+    ys: &mut [Nat],
 ) {
-    match nodes.get(idx ^ 1) {
-        Some(s) => descend(y_v, p_v, s, prec[idx], st, y_c),
+    let (a, b) = (2 * v, 2 * v + 1);
+    let [y_a, y_b] = &mut *ys else {
         // Carried up unpaired: the parent is this node.
-        None => y_c.assign_limbs(y_v.limbs()),
+        ys[0].assign_limbs(y_v.limbs());
+        return;
+    };
+    // Each child's step multiplies by its sibling's square.
+    nodes[b].square_into(&mut st.sq);
+    nodes[a].square_into(&mut st.sq1);
+    let wrap = p_v.next_power_of_two();
+    if wraps(y_v, &st.sq, wrap) && wraps(y_v, &st.sq1, wrap) {
+        for prod in [&mut st.prod, &mut st.prod1] {
+            prod.clear();
+            prod.resize(wrap, 0);
+        }
+        ntt::mul_wrap_pair_into(
+            [&mut st.prod, &mut st.prod1],
+            y_v.limbs(),
+            [st.sq.limbs(), st.sq1.limbs()],
+        );
+        window(&st.prod, p_v, prec[a], y_a);
+        window(&st.prod1, p_v, prec[b], y_b);
+    } else {
+        step(y_v, p_v, &st.sq, prec[a], &mut st.prod, y_a);
+        step(y_v, p_v, &st.sq1, prec[b], &mut st.prod, y_b);
     }
 }
 
@@ -323,11 +372,24 @@ fn round_quotient(y: &Nat, p: usize, n: &Nat, st: &mut StepScratch) -> bool {
 /// The leaf step for modulus `n` with fraction `y` of `p` limbs:
 /// `out = gcd((P/n) mod n, n)`, by the paper's Approximate Euclid. Returns
 /// `true` when the rounding margin was under ¼ and the quotient was
-/// recomputed exactly as `(root mod n²) / n` instead.
-fn leaf_gcd(y: &Nat, p: usize, n: &Nat, root: &Nat, st: &mut StepScratch, out: &mut Nat) -> bool {
+/// recomputed exactly as `(P mod n²) / n` instead, from `factors`, whose
+/// product is `P` (the root's children: the tree is never multiplied up
+/// to the root itself).
+fn leaf_gcd(
+    y: &Nat,
+    p: usize,
+    n: &Nat,
+    factors: &[Nat],
+    st: &mut StepScratch,
+    out: &mut Nat,
+) -> bool {
     let exact = !round_quotient(y, p, n, st);
     if exact {
-        st.q = root.rem(&n.square()).div(n);
+        let n2 = n.square();
+        let p_mod = factors
+            .iter()
+            .fold(Nat::one(), |acc, f| acc.mul(&f.rem(&n2)).rem(&n2));
+        st.q = p_mod.div(n);
     }
     if n.is_even() {
         // Approximate Euclid takes odd operands only.
@@ -398,12 +460,12 @@ fn recycle<'b>(mut v: Vec<(&[Limb], &[Limb])>) -> Vec<(&'b [Limb], &'b [Limb])> 
 /// lockstep engine as one batch of full Approximate Euclid GCDs — the
 /// sequence `leaf_gcd` runs per leaf, so the results are the same. Even
 /// moduli, zero quotients and leaves whose rounding margin fails take
-/// [`leaf_gcd`]'s scalar path.
+/// [`leaf_gcd`]'s scalar path, which takes the root's children `factors`.
 fn leaf_stage(
     moduli: &[Nat],
     ys: &[Nat],
     prec: &[usize],
-    root: &Nat,
+    factors: &[Nat],
     st: &mut StepScratch,
     leaves: &mut LeafScratch,
     out: &mut [Nat],
@@ -418,7 +480,7 @@ fn leaf_stage(
     queued.clear();
     for (i, n) in moduli.iter().enumerate() {
         if n.is_even() || !round_quotient(&ys[i], prec[i], n, st) {
-            leaf_gcd(&ys[i], prec[i], n, root, st, &mut out[i]);
+            leaf_gcd(&ys[i], prec[i], n, factors, st, &mut out[i]);
         } else if st.q.is_zero() {
             out[i].assign_limbs(n.limbs());
         } else {
@@ -495,25 +557,26 @@ pub fn batch_gcd_into(moduli: &[Nat], scratch: &mut BatchScratch, out: &mut Vec<
         leaves,
     } = scratch;
 
-    // Product tree, bottom-up. `levels[0]` pairs the moduli themselves, so
-    // the inputs are never copied; `nl` counts the levels in use this call.
-    // Scratch vectors only ever grow: a smaller batch after a larger one
-    // leaves the extra slots (and their buffers) in place instead of
-    // dropping them, so same-shaped repeat calls stay allocation-free and
-    // shape changes re-pay only the delta. Live widths are tracked via
-    // `level_width`, never via `Vec::len`.
+    // Product tree, bottom-up, up to the root's two children: nothing
+    // needs the root itself. `levels[0]` pairs the moduli themselves, so
+    // the inputs are never copied; `nl` counts the tree levels below the
+    // root this call, the moduli included. Scratch vectors only ever grow:
+    // a smaller batch after a larger one leaves the extra slots (and their
+    // buffers) in place instead of dropping them, so same-shaped repeat
+    // calls stay allocation-free and shape changes re-pay only the delta.
+    // Live widths are tracked via `level_width`, never via `Vec::len`.
     let m = moduli.len();
-    let mut nl = 0usize;
+    let mut nl = 1usize;
     let mut width = m;
-    while width > 1 {
+    while width > 2 {
         let next_w = width.div_ceil(2);
-        if levels.len() <= nl {
+        if levels.len() < nl {
             levels.push(Vec::new());
         }
-        let (below, above) = levels.split_at_mut(nl);
+        let (below, above) = levels.split_at_mut(nl - 1);
         let cur = &mut above[0];
         grow_to(cur, next_w);
-        let kids = tree_level(moduli, below, nl);
+        let kids = tree_level(moduli, below, nl - 1);
         for (i, slot) in cur.iter_mut().take(next_w).enumerate() {
             match kids.get(2 * i + 1) {
                 Some(b) => kids[2 * i].mul_into(b, slot),
@@ -527,7 +590,6 @@ pub fn batch_gcd_into(moduli: &[Nat], scratch: &mut BatchScratch, out: &mut Vec<
 
     // Scaled remainder tree, top down: seed the root's two children, then
     // one multiplication per node.
-    let root = &levels[nl - 1][0];
     let kids = tree_level(moduli, levels, nl - 1);
     grow_to(ys, 2);
     for (idx, y) in ys.iter_mut().take(2).enumerate() {
@@ -536,13 +598,13 @@ pub fn batch_gcd_into(moduli: &[Nat], scratch: &mut BatchScratch, out: &mut Vec<
     for k in (0..nl - 1).rev() {
         let nodes = tree_level(moduli, levels, k);
         grow_to(next, nodes.len());
-        for (idx, y) in next.iter_mut().take(nodes.len()).enumerate() {
-            let p_v = prec[k + 1][idx / 2];
-            child_fraction(nodes, &prec[k], idx, &ys[idx / 2], p_v, step, y);
+        let slots = next[..nodes.len()].chunks_mut(2);
+        for (v, (ys_v, y_v)) in slots.zip(ys.iter()).enumerate() {
+            children(nodes, &prec[k], v, y_v, prec[k + 1][v], step, ys_v);
         }
         mem::swap(ys, next);
     }
-    leaf_stage(moduli, &ys[..m], &prec[0], root, step, leaves, out);
+    leaf_stage(moduli, &ys[..m], &prec[0], kids, step, leaves, out);
     // Hand the ping-pong buffers back in their starting roles, so a repeat
     // call of the same shape refills every slot with a value of the size
     // it held before: no slot has to grow in the steady state.
@@ -560,11 +622,11 @@ pub fn batch_gcd_parallel(moduli: &[Nat]) -> Vec<Nat> {
     if moduli.len() < 2 {
         return moduli.iter().map(|_| Nat::one()).collect();
     }
-    // Product tree, parallel within each level.
+    // Product tree, parallel within each level, up to the root's children.
     let mut levels: Vec<Vec<Nat>> = Vec::new();
     loop {
         let kids = tree_level(moduli, &levels, levels.len());
-        if kids.len() < 2 {
+        if kids.len() <= 2 {
             break;
         }
         let next = kids
@@ -577,11 +639,10 @@ pub fn batch_gcd_parallel(moduli: &[Nat]) -> Vec<Nat> {
             .collect();
         levels.push(next);
     }
-    let nl = levels.len();
+    let nl = levels.len() + 1;
     let mut prec = Vec::new();
     precisions(moduli, &levels, nl, &mut prec);
 
-    let root = &levels[nl - 1][0];
     let kids = tree_level(moduli, &levels, nl - 1);
     let mut ys: Vec<Nat> = kids
         .par_iter()
@@ -595,14 +656,14 @@ pub fn batch_gcd_parallel(moduli: &[Nat]) -> Vec<Nat> {
     for k in (0..nl - 1).rev() {
         let nodes = tree_level(moduli, &levels, k);
         ys = nodes
-            .par_iter()
+            .par_chunks(2)
             .enumerate()
-            .map_init(StepScratch::default, |st, (idx, _)| {
-                let mut y = Nat::default();
-                let p_v = prec[k + 1][idx / 2];
-                child_fraction(nodes, &prec[k], idx, &ys[idx / 2], p_v, st, &mut y);
-                y
+            .map_init(StepScratch::default, |st, (v, pair)| {
+                let mut ys_v = vec![Nat::default(); pair.len()];
+                children(nodes, &prec[k], v, &ys[v], prec[k + 1][v], st, &mut ys_v);
+                ys_v
             })
+            .flatten()
             .collect();
     }
     // One leaf queue per worker: the engine's compaction pays off over a
@@ -615,7 +676,7 @@ pub fn batch_gcd_parallel(moduli: &[Nat]) -> Vec<Nat> {
             || (StepScratch::default(), LeafScratch::default()),
             |(st, leaves), (moduli, (ys, prec))| {
                 let mut out = vec![Nat::default(); moduli.len()];
-                leaf_stage(moduli, ys, prec, root, st, leaves, &mut out);
+                leaf_stage(moduli, ys, prec, kids, st, leaves, &mut out);
                 out
             },
         )
@@ -738,6 +799,14 @@ mod tests {
         assert!(g.iter().all(|x| x.is_one()));
     }
 
+    /// The root `P` of the moduli's product tree, and the root's two
+    /// children, whose product it is.
+    fn root_and_children(moduli: &[Nat]) -> (Nat, Vec<Nat>) {
+        let tree = ProductTree::build(moduli);
+        let kids = tree.levels[tree.levels.len() - 2].clone();
+        (tree.root().clone(), kids)
+    }
+
     /// `⌊frac(P / n²)·β^p⌋`, the exact leaf fraction.
     fn exact_leaf_fraction(root: &Nat, n: &Nat, p: usize) -> Nat {
         let n2 = n.square();
@@ -753,26 +822,26 @@ mod tests {
             .collect();
         moduli.push(shared.mul(&random_rsa_prime(&mut rng, 64)));
         moduli.push(shared.mul(&random_rsa_prime(&mut rng, 64)));
-        let root = ProductTree::build(&moduli).root().clone();
+        let (root, factors) = root_and_children(&moduli);
         let expect = batch_gcd(&moduli);
         let mut st = StepScratch::default();
         let mut g = Nat::default();
         for (i, n) in moduli.iter().enumerate() {
             let p = n.len() + 1;
             let y = exact_leaf_fraction(&root, n, p);
-            assert!(!leaf_gcd(&y, p, n, &root, &mut st, &mut g));
+            assert!(!leaf_gcd(&y, p, n, &factors, &mut st, &mut g));
             assert_eq!(g, expect[i], "exact fraction, modulus {i}");
 
             // Moving y by 1/(8n) moves y·n by 1/8: inside the margin, the
             // rounding still lands on the right quotient.
             let eighth = Nat::one().shl(32 * p as u64).div(&n.shl(3));
-            assert!(!leaf_gcd(&y.add(&eighth), p, n, &root, &mut st, &mut g));
+            assert!(!leaf_gcd(&y.add(&eighth), p, n, &factors, &mut st, &mut g));
             assert_eq!(g, expect[i], "y + 1/(8n), modulus {i}");
 
             // Moving it by 1/(2n) puts y·n halfway between integers: the
             // margin check must refuse to round and recompute exactly.
             let half = eighth.shl(2);
-            assert!(leaf_gcd(&y.add(&half), p, n, &root, &mut st, &mut g));
+            assert!(leaf_gcd(&y.add(&half), p, n, &factors, &mut st, &mut g));
             assert_eq!(g, expect[i], "y + 1/(2n), modulus {i}");
         }
         assert!(expect[4] == shared && expect[5] == shared);
@@ -847,9 +916,8 @@ mod tests {
         let (p_c, s2) = (900usize, s.square());
         let p_v = p_c + s2.len() + 1;
         let y_v = wide(&mut state, p_v);
-        let mut st = StepScratch::default();
-        let mut y_c = Nat::default();
-        descend(&y_v, p_v, &s, p_c, &mut st, &mut y_c);
+        let (mut prod, mut y_c) = (Vec::new(), Nat::default());
+        step(&y_v, p_v, &s2, p_c, &mut prod, &mut y_c);
         let full = y_v.mul(&s2);
         let limbs = full.limbs();
         let exact = Nat::from_limbs(&limbs[p_v - p_c..p_v.min(limbs.len())]);
@@ -903,7 +971,7 @@ mod tests {
         // on the scalar path; the results must still be the oracle's.
         let moduli = leaf_routing_corpus();
         let expect = oracle(&moduli);
-        let root = ProductTree::build(&moduli).root().clone();
+        let (root, factors) = root_and_children(&moduli);
         let prec: Vec<usize> = moduli.iter().map(|n| n.len() + 1).collect();
         let ys: Vec<Nat> = moduli
             .iter()
@@ -920,7 +988,15 @@ mod tests {
             .collect();
         let (mut st, mut leaves) = (StepScratch::default(), LeafScratch::default());
         let mut out = vec![Nat::default(); moduli.len()];
-        leaf_stage(&moduli, &ys, &prec, &root, &mut st, &mut leaves, &mut out);
+        leaf_stage(
+            &moduli,
+            &ys,
+            &prec,
+            &factors,
+            &mut st,
+            &mut leaves,
+            &mut out,
+        );
         assert_eq!(out, expect);
         // Modulus 3, its duplicate and the last modulus have quotient 0.
         let zero_quotients = [3, moduli.len() - 4, moduli.len() - 1];
