@@ -13,7 +13,9 @@
 //! remainder-tree scan at corpus sizes the all-pairs grid cannot afford
 //! (`--batch-sizes 64,256,1024` at the widest benched moduli), with the
 //! scalar all-pairs scan as an interleaved reference — and findings
-//! identity asserted — up to `--batch-scalar-cap` keys.
+//! identity asserted — up to `--batch-scalar-cap` keys. Its corpora are
+//! generated once and cached under the cargo target directory
+//! (`scan-bench-corpora/`, see [`batch_corpus`]).
 //!
 //! A `vector_pass` section times the lockstep vector pass alone
 //! (`fused_submul_rshift_columns_prefix` with its register tail, 64 limb
@@ -88,6 +90,53 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
 use std::time::Instant;
+
+/// The moduli of `build_corpus` on `StdRng::seed_from_u64(seed)` with `m`
+/// keys of `bits` bits and `weak` planted pairs: read from
+/// `<target>/scan-bench-corpora/` when a file there was written for these
+/// arguments, else generated and written there. The prime search costs
+/// minutes at 2048 bits on one thread, the tree scan it feeds well under a
+/// second. A file whose header, line count or modulus widths do not match
+/// is generated again; a cache that cannot be written is only reported.
+fn batch_corpus(seed: u64, m: usize, bits: u64, weak: usize) -> Vec<Nat> {
+    let header =
+        format!("# scan_bench batch corpus v1 seed={seed:#x} m={m} bits={bits} weak={weak}");
+    let dir = std::env::current_exe()
+        .ok()
+        .and_then(|exe| Some(exe.parent()?.parent()?.join("scan-bench-corpora")));
+    let path = dir
+        .as_ref()
+        .map(|d| d.join(format!("batch-{seed:x}-{m}-{bits}-{weak}.txt")));
+    if let Some(text) = path.as_ref().and_then(|p| std::fs::read_to_string(p).ok()) {
+        let mut lines = text.lines();
+        if lines.next() == Some(header.as_str()) {
+            let moduli: Option<Vec<Nat>> = lines
+                .map(|l| Nat::from_hex(l).ok().filter(|n| n.bit_len() == bits))
+                .collect();
+            if let Some(moduli) = moduli.filter(|v| v.len() == m) {
+                return moduli;
+            }
+        }
+    }
+    eprintln!("batch corpus m={m} bits={bits}: generating (cached for later runs)");
+    let moduli = build_corpus(&mut StdRng::seed_from_u64(seed), m, bits, weak).moduli();
+    if let (Some(dir), Some(path)) = (dir, path) {
+        let mut text = header;
+        for n in &moduli {
+            text.push('\n');
+            text.push_str(&n.to_hex());
+        }
+        text.push('\n');
+        let tmp = path.with_extension(format!("tmp{}", std::process::id()));
+        let written = std::fs::create_dir_all(&dir)
+            .and_then(|()| std::fs::write(&tmp, text))
+            .and_then(|()| std::fs::rename(&tmp, &path));
+        if let Err(e) = written {
+            eprintln!("batch corpus: not cached at {}: {e}", path.display());
+        }
+    }
+    moduli
+}
 
 /// The `--gate-pipeline` reference: the plain lockstep scan written out by
 /// hand. Pairs in `GroupedPairs::all_pairs` order, cut into warp-aligned
@@ -1033,8 +1082,7 @@ fn main() {
     let mut batch_rows = Vec::new();
     for &m in &batch_sizes {
         let m = m as usize;
-        let mut rng = StdRng::seed_from_u64(0x5ca9 ^ m as u64 ^ (batch_bits << 17));
-        let moduli = build_corpus(&mut rng, m, batch_bits, 4).moduli();
+        let moduli = batch_corpus(0x5ca9 ^ m as u64 ^ (batch_bits << 17), m, batch_bits, 4);
         let arena = ModuliArena::try_from_moduli(&moduli).expect("bench corpus is non-degenerate");
         let pairs = (m * (m - 1) / 2) as f64;
 

@@ -41,13 +41,16 @@
 //! the top `n` limbs of the partial remainder) **never overshoots** the
 //! true digit and undershoots by a small constant, so the correction
 //! loop is O(1) subtractions. A counter-guarded fallback to Knuth keeps
-//! even a broken bound from affecting correctness.
+//! even a broken bound from affecting correctness, and
+//! [`knuth_fallbacks`] counts every time it is taken, so that a broken
+//! bound shows in tests instead of only slowing division down.
 
 use crate::div::{div_rem_knuth, div_rem_limb};
 use crate::limb::{lo, Limb, LIMB_BITS};
 use crate::mul::mul_slices;
 use crate::{ntt, ops, thresholds};
 use core::cmp::Ordering;
+use std::cell::Cell;
 
 /// Below this divisor width the reciprocal comes straight from Knuth
 /// division of `β^{2n}` — the Newton recursion's base case.
@@ -56,6 +59,28 @@ const INV_BASE_LIMBS: usize = 16;
 /// Upper bound on exact-correction iterations before falling back to
 /// Knuth (analysis says ≤ ~8 at the reciprocal, ≤ ~5 per digit).
 const MAX_CORRECTIONS: usize = 256;
+
+thread_local! {
+    /// How many times Newton division on this thread has fallen back to
+    /// Knuth ([`knuth_fallbacks`]).
+    static KNUTH_FALLBACKS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// How many times Newton division on this thread has given up on a bound
+/// and fallen back to Knuth: `invert` when its correction walk passes
+/// [`MAX_CORRECTIONS`] or reaches `x = 0`, and [`div_rem_newton`] on a
+/// quotient estimate that overshot or a block whose correction walk
+/// passes [`MAX_CORRECTIONS`]. The answers stay exact either way; the
+/// count is 0 while every bound of the module docs holds.
+#[doc(hidden)]
+pub fn knuth_fallbacks() -> u64 {
+    KNUTH_FALLBACKS.get()
+}
+
+/// Count one fallback to Knuth.
+fn fell_back() {
+    KNUTH_FALLBACKS.set(KNUTH_FALLBACKS.get() + 1);
+}
 
 /// `v += 1` with carry, growing by one limb if needed.
 fn inc(v: &mut Vec<Limb>) {
@@ -304,6 +329,7 @@ fn invert(v: &[Limb]) -> Vec<Limb> {
         loop {
             guard += 1;
             if guard > MAX_CORRECTIONS || x.iter().all(|&w| w == 0) {
+                fell_back();
                 return invert_knuth(v);
             }
             dec(&mut x);
@@ -317,6 +343,7 @@ fn invert(v: &[Limb]) -> Vec<Limb> {
         while ops::cmp(&e, v) != Ordering::Less {
             guard += 1;
             if guard > MAX_CORRECTIONS {
+                fell_back();
                 return invert_knuth(v);
             }
             if inc_clamped(&mut x) {
@@ -415,6 +442,7 @@ pub fn div_rem_newton(a: &[Limb], b: &[Limb]) -> (Vec<Limb>, Vec<Limb>) {
             let (overshot, r) = small_residue(rem, &est, &v, n);
             if overshot {
                 // Defensive: the estimate bound failed.
+                fell_back();
                 return div_rem_knuth(a, b);
             }
             rem = r;
@@ -428,6 +456,7 @@ pub fn div_rem_newton(a: &[Limb], b: &[Limb]) -> (Vec<Limb>, Vec<Limb>) {
             guard += 1;
             if guard > MAX_CORRECTIONS {
                 // Defensive: exact but quadratic.
+                fell_back();
                 return div_rem_knuth(a, b);
             }
         }

@@ -36,10 +36,11 @@
 //! working vectors of a product are kept per thread and reused, so a
 //! product in the steady state allocates nothing.
 //!
-//! **Arithmetic.** Values are canonical residues in `[0, p)`, and every
-//! multiply is a Montgomery multiply (R = 2³²) by a constant held in
-//! Montgomery form: one 32×32→64 product, a 32-bit low multiply, a second
-//! 32×32→64 product and a shift, with the conditional subtract as a
+//! **Arithmetic.** Values are canonical residues in `[0, p)`, stored as
+//! `u32` (every prime is below 2³¹, so a sum of two residues fits too),
+//! and every multiply is a Montgomery multiply (R = 2³²) by a constant
+//! held in Montgomery form: one 32×32→64 product, a 32-bit low multiply, a
+//! second 32×32→64 product and a shift, with the conditional subtract as a
 //! branchless `min(x, x − p)`. Since a Montgomery-form multiplier
 //! preserves whichever domain the data is in, the transforms run on plain
 //! residues. A limb loads as `redc(x · k)`, with no `%`: `k = R mod p`
@@ -50,29 +51,36 @@
 //! constant. The inverse transform then yields the residues of the
 //! product in normal form. The CRT recombination runs Garner's steps on
 //! Montgomery constants too, with no `%` per coefficient, and folds each
-//! prime in as soon as its residues exist (`garner_fold`, `recombine`), so
-//! three `n`-point vectors are live per product instead of four.
+//! prime in as soon as its residues exist (`garner_fold`, `recombine`):
+//! the first prime's residues and Garner's `t2` are the product's
+//! accumulators, so four `u32` vectors of `n` points are live per product
+//! — the bytes of two `u64` vectors.
 //!
 //! **Pairs.** [`mul_wrap_pair_into`] computes `a·b₀` and `a·b₁` modulo
 //! `β^N − 1` for one first factor `a`, as the scaled remainder tree's
 //! sibling steps need: each prime transforms `a` once and multiplies its
 //! spectrum into both, 5 transforms per prime where two products take 6.
-//! The second product's Garner accumulator is a fourth live `n`-point
-//! vector, kept with the other three in the thread's reused buffers. The
-//! outputs are bitwise those of two [`mul_wrap_into`] calls.
+//! The second product's accumulators are two more live `n`-point vectors,
+//! kept with the other four in the thread's reused buffers. The outputs
+//! are bitwise those of two [`mul_wrap_into`] calls.
 //!
 //! **ISA dispatch.** The butterflies have one portable scalar body, which
 //! is the oracle; an AVX2 build of that same body (autovectorized under
-//! `#[target_feature]`); and a hand-written AVX-512F kernel, eight `u64`
-//! lanes per zmm with `vpmuludq` Montgomery products and `vpminuq`
-//! conditional subtracts. Its stages of half-size ≥ 8 stream over the
-//! array two at a time; the three smallest stages run as one in-register
-//! pass over each 8-coefficient block, with lane permutes. The loads,
-//! pointwise products and CRT pass are compiled for the same ISA.
-//! [`crate::kernel_isa`] names the path, picked once per product by the
-//! probe the lockstep vector pass uses, and [`transform_on`] reaches each
-//! path for tests and benches. All paths compute canonical residues, so
-//! their outputs are bitwise-identical.
+//! `#[target_feature]`); and a hand-written AVX-512F kernel, sixteen `u32`
+//! lanes per zmm. Its Montgomery product runs `vpmuludq` once on the even
+//! lanes and once on the odd ones per step and blends the halves back
+//! (`vpblendmd`); sums and conditional subtracts run on 32-bit lanes
+//! (`vpminud`). Its stages of half-size ≥ 16 stream over the array two at
+//! a time; the four smallest stages run as one in-register pass over each
+//! pair of 16-coefficient blocks, each stage permuting the 32 coefficients
+//! (`vpermt2d`) so that every lane runs a butterfly. Transforms below 32
+//! points take the portable body. The loads, pointwise products and
+//! squares and Garner's first step run on the same sixteen lanes; the rest
+//! of the CRT pass is compiled for the ISA. [`crate::kernel_isa`] names
+//! the path, picked once per product by the probe the lockstep vector
+//! pass uses, and [`transform_on`] reaches each path for tests and
+//! benches. All paths compute canonical residues, so their outputs are
+//! bitwise-identical.
 
 use crate::isa::KernelIsa;
 use crate::limb::{hi, lo, Limb, LIMB_BITS};
@@ -88,32 +96,33 @@ use std::sync::{Arc, PoisonError, RwLock};
 pub const MAX_NTT_TOTAL_LIMBS: usize = 1 << 25;
 
 /// The (prime, primitive root) triple.
-const PRIMES: [(u64, u64); 3] = [(2_013_265_921, 31), (1_811_939_329, 13), (2_113_929_217, 5)];
+const PRIMES: [(u32, u32); 3] = [(2_013_265_921, 31), (1_811_939_329, 13), (2_113_929_217, 5)];
 
 /// Montgomery arithmetic mod one NTT prime, R = 2³². Every prime is below
-/// 2³¹, so sums of two residues, and `x + p − y`, stay below 2³².
+/// 2³¹, so residues are `u32` and sums of two residues, and `x + p − y`,
+/// stay below 2³²; only a product needs a `u64` intermediate.
 struct Field {
-    p: u64,
+    p: u32,
     /// `-p⁻¹ mod 2³²`.
     ninv32: u32,
     /// `R² mod p`, for entering Montgomery form.
-    r2: u64,
+    r2: u32,
 }
 
 impl Field {
-    fn new(p: u64) -> Field {
+    fn new(p: u32) -> Field {
         // Newton iteration for p⁻¹ mod 2³² (p odd): 5 doublings of precision.
-        let plo = lo(p);
-        let mut inv: u32 = plo;
+        let mut inv: u32 = p;
         for _ in 0..5 {
-            inv = inv.wrapping_mul(2u32.wrapping_sub(plo.wrapping_mul(inv)));
+            inv = inv.wrapping_mul(2u32.wrapping_sub(p.wrapping_mul(inv)));
         }
-        debug_assert_eq!(plo.wrapping_mul(inv), 1);
-        let r2 = ((1u128 << 64) % p as u128) as u64;
+        debug_assert_eq!(p.wrapping_mul(inv), 1);
+        // R² mod p = (2³² mod p)² mod p, exact in u64.
+        let r = (1u64 << LIMB_BITS) % p as u64;
         Field {
             p,
             ninv32: inv.wrapping_neg(),
-            r2,
+            r2: lo(r * r % p as u64),
         }
     }
 
@@ -121,58 +130,56 @@ impl Field {
     /// `x < p`, so the smaller of the two is the residue. Branchless — on
     /// random transform data a compare-branch is a coin flip.
     #[inline(always)]
-    fn reduce_once(&self, x: u64) -> u64 {
+    fn reduce_once(&self, x: u32) -> u32 {
         x.min(x.wrapping_sub(self.p))
     }
 
     /// Montgomery reduction of `t < p·2³²`: returns `t·R⁻¹ mod p`.
     #[inline(always)]
-    fn redc(&self, t: u64) -> u64 {
+    fn redc(&self, t: u64) -> u32 {
         // m = (t mod R)·(-p⁻¹) mod R; then (t + m·p) is divisible by R.
         // t < p·2³² < 2⁶³ and m·p < 2³²·p < 2⁶³, so the sum cannot wrap.
         let m = lo(t).wrapping_mul(self.ninv32) as u64;
-        self.reduce_once((t + m * lo(self.p) as u64) >> LIMB_BITS)
+        self.reduce_once(hi(t + m * self.p as u64))
     }
 
-    /// `x·y·R⁻¹ mod p` for `x < 2³²` and `y < p`. Both factors are read
-    /// as 32-bit words, which is what lets the autovectorizer use one
-    /// 32×32→64 lane multiply.
+    /// `x·y·R⁻¹ mod p` for any `x` and `y < p`.
     #[inline(always)]
-    fn mul(&self, x: u64, y: u64) -> u64 {
-        debug_assert!(x >> LIMB_BITS == 0 && y < self.p);
-        self.redc(lo(x) as u64 * lo(y) as u64)
+    fn mul(&self, x: u32, y: u32) -> u32 {
+        debug_assert!(y < self.p);
+        self.redc(x as u64 * y as u64)
     }
 
     #[inline(always)]
-    fn add(&self, a: u64, b: u64) -> u64 {
+    fn add(&self, a: u32, b: u32) -> u32 {
         self.reduce_once(a + b)
     }
 
     #[inline(always)]
-    fn sub(&self, a: u64, b: u64) -> u64 {
+    fn sub(&self, a: u32, b: u32) -> u32 {
         self.reduce_once(a + self.p - b)
     }
 
     /// `1` in Montgomery form (`R mod p`).
     #[inline]
-    fn one(&self) -> u64 {
-        self.redc(self.r2)
+    fn one(&self) -> u32 {
+        self.redc(self.r2 as u64)
     }
 
-    /// Enter Montgomery form (`x < 2³²`).
+    /// Enter Montgomery form.
     #[inline]
-    fn to_mont(&self, x: u64) -> u64 {
-        self.redc(x * self.r2)
+    fn to_mont(&self, x: u32) -> u32 {
+        self.redc(x as u64 * self.r2 as u64)
     }
 
     /// Leave Montgomery form.
     #[cfg(test)]
-    fn unmont(&self, x: u64) -> u64 {
-        self.redc(x)
+    fn unmont(&self, x: u32) -> u32 {
+        self.redc(x as u64)
     }
 
     /// `base^e` with `base` in Montgomery form; result in Montgomery form.
-    fn pow(&self, mut base: u64, mut e: u64) -> u64 {
+    fn pow(&self, mut base: u32, mut e: u32) -> u32 {
         let mut acc = self.one();
         while e > 0 {
             if e & 1 == 1 {
@@ -215,21 +222,22 @@ impl Twiddles {
         );
         let (p, g) = PRIMES[prime];
         let field = Field::new(p);
-        let root = field.pow(field.to_mont(g), (p - 1) / n as u64);
+        // n ≤ 2²⁵ divides p − 1.
+        let root = field.pow(field.to_mont(g), (p - 1) >> n.trailing_zeros());
         let top = n / 2;
         let mut table = vec![0u32; n - 1];
         let seg = &mut table[top - 1..];
-        seg[0] = lo(field.one());
+        seg[0] = field.one();
         for j in 1..TW_BLOCK.min(top) {
-            seg[j] = lo(field.mul(seg[j - 1] as u64, root));
+            seg[j] = field.mul(seg[j - 1], root);
         }
         if top > TW_BLOCK {
-            let step = field.mul(seg[TW_BLOCK - 1] as u64, root);
+            let step = field.mul(seg[TW_BLOCK - 1], root);
             for b in 1..top / TW_BLOCK {
                 let (done, rest) = seg.split_at_mut(b * TW_BLOCK);
                 let prev = &done[(b - 1) * TW_BLOCK..];
                 for (t, &w) in rest[..TW_BLOCK].iter_mut().zip(prev) {
-                    *t = lo(field.mul(w as u64, step));
+                    *t = field.mul(w, step);
                 }
             }
         }
@@ -251,7 +259,7 @@ impl Twiddles {
     }
 
     /// The prime the table works modulo.
-    pub fn prime(&self) -> u64 {
+    pub fn prime(&self) -> u32 {
         self.field.p
     }
 }
@@ -289,7 +297,7 @@ fn shared_twiddles(prime: usize, n: usize) -> Arc<Twiddles> {
 /// `false`, with nothing touched, when this CPU cannot run `isa`, which
 /// is how tests reach each path and skip the ones the host lacks.
 #[doc(hidden)]
-pub fn transform_on(isa: KernelIsa, tw: &Twiddles, a: &mut [u64], inverse: bool) -> bool {
+pub fn transform_on(isa: KernelIsa, tw: &Twiddles, a: &mut [u32], inverse: bool) -> bool {
     assert_eq!(
         a.len(),
         tw.points(),
@@ -307,12 +315,14 @@ pub fn transform_on(isa: KernelIsa, tw: &Twiddles, a: &mut [u64], inverse: bool)
 /// the table of any size `≥ a.len()`: only its first `a.len() − 1`
 /// entries, the `a.len()`-point table, are read.
 #[inline(always)]
-fn transform(isa: KernelIsa, f: &Field, tw: &[u32], a: &mut [u64], inverse: bool) {
+fn transform(isa: KernelIsa, f: &Field, tw: &[u32], a: &mut [u32], inverse: bool) {
     debug_assert!(tw.len() + 1 >= a.len());
     match isa {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: every caller checked `isa.available()`, here AVX-512F.
-        KernelIsa::Avx512 if a.len() >= 8 => unsafe { avx512::transform(f, a, tw, inverse) },
+        KernelIsa::Avx512 if a.len() >= avx512::MIN_POINTS => {
+            // SAFETY: every caller checked `isa.available()`, here AVX-512F.
+            unsafe { avx512::transform(f, a, tw, inverse) }
+        }
         #[cfg(target_arch = "x86_64")]
         // SAFETY: every caller checked `isa.available()`, here AVX2.
         KernelIsa::Avx2 => unsafe { transform_avx2(f, a, tw, inverse) },
@@ -324,7 +334,7 @@ fn transform(isa: KernelIsa, f: &Field, tw: &[u32], a: &mut [u64], inverse: bool
 /// Each stage runs over disjoint sub-slices, so it compiles without bounds
 /// checks.
 #[inline(always)]
-fn transform_portable(f: &Field, a: &mut [u64], tw: &[u32], inverse: bool) {
+fn transform_portable(f: &Field, a: &mut [u32], tw: &[u32], inverse: bool) {
     let n = a.len();
     if inverse {
         // Decimation in time: u, v ← u + w·v, u − w·v.
@@ -334,7 +344,7 @@ fn transform_portable(f: &Field, a: &mut [u64], tw: &[u32], inverse: bool) {
             for chunk in a.chunks_exact_mut(2 * half) {
                 let (us, vs) = chunk.split_at_mut(half);
                 for ((u, v), &w) in us.iter_mut().zip(vs.iter_mut()).zip(seg) {
-                    let (x, t) = (*u, f.mul(*v, w as u64));
+                    let (x, t) = (*u, f.mul(*v, w));
                     *u = f.add(x, t);
                     *v = f.sub(x, t);
                 }
@@ -352,7 +362,7 @@ fn transform_portable(f: &Field, a: &mut [u64], tw: &[u32], inverse: bool) {
                 for ((u, v), &w) in us.iter_mut().zip(vs.iter_mut()).zip(seg) {
                     let (x, y) = (*u, *v);
                     *u = f.add(x, y);
-                    *v = f.mul(x + f.p - y, w as u64);
+                    *v = f.mul(x + f.p - y, w);
                 }
             }
             half /= 2;
@@ -364,45 +374,40 @@ fn transform_portable(f: &Field, a: &mut [u64], tw: &[u32], inverse: bool) {
 /// the compiler to autovectorize the inlined body with AVX2 instructions.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn transform_avx2(f: &Field, a: &mut [u64], tw: &[u32], inverse: bool) {
+fn transform_avx2(f: &Field, a: &mut [u32], tw: &[u32], inverse: bool) {
     transform_portable(f, a, tw, inverse);
 }
 
-/// The hand-written AVX-512F transform: eight `u64` lanes of canonical
-/// residues per zmm, so `vpmuludq` reads each lane's value whole. All
-/// indexing is bounds-checked slicing; the only raw accesses are the
-/// eight-lane loads and stores of `load8`, `load8w` and `store8`, each on
-/// a slice of exactly eight words. The twiddles are stored as `u32` and
-/// zero-extended on load.
+/// The hand-written AVX-512F kernels: sixteen `u32` lanes of canonical
+/// residues per zmm. A Montgomery product runs `vpmuludq` once on the
+/// even lanes and once on the odd ones per step and blends the two halves
+/// back. All indexing is bounds-checked slicing; the only raw accesses are
+/// the sixteen-lane loads and stores of `load16` and `store16`, each on a
+/// slice of exactly sixteen words.
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
     use super::Field;
     use std::arch::x86_64::*;
 
-    /// Lanes `s[j..j + 8]`.
+    /// The smallest transform the kernel runs: its block pass works on two
+    /// 16-coefficient blocks at once. Smaller ones take the portable body.
+    pub(super) const MIN_POINTS: usize = 32;
+
+    /// Lanes `s[j..j + 16]`.
     #[target_feature(enable = "avx512f")]
     #[inline]
-    fn load8(s: &[u64], j: usize) -> __m512i {
-        let s = &s[j..j + 8];
-        // SAFETY: `s` is exactly eight `u64`s, one zmm.
+    fn load16(s: &[u32], j: usize) -> __m512i {
+        let s = &s[j..j + 16];
+        // SAFETY: `s` is exactly sixteen `u32`s, one zmm.
         unsafe { _mm512_loadu_si512(s.as_ptr().cast()) }
     }
 
-    /// Twiddles `s[j..j + 8]`, zero-extended to `u64` lanes.
+    /// Store `x` to `s[j..j + 16]`.
     #[target_feature(enable = "avx512f")]
     #[inline]
-    fn load8w(s: &[u32], j: usize) -> __m512i {
-        let s = &s[j..j + 8];
-        // SAFETY: `s` is exactly eight `u32`s, one ymm.
-        _mm512_cvtepu32_epi64(unsafe { _mm256_loadu_si256(s.as_ptr().cast()) })
-    }
-
-    /// Store `x` to `s[j..j + 8]`.
-    #[target_feature(enable = "avx512f")]
-    #[inline]
-    fn store8(s: &mut [u64], j: usize, x: __m512i) {
-        let s = &mut s[j..j + 8];
-        // SAFETY: `s` is exactly eight `u64`s, one zmm.
+    fn store16(s: &mut [u32], j: usize, x: __m512i) {
+        let s = &mut s[j..j + 16];
+        // SAFETY: `s` is exactly sixteen `u32`s, one zmm.
         unsafe { _mm512_storeu_si512(s.as_mut_ptr().cast(), x) }
     }
 
@@ -417,8 +422,8 @@ mod avx512 {
         #[target_feature(enable = "avx512f")]
         fn new(f: &Field) -> Mod {
             Mod {
-                p: _mm512_set1_epi64(f.p as i64),
-                ninv: _mm512_set1_epi64(f.ninv32 as i64),
+                p: _mm512_set1_epi32(f.p as i32),
+                ninv: _mm512_set1_epi32(f.ninv32 as i32),
             }
         }
 
@@ -426,31 +431,49 @@ mod avx512 {
         #[target_feature(enable = "avx512f")]
         #[inline]
         fn reduce(self, x: __m512i) -> __m512i {
-            _mm512_min_epu64(x, _mm512_sub_epi64(x, self.p))
+            _mm512_min_epu32(x, _mm512_sub_epi32(x, self.p))
         }
 
-        /// [`Field::mul`] per lane: `x < 2³²`, `y < p`.
+        /// `t + (t·(−p⁻¹) mod R)·p` on the 64-bit lanes of `t < p·2³²`:
+        /// [`Field::redc`] before its shift, which leaves the result in each
+        /// lane's high word. `vpmuludq` reads the low words of `t`, `ninv`
+        /// and `p`.
+        #[target_feature(enable = "avx512f")]
+        #[inline]
+        fn redc_high(self, t: __m512i) -> __m512i {
+            let m = _mm512_mul_epu32(t, self.ninv);
+            _mm512_add_epi64(t, _mm512_mul_epu32(m, self.p))
+        }
+
+        /// [`Field::mul`] per lane (`y < p`): the even lanes in the low
+        /// words of the 64-bit lanes, the odd lanes shifted down into them,
+        /// and the results blended back.
         #[target_feature(enable = "avx512f")]
         #[inline]
         fn mul(self, x: __m512i, y: __m512i) -> __m512i {
-            let t = _mm512_mul_epu32(x, y);
-            // `vpmuludq` reads the low word of `m`: m mod R, as in `redc`.
-            let m = _mm512_mul_epu32(t, self.ninv);
-            let s = _mm512_add_epi64(t, _mm512_mul_epu32(m, self.p));
-            self.reduce(_mm512_srli_epi64::<32>(s))
+            let even = self.redc_high(_mm512_mul_epu32(x, y));
+            let odd = self.redc_high(_mm512_mul_epu32(
+                _mm512_srli_epi64::<32>(x),
+                _mm512_srli_epi64::<32>(y),
+            ));
+            self.reduce(_mm512_mask_blend_epi32(
+                0xaaaa,
+                _mm512_srli_epi64::<32>(even),
+                odd,
+            ))
         }
 
         #[target_feature(enable = "avx512f")]
         #[inline]
         fn add(self, x: __m512i, y: __m512i) -> __m512i {
-            self.reduce(_mm512_add_epi64(x, y))
+            self.reduce(_mm512_add_epi32(x, y))
         }
 
         /// `x + p − y`, below 2p and not yet reduced.
         #[target_feature(enable = "avx512f")]
         #[inline]
         fn diff(self, x: __m512i, y: __m512i) -> __m512i {
-            _mm512_sub_epi64(_mm512_add_epi64(x, self.p), y)
+            _mm512_sub_epi32(_mm512_add_epi32(x, self.p), y)
         }
 
         /// The DIF butterfly `(u + v, w·(u − v))`.
@@ -467,60 +490,52 @@ mod avx512 {
             let t = self.mul(v, w);
             (self.add(u, t), self.reduce(self.diff(u, t)))
         }
+
+        /// The butterfly of a stage: DIF, or DIT for `inverse`; with no
+        /// twiddle (`w = 1`, the smallest stage) both are `(u + v, u − v)`.
+        #[target_feature(enable = "avx512f")]
+        #[inline]
+        fn butterfly(
+            self,
+            u: __m512i,
+            v: __m512i,
+            w: Option<__m512i>,
+            inverse: bool,
+        ) -> (__m512i, __m512i) {
+            match (w, inverse) {
+                (Some(w), false) => self.dif(u, v, w),
+                (Some(w), true) => self.dit(u, v, w),
+                (None, _) => (self.add(u, v), self.reduce(self.diff(u, v))),
+            }
+        }
     }
 
-    /// One stage of the in-register block pass on an 8-lane block `x`:
-    /// lane `l` pairs with lane `l ^ h`. `lo`/`hi` gather each pair's lower
-    /// and upper element into every lane, `w` holds each pair's twiddle
-    /// (`None` for h = 1, whose twiddle is 1), and `upper` marks the lanes
-    /// that take the pair's second output.
+    /// `out[j] ← op(out[j], [ins[0][j], …])`, sixteen lanes at a time; a
+    /// short last step runs on zero-padded copies, which every operation
+    /// here maps to residues. Each `ins[i]` is at least as long as `out`.
     #[target_feature(enable = "avx512f")]
     #[inline]
-    fn block_stage(
-        k: Mod,
-        x: __m512i,
-        [lo, hi]: [__m512i; 2],
-        w: Option<__m512i>,
-        upper: __mmask8,
-        inverse: bool,
-    ) -> __m512i {
-        let (u, v) = (
-            _mm512_permutexvar_epi64(lo, x),
-            _mm512_permutexvar_epi64(hi, x),
-        );
-        let (s, d) = match (w, inverse) {
-            (Some(w), false) => k.dif(u, v, w),
-            (Some(w), true) => k.dit(u, v, w),
-            (None, _) => (k.add(u, v), k.reduce(k.diff(u, v))),
-        };
-        _mm512_mask_blend_epi64(upper, s, d)
-    }
-
-    /// The lane indices of stage `h`'s lower and upper pair elements.
-    #[target_feature(enable = "avx512f")]
-    fn pair_lanes(h: i64) -> [__m512i; 2] {
-        let lane = |l: i64, bit: i64| (l & !h) | bit;
-        let idx = |bit: i64| {
-            _mm512_setr_epi64(
-                lane(0, bit),
-                lane(1, bit),
-                lane(2, bit),
-                lane(3, bit),
-                lane(4, bit),
-                lane(5, bit),
-                lane(6, bit),
-                lane(7, bit),
-            )
-        };
-        [idx(0), idx(h)]
-    }
-
-    /// Stage `h`'s twiddle for every lane, `seg[l mod h]`.
-    #[target_feature(enable = "avx512f")]
-    fn lane_twiddles(seg: &[u32]) -> __m512i {
-        let h = seg.len();
-        let w = |l: usize| seg[l % h] as i64;
-        _mm512_setr_epi64(w(0), w(1), w(2), w(3), w(4), w(5), w(6), w(7))
+    fn lanes<const K: usize>(
+        out: &mut [u32],
+        ins: [&[u32]; K],
+        op: impl Fn(__m512i, [__m512i; K]) -> __m512i,
+    ) {
+        let whole = out.len() / 16 * 16;
+        for j in (0..whole).step_by(16) {
+            store16(out, j, op(load16(out, j), ins.map(|s| load16(s, j))));
+        }
+        let tail = out.len() - whole;
+        if tail > 0 {
+            let pad = |s: &[u32]| {
+                let mut b = [0u32; 16];
+                b[..tail].copy_from_slice(&s[whole..whole + tail]);
+                b
+            };
+            let mut b = pad(out);
+            let x = op(load16(&b, 0), ins.map(|s| load16(&pad(s), 0)));
+            store16(&mut b, 0, x);
+            out[whole..].copy_from_slice(&b[..tail]);
+        }
     }
 
     /// Stage `half`'s twiddle segment.
@@ -528,39 +543,35 @@ mod avx512 {
         &tw[half - 1..2 * half - 1]
     }
 
-    /// One streamed stage, half-size `half ≥ 8`: DIF, or DIT for `inverse`.
+    /// One streamed stage, half-size `half ≥ 16`: DIF, or DIT for `inverse`.
     #[target_feature(enable = "avx512f")]
-    fn stage(k: Mod, a: &mut [u64], tw: &[u32], half: usize, inverse: bool) {
+    fn stage(k: Mod, a: &mut [u32], tw: &[u32], half: usize, inverse: bool) {
         let seg = segment(tw, half);
         for chunk in a.chunks_exact_mut(2 * half) {
             let (us, vs) = chunk.split_at_mut(half);
-            for j in (0..half).step_by(8) {
-                let (u, v, w) = (load8(us, j), load8(vs, j), load8w(seg, j));
-                let (x, y) = if inverse {
-                    k.dit(u, v, w)
-                } else {
-                    k.dif(u, v, w)
-                };
-                store8(us, j, x);
-                store8(vs, j, y);
+            for j in (0..half).step_by(16) {
+                let w = Some(load16(seg, j));
+                let (x, y) = k.butterfly(load16(us, j), load16(vs, j), w, inverse);
+                store16(us, j, x);
+                store16(vs, j, y);
             }
         }
     }
 
     /// Two streamed stages in one sweep, the radix-2 butterflies of stages
-    /// `2q` and `q` (`q ≥ 8`) on each quartet `a[j + {0, q, 2q, 3q}]` held
+    /// `2q` and `q` (`q ≥ 16`) on each quartet `a[j + {0, q, 2q, 3q}]` held
     /// in registers: DIF runs stage `2q` first, DIT (`inverse`) stage `q`
     /// first. The arithmetic is that of two [`stage`] calls.
     #[target_feature(enable = "avx512f")]
-    fn stage_pair(k: Mod, a: &mut [u64], tw: &[u32], q: usize, inverse: bool) {
+    fn stage_pair(k: Mod, a: &mut [u32], tw: &[u32], q: usize, inverse: bool) {
         let (outer, inner) = (segment(tw, 2 * q), segment(tw, q));
         for chunk in a.chunks_exact_mut(4 * q) {
             let (lo, hi) = chunk.split_at_mut(2 * q);
             let (s0, s1) = lo.split_at_mut(q);
             let (s2, s3) = hi.split_at_mut(q);
-            for j in (0..q).step_by(8) {
-                let x = [load8(s0, j), load8(s1, j), load8(s2, j), load8(s3, j)];
-                let (wa, wb, wi) = (load8w(outer, j), load8w(outer, j + q), load8w(inner, j));
+            for j in (0..q).step_by(16) {
+                let x = [load16(s0, j), load16(s1, j), load16(s2, j), load16(s3, j)];
+                let (wa, wb, wi) = (load16(outer, j), load16(outer, j + q), load16(inner, j));
                 let z = if inverse {
                     let (y0, y1) = k.dit(x[0], x[1], wi);
                     let (y2, y3) = k.dit(x[2], x[3], wi);
@@ -574,50 +585,130 @@ mod avx512 {
                     let (z2, z3) = k.dif(y2, y3, wi);
                     [z0, z1, z2, z3]
                 };
-                store8(s0, j, z[0]);
-                store8(s1, j, z[1]);
-                store8(s2, j, z[2]);
-                store8(s3, j, z[3]);
+                store16(s0, j, z[0]);
+                store16(s1, j, z[1]);
+                store16(s2, j, z[2]);
+                store16(s3, j, z[3]);
             }
         }
     }
 
-    /// The three smallest stages (h = 4, 2, 1) of every 8-coefficient
-    /// block, in registers.
-    #[target_feature(enable = "avx512f")]
-    fn block_pass(k: Mod, a: &mut [u64], tw: &[u32], inverse: bool) {
-        let stages = [
-            (pair_lanes(4), Some(lane_twiddles(segment(tw, 4))), 0xf0),
-            (pair_lanes(2), Some(lane_twiddles(segment(tw, 2))), 0xcc),
-            (pair_lanes(1), None, 0xaa),
-        ];
-        for j in (0..a.len()).step_by(8) {
-            let mut x = load8(a, j);
-            if inverse {
-                for &(idx, w, upper) in stages.iter().rev() {
-                    x = block_stage(k, x, idx, w, upper, true);
-                }
+    /// Where the block pass keeps the 32 coefficients of two blocks in its
+    /// two registers, as an index into their concatenation. `None` is the
+    /// natural order. `Some(b)` is the order of the stage with half-size
+    /// `2^b`: the first register holds the coefficients whose bit `b` is
+    /// clear and the second their partners, each in the order of the other
+    /// four bits, so one lane-wise butterfly runs the whole stage.
+    const fn slot(order: Option<u32>, e: usize) -> usize {
+        match order {
+            None => e,
+            Some(b) => (((e >> b) & 1) << 4) | ((e >> (b + 1)) << b) | (e & ((1 << b) - 1)),
+        }
+    }
+
+    /// The bit of the block pass's `s`-th stage: h = 8, 4, 2, 1 forward,
+    /// the reverse for the inverse.
+    const fn stage_bit(inverse: bool, s: usize) -> u32 {
+        if inverse {
+            s as u32
+        } else {
+            3 - s as u32
+        }
+    }
+
+    /// The `vpermt2d` indices of the block pass, one pair per output
+    /// register: into the order of each stage in the order they run, then
+    /// back to the natural order.
+    const fn block_moves(inverse: bool) -> [[[u32; 16]; 2]; 5] {
+        let mut moves = [[[0; 16]; 2]; 5];
+        let mut s = 0;
+        while s < 5 {
+            let from = if s == 0 {
+                None
             } else {
-                for &(idx, w, upper) in &stages {
-                    x = block_stage(k, x, idx, w, upper, false);
-                }
+                Some(stage_bit(inverse, s - 1))
+            };
+            let to = if s == 4 {
+                None
+            } else {
+                Some(stage_bit(inverse, s))
+            };
+            let mut e = 0;
+            while e < 32 {
+                let t = slot(to, e);
+                moves[s][t / 16][t % 16] = slot(from, e) as u32;
+                e += 1;
             }
-            store8(a, j, x);
+            s += 1;
+        }
+        moves
+    }
+
+    /// [`block_moves`] forward and inverse.
+    const BLOCK_MOVES: [[[[u32; 16]; 2]; 5]; 2] = [block_moves(false), block_moves(true)];
+
+    /// For stage bit `b = 1, 2, 3`, which of the table's first sixteen
+    /// entries each lane takes in the stage's order: lane `l` of the
+    /// first register holds the coefficient at offset `l mod 2^b` of its
+    /// `2^{b+1}`-chunk, so its twiddle is entry `l mod 2^b` of the stage's
+    /// segment, which starts at `2^b − 1`.
+    const TWIDDLE_LANES: [[u32; 16]; 3] = {
+        let mut lanes = [[0; 16]; 3];
+        let mut b = 1;
+        while b <= 3 {
+            let mut l = 0;
+            while l < 16 {
+                lanes[b - 1][l] = ((1 << b) - 1 + l % (1 << b)) as u32;
+                l += 1;
+            }
+            b += 1;
+        }
+        lanes
+    };
+
+    /// The four smallest stages (h = 8, 4, 2, 1) of every 16-coefficient
+    /// block, in registers, two blocks at a time: each stage first permutes
+    /// the 32 coefficients into its own order ([`slot`]), so every lane
+    /// runs a real butterfly. `a.len() ≥ 32`.
+    #[target_feature(enable = "avx512f")]
+    fn block_pass(k: Mod, a: &mut [u32], tw: &[u32], inverse: bool) {
+        let moves = &BLOCK_MOVES[inverse as usize];
+        let head = load16(tw, 0);
+        let steps: [_; 4] = core::array::from_fn(|s| {
+            let b = stage_bit(inverse, s) as usize;
+            // The stage h = 1 multiplies by w⁰ = 1: no twiddle.
+            let w =
+                (b > 0).then(|| _mm512_permutexvar_epi32(load16(&TWIDDLE_LANES[b - 1], 0), head));
+            (moves[s].map(|m| load16(&m, 0)), w)
+        });
+        let back = moves[4].map(|m| load16(&m, 0));
+        for pair in a.chunks_exact_mut(32) {
+            let (mut u, mut v) = (load16(pair, 0), load16(pair, 16));
+            for &([iu, iv], w) in &steps {
+                (u, v) = k.butterfly(
+                    _mm512_permutex2var_epi32(u, iu, v),
+                    _mm512_permutex2var_epi32(u, iv, v),
+                    w,
+                    inverse,
+                );
+            }
+            store16(pair, 0, _mm512_permutex2var_epi32(u, back[0], v));
+            store16(pair, 16, _mm512_permutex2var_epi32(u, back[1], v));
         }
     }
 
     /// The transform of [`super::transform_portable`], bit for bit, for a
-    /// power-of-two `a.len() ≥ 8` and a twiddle table `tw` of at least
-    /// that size. Stages of
-    /// half-size ≥ 8 stream in pairs ([`stage_pair`]), the three smallest
-    /// run in registers ([`block_pass`]).
+    /// power-of-two `a.len() ≥ MIN_POINTS` and a twiddle table `tw` of at
+    /// least that size. Stages of half-size ≥ 16 stream in pairs
+    /// ([`stage_pair`]), the four smallest run in registers
+    /// ([`block_pass`]).
     #[target_feature(enable = "avx512f")]
-    pub(super) fn transform(f: &Field, a: &mut [u64], tw: &[u32], inverse: bool) {
+    pub(super) fn transform(f: &Field, a: &mut [u32], tw: &[u32], inverse: bool) {
         let n = a.len();
         let k = Mod::new(f);
         if inverse {
             block_pass(k, a, tw, true);
-            let mut half = 8;
+            let mut half = 16;
             while 4 * half <= n {
                 stage_pair(k, a, tw, half, true);
                 half *= 4;
@@ -628,45 +719,108 @@ mod avx512 {
             a[1..].reverse();
         } else {
             let mut half = n / 2;
-            while half >= 16 {
+            while half >= 32 {
                 stage_pair(k, a, tw, half / 2, false);
                 half /= 4;
             }
-            if half == 8 {
+            if half == 16 {
                 stage(k, a, tw, half, false);
             }
             block_pass(k, a, tw, false);
         }
     }
+
+    /// `v[j] ← x[j]·c·R⁻¹`: [`super::load`]'s pass.
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn load(f: &Field, v: &mut [u32], x: &[u32], c: u32) {
+        let (k, c) = (Mod::new(f), _mm512_set1_epi32(c as i32));
+        lanes(v, [x], |_, [x]| k.mul(x, c));
+    }
+
+    /// `r[j] ← a[j]·r[j]·R⁻¹`: the pointwise product of two spectra.
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn pointwise(f: &Field, r: &mut [u32], a: &[u32]) {
+        let k = Mod::new(f);
+        lanes(r, [a], |r, [a]| k.mul(a, r));
+    }
+
+    /// `r[j] ← r[j]²·c·R⁻²`: the pointwise square of a spectrum.
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn square(f: &Field, r: &mut [u32], c: u32) {
+        let (k, c) = (Mod::new(f), _mm512_set1_epi32(c as i32));
+        lanes(r, [], |r, []| k.mul(k.mul(r, r), c));
+    }
+
+    /// `r2[j] ← (r2[j] − r1[j])·c·R⁻¹ mod p₂` for `r1 < 2p₂`:
+    /// [`super::garner_fold`]'s pass.
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn garner_fold(f2: &Field, c: u32, r1: &[u32], r2: &mut [u32]) {
+        let (k, c) = (Mod::new(f2), _mm512_set1_epi32(c as i32));
+        lanes(r2, [r1], |r2, [r1]| {
+            k.mul(k.reduce(k.diff(r2, k.reduce(r1))), c)
+        });
+    }
+}
+
+/// `r[j] ← a[j]·r[j]·R⁻¹` on `isa`: the pointwise product of two spectra.
+#[inline(always)]
+fn pointwise(isa: KernelIsa, f: &Field, r: &mut [u32], a: &[u32]) {
+    #[cfg(target_arch = "x86_64")]
+    if isa == KernelIsa::Avx512 {
+        // SAFETY: every caller checked `isa.available()`, here AVX-512F.
+        return unsafe { avx512::pointwise(f, r, a) };
+    }
+    for (y, &x) in r.iter_mut().zip(a) {
+        *y = f.mul(x, *y);
+    }
+}
+
+/// `r[j] ← r[j]²·c·R⁻²` on `isa`: the pointwise square of a spectrum.
+#[inline(always)]
+fn square(isa: KernelIsa, f: &Field, r: &mut [u32], c: u32) {
+    #[cfg(target_arch = "x86_64")]
+    if isa == KernelIsa::Avx512 {
+        // SAFETY: every caller checked `isa.available()`, here AVX-512F.
+        return unsafe { avx512::square(f, r, c) };
+    }
+    for x in r.iter_mut() {
+        *x = f.mul(f.mul(*x, *x), c);
+    }
 }
 
 /// Load `x` into `v` as an `n`-point vector of residues `redc(x_i · k)`,
-/// zero-padded.
+/// zero-padded, on `isa`, which the caller has checked.
 #[inline(always)]
-fn load(f: &Field, x: &[Limb], k: u64, n: usize, v: &mut Vec<u64>) {
+fn load(isa: KernelIsa, f: &Field, x: &[Limb], k: u32, n: usize, v: &mut Vec<u32>) {
     v.resize(n, 0);
     let (head, tail) = v.split_at_mut(x.len());
-    for (v, &w) in head.iter_mut().zip(x) {
-        *v = f.mul(w as u64, k);
-    }
     tail.fill(0);
+    #[cfg(target_arch = "x86_64")]
+    if isa == KernelIsa::Avx512 {
+        // SAFETY: every caller checked `isa.available()`, here AVX-512F.
+        return unsafe { avx512::load(f, head, x, k) };
+    }
+    for (v, &w) in head.iter_mut().zip(x) {
+        *v = f.mul(w, k);
+    }
 }
 
 /// The spectrum of the first factor `a` on the prime of `tw`, into `fa`:
 /// loaded with `n⁻¹` folded in (see the module docs) and
 /// forward-transformed.
 #[inline(always)]
-fn first_spectrum(isa: KernelIsa, tw: &Twiddles, a: &[Limb], n: usize, fa: &mut Vec<u64>) {
+fn first_spectrum(isa: KernelIsa, tw: &Twiddles, a: &[Limb], n: usize, fa: &mut Vec<u32>) {
     let f = &tw.field;
-    load(f, a, inv_n_load(f, n), n, fa);
+    load(isa, f, a, inv_n_load(f, n), n, fa);
     transform(isa, f, &tw.table, fa, false);
 }
 
 /// `R²·n⁻¹ mod p`: `n⁻¹` in Montgomery form, times R once more. Loading
 /// the first factor with it scales the product by `n⁻¹`.
 #[inline(always)]
-fn inv_n_load(f: &Field, n: usize) -> u64 {
-    f.mul(f.pow(f.to_mont(n as u64), f.p - 2), f.r2)
+fn inv_n_load(f: &Field, n: usize) -> u32 {
+    // n ≤ 2²⁵.
+    f.mul(f.pow(f.to_mont(lo(n as u64)), f.p - 2), f.r2)
 }
 
 /// The residues of `a · b` on the prime of `tw`, in normal form, into
@@ -676,17 +830,15 @@ fn inv_n_load(f: &Field, n: usize) -> u64 {
 fn times_spectrum(
     isa: KernelIsa,
     tw: &Twiddles,
-    fa: &[u64],
+    fa: &[u32],
     b: &[Limb],
     n: usize,
-    r: &mut Vec<u64>,
+    r: &mut Vec<u32>,
 ) {
     let f = &tw.field;
-    load(f, b, f.one(), n, r);
+    load(isa, f, b, f.one(), n, r);
     transform(isa, f, &tw.table, r, false);
-    for (y, &x) in r.iter_mut().zip(fa) {
-        *y = f.mul(x, *y);
-    }
+    pointwise(isa, f, r, fa);
     transform(isa, f, &tw.table, r, true);
 }
 
@@ -694,66 +846,65 @@ fn times_spectrum(
 /// one forward transform, a pointwise square times `n⁻¹`, and the
 /// inverse.
 #[inline(always)]
-fn square_residues(isa: KernelIsa, tw: &Twiddles, a: &[Limb], n: usize, r: &mut Vec<u64>) {
+fn square_residues(isa: KernelIsa, tw: &Twiddles, a: &[Limb], n: usize, r: &mut Vec<u32>) {
     let f = &tw.field;
     let scaled = inv_n_load(f, n);
-    load(f, a, f.one(), n, r);
+    load(isa, f, a, f.one(), n, r);
     transform(isa, f, &tw.table, r, false);
-    for x in r.iter_mut() {
-        *x = f.mul(f.mul(*x, *x), scaled);
-    }
+    square(isa, f, r, scaled);
     transform(isa, f, &tw.table, r, true);
 }
 
 /// Garner's first step, folded in as soon as the second prime's residues
-/// `r2` exist: `t2 = (r2 − r1)·p₁⁻¹ mod p₂`, packed next to `r1` as
-/// `r1 | t2 << 32` (both are below 2³¹). The mixed-radix value is
-/// `v = r1 + p₁·t2 + p₁p₂·t3`.
+/// exist: `r2[j] ← t2 = (r2 − r1)·p₁⁻¹ mod p₂`, in place. The mixed-radix
+/// value is `v = r1 + p₁·t2 + p₁p₂·t3`.
 #[inline(always)]
-fn garner_fold(r1t2: &mut [u64], r2: &[u64]) {
+fn garner_fold(isa: KernelIsa, r1: &[u32], r2: &mut [u32]) {
     let [p1, p2] = [PRIMES[0].0, PRIMES[1].0];
     let f2 = Field::new(p2);
     // p₁⁻¹ mod p₂ in Montgomery form, so that one `mul` applies it.
     let inv_p1 = f2.pow(f2.to_mont(p1 - p2), p2 - 2);
-    for (r1, &r2) in r1t2.iter_mut().zip(r2) {
-        // r1 < p1 < 2·p2 reduces mod p2 with one subtract.
-        let t2 = f2.mul(f2.sub(r2, f2.reduce_once(*r1)), inv_p1);
-        *r1 |= t2 << LIMB_BITS;
+    #[cfg(target_arch = "x86_64")]
+    if isa == KernelIsa::Avx512 {
+        // SAFETY: every caller checked `isa.available()`, here AVX-512F.
+        return unsafe { avx512::garner_fold(&f2, inv_p1, r1, r2) };
+    }
+    // r1 < p1 < 2·p2 reduces mod p2 with one subtract.
+    for (r2, &r1) in r2.iter_mut().zip(r1) {
+        *r2 = f2.mul(f2.sub(*r2, f2.reduce_once(r1)), inv_p1);
     }
 }
 
-/// Finish the CRT from the packed `r1 | t2 << 32` vector and the third
-/// prime's residues `r3`, and propagate carries, writing the low
-/// `out.len()` limbs of the product into `out`. An acyclic product must
-/// fit `out` exactly (the final carry is debug-asserted zero); a `wrap`
-/// (cyclic) product has `out.len() == n` and folds its final carry back
-/// in at limb 0, since `β^n ≡ 1 (mod β^n − 1)`.
+/// Finish the CRT from the first prime's residues `r1`, Garner's `t2`
+/// ([`garner_fold`]) and the third prime's residues `r3`, and propagate
+/// carries, writing the low `out.len()` limbs of the product into `out`.
+/// An acyclic product must fit `out` exactly (the final carry is
+/// debug-asserted zero); a `wrap` (cyclic) product has `out.len() == n`
+/// and folds its final carry back in at limb 0, since `β^n ≡ 1
+/// (mod β^n − 1)`.
 ///
 /// The last Garner step is one pass that is independent per coefficient
-/// (so it vectorizes) and leaves `r1 + p₁·t2` and `t3` in place; a serial
-/// pass then adds up the carries.
+/// (so it vectorizes) and turns `r3` into `t3` in place; a serial pass
+/// then adds up the carries.
 #[inline(always)]
-fn recombine(r1t2: &mut [u64], r3: &mut [u64], out: &mut [Limb], wrap: bool) {
+fn recombine(r1: &[u32], t2: &[u32], r3: &mut [u32], out: &mut [Limb], wrap: bool) {
     let [p1, p2, p3] = [PRIMES[0].0, PRIMES[1].0, PRIMES[2].0];
     let f3 = Field::new(p3);
     // p₁p₂ < 2⁶², exact in u64. Garner's constants are in Montgomery form
     // so that one `mul` applies each: p₁ mod p₃ and (p₁p₂)⁻¹ mod p₃.
-    let p1p2 = p1 * p2;
+    let p1p2 = p1 as u64 * p2 as u64;
     let p1_mod_p3 = f3.to_mont(p1);
-    let inv_p1p2 = f3.pow(f3.to_mont(p1p2 % p3), p3 - 2);
-    for (v12, r3) in r1t2.iter_mut().zip(r3.iter_mut()) {
+    let inv_p1p2 = f3.pow(f3.to_mont(lo(p1p2 % p3 as u64)), p3 - 2);
+    for ((&r1, &t2), r3) in r1.iter().zip(t2).zip(r3.iter_mut()) {
         // r1 < p1 < p3 is already reduced mod p3.
-        let (r1, t2) = (lo(*v12) as u64, hi(*v12) as u64);
         let v12m = f3.add(r1, f3.mul(t2, p1_mod_p3));
         *r3 = f3.mul(f3.sub(*r3, v12m), inv_p1p2);
-        *v12 = r1 + t2 * p1; // < p1·p2 < 2⁶²
     }
 
-    // v < p1·p2·p3 < 2⁹³.
-    let mut coeffs = r1t2
-        .iter()
-        .zip(r3.iter())
-        .map(|(&v12, &t3)| v12 as u128 + p1p2 as u128 * t3 as u128);
+    // v < p1·p2·p3 < 2⁹³; r1 + p₁·t2 < p1·p2 < 2⁶².
+    let mut coeffs = r1.iter().zip(t2).zip(r3.iter()).map(|((&r1, &t2), &t3)| {
+        (r1 as u64 + t2 as u64 * p1 as u64) as u128 + p1p2 as u128 * t3 as u128
+    });
     let mut carry: u128 = 0;
     for (w, v) in out.iter_mut().zip(coeffs.by_ref()) {
         let acc = carry + v;
@@ -788,16 +939,16 @@ fn recombine(r1t2: &mut [u64], r3: &mut [u64], out: &mut [Limb], wrap: bool) {
     }
 }
 
-/// The `n`-point working vectors of a product: the packed Garner
-/// accumulator of each output, the first factor's spectrum and the
-/// current prime's residues. A single product uses the first accumulator,
-/// so three vectors are live; a pair ([`mul_wrap_pair_into`]) uses both,
-/// four.
+/// The `n`-point working vectors of a product, all `u32` residues: for
+/// each output, the first prime's residues and Garner's `t2`; the first
+/// factor's spectrum; and the current prime's residues. A single product
+/// uses the first output's pair, so four vectors are live (three for a
+/// square); a pair ([`mul_wrap_pair_into`]) uses both, six.
 #[derive(Default)]
 struct Buffers {
-    acc: [Vec<u64>; 2],
-    fa: Vec<u64>,
-    fb: Vec<u64>,
+    acc: [[Vec<u32>; 2]; 2],
+    fa: Vec<u32>,
+    fb: Vec<u32>,
 }
 
 thread_local! {
@@ -806,7 +957,7 @@ thread_local! {
     /// products in the steady state allocate nothing.
     static BUFFERS: Cell<Buffers> = const {
         Cell::new(Buffers {
-            acc: [Vec::new(), Vec::new()],
+            acc: [[Vec::new(), Vec::new()], [Vec::new(), Vec::new()]],
             fa: Vec::new(),
             fb: Vec::new(),
         })
@@ -816,7 +967,7 @@ thread_local! {
 /// `a · bs[i]` modulo `x^n − 1` into `outs[i]` (one or two products, or
 /// `a²` when the only factor is `a`), for all three primes, recombined as
 /// [`recombine`] describes. Each prime transforms `a` once for all the
-/// products, and folds its residues into each product's accumulator as
+/// products, and folds its residues into each product's accumulators as
 /// soon as they exist.
 #[inline(always)]
 fn product(
@@ -836,8 +987,8 @@ fn product(
         if !square {
             first_spectrum(isa, &tw, a, n, fa);
         }
-        for ((&b, acc), out) in bs.iter().zip(acc.iter_mut()).zip(outs.iter_mut()) {
-            let r = if prime == 0 { &mut *acc } else { &mut *fb };
+        for ((&b, [r1, t2]), out) in bs.iter().zip(acc.iter_mut()).zip(outs.iter_mut()) {
+            let r = if prime == 0 { &mut *r1 } else { &mut *fb };
             if square {
                 square_residues(isa, &tw, a, n, r);
             } else {
@@ -845,8 +996,11 @@ fn product(
             }
             match prime {
                 0 => {}
-                1 => garner_fold(acc, fb),
-                _ => recombine(acc, fb, out, wrap),
+                1 => {
+                    garner_fold(isa, r1, fb);
+                    core::mem::swap(t2, fb);
+                }
+                _ => recombine(r1, t2, fb, out, wrap),
             }
         }
     }
@@ -1075,7 +1229,7 @@ mod tests {
         for (p, g) in PRIMES {
             let field = Field::new(p);
             // Montgomery roundtrip.
-            for x in [0u64, 1, 2, p - 1, 0x1234_5678] {
+            for x in [0, 1, 2, p - 1, p, 0x1234_5678, u32::MAX] {
                 assert_eq!(field.unmont(field.to_mont(x)), x % p);
             }
             // g has full order: g^((p-1)/2) == -1 for the largest transform.

@@ -268,7 +268,9 @@ proptest! {
     /// `N = next_pow2(n + 3)`: divisors of 128–1100 limbs, half of them at
     /// `2^k − 3 … 2^k + 2`, where that wrap size doubles; dividends 1× to
     /// 3× the divisor; and sometimes the divisor `β^n/2`, whose reciprocal
-    /// `2β^n` does not fit `n` limbs.
+    /// `2β^n` does not fit `n` limbs. Newton must get there itself: a
+    /// fallback to Knuth, which would hide a broken bound behind a right
+    /// answer, fails the case.
     #[test]
     fn newton_division_above_the_ntt_rung_matches_knuth(
         lb in prop_oneof![
@@ -286,7 +288,9 @@ proptest! {
         }
         b[lb - 1] |= 0x8000_0000;
         let a: Vec<Limb> = (0..lb * percent / 100).map(|_| next() as Limb).collect();
+        let fallbacks = newton::knuth_fallbacks();
         let (qn, rn) = newton::div_rem_newton(&a, &b);
+        prop_assert_eq!(newton::knuth_fallbacks(), fallbacks, "Newton fell back to Knuth");
         let (qk, rk) = div::div_rem_knuth(&a, &b);
         prop_assert_eq!(qn, qk);
         prop_assert_eq!(rn, rk);
@@ -357,9 +361,13 @@ fn vector_isas() -> Vec<KernelIsa> {
 }
 
 /// Forward and inverse transforms at n = 2…2¹⁶, for every prime, bit for
-/// bit against the portable body — including n = 2, 4 and 8, below or at
-/// the AVX-512 block pass, and n = 16, one streamed stage above it — and
-/// inverse(forward(x)) = n·x, the scale the load constants later remove.
+/// bit against the portable body, each direction from the same input:
+/// random residues and residues that are all `p − 1`, whose sums come
+/// closest to wrapping a 32-bit lane. The sizes take every power of two
+/// from 2 to 64: those below 32, the AVX-512 kernel's smallest, hand off
+/// to the portable body; 32 runs one streamed stage and the block pass,
+/// 64 a streamed stage pair. inverse(forward(x)) = n·x, the scale the
+/// load constants later remove.
 #[test]
 fn ntt_transform_isa_paths_match_portable() {
     let mut next = xorshift(0x0ddb_a11c_afe5_eed5);
@@ -369,25 +377,29 @@ fn ntt_transform_isa_paths_match_portable() {
             for prime in 0..3 {
                 let tw = ntt::Twiddles::new(prime, n);
                 let p = tw.prime();
-                let x: Vec<u64> = (0..n).map(|_| next() % p).collect();
-                let at = format!("{} n={n} prime={p}", isa.name());
-                let (mut got, mut want) = (x.clone(), x.clone());
-                assert!(ntt::transform_on(isa, &tw, &mut got, false));
-                assert!(ntt::transform_on(
-                    KernelIsa::Portable,
-                    &tw,
-                    &mut want,
-                    false
-                ));
-                assert_eq!(got, want, "{at}: forward differs from portable");
-                assert!(ntt::transform_on(isa, &tw, &mut got, true));
-                assert!(ntt::transform_on(KernelIsa::Portable, &tw, &mut want, true));
-                assert_eq!(got, want, "{at}: inverse differs from portable");
-                let scaled: Vec<u64> = x
-                    .iter()
-                    .map(|&v| ((v as u128 * n as u128) % p as u128) as u64)
-                    .collect();
-                assert_eq!(got, scaled, "{at}: inverse(forward(x)) != n·x");
+                let random: Vec<u32> = (0..n).map(|_| (next() % p as u64) as u32).collect();
+                for (what, x) in [("random", random), ("all p − 1", vec![p - 1; n])] {
+                    let at = format!("{} n={n} prime={p} {what}", isa.name());
+                    for inverse in [false, true] {
+                        let (mut got, mut want) = (x.clone(), x.clone());
+                        assert!(ntt::transform_on(isa, &tw, &mut got, inverse));
+                        assert!(ntt::transform_on(
+                            KernelIsa::Portable,
+                            &tw,
+                            &mut want,
+                            inverse
+                        ));
+                        assert_eq!(got, want, "{at}: inverse={inverse} differs from portable");
+                    }
+                    let mut got = x.clone();
+                    assert!(ntt::transform_on(isa, &tw, &mut got, false));
+                    assert!(ntt::transform_on(isa, &tw, &mut got, true));
+                    let scaled: Vec<u32> = x
+                        .iter()
+                        .map(|&v| (v as u64 * n as u64 % p as u64) as u32)
+                        .collect();
+                    assert_eq!(got, scaled, "{at}: inverse(forward(x)) != n·x");
+                }
             }
         }
     }
@@ -395,8 +407,10 @@ fn ntt_transform_isa_paths_match_portable() {
 
 /// `mul_ntt` and `mul_wrap` on every ISA path equal the schoolbook
 /// product: random operands and the all-`0xffffffff` operands that
-/// maximize every CRT coefficient. `mul_wrap_pair` equals two `mul_wrap`
-/// calls, with operands of unequal length, all ones and zero.
+/// maximize every CRT coefficient, at shapes whose full and wrapped
+/// transforms take every size from 2 to 64. `mul_wrap_pair` equals two
+/// `mul_wrap` calls, with operands of unequal length, all ones and zero,
+/// and with a zero first factor.
 #[test]
 fn ntt_products_match_schoolbook_on_every_isa() {
     let mut next = xorshift(0x5eed_0fc0_ffee);
@@ -405,9 +419,11 @@ fn ntt_products_match_schoolbook_on_every_isa() {
     for isa in isas {
         for (la, lb) in [
             (1, 1),
+            (2, 1),
             (3, 2),
             (5, 4),
             (9, 8),
+            (17, 15),
             (33, 31),
             (300, 200),
             (2048, 2048),
@@ -490,8 +506,9 @@ fn check_pair(isa: KernelIsa, n: usize, a: &[Limb], [b0, b1]: [&[Limb]; 2], at: 
 }
 
 /// `mul_ntt_into_on` and `mul_wrap_into_on` of every pair in `operands`,
-/// on every ISA path in turn, against the schoolbook products `want`, and
-/// `mul_wrap_pair_into_on` of `a` by `b` and by `a` itself.
+/// on every ISA path in turn, against the schoolbook products `want`;
+/// `mul_wrap_pair_into_on` of `a` by `b` and by `a` itself, and of a zero
+/// first factor by both.
 fn check_interleaved(isas: &[KernelIsa], operands: &[(Vec<Limb>, Vec<Limb>)], want: &[Vec<Limb>]) {
     for &isa in isas {
         for ((a, b), want) in operands.iter().zip(want) {
@@ -519,6 +536,17 @@ fn check_interleaved(isas: &[KernelIsa], operands: &[(Vec<Limb>, Vec<Limb>)], wa
                 fold_mod(&schoolbook_mul(a, a), n),
                 "{at}: mul_wrap_pair, second"
             );
+            assert!(ntt::mul_wrap_pair_into_on(
+                isa,
+                [&mut p0, &mut p1],
+                &[],
+                [b, a]
+            ));
+            assert_eq!(
+                (&p0, &p1),
+                (&vec![0; n], &vec![0; n]),
+                "{at}: zero first factor"
+            );
         }
     }
 }
@@ -528,7 +556,9 @@ proptest! {
     /// on every ISA path, from two threads at once: the shared twiddle
     /// tables grow under one size and serve the others from their prefix,
     /// and the per-thread working vectors shrink and regrow between calls.
-    /// Every product must equal the schoolbook one bit for bit.
+    /// The small shape, whose full and wrapped transforms take every size
+    /// from 2 to 64, also runs with all limbs `0xffffffff`. Every product
+    /// must equal the schoolbook one bit for bit.
     #[test]
     fn ntt_interleaved_sizes_on_two_threads_match_schoolbook(
         sizes in vec((150usize..500, 1usize..40, 300usize..700), 2),
@@ -542,10 +572,11 @@ proptest! {
             .map(|(t, &(big, small, bigger))| {
                 let mut next = xorshift(seed.rotate_left(17 * t as u32) | 1);
                 let mut limbs = |len: usize| -> Vec<Limb> { (0..len).map(|_| next() as Limb).collect() };
-                let operands: Vec<_> = [(big, big / 2 + 1), (small, small / 2 + 1), (bigger, bigger)]
+                let mut operands: Vec<_> = [(big, big / 2 + 1), (small, small / 2 + 1), (bigger, bigger)]
                     .iter()
                     .map(|&(la, lb)| (limbs(la), limbs(lb)))
                     .collect();
+                operands.insert(2, (vec![Limb::MAX; small], vec![Limb::MAX; small / 2 + 1]));
                 let want: Vec<_> = operands.iter().map(|(a, b)| schoolbook_mul(a, b)).collect();
                 (operands, want)
             })

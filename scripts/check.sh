@@ -97,7 +97,7 @@ cargo run --release -q -p bulkgcd-bench --bin scan_bench -- \
 echo "== bigint ladder gate: dispatched mul/div >= 1.5x legacy at the widest rows,"
 echo "==                     <= 1.05x floor at 32/64 limbs, product-tree batch >= 1.05x"
 echo "==                     with findings bitwise-identical to the scalar scan,"
-echo "==                     dispatched NTT butterflies >= 2.0x portable at N=2^15"
+echo "==                     dispatched NTT butterflies >= 4.0x portable at N=2^15"
 echo "==                     (unless the CPU runs the portable ones), every NTT path bitwise-equal"
 cargo run --release -q -p bulkgcd-bench --bin bigint_bench -- \
     --gate-subquadratic --reps 3 \
